@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 
 from .matcher import LocalPartialMatch, is_complete_match
-from .assembly_central import joinable, join
+from .assembly_central import _lpm_key, joinable, join
 
 NULL_ID = 0xFFFFFFFF
 
@@ -248,7 +248,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     emitted = {fid: set() for fid in range(dg.k)}
     validate = lambda fn: is_complete_match(q, fn, dg.source.labels_between)
     for fid in range(dg.k):
-        base = sorted(omega.get(fid, frozenset()), key=_bsp_key)
+        base = sorted(omega.get(fid, frozenset()), key=_lpm_key)
         pools[fid] = list(base)
         seen[fid] = set(base)
         for pm in base:
@@ -283,7 +283,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
             for fid in range(dg.k):
                 batch = [decode_lpm(p)[0] for p in delivered.get(fid, [])]
                 arrivals = [pm for pm in batch if pm not in seen[fid]]
-                arrivals = sorted(set(arrivals), key=_bsp_key)
+                arrivals = sorted(set(arrivals), key=_lpm_key)
                 if not arrivals:
                     continue
                 new_emits, out = local_computation(
@@ -308,7 +308,8 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     for fid in range(dg.k):
         all_vectors |= emitted[fid]
         total += len(emitted[fid])
-    assert total == len(all_vectors), "a match was emitted at two sites"
+    if total != len(all_vectors):
+        raise RuntimeError("a match was emitted at two sites")
 
     if stats is not None:
         stats["supersteps_used"] = productive
@@ -319,8 +320,3 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
                                        for fid in range(dg.k)}
         stats["topology_diameter"] = topo.diameter
     return frozenset(all_vectors)
-
-
-def _bsp_key(pm):
-    return (tuple(-2 if u is None else u for u in pm.fn),
-            tuple(sorted(pm.internal)), tuple(sorted(pm.fragments)))

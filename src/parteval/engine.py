@@ -3,9 +3,9 @@ exposes the command line.
 
 A database is a directory holding a canonical N-Triples copy of the data
 plus an optional partition map; fragments are rebuilt at load time.
-Matching runs per fragment (thread pool capped by PARTEVAL_THREADS),
-crossing matches come from the configured assembly strategy, and results
-print as deterministically sorted TSV.
+Matching runs fragment by fragment, crossing matches come from the
+configured assembly strategy, and results print as deterministically
+sorted TSV.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import assembly_bsp, assembly_central, fragmenter, matcher
@@ -34,7 +33,7 @@ class EngineConfig:
     assembly: str = "centralized"        # or "distributed"
     join: str = "partitioned"            # or "naive"
     transport: str = "inproc"            # or "tcp"
-    threads: int = 0                     # 0: PARTEVAL_THREADS or cpu count
+    threads: int = 0                     # accepted and ignored
     timeout_seconds: float = 0.0         # 0: no limit
 
 
@@ -64,15 +63,6 @@ class QueryStats:
         }
 
 
-def _thread_cap(cfg, k):
-    if cfg.threads > 0:
-        return min(cfg.threads, k)
-    env = os.environ.get("PARTEVAL_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return min(int(env), k)
-    return min(k, os.cpu_count() or 1)
-
-
 class _Deadline:
     def __init__(self, seconds):
         self.limit = seconds
@@ -89,18 +79,10 @@ def _match_component(comp, dg, cfg, stats, deadline):
     gq = matcher.ground(comp, dg.source)
 
     t0 = time.monotonic()
-    workers = _thread_cap(cfg, dg.k)
-    def per_fragment(frag):
-        return (frag.id,
-                matcher.compute_local_partial_matches(gq, frag),
-                matcher.compute_inner_matches(gq, frag))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(per_fragment, dg.fragments))
-    else:
-        rows = [per_fragment(frag) for frag in dg.fragments]
-    omega = {fid: lpms for fid, lpms, _ in rows}
-    inner = {fid: ims for fid, _, ims in rows}
+    omega = {frag.id: matcher.compute_local_partial_matches(gq, frag)
+             for frag in dg.fragments}
+    inner = frozenset().union(*(matcher.compute_inner_matches(gq, frag)
+                                for frag in dg.fragments))
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, lpms in omega.items():
         stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + len(lpms)
@@ -135,12 +117,9 @@ def _match_component(comp, dg, cfg, stats, deadline):
     stats.assembly_seconds += time.monotonic() - t1
     deadline.check("assembly")
 
-    inner_all = set()
-    for ims in inner.values():
-        inner_all |= ims
-    stats.inner_matches += len(inner_all)
+    stats.inner_matches += len(inner)
     stats.crossing_matches += len(crossing)
-    return frozenset(inner_all) | crossing
+    return inner | crossing
 
 
 def execute(gq, dg, cfg=None):
@@ -252,7 +231,8 @@ def _cmd_query(args):
     sys.stdout.write(format_tsv(table, _projection_names(gq)))
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
+            # top-level keys sorted, lpm_counts in fragment order
+            json.dump(dict(sorted(stats.to_dict().items())), fh, indent=2)
             fh.write("\n")
     return 0
 
@@ -307,7 +287,8 @@ def _build_parser():
                          choices=["naive", "partitioned"])
     query_p.add_argument("--transport", default="inproc",
                          choices=["inproc", "tcp"])
-    query_p.add_argument("--threads", type=int, default=0)
+    query_p.add_argument("--threads", type=int, default=0,
+                         help="accepted and ignored")
     query_p.add_argument("--timeout", type=float, default=0.0)
     query_p.add_argument("--stats")
     query_p.set_defaults(fn=_cmd_query)
@@ -344,3 +325,7 @@ def main(argv=None):
 
 
 cli = main
+
+
+if __name__ == "__main__":
+    sys.exit(main())

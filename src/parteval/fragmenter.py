@@ -134,7 +134,6 @@ class Fragment:
     inner_pairs: dict = field(default_factory=dict)
     crossing_pairs: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
-    labels: frozenset = frozenset()
     nbrs: dict = field(default_factory=dict)
     out_labels: dict = field(default_factory=dict)
     in_labels: dict = field(default_factory=dict)
@@ -168,8 +167,6 @@ def _finish_fragment(fid, internal, inner_pairs, crossing_pairs):
         out_labels.setdefault(u, set()).update(labels)
         in_labels.setdefault(v, set()).update(labels)
     all_vertices = frozenset(internal) | frozenset(extended)
-    label_union = frozenset(
-        label for labels in edges.values() for label in labels)
     return Fragment(
         id=fid,
         internal=frozenset(internal),
@@ -177,7 +174,6 @@ def _finish_fragment(fid, internal, inner_pairs, crossing_pairs):
         inner_pairs={p: frozenset(ls) for p, ls in inner_pairs.items()},
         crossing_pairs={p: frozenset(ls) for p, ls in crossing_pairs.items()},
         edges=edges,
-        labels=label_union,
         nbrs={v: frozenset(ns) for v, ns in nbrs.items()},
         out_labels={v: frozenset(ls) for v, ls in out_labels.items()},
         in_labels={v: frozenset(ls) for v, ls in in_labels.items()},

@@ -271,14 +271,18 @@ def _partial_state_ok(q, frag, fn):
 def compute_local_partial_matches(q, frag):
     """All local partial matches of the query in one fragment.
 
-    Depth-first state search: seed with every (query vertex, candidate)
-    pair, grow only into query vertices adjacent to the matched set, prune
-    on the monotone conditions, and emit when the full predicate holds.
-    A valid state is never extended: no local partial match strictly
-    contains another, so extensions of a valid state cannot be valid.
+    Depth-first state search that walks stored edges.  Every local
+    partial match has an internal vertex and its realized edges connect
+    all of its bound vertices, so the search seeds only at internal
+    candidates and extends an unbound query vertex only over the
+    fragment neighbours of its bound query neighbours' images.  States
+    are pruned on the monotone conditions and emitted when the full
+    predicate holds.  A valid state is never extended: no local partial
+    match strictly contains another, so extensions of a valid state
+    cannot be valid.
     """
     n = q.n
-    cand = {v: candidates(q, frag, v) for v in range(n)}
+    cand = {v: frozenset(candidates(q, frag, v)) for v in range(n)}
     results = set()
     seen = set()
 
@@ -294,19 +298,21 @@ def compute_local_partial_matches(q, frag):
             results.add(LocalPartialMatch(key, internal_qvs,
                                           frozenset([frag.id])))
             return
-        frontier = set()
         for v in range(n):
             if fn[v] is not None:
-                frontier.update(w for w in q.adj[v] if fn[w] is None)
-        for v in sorted(frontier):
-            for u in cand[v]:
+                continue
+            reach = set()
+            for w in q.adj[v]:
+                if fn[w] is not None:
+                    reach |= frag.nbrs.get(fn[w], frozenset())
+            for u in reach & cand[v]:
                 fn[v] = u
                 if _partial_state_ok(q, frag, fn):
                     explore(fn)
                 fn[v] = None
 
     for v in range(n):
-        for u in cand[v]:
+        for u in cand[v] & frag.internal:
             fn = [None] * n
             fn[v] = u
             if _partial_state_ok(q, frag, fn):
@@ -355,7 +361,7 @@ def compute_inner_matches(q, frag):
     n = q.n
     cand = {}
     for v in range(n):
-        cs = [u for u in candidates(q, frag, v) if u in frag.internal]
+        cs = frozenset(candidates(q, frag, v)) & frag.internal
         if not cs:
             return frozenset()
         cand[v] = cs
@@ -370,7 +376,11 @@ def compute_inner_matches(q, frag):
                 results.add(tuple(fn))
             return
         v = order[t]
-        for u in cand[v]:
+        pool = cand[v]
+        for w in q.adj[v]:
+            if fn[w] is not None:
+                pool = pool & frag.nbrs.get(fn[w], frozenset())
+        for u in pool:
             ok = True
             for ei in q.incident[v]:
                 e = q.edges[ei]

@@ -1,15 +1,23 @@
 """End-to-end runs, persistence, TSV output, and the command line."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 import helpers
+import parteval
 from parteval import (
+    Bgp,
     EngineConfig,
+    GeneralQuery,
     PartitionMap,
     TimeoutExceeded,
     blank,
+    build_fragments,
     empty_table,
     execute,
     format_tsv,
@@ -19,9 +27,11 @@ from parteval import (
     main,
     make_row,
     parse_ntriples,
+    partition_uniform_hash,
     write_partition_file,
 )
 from parteval.general_sparql import BindingTable
+from parteval.oracle import MAX_DATA_VERTICES
 
 CONFIGS = [
     EngineConfig(assembly="centralized", join="partitioned"),
@@ -213,6 +223,23 @@ def test_cli_query_stats_file(movie_disk, tmp_path, capsys):
     assert got["lpm_counts"] == {"0": 5, "1": 3, "2": 0, "3": 0}
 
 
+def test_cli_stats_file_lists_fragments_in_numeric_order(tmp_path, capsys):
+    src = tmp_path / "in.nt"
+    src.write_text(helpers.MOVIE_NT, encoding="utf-8")
+    db = tmp_path / "db"
+    query = tmp_path / "q.rq"
+    query.write_text(helpers.MOVIE_QUERY, encoding="utf-8")
+    stats_path = tmp_path / "stats.json"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "12"]) == 0
+    code, _, _ = run_cli(capsys, ["query", "--db", str(db), "--sparql",
+                                  str(query), "--stats", str(stats_path)])
+    assert code == 0
+    got = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert list(got["lpm_counts"]) == [str(fid) for fid in range(12)]
+    assert list(got) == sorted(got)
+
+
 def test_cli_stats_describes_db(movie_disk, capsys):
     db, _ = movie_disk
     code, out, _ = run_cli(capsys, ["stats", "--db", str(db)])
@@ -280,3 +307,42 @@ def test_cli_missing_db_is_exit_2(tmp_path, capsys):
                                     "--sparql", str(q)])
     assert code == 2
     assert err.startswith("io error:")
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parteval.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "parteval.engine", "stats", "--db",
+         str(tmp_path / "nowhere")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "io error:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic check on a graph beyond the oracle's reach: the answer must
+# not depend on the fragment count or the assembly strategy.  One graph of
+# about 300 vertices and three-vertex patterns keep assembly, which grows
+# fast with the number of partial matches, to a couple of seconds.
+
+
+def test_fragment_count_and_assembly_do_not_change_answers():
+    rng = random.Random(5)
+    g = helpers.rand_graph(rng, max_vertices=300)
+    while g.n_vertices < 250:
+        g = helpers.rand_graph(rng, max_vertices=300)
+    assert g.n_vertices > MAX_DATA_VERTICES
+    queries = [GeneralQuery(Bgp(helpers.rand_bgp(rng, g, n_max=3)), None)
+               for _ in range(4)]
+    single = build_fragments(g, partition_uniform_hash(g, 1))
+    want = [execute(gq, single)[0].rows for gq in queries]
+    assert any(want)
+    for k in range(2, 9):
+        dg = build_fragments(g, partition_uniform_hash(g, k))
+        for mode in ("centralized", "distributed"):
+            cfg = EngineConfig(assembly=mode)
+            got = [execute(gq, dg, cfg)[0].rows for gq in queries]
+            assert got == want, "k=%d, %s" % (k, mode)
