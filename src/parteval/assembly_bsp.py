@@ -18,9 +18,10 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matcher import LocalPartialMatch, is_complete_match
-from .assembly_central import _lpm_key, joinable, join
+from .assembly_central import PartialMatchIndex, _lpm_key, joinable, join
 
 NULL_ID = 0xFFFFFFFF
 
@@ -35,8 +36,13 @@ class FragmentOrder:
     order: tuple   # fragment ids, lowest rank first
     rank: tuple    # of (fragment id, rank) pairs, mapping-like
 
+    @cached_property
+    def ranks(self):
+        """The rank pairs as a dict, built on first use."""
+        return dict(self.rank)
+
     def rank_of(self, fid):
-        return dict(self.rank)[fid]
+        return self.ranks[fid]
 
 
 def fragment_order(omega):
@@ -50,7 +56,7 @@ def fragment_order(omega):
 def route(pm, order, topo):
     """Destination sites for an item: strictly above the item's whole
     provenance, and topology-adjacent to some provenance fragment."""
-    rank = dict(order.rank)
+    rank = order.ranks
     top = max(rank[f] for f in pm.fragments)
     dests = set()
     for fid in topo.nodes:
@@ -63,21 +69,25 @@ def route(pm, order, topo):
 
 
 def encode_lpm(pm, src):
-    """Fixed wire record: length, vertex count, source fragment,
-    provenance bitmap, vertex ids (NULL_ID for unmatched), internal-flag
-    bitmap."""
+    """Wire record: length, vertex count, source fragment, provenance
+    bitmap, vertex ids (NULL_ID for unmatched), internal-flag bitmap.
+
+    The provenance bitmap takes as many 32-bit words as its highest
+    fragment id needs, at least one; the decoder works its width out
+    from the record length.
+    """
     n = len(pm.fn)
     if n > 32:
         raise ValueError("record format caps queries at 32 vertices")
     prov = 0
     for f in pm.fragments:
-        if f >= 32:
-            raise ValueError("record format caps fragment ids at 31")
         prov |= 1 << f
     flags = 0
     for v in pm.internal:
         flags |= 1 << v
-    body = struct.pack(">HHI", n, src, prov)
+    body = struct.pack(">HH", n, src)
+    words = max(1, (prov.bit_length() + 31) // 32)
+    body += prov.to_bytes(4 * words, "big")
     body += struct.pack(">%dI" % n,
                         *(NULL_ID if u is None else u for u in pm.fn))
     body += struct.pack(">I", flags)
@@ -88,12 +98,17 @@ def decode_lpm(data):
     (length,) = struct.unpack_from(">I", data, 0)
     if length != len(data) - 4:
         raise ValueError("bad record length")
-    n, src, prov = struct.unpack_from(">HHI", data, 4)
-    ids = struct.unpack_from(">%dI" % n, data, 12)
-    (flags,) = struct.unpack_from(">I", data, 12 + 4 * n)
+    n, src = struct.unpack_from(">HH", data, 4)
+    width = length - 8 - 4 * n
+    if width < 4 or width % 4:
+        raise ValueError("bad record length")
+    prov = int.from_bytes(data[8:8 + width], "big")
+    ids = struct.unpack_from(">%dI" % n, data, 8 + width)
+    (flags,) = struct.unpack_from(">I", data, 8 + width + 4 * n)
     fn = tuple(None if u == NULL_ID else u for u in ids)
     internal = frozenset(v for v in range(n) if flags & (1 << v))
-    fragments = frozenset(f for f in range(32) if prov & (1 << f))
+    fragments = frozenset(f for f in range(prov.bit_length())
+                          if prov & (1 << f))
     return LocalPartialMatch(fn, internal, fragments), src
 
 
@@ -171,22 +186,20 @@ class TcpLoopbackExchange:
             sock.close()
 
 
-def local_computation(site, delta_in, pool, q, dg, order, seen=None,
-                      emitted=None):
+def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
     """One site's compute superstep.
 
-    Received items are worked off a queue: each scans the pool, then
-    joins it, so every cross pair is attempted once.  Admitted results
-    are either emitted (complete, valid, and this site tops the image
-    homes), queued for further local joins, or readied for routing.
-    Returns (emitted vectors, items for the outbox).
+    Received items are worked off a queue: each probes the site's pool
+    (a PartialMatchIndex kept across supersteps), then joins it, so
+    every cross pair is attempted once.  Admitted results are either
+    emitted (complete, valid, and this site tops the image homes),
+    queued for further local joins, or readied for routing.  seen holds
+    every item the site has pooled or produced, emitted every vector it
+    has emitted; both are updated in place.  Returns (newly emitted
+    vectors, items for the outbox).
     """
-    rank = dict(order.rank)
+    rank = order.ranks
     site_rank = rank[site]
-    if seen is None:
-        seen = set(pool)
-    if emitted is None:
-        emitted = set()
     validate = lambda fn: is_complete_match(q, fn, dg.source.labels_between)
     out = []
     queue = list(delta_in)
@@ -198,7 +211,7 @@ def local_computation(site, delta_in, pool, q, dg, order, seen=None,
             continue
         done.add(w)
         seen.add(w)
-        for m in list(pool):
+        for m in pool.probe(w):
             if not joinable(w, m, q):
                 continue
             merged = join(w, m, q)
@@ -221,7 +234,7 @@ def local_computation(site, delta_in, pool, q, dg, order, seen=None,
             seen.add(merged)
             out.append(merged)
             queue.append(merged)
-        pool.append(w)
+        pool.add(w)
     return new_emits, out
 
 
@@ -238,7 +251,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     topo = topology(dg)
     order = fragment_order({fid: omega.get(fid, frozenset())
                             for fid in range(dg.k)})
-    rank = dict(order.rank)
+    rank = order.ranks
     own_exchange = exchange is None
     if exchange is None:
         exchange = InProcessExchange(dg.k)
@@ -247,19 +260,16 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     seen = {}
     emitted = {fid: set() for fid in range(dg.k)}
     validate = lambda fn: is_complete_match(q, fn, dg.source.labels_between)
+    messages = 0
+    byte_count = 0
     for fid in range(dg.k):
         base = sorted(omega.get(fid, frozenset()), key=_lpm_key)
-        pools[fid] = list(base)
+        pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)
         for pm in base:
             if all(u is not None for u in pm.fn) and validate(pm.fn):
                 if max(rank[dg.home(u)] for u in pm.fn) == rank[fid]:
                     emitted[fid].add(pm.fn)
-
-    messages = 0
-    byte_count = 0
-    for fid in range(dg.k):
-        for pm in pools[fid]:
             for dst in sorted(route(pm, order, topo)):
                 payload = encode_lpm(pm, fid)
                 exchange.post(dst, payload)

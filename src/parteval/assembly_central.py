@@ -3,10 +3,16 @@
 Partial matches from different fragments are merged wherever they share
 a crossing edge, flipping internal and extended roles between the two
 sides.  Two strategies produce the complete crossing matches: a naive
-fixpoint that repeatedly joins everything against everything, and a
+fixpoint that repeatedly joins the working set against the input, and a
 partitioning-based pass that groups the partial matches by an anchor
 query vertex so that members of one group never join each other.  A
 dynamic program picks the anchor order minimizing the modeled cost.
+
+Neither strategy compares all pairs.  Partial matches sit in a
+PartialMatchIndex keyed by the crossing edges they could join on, and a
+match is tried only against the members that index returns for it; BSP
+assembly keeps one such index per site.  The ``pairs_examined`` stat
+counts those probed candidates, each then checked by joinable().
 """
 
 from __future__ import annotations
@@ -63,6 +69,52 @@ def join(a, b, q):
                              a.fragments | b.fragments)
 
 
+class PartialMatchIndex:
+    """Partial matches bucketed by the crossing edges they can join on.
+
+    A member offers one key per query edge bound at both ends with
+    exactly one endpoint internal: (edge, src image, dst image, whether
+    the internal endpoint is the source).  joinable() needs a query edge
+    that one match holds with its source internal and the other with
+    its destination internal, on the same images, so every member
+    joinable with w offers one of w's keys with the side flipped.
+    probe(w) returns exactly the members that do, each once; joinable()
+    stays the final check.
+    """
+
+    def __init__(self, q, members=()):
+        self._edges = [(ei, e.src, e.dst) for ei, e in enumerate(q.edges)
+                       if e.src != e.dst]
+        self._buckets = {}
+        for pm in members:
+            self.add(pm)
+
+    def _keys(self, pm):
+        fn = pm.fn
+        internal = pm.internal
+        keys = []
+        for ei, x, y in self._edges:
+            a = fn[x]
+            b = fn[y]
+            if a is None or b is None:
+                continue
+            src_internal = x in internal
+            if src_internal != (y in internal):
+                keys.append((ei, a, b, src_internal))
+        return keys
+
+    def add(self, pm):
+        for key in self._keys(pm):
+            self._buckets.setdefault(key, []).append(pm)
+
+    def probe(self, pm):
+        found = {}
+        for ei, a, b, src_internal in self._keys(pm):
+            for m in self._buckets.get((ei, a, b, not src_internal), ()):
+                found[id(m)] = m
+        return found.values()
+
+
 def _absorb(merged, q, g, complete, intermediates):
     """Classify a join result: a fully bound function either validates
     into a complete match or dies; anything else stays an intermediate."""
@@ -81,14 +133,14 @@ def naive_iterative_join(omega, q, g, stats=None):
     A complete crossing match made of m constituents appears after at
     most m-1 rounds, and m never exceeds the query size.
     """
-    base = sorted(omega, key=_lpm_key)
-    ms = set(base)
+    base = PartialMatchIndex(q, omega)
+    ms = set(omega)
     rs = set()
     examined = 0
     for _ in range(max(q.n, 1)):
         new = set()
         for a in sorted(ms, key=_lpm_key):
-            for b in base:
+            for b in base.probe(a):
                 examined += 1
                 if not joinable(a, b, q):
                     continue
@@ -203,14 +255,14 @@ def partitioning_based_join(p, q, g, stats=None):
     Part members and processed intermediates then feed the working set
     for later parts.
     """
-    ms = []
+    ms = PartialMatchIndex(q)
     ms_seen = set()
     rs = set()
     examined = 0
 
     def scan(w, new):
         nonlocal examined
-        for m in ms:
+        for m in ms.probe(w):
             examined += 1
             if not joinable(w, m, q):
                 continue
@@ -225,7 +277,7 @@ def partitioning_based_join(p, q, g, stats=None):
         for w in ordered:
             scan(w, fresh)
         for w in ordered:
-            ms.append(w)
+            ms.add(w)
             ms_seen.add(w)
         pending.extend(sorted(fresh - ms_seen, key=_lpm_key))
         while pending:
@@ -234,12 +286,12 @@ def partitioning_based_join(p, q, g, stats=None):
                 continue
             fresh = set()
             scan(w, fresh)
-            ms.append(w)
+            ms.add(w)
             ms_seen.add(w)
             pending.extend(sorted(fresh - ms_seen, key=_lpm_key))
     if stats is not None:
         stats["pairs_examined"] = stats.get("pairs_examined", 0) + examined
-        stats["working_set"] = len(ms)
+        stats["working_set"] = len(ms_seen)
     return frozenset(rs)
 
 

@@ -55,10 +55,39 @@ def _merge(r1, r2):
     return make_row(d)
 
 
+def _always_bound(rows):
+    names = None
+    for r in rows:
+        bound = {name for name, _ in r}
+        names = bound if names is None else names & bound
+    return names or set()
+
+
+def _partners(t1, t2):
+    """Hash t2's rows on the variables every row of both tables binds.
+
+    Returns a function giving, for a row of t1, the rows of t2 that agree
+    with it on those variables; _compatible still decides.  A variable
+    some row leaves unbound (OPTIONAL output) stays out of the key, since
+    an unbound variable is compatible with any value.
+    """
+    keys = sorted(_always_bound(t1.rows) & _always_bound(t2.rows))
+    buckets = {}
+    for r2 in t2.rows:
+        d = dict(r2)
+        buckets.setdefault(tuple(d[k] for k in keys), []).append(r2)
+
+    def probe(r1):
+        d = dict(r1)
+        return buckets.get(tuple(d[k] for k in keys), ())
+    return probe
+
+
 def nat_join(t1, t2):
+    partners = _partners(t1, t2)
     rows = set()
     for r1 in t1.rows:
-        for r2 in t2.rows:
+        for r2 in partners(r1):
             if _compatible(r1, r2):
                 rows.add(_merge(r1, r2))
     return BindingTable(t1.schema | t2.schema, frozenset(rows))
@@ -69,10 +98,11 @@ def union(t1, t2):
 
 
 def left_outer_join(t1, t2):
+    partners = _partners(t1, t2)
     rows = set()
     for r1 in t1.rows:
         partnered = False
-        for r2 in t2.rows:
+        for r2 in partners(r1):
             if _compatible(r1, r2):
                 rows.add(_merge(r1, r2))
                 partnered = True

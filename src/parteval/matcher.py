@@ -279,8 +279,11 @@ def compute_local_partial_matches(q, frag):
     are pruned on the monotone conditions and emitted when the full
     predicate holds.  A valid state is never extended: no local partial
     match strictly contains another, so extensions of a valid state
-    cannot be valid.
+    cannot be valid.  A fragment without crossing edges (every fragment
+    at k=1) holds no local partial match and is not searched.
     """
+    if not frag.crossing_pairs:
+        return frozenset()
     n = q.n
     cand = {v: frozenset(candidates(q, frag, v)) for v in range(n)}
     results = set()

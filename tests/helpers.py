@@ -341,7 +341,8 @@ def _ref_component_rows(q, vs, g):
     return rows
 
 
-def _ref_join_rows(ra, rb):
+def ref_join_rows(ra, rb):
+    """Nested-loop natural join of two row sets."""
     out = set()
     for r1 in ra:
         d1 = dict(r1)
@@ -352,6 +353,22 @@ def _ref_join_rows(ra, rb):
     return out
 
 
+def ref_left_join_rows(ra, rb):
+    """Nested-loop left outer join: a row of ra without a compatible row
+    in rb survives alone."""
+    out = set()
+    for r1 in ra:
+        d1 = dict(r1)
+        partners = [r2 for r2 in rb
+                    if all(d1[k] == dict(r2)[k]
+                           for k in d1.keys() & dict(r2).keys())]
+        if partners:
+            out.update(make_row({**d1, **dict(r2)}) for r2 in partners)
+        else:
+            out.add(r1)
+    return out
+
+
 def ref_bgp(q, g):
     if q.n == 0:
         return frozenset(), frozenset([()])
@@ -359,7 +376,7 @@ def ref_bgp(q, g):
     rows = None
     for vs in _ref_components(q):
         part = _ref_component_rows(q, vs, g)
-        rows = part if rows is None else _ref_join_rows(rows, part)
+        rows = part if rows is None else ref_join_rows(rows, part)
     return schema, frozenset(rows)
 
 
@@ -437,7 +454,7 @@ def ref_eval(node, g):
     if isinstance(node, And):
         sa, ra = ref_eval(node.left, g)
         sb, rb = ref_eval(node.right, g)
-        return sa | sb, frozenset(_ref_join_rows(ra, rb))
+        return sa | sb, frozenset(ref_join_rows(ra, rb))
     if isinstance(node, Union):
         sa, ra = ref_eval(node.left, g)
         sb, rb = ref_eval(node.right, g)
@@ -445,17 +462,7 @@ def ref_eval(node, g):
     if isinstance(node, Opt):
         sa, ra = ref_eval(node.left, g)
         sb, rb = ref_eval(node.right, g)
-        out = set()
-        for r1 in ra:
-            d1 = dict(r1)
-            partners = [r2 for r2 in rb
-                        if all(d1[k] == dict(r2)[k]
-                               for k in d1.keys() & dict(r2).keys())]
-            if partners:
-                out.update(make_row({**d1, **dict(r2)}) for r2 in partners)
-            else:
-                out.add(r1)
-        return sa | sb, frozenset(out)
+        return sa | sb, frozenset(ref_left_join_rows(ra, rb))
     if isinstance(node, Filter):
         schema, rows = ref_eval(node.child, g)
         return schema, frozenset(r for r in rows

@@ -65,10 +65,17 @@ def test_encode_caps_query_size():
         encode_lpm(pm, src=0)
 
 
-def test_encode_caps_fragment_ids():
-    pm = lpm((0,), {0}, {32})
-    with pytest.raises(ValueError, match="caps fragment ids at 31"):
-        encode_lpm(pm, src=0)
+def test_encode_decode_fragment_ids_past_31():
+    # below 32 the provenance bitmap is one word, as it always was
+    small = encode_lpm(lpm((3, None), {0}, {1, 4}), src=4)
+    assert small == bytes.fromhex(
+        "00000014" "0002" "0004" "00000012" "00000003" "ffffffff" "00000001")
+    for fragments in ({32}, {0, 31, 32, 63}, {64, 200}):
+        pm = lpm((3, None), {0}, fragments)
+        data = encode_lpm(pm, src=40)
+        assert decode_lpm(data) == (pm, 40)
+        words = max(fragments) // 32 + 1
+        assert len(data) == len(small) + 4 * (words - 1)
 
 
 def test_decode_rejects_truncated_record():

@@ -12,6 +12,7 @@ from parteval import (
     LocalPartialMatch,
     LpmPartitioning,
     NotJoinable,
+    PartialMatchIndex,
     UnassignedLpm,
     assemble,
     build_partitioning,
@@ -355,3 +356,26 @@ def test_no_intra_part_joinable_pairs_random(seed):
     for _, members in p.parts:
         for a, b in itertools.combinations(sorted(members, key=repr), 2):
             assert not joinable(a, b, q)
+
+
+def test_index_probe_misses_no_joinable_match():
+    # local partial matches plus one round of their joins, so that
+    # members with several fragments and internal sets take part too
+    probed_pairs = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        pool = set()
+        for frag in dg.fragments:
+            pool |= compute_local_partial_matches(q, frag)
+        pool |= {join(a, b, q) for a in pool for b in pool
+                 if joinable(a, b, q)}
+        index = PartialMatchIndex(q, pool)
+        for a in pool:
+            probed = list(index.probe(a))
+            assert len(probed) == len(set(probed))
+            want = {b for b in pool if joinable(a, b, q)}
+            assert {b for b in probed if joinable(a, b, q)} == want
+            probed_pairs += len(want)
+    assert probed_pairs > 0

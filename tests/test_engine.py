@@ -309,24 +309,37 @@ def test_cli_missing_db_is_exit_2(tmp_path, capsys):
     assert err.startswith("io error:")
 
 
-def test_module_entry_point_exit_code(tmp_path):
+def run_module(*args):
+    """Run `python <args>` in a child with this package importable."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(parteval.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "parteval.engine", "stats", "--db",
-         str(tmp_path / "nowhere")],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    proc = run_module("-m", "parteval.engine", "stats", "--db",
+                      str(tmp_path / "nowhere"))
     assert proc.returncode == 2
     assert "io error:" in proc.stderr
 
 
+def test_package_entry_point_runs_without_warning(tmp_path):
+    proc = run_module("-W", "default", "-m", "parteval", "stats", "--db",
+                      str(tmp_path / "nowhere"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("io error:")
+    assert "Warning" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic check on a graph beyond the oracle's reach: the answer must
-# not depend on the fragment count or the assembly strategy.  One graph of
-# about 300 vertices and three-vertex patterns keep assembly, which grows
-# fast with the number of partial matches, to a couple of seconds.
+# not depend on the fragment count, the assembly strategy or the
+# transport.  One graph of about 300 vertices and three-vertex patterns
+# keep assembly, which grows fast with the number of partial matches, to
+# a couple of seconds.  k=40 puts fragment ids past 31 on the wire.
 
 
 def test_fragment_count_and_assembly_do_not_change_answers():
@@ -340,9 +353,12 @@ def test_fragment_count_and_assembly_do_not_change_answers():
     single = build_fragments(g, partition_uniform_hash(g, 1))
     want = [execute(gq, single)[0].rows for gq in queries]
     assert any(want)
-    for k in range(2, 9):
+    runs = [(k, EngineConfig(assembly=mode)) for k in range(2, 9)
+            for mode in ("centralized", "distributed")]
+    runs += [(k, EngineConfig(assembly="distributed", transport="tcp"))
+             for k in (3, 8)]
+    runs.append((40, EngineConfig(assembly="distributed")))
+    for k, cfg in runs:
         dg = build_fragments(g, partition_uniform_hash(g, k))
-        for mode in ("centralized", "distributed"):
-            cfg = EngineConfig(assembly=mode)
-            got = [execute(gq, dg, cfg)[0].rows for gq in queries]
-            assert got == want, "k=%d, %s" % (k, mode)
+        got = [execute(gq, dg, cfg)[0].rows for gq in queries]
+        assert got == want, "k=%d, %s" % (k, cfg)

@@ -334,12 +334,17 @@ _terms = [iri("a"), iri("b"), literal("x")]
 
 @st.composite
 def tables(draw):
+    """Random tables; every row binds the names in `always` and a random
+    subset of the rest, so shared variables are sometimes unbound."""
     schema = frozenset(draw(st.lists(st.sampled_from(_names), max_size=3)))
+    always = draw(st.lists(st.sampled_from(sorted(schema) or _names),
+                           max_size=2, unique=True))
     rows = set()
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 6))):
         names = draw(st.lists(st.sampled_from(sorted(schema) or _names),
                               max_size=3, unique=True))
-        rows.add(make_row({n: draw(st.sampled_from(_terms)) for n in names}))
+        rows.add(make_row({n: draw(st.sampled_from(_terms))
+                           for n in sorted(set(names) | set(always))}))
     return BindingTable(schema | {n for r in rows for n, _ in r},
                         frozenset(rows))
 
@@ -354,6 +359,14 @@ def test_union_commutes(t1, t2):
 @given(tables(), tables())
 def test_nat_join_commutes(t1, t2):
     assert nat_join(t1, t2) == nat_join(t2, t1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), tables())
+def test_joins_match_nested_loop_reference(t1, t2):
+    assert nat_join(t1, t2).rows == helpers.ref_join_rows(t1.rows, t2.rows)
+    assert left_outer_join(t1, t2).rows == \
+        helpers.ref_left_join_rows(t1.rows, t2.rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from parteval import matcher
 from parteval import (
     PartitionMap,
     RdfGraph,
@@ -247,6 +248,18 @@ def test_movie_omega_outer_fragments_empty(movie_dg, movie_gq):
         == frozenset()
     assert compute_local_partial_matches(movie_gq, movie_dg.fragments[3]) \
         == frozenset()
+
+
+def test_fragment_without_crossing_edges_is_not_searched(
+        movie_graph, movie_gq, monkeypatch):
+    pm_all = PartitionMap({v: 0 for v in movie_graph.vertex_ids()}, 1)
+    frag = build_fragments(movie_graph, pm_all).fragments[0]
+
+    def searched(*args):
+        raise AssertionError("searched a fragment without crossing edges")
+
+    monkeypatch.setattr(matcher, "is_local_partial_match", searched)
+    assert compute_local_partial_matches(movie_gq, frag) == frozenset()
 
 
 def test_chain_omega_by_hand():
