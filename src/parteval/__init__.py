@@ -23,7 +23,8 @@ from .matcher import (
     ground, is_complete_match, is_local_partial_match, match_order,
 )
 from .assembly_central import (
-    LpmPartitioning, NotJoinable, PartialMatchIndex, UnassignedLpm,
+    LpmPartitioning, NotJoinable, PartialMatchIndex, QueryTooLarge,
+    UnassignedLpm,
     assemble, build_partitioning, join, join_cost, joinable,
     naive_iterative_join, optimal_partitioning, partitioning_based_join,
 )

@@ -15,6 +15,7 @@ records, either through an in-process mailbox or over loopback TCP.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
 from dataclasses import dataclass
@@ -74,11 +75,10 @@ def encode_lpm(pm, src):
 
     The provenance bitmap takes as many 32-bit words as its highest
     fragment id needs, at least one; the decoder works its width out
-    from the record length.
+    from the record length.  The internal-flag bitmap takes as many
+    words as the vertex count needs, at least one.
     """
     n = len(pm.fn)
-    if n > 32:
-        raise ValueError("record format caps queries at 32 vertices")
     prov = 0
     for f in pm.fragments:
         prov |= 1 << f
@@ -90,8 +90,12 @@ def encode_lpm(pm, src):
     body += prov.to_bytes(4 * words, "big")
     body += struct.pack(">%dI" % n,
                         *(NULL_ID if u is None else u for u in pm.fn))
-    body += struct.pack(">I", flags)
+    body += flags.to_bytes(_flag_bytes(n), "big")
     return struct.pack(">I", len(body)) + body
+
+
+def _flag_bytes(n):
+    return 4 * max(1, (n + 31) // 32)
 
 
 def decode_lpm(data):
@@ -99,12 +103,13 @@ def decode_lpm(data):
     if length != len(data) - 4:
         raise ValueError("bad record length")
     n, src = struct.unpack_from(">HH", data, 4)
-    width = length - 8 - 4 * n
+    flag_bytes = _flag_bytes(n)
+    width = length - 4 - 4 * n - flag_bytes
     if width < 4 or width % 4:
         raise ValueError("bad record length")
     prov = int.from_bytes(data[8:8 + width], "big")
     ids = struct.unpack_from(">%dI" % n, data, 8 + width)
-    (flags,) = struct.unpack_from(">I", data, 8 + width + 4 * n)
+    flags = int.from_bytes(data[8 + width + 4 * n:], "big")
     fn = tuple(None if u == NULL_ID else u for u in ids)
     internal = frozenset(v for v in range(n) if flags & (1 << v))
     fragments = frozenset(f for f in range(prov.bit_length())
@@ -134,7 +139,13 @@ class InProcessExchange:
 
 class TcpLoopbackExchange:
     """The same barrier contract carried over real loopback sockets, one
-    connection per site.  An empty frame ends each round."""
+    connection per site.  An empty frame ends each round.
+
+    Posted records wait in a per-site buffer until the barrier.  flush()
+    then writes every buffer through a non-blocking sender while reading
+    the receiving ends, so a round may carry more than the socket
+    buffers hold.
+    """
 
     _END = struct.pack(">I", 0)
 
@@ -143,6 +154,7 @@ class TcpLoopbackExchange:
         self._servers = []
         self._senders = []
         self._receivers = []
+        self._outboxes = [bytearray() for _ in range(k)]
         for _ in range(k):
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             srv.bind(("127.0.0.1", 0))
@@ -150,40 +162,64 @@ class TcpLoopbackExchange:
             self._servers.append(srv)
         for srv in self._servers:
             snd = socket.create_connection(srv.getsockname())
+            snd.setblocking(False)
             self._senders.append(snd)
         for srv in self._servers:
             conn, _ = srv.accept()
             self._receivers.append(conn)
 
     def post(self, dst, payload):
-        self._senders[dst].sendall(struct.pack(">I", len(payload)) + payload)
-
-    def _read_exact(self, sock, size):
-        buf = b""
-        while len(buf) < size:
-            chunk = sock.recv(size - len(buf))
-            if not chunk:
-                raise ConnectionError("peer closed mid-frame")
-            buf += chunk
-        return buf
+        box = self._outboxes[dst]
+        box += struct.pack(">I", len(payload))
+        box += payload
 
     def flush(self):
-        for snd in self._senders:
-            snd.sendall(self._END)
-        out = {}
-        for dst, rcv in enumerate(self._receivers):
-            batch = []
-            while True:
-                (size,) = struct.unpack(">I", self._read_exact(rcv, 4))
-                if size == 0:
-                    break
-                batch.append(self._read_exact(rcv, size))
-            out[dst] = batch
-        return out
+        unsent = {}
+        inbox = {}
+        with selectors.DefaultSelector() as sel:
+            for dst in range(self.k):
+                self._outboxes[dst] += self._END
+                unsent[dst] = memoryview(self._outboxes[dst])
+                inbox[dst] = bytearray()
+                sel.register(self._senders[dst], selectors.EVENT_WRITE, dst)
+                sel.register(self._receivers[dst], selectors.EVENT_READ, dst)
+            reading = self.k
+            while reading:
+                for key, _ in sel.select():
+                    dst = key.data
+                    if key.events == selectors.EVENT_WRITE:
+                        sent = key.fileobj.send(unsent[dst])
+                        unsent[dst] = unsent[dst][sent:]
+                        if not unsent[dst]:
+                            sel.unregister(key.fileobj)
+                        continue
+                    chunk = key.fileobj.recv(1 << 16)
+                    if not chunk:
+                        raise ConnectionError("peer closed mid-round")
+                    inbox[dst] += chunk
+                    if len(inbox[dst]) == len(self._outboxes[dst]):
+                        sel.unregister(key.fileobj)
+                        reading -= 1
+        self._outboxes = [bytearray() for _ in range(self.k)]
+        return {dst: _frames(inbox[dst]) for dst in range(self.k)}
 
     def close(self):
         for sock in self._senders + self._receivers + self._servers:
             sock.close()
+
+
+def _frames(data):
+    """Split one round's stream into its records, up to the empty frame."""
+    out = []
+    pos = 0
+    while True:
+        (size,) = struct.unpack_from(">I", data, pos)
+        pos += 4
+        if size == 0:
+            break
+        out.append(bytes(data[pos:pos + size]))
+        pos += size
+    return out
 
 
 def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):

@@ -31,6 +31,15 @@ class UnassignedLpm(Exception):
     placed in any part."""
 
 
+class QueryTooLarge(Exception):
+    """The anchor-order search is exponential in the query size, so it
+    refuses queries above MAX_ORDERED_VERTICES that have matches to
+    partition."""
+
+
+MAX_ORDERED_VERTICES = 30
+
+
 def joinable(a, b, q):
     """True when two partial matches can merge.
 
@@ -207,9 +216,12 @@ def optimal_partitioning(omega, q, stats=None):
     determines the whole subproblem.  Ties fall to the lowest vertex id.
     """
     n = q.n
-    if n > 30:
-        raise ValueError("query too large for bitmask ordering: %d" % n)
     pms = sorted(omega, key=_lpm_key)
+    if pms and n > MAX_ORDERED_VERTICES:
+        raise QueryTooLarge(
+            "the partitioned join orders at most %d query vertices, got "
+            "%d; distributed assembly or the naive join take it"
+            % (MAX_ORDERED_VERTICES, n))
     for pm in pms:
         if not pm.internal:
             raise UnassignedLpm("match with no internal vertex: %r" % pm)

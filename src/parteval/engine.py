@@ -310,7 +310,7 @@ def main(argv=None):
     except (QuerySyntaxError, UnsupportedFeatureError) as exc:
         print("query error: %s" % exc, file=sys.stderr)
         return 1
-    except TimeoutExceeded as exc:
+    except (TimeoutExceeded, assembly_central.QueryTooLarge) as exc:
         print("query error: %s" % exc, file=sys.stderr)
         return 1
     except NTriplesSyntaxError as exc:

@@ -242,91 +242,83 @@ def _connected_through(q, targets, allowed):
     return all(t in seen for t in targets)
 
 
-def _partial_state_ok(q, frag, fn):
-    """Monotone pruning for the search: never rejects a sub-assignment of
-    a valid local partial match."""
-    bound = [v for v in range(q.n) if fn[v] is not None]
-    must_pairs = {}
-    for e in q.edges:
-        a = fn[e.src]
-        b = fn[e.dst]
-        if a is None or b is None:
-            continue
-        if a in frag.internal or b in frag.internal:
-            if not _label_compatible(e.label,
-                                     frag.edges.get((a, b), frozenset())):
-                return False
-            must_pairs.setdefault((a, b), []).append(e.label)
-    for pair, query_labels in must_pairs.items():
-        if not _injective_feasible(query_labels, frag.edges[pair]):
-            return False
-    # internal images must remain connectable through vertices that are
-    # still unmatched or already internally matched
-    internal_qvs = {v for v in bound if fn[v] in frag.internal}
-    allowed = {v for v in range(q.n)
-               if fn[v] is None or fn[v] in frag.internal}
-    return _connected_through(q, internal_qvs, allowed)
-
-
 def compute_local_partial_matches(q, frag):
     """All local partial matches of the query in one fragment.
 
-    Depth-first state search that walks stored edges.  Every local
-    partial match has an internal vertex and its realized edges connect
-    all of its bound vertices, so the search seeds only at internal
-    candidates and extends an unbound query vertex only over the
-    fragment neighbours of its bound query neighbours' images.  States
-    are pruned on the monotone conditions and emitted when the full
-    predicate holds.  A valid state is never extended: no local partial
-    match strictly contains another, so extensions of a valid state
-    cannot be valid.  A fragment without crossing edges (every fragment
+    A local partial match binds a connected set I of internally matched
+    query vertices together with their whole neighbourhood N(I), and
+    nothing else: a fragment stores no edge between two extended
+    vertices, so every other binding would lack the stored edge to an
+    internal image that witnesses it.  The search therefore grows I from
+    a seed s at an internal candidate, binding at each step the lowest
+    unbound query neighbour of an internally matched vertex over the
+    fragment neighbours of those vertices' images.  A vertex below s may
+    not take an internal image, so s = min(I) and the next vertex depends
+    only on the bindings made so far: each local partial match is reached
+    exactly once.  Edges with an internal endpoint are checked as they
+    are bound; a state with nothing left to bind is emitted when the full
+    predicate holds.  A fragment without crossing edges (every fragment
     at k=1) holds no local partial match and is not searched.
     """
     if not frag.crossing_pairs:
         return frozenset()
     n = q.n
-    cand = {v: frozenset(candidates(q, frag, v)) for v in range(n)}
+    internal = frag.internal
+    cand = [frozenset(candidates(q, frag, v)) for v in range(n)]
     results = set()
-    seen = set()
+    fn = [None] * n
 
-    def explore(fn):
-        key = tuple(fn)
-        if key in seen:
-            return
-        seen.add(key)
-        if is_local_partial_match(q, frag, key):
-            internal_qvs = frozenset(
-                v for v in range(n)
-                if fn[v] is not None and fn[v] in frag.internal)
-            results.add(LocalPartialMatch(key, internal_qvs,
-                                          frozenset([frag.id])))
-            return
-        for v in range(n):
-            if fn[v] is not None:
+    def fits(v, u, seed):
+        if u in internal and v < seed:
+            return False
+        for ei in q.incident[v]:
+            e = q.edges[ei]
+            a = u if e.src == v else fn[e.src]
+            b = u if e.dst == v else fn[e.dst]
+            if a is None or b is None or (a not in internal
+                                          and b not in internal):
                 continue
-            reach = set()
-            for w in q.adj[v]:
-                if fn[w] is not None:
-                    reach |= frag.nbrs.get(fn[w], frozenset())
-            for u in reach & cand[v]:
-                fn[v] = u
-                if _partial_state_ok(q, frag, fn):
-                    explore(fn)
-                fn[v] = None
+            if not _label_compatible(e.label,
+                                     frag.edges.get((a, b), frozenset())):
+                return False
+        return True
 
-    for v in range(n):
-        for u in cand[v] & frag.internal:
-            fn = [None] * n
-            fn[v] = u
-            if _partial_state_ok(q, frag, fn):
-                explore(fn)
+    def grow(seed):
+        for v in range(n):
+            if fn[v] is None:
+                hosts = [fn[w] for w in q.adj[v] if fn[w] in internal]
+                if hosts:
+                    break
+        else:
+            key = tuple(fn)
+            if is_local_partial_match(q, frag, key):
+                results.add(LocalPartialMatch(
+                    key, frozenset(v for v in range(n) if key[v] in internal),
+                    frozenset([frag.id])))
+            return
+        pool = cand[v]
+        for h in hosts:
+            pool = pool & frag.nbrs.get(h, frozenset())
+        for u in pool:
+            if fits(v, u, seed):
+                fn[v] = u
+                grow(seed)
+        fn[v] = None
+
+    for s in range(n):
+        for u in cand[s] & internal:
+            if fits(s, u, s):
+                fn[s] = u
+                grow(s)
+        fn[s] = None
     return frozenset(results)
 
 
-def match_order(q, frag):
-    """A connected-prefix vertex ordering, cheapest candidate set first."""
+def match_order(q, cand):
+    """A connected-prefix vertex ordering, smallest candidate set first;
+    cand maps each query vertex to its candidate set."""
     n = q.n
-    counts = {v: len(candidates(q, frag, v)) for v in range(n)}
+    counts = {v: len(cand[v]) for v in range(n)}
     start = min(range(n), key=lambda v: (counts[v], v))
     order = [start]
     placed = {start}
@@ -368,7 +360,7 @@ def compute_inner_matches(q, frag):
         if not cs:
             return frozenset()
         cand[v] = cs
-    order = match_order(q, frag)
+    order = match_order(q, cand)
     inner_labels = lambda a, b: frag.inner_pairs.get((a, b), frozenset())
     results = set()
     fn = [None] * n

@@ -7,6 +7,7 @@ pin the implementation against silent regressions.
 """
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,10 +60,17 @@ def test_encode_decode_all_none_and_empty_sets():
     assert back == pm and src == 0
 
 
-def test_encode_caps_query_size():
-    pm = lpm((0,) * 33, {0}, {0})
-    with pytest.raises(ValueError, match="caps queries at 32"):
-        encode_lpm(pm, src=0)
+def test_encode_decode_queries_past_32_vertices():
+    # up to 32 vertices the internal-flag bitmap is one word, as it was
+    full = encode_lpm(lpm((5,) * 32, {0, 31}, {0}), src=0)
+    assert len(full) == 4 + 4 + 4 + 4 * 32 + 4
+    assert full[-4:] == bytes.fromhex("80000001")
+    for n, internal in ((33, {0, 32}), (64, {63}), (65, {1, 64})):
+        pm = lpm(tuple(range(n)), internal, {2, 40})
+        data = encode_lpm(pm, src=7)
+        assert decode_lpm(data) == (pm, 7)
+        words = (n + 31) // 32
+        assert len(data) == 4 + 4 + 8 + 4 * n + 4 * words
 
 
 def test_encode_decode_fragment_ids_past_31():
@@ -262,6 +270,31 @@ def test_bsp_chain_over_tcp():
     finally:
         exchange.close()
     assert got == run_bsp(dg, q, omega_of(dg, q), {})
+
+
+def test_tcp_round_larger_than_socket_buffers():
+    # about 4.4 MB to one site in one round, far past the loopback
+    # buffers; a helper thread keeps a hung exchange from hanging the test
+    records = [b"%040d" % i for i in range(100_000)]
+    result = {}
+
+    def run():
+        exchange = TcpLoopbackExchange(3)
+        try:
+            for payload in records:
+                exchange.post(1, payload)
+            exchange.post(2, b"last")
+            result["first"] = exchange.flush()
+            result["second"] = exchange.flush()
+        finally:
+            exchange.close()
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "flush did not finish"
+    assert result["first"] == {0: [], 1: records, 2: [b"last"]}
+    assert result["second"] == {0: [], 1: [], 2: []}
 
 
 # ---------------------------------------------------------------------------

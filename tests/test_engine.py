@@ -309,6 +309,59 @@ def test_cli_missing_db_is_exit_2(tmp_path, capsys):
     assert err.startswith("io error:")
 
 
+# A 33-vertex path query: past the partitioned join's ordering limit and
+# past one word of the wire format's internal flags.  Labels cycle
+# through four predicates, so a piece of the chain fits the path at few
+# offsets and distributed assembly stays quick.
+PATH_VERTICES = 33
+
+
+def _chain_triple(i, subject, obj):
+    return "%s <http://ex/p%d> %s ." % (subject, i % 4, obj)
+
+
+@pytest.fixture(scope="module")
+def chain_disk(tmp_path_factory):
+    """A 40-edge chain loaded at k=1 and partitioned at k=4, and a path
+    query of PATH_VERTICES vertices along it, which matches at offsets 0,
+    4 and 8."""
+    root = tmp_path_factory.mktemp("chaindb")
+    src = root / "chain.nt"
+    src.write_text("".join(
+        _chain_triple(i, "<http://ex/v%d>" % i, "<http://ex/v%d>" % (i + 1))
+        + "\n" for i in range(40)), encoding="utf-8")
+    dbs = {}
+    for k in (1, 4):
+        dbs[k] = root / ("db%d" % k)
+        assert main(["load", "--data", str(src), "--out", str(dbs[k])]) == 0
+    assert main(["partition", "--db", str(dbs[4]), "-k", "4"]) == 0
+    query = root / "path.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(
+        _chain_triple(i, "?x%d" % i, "?x%d" % (i + 1))
+        for i in range(PATH_VERTICES - 1)), encoding="utf-8")
+    return dbs, query
+
+
+def test_cli_large_query_unpartitioned(chain_disk, capsys):
+    dbs, query = chain_disk
+    base = ["query", "--db", str(dbs[1]), "--sparql", str(query)]
+    code, central, err = run_cli(capsys, base)
+    assert (code, err) == (0, "")
+    assert len(central.splitlines()) == 1 + 3
+    assert run_cli(capsys, base + ["--assembly", "d"]) == (0, central, "")
+
+
+def test_cli_large_query_partitioned(chain_disk, capsys):
+    dbs, query = chain_disk
+    base = ["query", "--db", str(dbs[4]), "--sparql", str(query)]
+    code, out, err = run_cli(capsys, base)
+    assert (code, out) == (1, "")
+    assert err.startswith("query error:")
+    _, want, _ = run_cli(capsys, ["query", "--db", str(dbs[1]),
+                                  "--sparql", str(query)])
+    assert run_cli(capsys, base + ["--assembly", "d"]) == (0, want, "")
+
+
 def run_module(*args):
     """Run `python <args>` in a child with this package importable."""
     env = dict(os.environ)

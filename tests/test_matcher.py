@@ -7,6 +7,7 @@ crossing-edge coverage, grounding, connectivity) and the surviving
 matches frozen here.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -328,7 +329,9 @@ def test_inner_matches_single_fragment_equals_oracle(movie_graph, movie_bgp,
 
 
 def test_match_order_connected_prefix(movie_dg, movie_gq):
-    order = match_order(movie_gq, movie_dg.fragments[0])
+    frag = movie_dg.fragments[0]
+    cand = {v: candidates(movie_gq, frag, v) for v in range(movie_gq.n)}
+    order = match_order(movie_gq, cand)
     assert sorted(order) == list(range(movie_gq.n))
     placed = {order[0]}
     for v in order[1:]:
@@ -375,6 +378,23 @@ def test_omega_is_an_antichain(seed):
             for p2 in pms[i + 1:]:
                 assert not _strictly_extends(p1.fn, p2.fn)
                 assert not _strictly_extends(p2.fn, p1.fn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_omega_is_every_vector_the_predicate_accepts(seed):
+    # brute force over every vector of fragment vertices and None, which
+    # tiny instances keep to at most 9^4 vectors per fragment
+    rng = random.Random(seed)
+    g = helpers.rand_graph(rng, max_vertices=8)
+    dg = build_fragments(g, helpers.rand_partition(rng, g))
+    q = ground(helpers.rand_bgp(rng, g, n_max=4), g)
+    for frag in dg.fragments:
+        domain = [None] + sorted(frag.vertices)
+        want = {fn for fn in itertools.product(domain, repeat=q.n)
+                if is_local_partial_match(q, frag, fn)}
+        got = {pm.fn for pm in compute_local_partial_matches(q, frag)}
+        assert got == want
 
 
 @settings(max_examples=30, deadline=None)
