@@ -18,6 +18,7 @@ from __future__ import annotations
 import selectors
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,6 +223,14 @@ def _frames(data):
     return out
 
 
+def is_complete_locally(q, dg, fn):
+    """is_complete_match against local state only: the labels on a pair
+    come from the home fragment of its source vertex, which stores every
+    edge of the vertices it owns."""
+    return is_complete_match(q, fn, lambda a, b: dg.fragments[
+        dg.home(a)].edges.get((a, b), frozenset()))
+
+
 def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
     """One site's compute superstep.
 
@@ -236,13 +245,12 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
     """
     rank = order.ranks
     site_rank = rank[site]
-    validate = lambda fn: is_complete_match(q, fn, dg.source.labels_between)
     out = []
-    queue = list(delta_in)
+    queue = deque(delta_in)
     done = set()
     new_emits = set()
     while queue:
-        w = queue.pop(0)
+        w = queue.popleft()
         if w in done:
             continue
         done.add(w)
@@ -257,7 +265,7 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
                 continue
             if all(u is not None for u in merged.fn):
                 seen.add(merged)
-                if not validate(merged.fn):
+                if not is_complete_locally(q, dg, merged.fn):
                     continue
                 top_home = max(rank[dg.home(u)] for u in merged.fn)
                 if top_home == site_rank:
@@ -282,9 +290,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     delivers no messages.  The returned set is the union of all sites'
     emissions, which are pairwise disjoint by the emission rule.
     """
-    from .fragmenter import topology
-
-    topo = topology(dg)
+    topo = dg.topo
     order = fragment_order({fid: omega.get(fid, frozenset())
                             for fid in range(dg.k)})
     rank = order.ranks
@@ -295,22 +301,29 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     pools = {}
     seen = {}
     emitted = {fid: set() for fid in range(dg.k)}
-    validate = lambda fn: is_complete_match(q, fn, dg.source.labels_between)
     messages = 0
     byte_count = 0
+
+    def send(pm, fid):
+        nonlocal messages, byte_count
+        dests = sorted(route(pm, order, topo))
+        if not dests:
+            return
+        payload = encode_lpm(pm, fid)
+        for dst in dests:
+            exchange.post(dst, payload)
+        messages += len(dests)
+        byte_count += len(dests) * len(payload)
+
     for fid in range(dg.k):
         base = sorted(omega.get(fid, frozenset()), key=_lpm_key)
         pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)
         for pm in base:
-            if all(u is not None for u in pm.fn) and validate(pm.fn):
+            if is_complete_locally(q, dg, pm.fn):
                 if max(rank[dg.home(u)] for u in pm.fn) == rank[fid]:
                     emitted[fid].add(pm.fn)
-            for dst in sorted(route(pm, order, topo)):
-                payload = encode_lpm(pm, fid)
-                exchange.post(dst, payload)
-                messages += 1
-                byte_count += len(payload)
+            send(pm, fid)
 
     productive = 0
     supersteps_run = 0
@@ -338,11 +351,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
                 if new_emits or out:
                     was_productive = True
                 for pm in out:
-                    for dst in sorted(route(pm, order, topo)):
-                        payload = encode_lpm(pm, fid)
-                        exchange.post(dst, payload)
-                        messages += 1
-                        byte_count += len(payload)
+                    send(pm, fid)
             if was_productive:
                 productive += 1
     finally:

@@ -209,9 +209,8 @@ def _cmd_partition(args):
         raise PartitionError("unknown strategy %r" % args.strategy)
     fragmenter.write_partition_file(g, pm, os.path.join(args.db, MAP_FILE))
     dg = fragmenter.build_fragments(g, pm)
-    topo = fragmenter.topology(dg)
     print("partitioned into %d fragments, topology diameter %d"
-          % (dg.k, topo.diameter))
+          % (dg.k, dg.topo.diameter))
     return 0
 
 
@@ -239,7 +238,6 @@ def _cmd_query(args):
 
 def _cmd_stats(args):
     g, dg = load_db(args.db)
-    topo = fragmenter.topology(dg)
     info = {
         "triples": g.n_edges,
         "vertices": g.n_vertices,
@@ -254,7 +252,7 @@ def _cmd_stats(args):
             for frag in dg.fragments
         ],
         "k": dg.k,
-        "topology_diameter": topo.diameter,
+        "topology_diameter": dg.topo.diameter,
     }
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0

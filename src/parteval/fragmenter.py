@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rdf_model import term_from_text
 
@@ -124,8 +125,12 @@ class Fragment:
     """One fragment: owned vertices, stored edges, and derived indexes.
 
     edges holds inner and crossing edges together, keyed by the ordered
-    vertex pair; nbrs / out_labels / in_labels are per-vertex views over
-    the stored edges.  Treat as immutable once built.
+    vertex pair; nbrs is a per-vertex view over the stored edges.
+    sources / targets index them by label: sources[l] holds every vertex
+    with a stored out-edge labelled l, targets[l] every vertex with a
+    stored in-edge labelled l, and the key None holds every vertex with
+    any stored out-edge (in-edge).  Candidate generation reads its sets
+    from this label index.  Treat as immutable once built.
     """
 
     id: int
@@ -135,8 +140,8 @@ class Fragment:
     crossing_pairs: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
     nbrs: dict = field(default_factory=dict)
-    out_labels: dict = field(default_factory=dict)
-    in_labels: dict = field(default_factory=dict)
+    sources: dict = field(default_factory=dict)
+    targets: dict = field(default_factory=dict)
     vertices: frozenset = frozenset()
 
     def crossing_edge_count(self):
@@ -147,11 +152,7 @@ class Fragment:
 
 
 def _finish_fragment(fid, internal, inner_pairs, crossing_pairs):
-    edges = {}
-    for pair, labels in inner_pairs.items():
-        edges[pair] = frozenset(labels)
-    for pair, labels in crossing_pairs.items():
-        edges[pair] = edges.get(pair, frozenset()) | frozenset(labels)
+    edges = {**inner_pairs, **crossing_pairs}
     extended = set()
     for (u, v) in crossing_pairs:
         if u not in internal:
@@ -159,24 +160,25 @@ def _finish_fragment(fid, internal, inner_pairs, crossing_pairs):
         if v not in internal:
             extended.add(v)
     nbrs = {}
-    out_labels = {}
-    in_labels = {}
+    sources = {}
+    targets = {}
     for (u, v), labels in edges.items():
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
-        out_labels.setdefault(u, set()).update(labels)
-        in_labels.setdefault(v, set()).update(labels)
+        for label in (None, *labels):
+            sources.setdefault(label, set()).add(u)
+            targets.setdefault(label, set()).add(v)
     all_vertices = frozenset(internal) | frozenset(extended)
     return Fragment(
         id=fid,
         internal=frozenset(internal),
         extended=frozenset(extended),
-        inner_pairs={p: frozenset(ls) for p, ls in inner_pairs.items()},
-        crossing_pairs={p: frozenset(ls) for p, ls in crossing_pairs.items()},
+        inner_pairs=inner_pairs,
+        crossing_pairs=crossing_pairs,
         edges=edges,
         nbrs={v: frozenset(ns) for v, ns in nbrs.items()},
-        out_labels={v: frozenset(ls) for v, ls in out_labels.items()},
-        in_labels={v: frozenset(ls) for v, ls in in_labels.items()},
+        sources={l: frozenset(vs) for l, vs in sources.items()},
+        targets={l: frozenset(vs) for l, vs in targets.items()},
         vertices=all_vertices,
     )
 
@@ -194,6 +196,11 @@ class DistributedGraph:
     def home(self, vid):
         return self.pm.assignment[vid]
 
+    @cached_property
+    def topo(self):
+        """The fragment topology graph, computed on first use."""
+        return topology(self)
+
 
 def build_fragments(g, pm):
     internal = {fid: set() for fid in range(pm.k)}
@@ -204,13 +211,15 @@ def build_fragments(g, pm):
     inner = {fid: {} for fid in range(pm.k)}
     crossing = {fid: {} for fid in range(pm.k)}
     for (u, v), labels in g.edges.items():
+        # one frozenset per pair, shared by every fragment that stores it
+        labels = frozenset(labels)
         fu = pm.assignment[u]
         fv = pm.assignment[v]
         if fu == fv:
-            inner[fu][(u, v)] = set(labels)
+            inner[fu][(u, v)] = labels
         else:
-            crossing[fu][(u, v)] = set(labels)
-            crossing[fv][(u, v)] = set(labels)
+            crossing[fu][(u, v)] = labels
+            crossing[fv][(u, v)] = labels
     fragments = [
         _finish_fragment(fid, internal[fid], inner[fid], crossing[fid])
         for fid in range(pm.k)

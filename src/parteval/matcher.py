@@ -103,7 +103,9 @@ def candidates(q, frag, v):
 
     Constants resolve to the one matching vertex if the fragment stores
     it.  A variable needs at least one incident stored edge whose label
-    could satisfy one of v's incident query edges, respecting direction.
+    could satisfy one of v's incident query edges, respecting direction:
+    the union of the fragment's label-index sets, one per incident query
+    edge and direction (key None for a variable predicate).
     """
     qv = q.graph.vertices[v]
     if qv.constant is not None:
@@ -111,19 +113,14 @@ def candidates(q, frag, v):
         if cid is not None and cid >= 0 and cid in frag.vertices:
             return [cid]
         return []
-    out = []
-    for u in frag.vertices:
-        for ei in q.incident[v]:
-            e = q.edges[ei]
-            if e.src == v and _label_compatible(
-                    e.label, frag.out_labels.get(u, frozenset())):
-                out.append(u)
-                break
-            if e.dst == v and _label_compatible(
-                    e.label, frag.in_labels.get(u, frozenset())):
-                out.append(u)
-                break
-    return sorted(out)
+    hosts = set()
+    for ei in q.incident[v]:
+        e = q.edges[ei]
+        if e.src == v:
+            hosts |= frag.sources.get(e.label, frozenset())
+        if e.dst == v:
+            hosts |= frag.targets.get(e.label, frozenset())
+    return sorted(hosts)
 
 
 def _realized_flags(q, frag, fn):

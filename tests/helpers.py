@@ -481,6 +481,41 @@ def ref_general(gq, g):
 
 
 # ---------------------------------------------------------------------------
+# Candidate generation by scanning every fragment vertex.
+
+
+def ref_candidates(q, frag, v):
+    """matcher.candidates without the label index: every fragment vertex
+    is tested against every incident query edge, with its out- and
+    in-labels read off the stored edges."""
+    qv = q.graph.vertices[v]
+    if qv.constant is not None:
+        cid = q.const_id[v]
+        if cid is not None and cid >= 0 and cid in frag.vertices:
+            return [cid]
+        return []
+    out_labels, in_labels = {}, {}
+    for (a, b), labels in frag.edges.items():
+        out_labels.setdefault(a, set()).update(labels)
+        in_labels.setdefault(b, set()).update(labels)
+
+    def compatible(label, data_labels):
+        return bool(data_labels) if label is None else label in data_labels
+
+    out = []
+    for u in frag.vertices:
+        for ei in q.incident[v]:
+            e = q.edges[ei]
+            if e.src == v and compatible(e.label, out_labels.get(u, ())):
+                out.append(u)
+                break
+            if e.dst == v and compatible(e.label, in_labels.get(u, ())):
+                out.append(u)
+                break
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
 # Per-site slices of a complete match (the shape local evaluation must
 # reproduce): weakly connected internal components, closed under query
 # adjacency.

@@ -16,6 +16,7 @@ import helpers
 from parteval import (
     FragmentOrder,
     PartitionMap,
+    RdfGraph,
     TcpLoopbackExchange,
     TopologyGraph,
     build_fragments,
@@ -315,3 +316,24 @@ def test_bsp_matches_centralized(seed):
         omega_all |= pms
     assert got == naive_iterative_join(omega_all, q, g)
     assert sum(stats["emissions_per_site"].values()) == len(got)
+
+
+def test_bsp_checks_matches_against_fragments_only(monkeypatch):
+    """Sites check a complete match against the edges their home
+    fragments store; the source graph is never read."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(120):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        omega = omega_of(dg, q)
+        flat = frozenset().union(*omega.values())
+        cases.append((dg, q, omega, naive_iterative_join(flat, q, g)))
+    assert sum(len(want) for *_, want in cases) > 10
+
+    def global_read(self, u, v):
+        raise AssertionError("BSP read the source graph")
+
+    monkeypatch.setattr(RdfGraph, "labels_between", global_read)
+    for dg, q, omega, want in cases:
+        assert run_bsp(dg, q, omega) == want

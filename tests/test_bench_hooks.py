@@ -27,6 +27,7 @@ def test_bench_instrument_finds_every_hook(monkeypatch, movie_dg,
     assert matcher.is_local_partial_match is original
     assert len(table.rows) == 1
     assert tracer.counts["matcher.states_checked"] > 0
+    assert tracer.counts["matcher.candidates_calls"] > 0
     names = {span[spans.NAME] for span in tracer.spans}
-    assert {"engine.execute", "matcher.lpm",
+    assert {"engine.execute", "matcher.lpm", "matcher.candidates",
             "assembly_bsp.exchange"} <= names

@@ -27,6 +27,7 @@ from parteval import (
     main,
     make_row,
     parse_ntriples,
+    partition_from_file,
     partition_uniform_hash,
     write_partition_file,
 )
@@ -389,13 +390,14 @@ def test_package_entry_point_runs_without_warning(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Metamorphic check on a graph beyond the oracle's reach: the answer must
-# not depend on the fragment count, the assembly strategy or the
-# transport.  One graph of about 300 vertices and three-vertex patterns
-# keep assembly, which grows fast with the number of partial matches, to
-# a couple of seconds.  k=40 puts fragment ids past 31 on the wire.
+# not depend on the fragment count, the partition strategy, the assembly
+# strategy or the transport.  One graph of about 300 vertices and
+# three-vertex patterns keep assembly, which grows fast with the number
+# of partial matches, to a couple of seconds.  k=40 puts fragment ids
+# past 31 on the wire.
 
 
-def test_fragment_count_and_assembly_do_not_change_answers():
+def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
     rng = random.Random(5)
     g = helpers.rand_graph(rng, max_vertices=300)
     while g.n_vertices < 250:
@@ -415,3 +417,16 @@ def test_fragment_count_and_assembly_do_not_change_answers():
         dg = build_fragments(g, partition_uniform_hash(g, k))
         got = [execute(gq, dg, cfg)[0].rows for gq in queries]
         assert got == want, "k=%d, %s" % (k, cfg)
+    # a partition file (`--strategy file`) cuts the graph elsewhere than
+    # the hash at the same k, which gave want above
+    for k in (4, 8):
+        path = str(tmp_path / ("partition-%d.tsv" % k))
+        write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+        pm = partition_from_file(g, path)
+        assert pm.k == k
+        assert pm.assignment != partition_uniform_hash(g, k).assignment
+        dg = build_fragments(g, pm)
+        for mode in ("centralized", "distributed"):
+            got = [execute(gq, dg, EngineConfig(assembly=mode))[0].rows
+                   for gq in queries]
+            assert got == want, "file partition, k=%d, %s" % (k, mode)

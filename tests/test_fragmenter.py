@@ -51,11 +51,22 @@ def check_fragmentation(g, dg):
         for (u, v) in f.crossing_pairs:
             expect_ext.update(w for w in (u, v) if pm.assignment[w] != f.id)
         assert f.extended == expect_ext
-        # per-vertex views agree with the stored edges
+        # neighbour views and the label index agree with the stored edges:
+        # each edge's endpoints are indexed under each label and None ...
+        out_of, in_of = {}, {}
         for (u, v), labels in f.edges.items():
             assert v in f.nbrs[u] and u in f.nbrs[v]
-            assert labels <= f.out_labels[u]
-            assert labels <= f.in_labels[v]
+            for label in (None, *labels):
+                assert u in f.sources[label]
+                assert v in f.targets[label]
+            out_of.setdefault(u, set()).update(labels)
+            in_of.setdefault(v, set()).update(labels)
+        # ... and each index entry is backed by a stored edge
+        for index, stored in ((f.sources, out_of), (f.targets, in_of)):
+            for label, vs in index.items():
+                for w in vs:
+                    assert w in stored
+                    assert label is None or label in stored[w]
     # every source edge is inner exactly once or crossing in exactly two
     for (u, v), labels in g.edges.items():
         holders = [f for f in dg.fragments if (u, v) in f.inner_pairs]

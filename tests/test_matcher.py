@@ -97,6 +97,25 @@ def test_candidates_label_variable_matches_any_label():
     assert candidates(q, dg.fragments[0], 0) == [g.term_id(a)]
 
 
+def test_candidates_equal_the_scan_reference():
+    """The label index yields what scanning every fragment vertex yields,
+    for every query vertex and fragment, at k from 1 to 8."""
+    rng = random.Random(20141124)
+    covered = {"variable predicate": 0, "self loop": 0, "absent constant": 0}
+    for trial in range(240):
+        g = helpers.rand_graph(rng)
+        dg = build_fragments(g, helpers.rand_partition(rng, g, trial % 8 + 1))
+        q = ground(helpers.rand_bgp(rng, g, label_var_rate=0.3), g)
+        covered["variable predicate"] += any(e.label is None for e in q.edges)
+        covered["self loop"] += any(e.src == e.dst for e in q.edges)
+        covered["absent constant"] += -1 in q.const_id
+        for frag in dg.fragments:
+            for v in range(q.n):
+                assert candidates(q, frag, v) == helpers.ref_candidates(
+                    q, frag, v), (trial, frag.id, v)
+    assert all(covered.values()), covered
+
+
 # ---------------------------------------------------------------------------
 # The local-match predicate, hand cases on the movie fixture.
 
