@@ -15,17 +15,19 @@ from .query_model import (
 from .fragmenter import (
     DistributedGraph, Fragment, PartitionError, PartitionMap, TopologyGraph,
     build_fragments, partition_exponential_hash, partition_from_file,
-    partition_uniform_hash, topology, write_partition_file,
+    partition_topology, partition_uniform_hash, topology,
+    write_partition_file,
 )
 from .matcher import (
     GroundedQuery, LocalPartialMatch,
-    candidates, compute_inner_matches, compute_local_partial_matches,
-    ground, is_complete_match, is_local_partial_match, match_order,
+    admitted, candidates, compute_inner_matches,
+    compute_local_partial_matches, ground, is_complete_match,
+    is_local_partial_match, match_order,
 )
 from .assembly_central import (
     LpmPartitioning, NotJoinable, PartialMatchIndex, QueryTooLarge,
     UnassignedLpm,
-    assemble, build_partitioning, join, join_cost, joinable,
+    assemble, build_partitioning, join, join_cost, joinable, merge,
     naive_iterative_join, optimal_partitioning, partitioning_based_join,
 )
 from .assembly_bsp import (

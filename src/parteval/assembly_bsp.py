@@ -11,6 +11,8 @@ each match surfaces at exactly one site.
 Supersteps alternate computation and a barriered exchange; the run ends
 when an exchange delivers nothing.  The exchange moves encoded byte
 records, either through an in-process mailbox or over loopback TCP.
+Before partial evaluation, the same exchange can carry one admission
+round, in which sites share which boundary vertices pass their checks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .matcher import LocalPartialMatch, is_complete_match
-from .assembly_central import PartialMatchIndex, _lpm_key, joinable, join
+from .assembly_central import PartialMatchIndex, _lpm_key, joinable, merge
+from .assembly_central import join  # noqa: F401  (re-exported)
 
 NULL_ID = 0xFFFFFFFF
 
@@ -116,6 +119,51 @@ def decode_lpm(data):
     fragments = frozenset(f for f in range(prov.bit_length())
                           if prov & (1 << f))
     return LocalPartialMatch(fn, internal, fragments), src
+
+
+def encode_admission(v, ids):
+    """Wire record of one admission verdict: query vertex v, then the
+    ids of the sender's vertices admitted for it."""
+    return struct.pack(">H%dI" % len(ids), v, *ids)
+
+
+def decode_admission(data):
+    if len(data) < 2 or (len(data) - 2) % 4:
+        raise ValueError("bad admission record length")
+    (v,) = struct.unpack_from(">H", data, 0)
+    return v, struct.unpack_from(">%dI" % ((len(data) - 2) // 4), data, 2)
+
+
+def exchange_admission(dg, own, exchange):
+    """The admission round, one barrier before superstep 0.
+
+    own[fid] is matcher.admitted() at site fid.  Each site tells each
+    topology neighbour, in one record per filterable query vertex, which
+    of the vertices it admitted the neighbour stores as extended
+    vertices.  A site's extended vertices are all owned by neighbours, so
+    what it holds afterwards is the global admitted set cut to its own
+    vertices.  Returns (per-site admitted sets, messages, bytes).
+    """
+    messages = 0
+    byte_count = 0
+    for fid in range(dg.k):
+        verdicts = sorted(own[fid].items())
+        for dst in sorted(dg.topo.adjacency[fid]):
+            boundary = dg.fragments[dst].extended
+            for v, hosts in verdicts:
+                payload = encode_admission(v, sorted(hosts & boundary))
+                exchange.post(dst, payload)
+                messages += 1
+                byte_count += len(payload)
+    delivered = exchange.flush()
+    admit = {}
+    for fid in range(dg.k):
+        sets = {v: set(hosts) for v, hosts in own[fid].items()}
+        for payload in delivered.get(fid, []):
+            v, ids = decode_admission(payload)
+            sets[v].update(ids)
+        admit[fid] = {v: frozenset(hosts) for v, hosts in sets.items()}
+    return admit, messages, byte_count
 
 
 class InProcessExchange:
@@ -231,7 +279,11 @@ def is_complete_locally(q, dg, fn):
         dg.home(a)].edges.get((a, b), frozenset()))
 
 
-def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
+DEADLINE_EVERY = 256   # queue items between deadline checks
+
+
+def local_computation(site, delta_in, pool, q, dg, order, seen, emitted,
+                      deadline=None):
     """One site's compute superstep.
 
     Received items are worked off a queue: each probes the site's pool
@@ -240,8 +292,9 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
     emitted (complete, valid, and this site tops the image homes),
     queued for further local joins, or readied for routing.  seen holds
     every item the site has pooled or produced, emitted every vector it
-    has emitted; both are updated in place.  Returns (newly emitted
-    vectors, items for the outbox).
+    has emitted; both are updated in place.  deadline, if given, is
+    checked every DEADLINE_EVERY items.  Returns (newly emitted vectors,
+    items for the outbox).
     """
     rank = order.ranks
     site_rank = rank[site]
@@ -254,11 +307,13 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
         if w in done:
             continue
         done.add(w)
+        if deadline is not None and len(done) % DEADLINE_EVERY == 0:
+            deadline.check("assembly")
         seen.add(w)
         for m in pool.probe(w):
             if not joinable(w, m, q):
                 continue
-            merged = join(w, m, q)
+            merged = merge(w, m)
             if merged in seen:
                 continue
             if max(rank[f] for f in merged.fragments) != site_rank:
@@ -282,13 +337,15 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted):
     return new_emits, out
 
 
-def run_bsp(dg, q, omega, stats=None, exchange=None):
+def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     """Drive the sites to quiescence and collect every emission.
 
     Superstep 0 only broadcasts the initial partial matches along the
     routing rule; compute and exchange then alternate until a barrier
     delivers no messages.  The returned set is the union of all sites'
     emissions, which are pairwise disjoint by the emission rule.
+    deadline, if given, has check(phase) called once per superstep and
+    inside long compute steps.
     """
     topo = dg.topo
     order = fragment_order({fid: omega.get(fid, frozenset())
@@ -303,10 +360,13 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
     emitted = {fid: set() for fid in range(dg.k)}
     messages = 0
     byte_count = 0
+    routes = {}   # provenance -> destinations, which depend on nothing else
 
     def send(pm, fid):
         nonlocal messages, byte_count
-        dests = sorted(route(pm, order, topo))
+        dests = routes.get(pm.fragments)
+        if dests is None:
+            dests = routes[pm.fragments] = sorted(route(pm, order, topo))
         if not dests:
             return
         payload = encode_lpm(pm, fid)
@@ -333,6 +393,8 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
             delivered = exchange.flush()
             if not any(delivered.get(fid) for fid in range(dg.k)):
                 break
+            if deadline is not None:
+                deadline.check("assembly")
             superstep += 1
             if superstep > dg.k + 2:
                 raise NonTermination("still exchanging after %d supersteps"
@@ -347,7 +409,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None):
                     continue
                 new_emits, out = local_computation(
                     fid, arrivals, pools[fid], q, dg, order,
-                    seen=seen[fid], emitted=emitted[fid])
+                    seen=seen[fid], emitted=emitted[fid], deadline=deadline)
                 if new_emits or out:
                     was_productive = True
                 for pm in out:

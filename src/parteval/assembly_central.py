@@ -68,10 +68,16 @@ def joinable(a, b, q):
 
 
 def join(a, b, q):
-    """Merge two joinable partial matches: bound values win over None,
-    internal roles and contributing fragments accumulate."""
+    """Merge two joinable partial matches; raises NotJoinable otherwise."""
     if not joinable(a, b, q):
         raise NotJoinable("%r / %r" % (a, b))
+    return merge(a, b)
+
+
+def merge(a, b):
+    """join() without the joinable() test, for callers that have just
+    made it: bound values win over None, internal roles and contributing
+    fragments accumulate."""
     fn = tuple(ua if ua is not None else ub
                for ua, ub in zip(a.fn, b.fn))
     return LocalPartialMatch(fn, a.internal | b.internal,
@@ -153,7 +159,7 @@ def naive_iterative_join(omega, q, g, stats=None):
                 examined += 1
                 if not joinable(a, b, q):
                     continue
-                merged = join(a, b, q)
+                merged = merge(a, b)
                 if merged not in ms:
                     _absorb(merged, q, g, rs, new)
         new -= ms
@@ -278,7 +284,7 @@ def partitioning_based_join(p, q, g, stats=None):
             examined += 1
             if not joinable(w, m, q):
                 continue
-            merged = join(w, m, q)
+            merged = merge(w, m)
             if merged not in ms_seen:
                 _absorb(merged, q, g, rs, new)
 

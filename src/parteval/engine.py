@@ -74,14 +74,46 @@ class _Deadline:
 
 
 def _match_component(comp, dg, cfg, stats, deadline):
-    """Full pipeline for one connected pattern graph: per-fragment
-    matching, then the configured assembly; returns match vectors."""
+    """Full pipeline for one connected pattern graph: admission,
+    per-fragment matching, then the configured assembly; returns match
+    vectors.  Distributed assembly opens its exchange here, because the
+    admission round already uses it."""
     gq = matcher.ground(comp, dg.source)
+    exchange = None
+    if cfg.assembly == "distributed":
+        exchange = (assembly_bsp.TcpLoopbackExchange(dg.k)
+                    if cfg.transport == "tcp"
+                    else assembly_bsp.InProcessExchange(dg.k))
+    try:
+        return _evaluate(gq, dg, cfg, stats, deadline, exchange)
+    finally:
+        if exchange is not None:
+            exchange.close()
 
+
+def _evaluate(gq, dg, cfg, stats, deadline, exchange):
+    """_match_component's work; exchange is None under centralized
+    assembly."""
     t0 = time.monotonic()
-    omega = {frag.id: matcher.compute_local_partial_matches(gq, frag)
+    # each home admits its own vertices; the search binds a filterable
+    # query vertex only within what some home admitted
+    own = {frag.id: matcher.admitted(gq, frag) for frag in dg.fragments}
+    if not own[0]:          # no filterable query vertex: no admission
+        admit = dict.fromkeys(own)
+    elif exchange is not None:
+        admit, messages, byte_count = assembly_bsp.exchange_admission(
+            dg, own, exchange)
+        stats.messages_sent += messages
+        stats.bytes_sent += byte_count
+    else:
+        union = {v: frozenset().union(*(own[fid][v] for fid in own))
+                 for v in own[0]}
+        admit = dict.fromkeys(own, union)
+    omega = {frag.id: matcher.compute_local_partial_matches(
+                 gq, frag, admit[frag.id])
              for frag in dg.fragments}
-    inner = frozenset().union(*(matcher.compute_inner_matches(gq, frag)
+    inner = frozenset().union(*(matcher.compute_inner_matches(
+                                    gq, frag, own[frag.id])
                                 for frag in dg.fragments))
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, lpms in omega.items():
@@ -89,17 +121,10 @@ def _match_component(comp, dg, cfg, stats, deadline):
     deadline.check("partial evaluation")
 
     t1 = time.monotonic()
-    if cfg.assembly == "distributed":
+    if exchange is not None:
         bsp_stats = {}
-        exchange = None
-        if cfg.transport == "tcp":
-            exchange = assembly_bsp.TcpLoopbackExchange(dg.k)
-        try:
-            crossing = assembly_bsp.run_bsp(dg, gq, omega, stats=bsp_stats,
-                                            exchange=exchange)
-        finally:
-            if exchange is not None:
-                exchange.close()
+        crossing = assembly_bsp.run_bsp(dg, gq, omega, stats=bsp_stats,
+                                        exchange=exchange, deadline=deadline)
         stats.supersteps = max(stats.supersteps,
                                bsp_stats.get("supersteps_used", 0))
         stats.messages_sent += bsp_stats.get("messages_sent", 0)
@@ -208,9 +233,8 @@ def _cmd_partition(args):
     else:
         raise PartitionError("unknown strategy %r" % args.strategy)
     fragmenter.write_partition_file(g, pm, os.path.join(args.db, MAP_FILE))
-    dg = fragmenter.build_fragments(g, pm)
     print("partitioned into %d fragments, topology diameter %d"
-          % (dg.k, dg.topo.diameter))
+          % (pm.k, fragmenter.partition_topology(g, pm).diameter))
     return 0
 
 

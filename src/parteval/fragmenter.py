@@ -235,16 +235,21 @@ class TopologyGraph:
 
 
 def topology(dg):
-    nodes = tuple(f.id for f in dg.fragments)
+    """The fragment topology graph of a fragmented graph."""
+    return partition_topology(dg.source, dg.pm)
+
+
+def partition_topology(g, pm):
+    """The fragment topology graph of g cut by pm, read off the graph's
+    crossing pairs without building any fragment."""
+    nodes = tuple(range(pm.k))
     adj = {fid: set() for fid in nodes}
-    for frag in dg.fragments:
-        for (u, v) in frag.crossing_pairs:
-            fu = dg.pm.assignment[u]
-            fv = dg.pm.assignment[v]
+    for (u, v) in g.edges:
+        fu = pm.assignment[u]
+        fv = pm.assignment[v]
+        if fu != fv:
             adj[fu].add(fv)
             adj[fv].add(fu)
-    for fid in nodes:
-        adj[fid].discard(fid)
     diameter = 0
     for start in nodes:
         dist = {start: 0}

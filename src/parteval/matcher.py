@@ -99,7 +99,7 @@ def _injective_feasible(query_labels, data_labels):
 
 
 def candidates(q, frag, v):
-    """Fragment vertices that could host query vertex v.
+    """Fragment vertices that could host query vertex v, as a frozenset.
 
     Constants resolve to the one matching vertex if the fragment stores
     it.  A variable needs at least one incident stored edge whose label
@@ -111,16 +111,63 @@ def candidates(q, frag, v):
     if qv.constant is not None:
         cid = q.const_id[v]
         if cid is not None and cid >= 0 and cid in frag.vertices:
-            return [cid]
-        return []
-    hosts = set()
+            return frozenset([cid])
+        return frozenset()
+    hosts = frozenset()
     for ei in q.incident[v]:
         e = q.edges[ei]
         if e.src == v:
             hosts |= frag.sources.get(e.label, frozenset())
         if e.dst == v:
             hosts |= frag.targets.get(e.label, frozenset())
-    return sorted(hosts)
+    return hosts
+
+
+def _pinned(q, v, e):
+    """True when query edge e of v ends at v itself or at a constant, so
+    that v's image alone fixes the data pair the edge must sit on."""
+    w = e.dst if e.src == v else e.src
+    return w == v or q.graph.vertices[w].constant is not None
+
+
+def admitted(q, frag):
+    """Internal vertices of frag that pass every incident query edge of
+    each filterable query vertex, keyed by that vertex.
+
+    A fragment stores every edge of the vertices it owns, so it can test
+    its internal vertices against all of a query vertex's edges at once:
+    the label and direction of each edge, and the exact stored pair for
+    an edge to a constant or a self-loop.  candidates() must take a union
+    over the edges instead, because an extended vertex shows only the
+    edges it shares with the fragment.  Any match maps v to a vertex that
+    passes at its home, so binding v only within the union of these sets
+    over all fragments loses no match.
+
+    A variable is filterable when the check can say more than
+    candidates(): it has two or more incident edges, a self-loop, or an
+    edge to a constant.  A query without one gives an empty dict.
+    """
+    out = {}
+    for v in range(q.n):
+        if q.graph.vertices[v].constant is not None:
+            continue
+        edges = [q.edges[ei] for ei in q.incident[v]]
+        pinned = [e for e in edges if _pinned(q, v, e)]
+        if len(edges) < 2 and not pinned:
+            continue
+        hosts = frag.internal
+        for e in edges:
+            if e.src == v:
+                hosts = hosts & frag.sources.get(e.label, frozenset())
+            if e.dst == v:
+                hosts = hosts & frag.targets.get(e.label, frozenset())
+        for e in pinned:
+            hosts = frozenset(u for u in hosts if _label_compatible(
+                e.label, frag.edges.get(
+                    (u if e.src == v else q.const_id[e.src],
+                     u if e.dst == v else q.const_id[e.dst]), frozenset())))
+        out[v] = hosts
+    return out
 
 
 def _realized_flags(q, frag, fn):
@@ -239,7 +286,7 @@ def _connected_through(q, targets, allowed):
     return all(t in seen for t in targets)
 
 
-def compute_local_partial_matches(q, frag):
+def compute_local_partial_matches(q, frag, admit=None):
     """All local partial matches of the query in one fragment.
 
     A local partial match binds a connected set I of internally matched
@@ -256,12 +303,19 @@ def compute_local_partial_matches(q, frag):
     are bound; a state with nothing left to bind is emitted when the full
     predicate holds.  A fragment without crossing edges (every fragment
     at k=1) holds no local partial match and is not searched.
+
+    Without admit this is the paper's definition.  admit maps some query
+    vertices to the only data vertices they may bind (the union of every
+    fragment's admitted() sets, or this fragment's share of it), which
+    drops local partial matches that no complete match extends.
     """
     if not frag.crossing_pairs:
         return frozenset()
     n = q.n
     internal = frag.internal
-    cand = [frozenset(candidates(q, frag, v)) for v in range(n)]
+    cand = [candidates(q, frag, v) for v in range(n)]
+    for v, hosts in (admit or {}).items():
+        cand[v] = cand[v] & hosts
     results = set()
     fn = [None] * n
 
@@ -347,13 +401,17 @@ def is_complete_match(q, fn, labels_of):
     return True
 
 
-def compute_inner_matches(q, frag):
+def compute_inner_matches(q, frag, admit=None):
     """Complete matches whose image uses only internal vertices and inner
-    edges of the fragment."""
+    edges of the fragment.  admit, if given, is admitted(q, frag): those
+    sets replace the candidates of the vertices they cover."""
     n = q.n
+    admit = admit or {}
     cand = {}
     for v in range(n):
-        cs = frozenset(candidates(q, frag, v)) & frag.internal
+        cs = admit.get(v)
+        if cs is None:
+            cs = candidates(q, frag, v) & frag.internal
         if not cs:
             return frozenset()
         cand[v] = cs

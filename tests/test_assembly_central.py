@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from parteval import assembly_bsp, assembly_central
 from parteval import (
     LocalPartialMatch,
     LpmPartitioning,
@@ -27,6 +28,7 @@ from parteval import (
     naive_iterative_join,
     optimal_partitioning,
     partitioning_based_join,
+    run_bsp,
 )
 
 
@@ -118,6 +120,48 @@ def test_join_raises_on_non_joinable():
     b = lpm((2, None), {0}, {1})
     with pytest.raises(NotJoinable):
         join(a, b, q)
+
+
+def test_joinable_runs_once_per_probed_pair(monkeypatch):
+    """Every join site tests a probed pair with joinable() and merges it
+    unchecked: one joinable() call per pair, in both centralized joins
+    and in BSP compute, where join() would test the pair again."""
+    calls = [0, 0]      # joinable() calls, of which true
+    probed = [0]
+    real_joinable = assembly_central.joinable
+    real_probe = PartialMatchIndex.probe
+
+    def counting_joinable(a, b, q):
+        ok = real_joinable(a, b, q)
+        calls[0] += 1
+        calls[1] += ok
+        return ok
+
+    def counting_probe(self, pm):
+        found = real_probe(self, pm)
+        probed[0] += len(found)
+        return found
+
+    for module in (assembly_central, assembly_bsp):
+        monkeypatch.setattr(module, "joinable", counting_joinable)
+    monkeypatch.setattr(PartialMatchIndex, "probe", counting_probe)
+    rng = random.Random(6)
+    joined = 0
+    for _ in range(60):
+        g, dg, q = helpers.rand_instance(rng)
+        gq = ground(q, g)
+        omega = {frag.id: compute_local_partial_matches(gq, frag)
+                 for frag in dg.fragments}
+        flat = frozenset().union(*omega.values())
+        for run in (lambda: naive_iterative_join(flat, gq, g),
+                    lambda: assemble(flat, gq, g),
+                    lambda: run_bsp(dg, gq, omega)):
+            calls[:] = [0, 0]
+            probed[0] = 0
+            run()
+            assert calls[0] == probed[0]
+            joined += calls[1]
+    assert joined > 0
 
 
 def ground_chain(n_vertices):

@@ -5,11 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import helpers
 import parteval
+from parteval import matcher
 from parteval import (
     Bgp,
     EngineConfig,
@@ -18,7 +20,9 @@ from parteval import (
     TimeoutExceeded,
     blank,
     build_fragments,
+    classify,
     empty_table,
+    enumerate_matches,
     execute,
     format_tsv,
     iri,
@@ -29,6 +33,7 @@ from parteval import (
     parse_ntriples,
     partition_from_file,
     partition_uniform_hash,
+    tree_vars,
     write_partition_file,
 )
 from parteval.general_sparql import BindingTable
@@ -76,20 +81,23 @@ def test_execute_movie_all_pipelines(movie_graph, movie_dg, movie_query, cfg):
     assert table.rows == {MOVIE_ROW}
     assert stats.inner_matches == 0
     assert stats.crossing_matches == 1
-    assert stats.lpm_counts == {0: 5, 1: 3, 2: 0, 3: 0}
+    assert stats.lpm_counts == {0: 1, 1: 1, 2: 0, 3: 0}
 
 
 def test_execute_default_config(movie_dg, movie_query):
     table, stats = execute(movie_query, movie_dg)
     assert table.rows == {MOVIE_ROW}
-    assert stats.join_cost == 4
+    assert stats.join_cost == 1
 
 
 def test_execute_distributed_stats(movie_dg, movie_query):
     _, stats = execute(movie_query, movie_dg, EngineConfig(assembly="distributed"))
     assert stats.supersteps == 1
-    assert stats.messages_sent == 3
-    assert stats.bytes_sent == 120
+    # the admission round: 6 (home, neighbour) pairs x 4 filterable query
+    # vertices, 2-byte headers and 5 admitted boundary ids; then one
+    # 40-byte partial match
+    assert stats.messages_sent == 24 + 1
+    assert stats.bytes_sent == 24 * 2 + 5 * 4 + 40
     assert stats.join_cost == 0
 
 
@@ -109,7 +117,7 @@ def test_execute_timeout(movie_dg, movie_query):
 def test_stats_to_dict_keys(movie_dg, movie_query):
     _, stats = execute(movie_query, movie_dg)
     d = stats.to_dict()
-    assert d["lpm_counts"] == {"0": 5, "1": 3, "2": 0, "3": 0}
+    assert d["lpm_counts"] == {"0": 1, "1": 1, "2": 0, "3": 0}
     assert set(d) == {
         "lpm_counts", "inner_matches", "crossing_matches",
         "partial_eval_seconds", "assembly_seconds", "supersteps",
@@ -220,8 +228,8 @@ def test_cli_query_stats_file(movie_disk, tmp_path, capsys):
     assert code == 0
     got = json.loads(stats_path.read_text(encoding="utf-8"))
     assert got["crossing_matches"] == 1
-    assert got["join_cost"] == 4
-    assert got["lpm_counts"] == {"0": 5, "1": 3, "2": 0, "3": 0}
+    assert got["join_cost"] == 1
+    assert got["lpm_counts"] == {"0": 1, "1": 1, "2": 0, "3": 0}
 
 
 def test_cli_stats_file_lists_fragments_in_numeric_order(tmp_path, capsys):
@@ -363,6 +371,32 @@ def test_cli_large_query_partitioned(chain_disk, capsys):
     assert run_cli(capsys, base + ["--assembly", "d"]) == (0, want, "")
 
 
+def test_deadline_reaches_distributed_assembly(tmp_path, capsys):
+    """A path of 33 vertices with one label over a 35-edge chain makes
+    distributed assembly run for seconds; --timeout stops it inside its
+    supersteps, not after them."""
+    src = tmp_path / "chain.nt"
+    src.write_text("".join(
+        "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
+        for i in range(35)), encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "4"]) == 0
+    query = tmp_path / "path.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(
+        "?x%d <http://ex/p> ?x%d ." % (i, i + 1)
+        for i in range(PATH_VERTICES - 1)), encoding="utf-8")
+    capsys.readouterr()
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, ["query", "--db", str(db), "--sparql",
+                                      str(query), "--assembly", "d",
+                                      "--timeout", "0.5"])
+    elapsed = time.monotonic() - t0
+    assert (code, out) == (1, "")
+    assert err.startswith("query error:")
+    assert elapsed < 1.5
+
+
 def run_module(*args):
     """Run `python <args>` in a child with this package importable."""
     env = dict(os.environ)
@@ -430,3 +464,74 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
             got = [execute(gq, dg, EngineConfig(assembly=mode))[0].rows
                    for gq in queries]
             assert got == want, "file partition, k=%d, %s" % (k, mode)
+
+
+# ---------------------------------------------------------------------------
+# Admission: the engine binds a filterable query vertex only to vertices
+# that pass all of its edges at their home site.  That must lose no slice
+# of any match, whichever fragments, partition and assembly are used.
+
+
+def _filterable_kinds(q):
+    kinds = set()
+    for v in range(q.n):
+        if q.graph.vertices[v].constant is not None:
+            continue
+        if len(q.incident[v]) >= 2:
+            kinds.add("two-edge vertex")
+        for ei in q.incident[v]:
+            e = q.edges[ei]
+            w = e.dst if e.src == v else e.src
+            if w == v:
+                kinds.add("self-loop")
+            elif q.const_id[w] is not None and q.const_id[w] >= 0:
+                kinds.add("edge to a constant")
+    return kinds
+
+
+def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
+    searched = {}
+    paper = matcher.compute_local_partial_matches
+
+    def recording(q, frag, admit=None):
+        searched[frag.id] = paper(q, frag, admit)
+        return searched[frag.id]
+
+    monkeypatch.setattr(matcher, "compute_local_partial_matches", recording)
+    rng = random.Random(1411)
+    covered = dict.fromkeys(["two-edge vertex", "self-loop",
+                             "edge to a constant", "pruned"], 0)
+    configs = [EngineConfig(assembly="centralized"),
+               EngineConfig(assembly="distributed"),
+               EngineConfig(assembly="distributed", transport="tcp")]
+    for trial in range(150):
+        g = helpers.rand_graph(rng)
+        q = helpers.rand_bgp(rng, g)
+        k = trial % 7 + 2
+        if trial % 3:
+            pm = partition_uniform_hash(g, k, seed=trial)
+        else:
+            path = str(tmp_path / "partition.tsv")
+            write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+            pm = partition_from_file(g, path)
+        dg = build_fragments(g, pm)
+        gq = matcher.ground(q, g)
+        for kind in _filterable_kinds(gq):
+            covered[kind] += 1
+        query = GeneralQuery(Bgp(q), None)
+        names = sorted(tree_vars(query.node))
+        single = build_fragments(g, partition_uniform_hash(g, 1))
+        want = format_tsv(execute(query, single)[0], names)
+        _, crossing = classify(enumerate_matches(g, q), dg)
+        for cfg in configs:
+            searched.clear()
+            table, _ = execute(query, dg, cfg)
+            assert format_tsv(table, names) == want, (trial, cfg)
+            for frag in dg.fragments:
+                full = paper(gq, frag)
+                assert searched[frag.id] <= full, (trial, cfg, frag.id)
+                covered["pruned"] += searched[frag.id] < full
+                for fn in crossing:
+                    for piece in helpers.restriction_lpms(fn, q, dg, frag.id):
+                        assert piece in searched[frag.id], (trial, cfg, fn)
+    assert all(covered.values()), covered

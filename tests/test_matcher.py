@@ -72,9 +72,9 @@ def test_candidates_constant(movie_graph, movie_dg):
     ]), movie_graph)
     dir1 = movie_graph.term_id(iri("s1:dir1"))
     # stored by fragment 0 (owner) and fragment 2 (crossing endpoint)
-    assert candidates(q, movie_dg.fragments[0], 0) == [dir1]
-    assert candidates(q, movie_dg.fragments[2], 0) == [dir1]
-    assert candidates(q, movie_dg.fragments[3], 0) == []
+    assert candidates(q, movie_dg.fragments[0], 0) == {dir1}
+    assert candidates(q, movie_dg.fragments[2], 0) == {dir1}
+    assert candidates(q, movie_dg.fragments[3], 0) == set()
 
 
 def test_candidates_variable_needs_compatible_edge():
@@ -84,17 +84,17 @@ def test_candidates_variable_needs_compatible_edge():
     ia, ib = g.term_id(a), g.term_id(b)
     q = ground(build_query_graph([(V("x"), L("p"), V("y"))]), g)
     # direction matters: only a has an outgoing p, only b an incoming one
-    assert candidates(q, frag, 0) == [ia]
-    assert candidates(q, frag, 1) == [ib]
+    assert candidates(q, frag, 0) == {ia}
+    assert candidates(q, frag, 1) == {ib}
     q2 = ground(build_query_graph([(V("x"), L("q"), V("y"))]), g)
-    assert candidates(q2, frag, 0) == []
+    assert candidates(q2, frag, 0) == set()
 
 
 def test_candidates_label_variable_matches_any_label():
     a, b = iri("a"), iri("b")
     g, dg = tiny_db([Triple(a, "p", b)], {"a": 0, "b": 0}, 1)
     q = ground(build_query_graph([(V("x"), V("l"), V("y"))]), g)
-    assert candidates(q, dg.fragments[0], 0) == [g.term_id(a)]
+    assert candidates(q, dg.fragments[0], 0) == {g.term_id(a)}
 
 
 def test_candidates_equal_the_scan_reference():
@@ -111,8 +111,8 @@ def test_candidates_equal_the_scan_reference():
         covered["absent constant"] += -1 in q.const_id
         for frag in dg.fragments:
             for v in range(q.n):
-                assert candidates(q, frag, v) == helpers.ref_candidates(
-                    q, frag, v), (trial, frag.id, v)
+                assert sorted(candidates(q, frag, v)) == (
+                    helpers.ref_candidates(q, frag, v)), (trial, frag.id, v)
     assert all(covered.values()), covered
 
 
