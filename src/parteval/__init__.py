@@ -31,7 +31,7 @@ from .assembly_central import (
     naive_iterative_join, optimal_partitioning, partitioning_based_join,
 )
 from .assembly_bsp import (
-    FragmentOrder, InProcessExchange, NonTermination, TcpLoopbackExchange,
+    InProcessExchange, NonTermination, TcpLoopbackExchange,
     decode_lpm, encode_lpm, fragment_order, local_computation, route, run_bsp,
 )
 from .general_sparql import (

@@ -21,11 +21,10 @@ import selectors
 import socket
 import struct
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 
 from .matcher import LocalPartialMatch, is_complete_match
-from .assembly_central import PartialMatchIndex, _lpm_key, joinable, merge
+from .assembly_central import (DEADLINE_EVERY, PartialMatchIndex, _lpm_key,
+                               joinable, merge)
 from .assembly_central import join  # noqa: F401  (re-exported)
 
 NULL_ID = 0xFFFFFFFF
@@ -36,32 +35,16 @@ class NonTermination(Exception):
     never expected on any input."""
 
 
-@dataclass(frozen=True)
-class FragmentOrder:
-    order: tuple   # fragment ids, lowest rank first
-    rank: tuple    # of (fragment id, rank) pairs, mapping-like
-
-    @cached_property
-    def ranks(self):
-        """The rank pairs as a dict, built on first use."""
-        return dict(self.rank)
-
-    def rank_of(self, fid):
-        return self.ranks[fid]
-
-
 def fragment_order(omega):
-    """Total order over fragments: fewer partial matches first, ties by
-    fragment id."""
+    """Total order over fragments as {fragment id: rank}: fewer partial
+    matches first, ties by fragment id."""
     fids = sorted(omega, key=lambda fid: (len(omega[fid]), fid))
-    return FragmentOrder(tuple(fids),
-                         tuple((fid, i) for i, fid in enumerate(fids)))
+    return {fid: i for i, fid in enumerate(fids)}
 
 
-def route(pm, order, topo):
+def route(pm, rank, topo):
     """Destination sites for an item: strictly above the item's whole
     provenance, and topology-adjacent to some provenance fragment."""
-    rank = order.ranks
     top = max(rank[f] for f in pm.fragments)
     dests = set()
     for fid in topo.nodes:
@@ -142,7 +125,9 @@ def exchange_admission(dg, own, exchange):
     of the vertices it admitted the neighbour stores as extended
     vertices.  A site's extended vertices are all owned by neighbours, so
     what it holds afterwards is the global admitted set cut to its own
-    vertices.  Returns (per-site admitted sets, messages, bytes).
+    vertices.  A record with no ids would add nothing and is not sent;
+    when no site sends anything, the barrier is skipped too.  Returns
+    (per-site admitted sets, messages, bytes).
     """
     messages = 0
     byte_count = 0
@@ -151,11 +136,14 @@ def exchange_admission(dg, own, exchange):
         for dst in sorted(dg.topo.adjacency[fid]):
             boundary = dg.fragments[dst].extended
             for v, hosts in verdicts:
-                payload = encode_admission(v, sorted(hosts & boundary))
+                ids = sorted(hosts & boundary)
+                if not ids:
+                    continue
+                payload = encode_admission(v, ids)
                 exchange.post(dst, payload)
                 messages += 1
                 byte_count += len(payload)
-    delivered = exchange.flush()
+    delivered = exchange.flush() if messages else {}
     admit = {}
     for fid in range(dg.k):
         sets = {v: set(hosts) for v, hosts in own[fid].items()}
@@ -279,10 +267,7 @@ def is_complete_locally(q, dg, fn):
         dg.home(a)].edges.get((a, b), frozenset()))
 
 
-DEADLINE_EVERY = 256   # queue items between deadline checks
-
-
-def local_computation(site, delta_in, pool, q, dg, order, seen, emitted,
+def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                       deadline=None):
     """One site's compute superstep.
 
@@ -296,7 +281,6 @@ def local_computation(site, delta_in, pool, q, dg, order, seen, emitted,
     checked every DEADLINE_EVERY items.  Returns (newly emitted vectors,
     items for the outbox).
     """
-    rank = order.ranks
     site_rank = rank[site]
     out = []
     queue = deque(delta_in)
@@ -348,9 +332,8 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     inside long compute steps.
     """
     topo = dg.topo
-    order = fragment_order({fid: omega.get(fid, frozenset())
-                            for fid in range(dg.k)})
-    rank = order.ranks
+    rank = fragment_order({fid: omega.get(fid, frozenset())
+                           for fid in range(dg.k)})
     own_exchange = exchange is None
     if exchange is None:
         exchange = InProcessExchange(dg.k)
@@ -366,7 +349,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
         nonlocal messages, byte_count
         dests = routes.get(pm.fragments)
         if dests is None:
-            dests = routes[pm.fragments] = sorted(route(pm, order, topo))
+            dests = routes[pm.fragments] = sorted(route(pm, rank, topo))
         if not dests:
             return
         payload = encode_lpm(pm, fid)
@@ -408,7 +391,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
                 if not arrivals:
                     continue
                 new_emits, out = local_computation(
-                    fid, arrivals, pools[fid], q, dg, order,
+                    fid, arrivals, pools[fid], q, dg, rank,
                     seen=seen[fid], emitted=emitted[fid], deadline=deadline)
                 if new_emits or out:
                     was_productive = True

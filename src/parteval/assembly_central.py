@@ -38,6 +38,7 @@ class QueryTooLarge(Exception):
 
 
 MAX_ORDERED_VERTICES = 30
+DEADLINE_EVERY = 256   # work items between deadline checks
 
 
 def joinable(a, b, q):
@@ -140,13 +141,14 @@ def _absorb(merged, q, g, complete, intermediates):
     intermediates.add(merged)
 
 
-def naive_iterative_join(omega, q, g, stats=None):
+def naive_iterative_join(omega, q, g, stats=None, deadline=None):
     """Fixpoint join of all local partial matches against each other.
 
     The working set starts as the whole input and grows by every new
     intermediate; each round joins the working set against the input.
     A complete crossing match made of m constituents appears after at
-    most m-1 rounds, and m never exceeds the query size.
+    most m-1 rounds, and m never exceeds the query size.  deadline, if
+    given, is checked every DEADLINE_EVERY probed pairs.
     """
     base = PartialMatchIndex(q, omega)
     ms = set(omega)
@@ -157,6 +159,8 @@ def naive_iterative_join(omega, q, g, stats=None):
         for a in sorted(ms, key=_lpm_key):
             for b in base.probe(a):
                 examined += 1
+                if deadline is not None and examined % DEADLINE_EVERY == 0:
+                    deadline.check("assembly")
                 if not joinable(a, b, q):
                     continue
                 merged = merge(a, b)
@@ -213,13 +217,14 @@ def join_cost(p):
     return cost
 
 
-def optimal_partitioning(omega, q, stats=None):
+def optimal_partitioning(omega, q, stats=None, deadline=None):
     """Anchor order minimizing the modeled join cost.
 
     Top-down search over which vertex anchors next, memoized on the set
     of vertices already used: the matches still unassigned are exactly
     those avoiding every used vertex internally, so the used set
     determines the whole subproblem.  Ties fall to the lowest vertex id.
+    deadline, if given, is checked every DEADLINE_EVERY memo misses.
     """
     n = q.n
     pms = sorted(omega, key=_lpm_key)
@@ -236,14 +241,19 @@ def optimal_partitioning(omega, q, stats=None):
         for v in pm.internal:
             masks[i] |= 1 << v
     memo = {}
+    misses = 0
 
     def solve(used):
+        nonlocal misses
+        if used in memo:
+            return memo[used]
+        misses += 1
+        if deadline is not None and misses % DEADLINE_EVERY == 0:
+            deadline.check("assembly")
         left = [i for i in range(len(pms)) if not masks[i] & used]
         if not left:
             tail = tuple(v for v in range(n) if not used & (1 << v))
             return 1, tail
-        if used in memo:
-            return memo[used]
         best = None
         for v in range(n):
             bit = 1 << v
@@ -263,7 +273,7 @@ def optimal_partitioning(omega, q, stats=None):
     return build_partitioning(pms, order), cost
 
 
-def partitioning_based_join(p, q, g, stats=None):
+def partitioning_based_join(p, q, g, stats=None, deadline=None):
     """Join pass over an anchor partitioning.
 
     Members of each part join only against the accumulated working set,
@@ -271,7 +281,8 @@ def partitioning_based_join(p, q, g, stats=None):
     queued and also joined against the working set before the part
     closes, so chains whose pieces straddle one part still complete.
     Part members and processed intermediates then feed the working set
-    for later parts.
+    for later parts.  deadline, if given, is checked every
+    DEADLINE_EVERY probed pairs.
     """
     ms = PartialMatchIndex(q)
     ms_seen = set()
@@ -282,6 +293,8 @@ def partitioning_based_join(p, q, g, stats=None):
         nonlocal examined
         for m in ms.probe(w):
             examined += 1
+            if deadline is not None and examined % DEADLINE_EVERY == 0:
+                deadline.check("assembly")
             if not joinable(w, m, q):
                 continue
             merged = merge(w, m)
@@ -313,9 +326,9 @@ def partitioning_based_join(p, q, g, stats=None):
     return frozenset(rs)
 
 
-def assemble(omega, q, g, stats=None):
+def assemble(omega, q, g, stats=None, deadline=None):
     """Optimal partitioning followed by the partitioned join."""
-    p, cost = optimal_partitioning(omega, q, stats=stats)
+    p, cost = optimal_partitioning(omega, q, stats=stats, deadline=deadline)
     if stats is not None:
         stats["join_cost"] = cost
-    return partitioning_based_join(p, q, g, stats=stats)
+    return partitioning_based_join(p, q, g, stats=stats, deadline=deadline)

@@ -134,10 +134,10 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         central_stats = {}
         if cfg.join == "naive":
             crossing = assembly_central.naive_iterative_join(
-                flat, gq, dg.source, stats=central_stats)
+                flat, gq, dg.source, stats=central_stats, deadline=deadline)
         else:
             crossing = assembly_central.assemble(
-                flat, gq, dg.source, stats=central_stats)
+                flat, gq, dg.source, stats=central_stats, deadline=deadline)
             stats.join_cost += central_stats.get("join_cost", 0)
     stats.assembly_seconds += time.monotonic() - t1
     deadline.check("assembly")

@@ -124,62 +124,57 @@ def write_partition_file(g, pm, path):
 class Fragment:
     """One fragment: owned vertices, stored edges, and derived indexes.
 
-    edges holds inner and crossing edges together, keyed by the ordered
-    vertex pair; nbrs is a per-vertex view over the stored edges.
-    sources / targets index them by label: sources[l] holds every vertex
-    with a stored out-edge labelled l, targets[l] every vertex with a
-    stored in-edge labelled l, and the key None holds every vertex with
-    any stored out-edge (in-edge).  Candidate generation reads its sets
-    from this label index.  Treat as immutable once built.
+    edges maps each stored ordered vertex pair to its labels: every pair
+    with an owned endpoint, inner and crossing alike.  The label sets are
+    the source graph's own frozensets, so a crossing pair's set is shared
+    by both fragments that store it.  A pair is crossing when one of its
+    endpoints is not internal; extended holds those endpoints.  nbrs is a
+    per-vertex view over the stored edges.  sources / targets index them
+    by label: sources[l] holds every vertex with a stored out-edge
+    labelled l, targets[l] every vertex with a stored in-edge labelled l,
+    and the key None holds every vertex with any stored out-edge
+    (in-edge).  Candidate generation reads its sets from this label
+    index.  Treat as immutable once built.
     """
 
     id: int
     internal: frozenset
     extended: frozenset = frozenset()
-    inner_pairs: dict = field(default_factory=dict)
-    crossing_pairs: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
     nbrs: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     targets: dict = field(default_factory=dict)
-    vertices: frozenset = frozenset()
 
     def crossing_edge_count(self):
-        return sum(len(ls) for ls in self.crossing_pairs.values())
+        return sum(len(ls) for (u, v), ls in self.edges.items()
+                   if u not in self.internal or v not in self.internal)
 
     def inner_edge_count(self):
-        return sum(len(ls) for ls in self.inner_pairs.values())
+        return (sum(len(ls) for ls in self.edges.values())
+                - self.crossing_edge_count())
 
 
-def _finish_fragment(fid, internal, inner_pairs, crossing_pairs):
-    edges = {**inner_pairs, **crossing_pairs}
+def _finish_fragment(fid, internal, edges):
+    internal = frozenset(internal)
     extended = set()
-    for (u, v) in crossing_pairs:
-        if u not in internal:
-            extended.add(u)
-        if v not in internal:
-            extended.add(v)
     nbrs = {}
     sources = {}
     targets = {}
     for (u, v), labels in edges.items():
+        extended.update(w for w in (u, v) if w not in internal)
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
         for label in (None, *labels):
             sources.setdefault(label, set()).add(u)
             targets.setdefault(label, set()).add(v)
-    all_vertices = frozenset(internal) | frozenset(extended)
     return Fragment(
         id=fid,
-        internal=frozenset(internal),
+        internal=internal,
         extended=frozenset(extended),
-        inner_pairs=inner_pairs,
-        crossing_pairs=crossing_pairs,
         edges=edges,
         nbrs={v: frozenset(ns) for v, ns in nbrs.items()},
         sources={l: frozenset(vs) for l, vs in sources.items()},
         targets={l: frozenset(vs) for l, vs in targets.items()},
-        vertices=all_vertices,
     )
 
 
@@ -208,22 +203,13 @@ def build_fragments(g, pm):
         if not 0 <= fid < pm.k:
             raise PartitionError("fragment id %d out of range" % fid)
         internal[fid].add(v)
-    inner = {fid: {} for fid in range(pm.k)}
-    crossing = {fid: {} for fid in range(pm.k)}
-    for (u, v), labels in g.edges.items():
-        # one frozenset per pair, shared by every fragment that stores it
-        labels = frozenset(labels)
-        fu = pm.assignment[u]
-        fv = pm.assignment[v]
-        if fu == fv:
-            inner[fu][(u, v)] = labels
-        else:
-            crossing[fu][(u, v)] = labels
-            crossing[fv][(u, v)] = labels
-    fragments = [
-        _finish_fragment(fid, internal[fid], inner[fid], crossing[fid])
-        for fid in range(pm.k)
-    ]
+    edges = {fid: {} for fid in range(pm.k)}
+    for pair, labels in g.edges.items():
+        # the graph's own label set, stored at each endpoint's home
+        edges[pm.assignment[pair[0]]][pair] = labels
+        edges[pm.assignment[pair[1]]][pair] = labels
+    fragments = [_finish_fragment(fid, internal[fid], edges[fid])
+                 for fid in range(pm.k)]
     return DistributedGraph(fragments, g, pm)
 
 

@@ -110,7 +110,8 @@ def candidates(q, frag, v):
     qv = q.graph.vertices[v]
     if qv.constant is not None:
         cid = q.const_id[v]
-        if cid is not None and cid >= 0 and cid in frag.vertices:
+        if cid is not None and cid >= 0 and (cid in frag.internal
+                                             or cid in frag.extended):
             return frozenset([cid])
         return frozenset()
     hosts = frozenset()
@@ -194,7 +195,7 @@ def is_local_partial_match(q, frag, fn):
         return False
     for v in bound:
         u = fn[v]
-        if u not in frag.vertices:
+        if u not in frag.internal and u not in frag.extended:
             return False
         if q.graph.vertices[v].constant is not None and q.const_id[v] != u:
             return False
@@ -220,14 +221,11 @@ def is_local_partial_match(q, frag, fn):
         if not _injective_feasible(query_labels, frag.edges[pair]):
             return False
 
-    # at least one query edge must sit on an actual crossing edge
+    # at least one query edge must sit on an actual crossing edge: a
+    # realized edge with an endpoint the fragment does not own
     for ei, e in enumerate(q.edges):
-        a = fn[e.src]
-        b = fn[e.dst]
-        if a is None or b is None:
-            continue
-        if _label_compatible(e.label,
-                             frag.crossing_pairs.get((a, b), frozenset())):
+        if realized[ei] and (fn[e.src] not in frag.internal
+                             or fn[e.dst] not in frag.internal):
             break
     else:
         return False
@@ -309,7 +307,7 @@ def compute_local_partial_matches(q, frag, admit=None):
     fragment's admitted() sets, or this fragment's share of it), which
     drops local partial matches that no complete match extends.
     """
-    if not frag.crossing_pairs:
+    if not frag.extended:
         return frozenset()
     n = q.n
     internal = frag.internal
@@ -404,7 +402,9 @@ def is_complete_match(q, fn, labels_of):
 def compute_inner_matches(q, frag, admit=None):
     """Complete matches whose image uses only internal vertices and inner
     edges of the fragment.  admit, if given, is admitted(q, frag): those
-    sets replace the candidates of the vertices they cover."""
+    sets replace the candidates of the vertices they cover.  Every
+    candidate is internal, so every pair looked up in frag.edges is an
+    inner edge."""
     n = q.n
     admit = admit or {}
     cand = {}
@@ -416,7 +416,7 @@ def compute_inner_matches(q, frag, admit=None):
             return frozenset()
         cand[v] = cs
     order = match_order(q, cand)
-    inner_labels = lambda a, b: frag.inner_pairs.get((a, b), frozenset())
+    inner_labels = lambda a, b: frag.edges.get((a, b), frozenset())
     results = set()
     fn = [None] * n
 

@@ -173,16 +173,15 @@ def numeric_value(term):
 class RdfGraph:
     """Directed multigraph of interned terms.
 
-    edges maps an ordered vertex-id pair to the set of predicate labels on
-    it; adjacency sets cover both directions.  Do not mutate after load.
+    edges maps an ordered vertex-id pair to the frozenset of predicate
+    labels on it.  Fragments share these frozensets.  Do not mutate after
+    load.
     """
 
     def __init__(self):
         self._terms = []
         self._index = {}
         self.edges = {}
-        self.out_nbrs = {}
-        self.in_nbrs = {}
 
     @classmethod
     def from_triples(cls, triples):
@@ -197,16 +196,12 @@ class RdfGraph:
             tid = len(self._terms)
             self._index[term] = tid
             self._terms.append(term)
-            self.out_nbrs[tid] = set()
-            self.in_nbrs[tid] = set()
         return tid
 
     def _add(self, s, p, o):
         u = self._intern(s)
         v = self._intern(o)
-        self.edges.setdefault((u, v), set()).add(p)
-        self.out_nbrs[u].add(v)
-        self.in_nbrs[v].add(u)
+        self.edges[(u, v)] = self.edges.get((u, v), frozenset()) | {p}
 
     @property
     def n_vertices(self):

@@ -491,7 +491,8 @@ def ref_candidates(q, frag, v):
     qv = q.graph.vertices[v]
     if qv.constant is not None:
         cid = q.const_id[v]
-        if cid is not None and cid >= 0 and cid in frag.vertices:
+        if cid is not None and cid >= 0 and cid in (frag.internal
+                                                    | frag.extended):
             return [cid]
         return []
     out_labels, in_labels = {}, {}
@@ -503,7 +504,7 @@ def ref_candidates(q, frag, v):
         return bool(data_labels) if label is None else label in data_labels
 
     out = []
-    for u in frag.vertices:
+    for u in frag.internal | frag.extended:
         for ei in q.incident[v]:
             e = q.edges[ei]
             if e.src == v and compatible(e.label, out_labels.get(u, ())):

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from parteval import (
-    FragmentOrder,
     PartitionMap,
     RdfGraph,
     TcpLoopbackExchange,
@@ -104,10 +103,7 @@ def test_fragment_order_by_size_then_id():
         2: frozenset({lpm((3,), {0}, {2})}),
         3: frozenset(),
     }
-    order = fragment_order(omega)
-    assert order.order == (3, 1, 2, 0)
-    assert order.rank_of(3) == 0
-    assert order.rank_of(0) == 3
+    assert fragment_order(omega) == {3: 0, 1: 1, 2: 2, 0: 3}
 
 
 def _chain_topo():
@@ -119,23 +115,23 @@ def _chain_topo():
 
 
 def test_route_climbs_rank_through_adjacency():
-    order = FragmentOrder((0, 1, 2), ((0, 0), (1, 1), (2, 2)))
+    rank = {0: 0, 1: 1, 2: 2}
     topo = _chain_topo()
-    assert route(lpm((0, None), {0}, {0}), order, topo) == {1}
-    assert route(lpm((0, 1), {0}, {0, 1}), order, topo) == {2}
-    assert route(lpm((None, 0), {1}, {2}), order, topo) == set()
+    assert route(lpm((0, None), {0}, {0}), rank, topo) == {1}
+    assert route(lpm((0, 1), {0}, {0, 1}), rank, topo) == {2}
+    assert route(lpm((None, 0), {1}, {2}), rank, topo) == set()
 
 
 def test_route_respects_rank_not_id():
     # reversed ranks: fragment 0 sits on top, 2 at the bottom
-    order = FragmentOrder((2, 1, 0), ((2, 0), (1, 1), (0, 2)))
+    rank = {2: 0, 1: 1, 0: 2}
     topo = _chain_topo()
     # provenance {2} climbs to 1; 0 outranks it too but is not adjacent
-    assert route(lpm((0, None), {0}, {2}), order, topo) == {1}
-    assert route(lpm((0, None), {0}, {1}), order, topo) == {0}
-    assert route(lpm((0, None), {0}, {2, 1}), order, topo) == {0}
+    assert route(lpm((0, None), {0}, {2}), rank, topo) == {1}
+    assert route(lpm((0, None), {0}, {1}), rank, topo) == {0}
+    assert route(lpm((0, None), {0}, {2, 1}), rank, topo) == {0}
     # the top-ranked fragment has nowhere to send
-    assert route(lpm((0, None), {0}, {0}), order, topo) == set()
+    assert route(lpm((0, None), {0}, {0}), rank, topo) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,12 @@ def test_execute_default_config(movie_dg, movie_query):
 def test_execute_distributed_stats(movie_dg, movie_query):
     _, stats = execute(movie_query, movie_dg, EngineConfig(assembly="distributed"))
     assert stats.supersteps == 1
-    # the admission round: 6 (home, neighbour) pairs x 4 filterable query
-    # vertices, 2-byte headers and 5 admitted boundary ids; then one
-    # 40-byte partial match
-    assert stats.messages_sent == 24 + 1
-    assert stats.bytes_sent == 24 * 2 + 5 * 4 + 40
+    # the admission round: of the 6 (home, neighbour) pairs x 4 filterable
+    # query vertices, only the 5 records that carry an admitted boundary
+    # id are sent, each a 2-byte header and one id; then one 40-byte
+    # partial match
+    assert stats.messages_sent == 5 + 1
+    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 40
     assert stats.join_cost == 0
 
 
@@ -371,10 +372,16 @@ def test_cli_large_query_partitioned(chain_disk, capsys):
     assert run_cli(capsys, base + ["--assembly", "d"]) == (0, want, "")
 
 
-def test_deadline_reaches_distributed_assembly(tmp_path, capsys):
-    """A path of 33 vertices with one label over a 35-edge chain makes
-    distributed assembly run for seconds; --timeout stops it inside its
-    supersteps, not after them."""
+@pytest.mark.parametrize("vertices, options", [
+    (PATH_VERTICES, ["--assembly", "d"]),
+    (16, []),
+    (PATH_VERTICES, ["--join", "naive"]),
+], ids=["distributed-33", "partitioned-16", "naive-33"])
+def test_deadline_reaches_assembly(tmp_path, capsys, vertices, options):
+    """A one-label path query over a 35-edge chain keeps distributed
+    assembly (33 vertices), the partitioning DP (16 vertices) and the
+    naive join (33 vertices) busy for seconds; --timeout stops each from
+    inside its loops, not after them."""
     src = tmp_path / "chain.nt"
     src.write_text("".join(
         "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
@@ -385,12 +392,12 @@ def test_deadline_reaches_distributed_assembly(tmp_path, capsys):
     query = tmp_path / "path.rq"
     query.write_text("SELECT * WHERE { %s }" % " ".join(
         "?x%d <http://ex/p> ?x%d ." % (i, i + 1)
-        for i in range(PATH_VERTICES - 1)), encoding="utf-8")
+        for i in range(vertices - 1)), encoding="utf-8")
     capsys.readouterr()
     t0 = time.monotonic()
     code, out, err = run_cli(capsys, ["query", "--db", str(db), "--sparql",
-                                      str(query), "--assembly", "d",
-                                      "--timeout", "0.5"])
+                                      str(query), "--timeout", "0.5",
+                                      *options])
     elapsed = time.monotonic() - t0
     assert (code, out) == (1, "")
     assert err.startswith("query error:")

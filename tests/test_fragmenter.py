@@ -36,19 +36,15 @@ def check_fragmentation(g, dg):
         seen |= part
     assert seen == set(g.vertex_ids())
     for f in dg.fragments:
-        assert f.vertices == f.internal | f.extended
         assert not (f.internal & f.extended)
-        # stored pairs land on the right side of the inner/crossing split
-        for (u, v), labels in f.inner_pairs.items():
-            assert pm.assignment[u] == pm.assignment[v] == f.id
-            assert labels == g.labels_between(u, v)
-        for (u, v), labels in f.crossing_pairs.items():
-            assert pm.assignment[u] != pm.assignment[v]
+        # every stored pair has an owned endpoint and holds the graph's
+        # own label set, not a copy
+        for (u, v), labels in f.edges.items():
             assert f.id in (pm.assignment[u], pm.assignment[v])
-            assert labels == g.labels_between(u, v)
-        # extended is exactly the non-owned endpoints of crossing pairs
+            assert labels is g.edges[(u, v)]
+        # extended is exactly the non-owned endpoints of stored pairs
         expect_ext = set()
-        for (u, v) in f.crossing_pairs:
+        for (u, v) in f.edges:
             expect_ext.update(w for w in (u, v) if pm.assignment[w] != f.id)
         assert f.extended == expect_ext
         # neighbour views and the label index agree with the stored edges:
@@ -67,14 +63,15 @@ def check_fragmentation(g, dg):
                 for w in vs:
                     assert w in stored
                     assert label is None or label in stored[w]
-    # every source edge is inner exactly once or crossing in exactly two
-    for (u, v), labels in g.edges.items():
-        holders = [f for f in dg.fragments if (u, v) in f.inner_pairs]
-        crossers = [f for f in dg.fragments if (u, v) in f.crossing_pairs]
+    # a same-owner pair sits in exactly one fragment, a crossing pair in
+    # exactly two
+    for (u, v) in g.edges:
+        holders = [f.id for f in dg.fragments if (u, v) in f.edges]
         if pm.assignment[u] == pm.assignment[v]:
-            assert len(holders) == 1 and not crossers
+            assert holders == [pm.assignment[u]]
         else:
-            assert not holders and len(crossers) == 2
+            assert sorted(holders) == sorted((pm.assignment[u],
+                                              pm.assignment[v]))
     inner_total = sum(f.inner_edge_count() for f in dg.fragments)
     crossing_total = sum(f.crossing_edge_count() for f in dg.fragments)
     assert crossing_total % 2 == 0
@@ -101,7 +98,8 @@ def test_single_fragment_holds_everything():
     f = dg.fragments[0]
     assert f.internal == set(g.vertex_ids())
     assert f.extended == frozenset()
-    assert not f.crossing_pairs
+    assert f.edges == g.edges
+    assert f.crossing_edge_count() == 0
     assert f.inner_edge_count() == g.n_edges
 
 
@@ -111,10 +109,11 @@ def test_crossing_edge_stored_on_both_sides():
     ia, ib = g.term_id(a), g.term_id(b)
     dg = build_fragments(g, PartitionMap({ia: 0, ib: 1}, 2))
     f0, f1 = dg.fragments
-    assert f0.crossing_pairs == {(ia, ib): {"p", "q"}}
-    assert f1.crossing_pairs == {(ia, ib): {"p", "q"}}
+    assert f0.edges == f1.edges == {(ia, ib): {"p", "q"}}
+    assert f0.edges[(ia, ib)] is f1.edges[(ia, ib)]
     assert f0.extended == {ib} and f1.extended == {ia}
     assert f0.crossing_edge_count() == f1.crossing_edge_count() == 2
+    assert f0.inner_edge_count() == f1.inner_edge_count() == 0
 
 
 def test_empty_fragment_allowed():
@@ -123,7 +122,8 @@ def test_empty_fragment_allowed():
     dg = build_fragments(g, PartitionMap({g.term_id(a): 0}, 3))
     assert dg.k == 3
     assert dg.fragments[1].internal == frozenset()
-    assert dg.fragments[1].vertices == frozenset()
+    assert dg.fragments[1].extended == frozenset()
+    assert dg.fragments[1].edges == {}
 
 
 def test_build_rejects_out_of_range_fragment():

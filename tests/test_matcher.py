@@ -409,7 +409,7 @@ def test_omega_is_every_vector_the_predicate_accepts(seed):
     dg = build_fragments(g, helpers.rand_partition(rng, g))
     q = ground(helpers.rand_bgp(rng, g, n_max=4), g)
     for frag in dg.fragments:
-        domain = [None] + sorted(frag.vertices)
+        domain = [None] + sorted(frag.internal | frag.extended)
         want = {fn for fn in itertools.product(domain, repeat=q.n)
                 if is_local_partial_match(q, frag, fn)}
         got = {pm.fn for pm in compute_local_partial_matches(q, frag)}

@@ -170,8 +170,7 @@ def test_graph_self_loop():
     g = _g(Triple(a, "p", a))
     ia = g.term_id(a)
     assert g.labels_between(ia, ia) == {"p"}
-    assert g.out_nbrs[ia] == {ia}
-    assert g.in_nbrs[ia] == {ia}
+    assert type(g.edges[(ia, ia)]) is frozenset
 
 
 def test_iter_edges_covers_multigraph():
