@@ -5,14 +5,27 @@ their partial-match sets (ties by fragment id), and every message climbs
 that order: an item is sent to the topology-adjacent sites ranked above
 everything in its provenance.  A site admits a join only when the merged
 provenance peaks at the site itself, and a finished match is emitted
-only at the highest-ranked fragment among its image vertices' homes, so
-each match surfaces at exactly one site.
+only at the highest-ranked fragment among its image vertices' homes (its
+top home), so each match surfaces at exactly one site.
+
+A complete item, one that binds every query vertex, joins into nothing
+but its own vector, so it travels only to its top home, and only when
+that home ranks above the sender (else it could never be emitted).  The
+top home owns an image vertex, which a provenance fragment stores as
+extended, so it is one of the sites the partial-item rule would pick.
+The top home emits an arriving complete item at once; it never enters a
+pool.  A site keeps no complete item that fails its local check, and
+emits, without sending, one whose top home it is.
 
 Supersteps alternate computation and a barriered exchange; the run ends
 when an exchange delivers nothing.  The exchange moves encoded byte
 records, either through an in-process mailbox or over loopback TCP.
 Before partial evaluation, the same exchange can carry one admission
 round, in which sites share which boundary vertices pass their checks.
+The caller owns the exchange.  The engine keeps one loopback exchange
+per DistributedGraph (take_tcp_exchange / keep_tcp_exchange): a
+component takes it out of the graph, so concurrent queries never share
+one, and gives it back only after a clean finish.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import selectors
 import socket
 import struct
+import weakref
 from collections import deque
 
 from .matcher import LocalPartialMatch, is_complete_match
@@ -181,29 +195,44 @@ class TcpLoopbackExchange:
     Posted records wait in a per-site buffer until the barrier.  flush()
     then writes every buffer through a non-blocking sender while reading
     the receiving ends, so a round may carry more than the socket
-    buffers hold.
+    buffers hold.  The connections and their selector last as long as
+    the exchange: receivers stay registered, senders only while they
+    have bytes left to write.  An exchange whose round failed midway may
+    hold part of that round and must be closed.
     """
 
     _END = struct.pack(">I", 0)
 
     def __init__(self, k):
         self.k = k
-        self._servers = []
         self._senders = []
         self._receivers = []
         self._outboxes = [bytearray() for _ in range(k)]
-        for _ in range(k):
-            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            srv.bind(("127.0.0.1", 0))
-            srv.listen(1)
-            self._servers.append(srv)
-        for srv in self._servers:
-            snd = socket.create_connection(srv.getsockname())
-            snd.setblocking(False)
-            self._senders.append(snd)
-        for srv in self._servers:
-            conn, _ = srv.accept()
-            self._receivers.append(conn)
+        self._sel = selectors.DefaultSelector()
+        # closes the sockets once the exchange is collected, if not before
+        self._finalizer = weakref.finalize(self, _close_all, self._sel,
+                                           self._senders, self._receivers)
+        servers = []
+        try:
+            for _ in range(k):
+                srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                servers.append(srv)
+                srv.bind(("127.0.0.1", 0))
+                srv.listen(1)
+            for srv in servers:
+                snd = socket.create_connection(srv.getsockname())
+                self._senders.append(snd)
+                snd.setblocking(False)
+            for dst, srv in enumerate(servers):
+                conn, _ = srv.accept()
+                self._receivers.append(conn)
+                self._sel.register(conn, selectors.EVENT_READ, dst)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            for srv in servers:
+                srv.close()
 
     def post(self, dst, payload):
         box = self._outboxes[dst]
@@ -211,38 +240,60 @@ class TcpLoopbackExchange:
         box += payload
 
     def flush(self):
+        sel = self._sel
         unsent = {}
-        inbox = {}
-        with selectors.DefaultSelector() as sel:
-            for dst in range(self.k):
-                self._outboxes[dst] += self._END
-                unsent[dst] = memoryview(self._outboxes[dst])
-                inbox[dst] = bytearray()
-                sel.register(self._senders[dst], selectors.EVENT_WRITE, dst)
-                sel.register(self._receivers[dst], selectors.EVENT_READ, dst)
-            reading = self.k
-            while reading:
-                for key, _ in sel.select():
-                    dst = key.data
-                    if key.events == selectors.EVENT_WRITE:
-                        sent = key.fileobj.send(unsent[dst])
-                        unsent[dst] = unsent[dst][sent:]
-                        if not unsent[dst]:
-                            sel.unregister(key.fileobj)
-                        continue
-                    chunk = key.fileobj.recv(1 << 16)
-                    if not chunk:
-                        raise ConnectionError("peer closed mid-round")
-                    inbox[dst] += chunk
-                    if len(inbox[dst]) == len(self._outboxes[dst]):
+        inbox = [bytearray() for _ in range(self.k)]
+        for dst, box in enumerate(self._outboxes):
+            box += self._END
+            unsent[dst] = memoryview(box)
+            sel.register(self._senders[dst], selectors.EVENT_WRITE, dst)
+        reading = self.k
+        while reading:
+            for key, _ in sel.select():
+                dst = key.data
+                if key.events == selectors.EVENT_WRITE:
+                    sent = key.fileobj.send(unsent[dst])
+                    unsent[dst] = unsent[dst][sent:]
+                    if not unsent[dst]:
                         sel.unregister(key.fileobj)
-                        reading -= 1
+                    continue
+                chunk = key.fileobj.recv(1 << 16)
+                if not chunk:
+                    raise ConnectionError("peer closed mid-round")
+                inbox[dst] += chunk
+                if len(inbox[dst]) == len(self._outboxes[dst]):
+                    reading -= 1
         self._outboxes = [bytearray() for _ in range(self.k)]
         return {dst: _frames(inbox[dst]) for dst in range(self.k)}
 
     def close(self):
-        for sock in self._senders + self._receivers + self._servers:
+        self._finalizer()
+
+
+def _close_all(sel, *socket_lists):
+    sel.close()
+    for socks in socket_lists:
+        for sock in socks:
             sock.close()
+
+
+_GRAPH_SLOT = "_tcp_exchange"
+
+
+def take_tcp_exchange(dg):
+    """Take dg's loopback exchange out of the graph, or open one when the
+    graph holds none (first use, or another query has it)."""
+    exchange = vars(dg).pop(_GRAPH_SLOT, None)
+    if exchange is None:
+        exchange = TcpLoopbackExchange(dg.k)
+    return exchange
+
+
+def keep_tcp_exchange(dg, exchange):
+    """Give back an exchange whose last round finished, for dg's next
+    component; when the graph already holds one again, close this one."""
+    if vars(dg).setdefault(_GRAPH_SLOT, exchange) is not exchange:
+        exchange.close()
 
 
 def _frames(data):
@@ -267,15 +318,22 @@ def is_complete_locally(q, dg, fn):
         dg.home(a)].edges.get((a, b), frozenset()))
 
 
+def top_home(dg, rank, fn):
+    """The highest-ranked home among the image vertices of fn, the one
+    site that may emit it."""
+    return max(map(dg.home, fn), key=rank.__getitem__)
+
+
 def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                       deadline=None):
     """One site's compute superstep.
 
-    Received items are worked off a queue: each probes the site's pool
-    (a PartialMatchIndex kept across supersteps), then joins it, so
-    every cross pair is attempted once.  Admitted results are either
-    emitted (complete, valid, and this site tops the image homes),
-    queued for further local joins, or readied for routing.  seen holds
+    Received partial items are worked off a queue: each probes the
+    site's pool (a PartialMatchIndex kept across supersteps), then joins
+    it, so every cross pair is attempted once.  Admitted results are
+    either emitted (complete, valid, and this site is the top home),
+    readied for routing to their top home (complete and valid), or
+    queued for further local joins and readied for routing.  seen holds
     every item the site has pooled or produced, emitted every vector it
     has emitted; both are updated in place.  deadline, if given, is
     checked every DEADLINE_EVERY items.  Returns (newly emitted vectors,
@@ -302,12 +360,11 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                 continue
             if max(rank[f] for f in merged.fragments) != site_rank:
                 continue
-            if all(u is not None for u in merged.fn):
+            if None not in merged.fn:
                 seen.add(merged)
                 if not is_complete_locally(q, dg, merged.fn):
                     continue
-                top_home = max(rank[dg.home(u)] for u in merged.fn)
-                if top_home == site_rank:
+                if top_home(dg, rank, merged.fn) == site:
                     if merged.fn not in emitted:
                         emitted.add(merged.fn)
                         new_emits.add(merged.fn)
@@ -324,12 +381,13 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
 def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     """Drive the sites to quiescence and collect every emission.
 
-    Superstep 0 only broadcasts the initial partial matches along the
-    routing rule; compute and exchange then alternate until a barrier
-    delivers no messages.  The returned set is the union of all sites'
-    emissions, which are pairwise disjoint by the emission rule.
-    deadline, if given, has check(phase) called once per superstep and
-    inside long compute steps.
+    Superstep 0 only sends the initial partial matches along the routing
+    rule, after each site has emitted its own complete ones; compute and
+    exchange then alternate until a barrier delivers no messages.  The
+    returned set is the union of all sites' emissions, which are
+    pairwise disjoint by the emission rule.  deadline, if given, has
+    check(phase) called once per superstep and inside long compute
+    steps.
     """
     topo = dg.topo
     rank = fragment_order({fid: omega.get(fid, frozenset())
@@ -347,9 +405,13 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
 
     def send(pm, fid):
         nonlocal messages, byte_count
-        dests = routes.get(pm.fragments)
-        if dests is None:
-            dests = routes[pm.fragments] = sorted(route(pm, rank, topo))
+        if None not in pm.fn:
+            dst = top_home(dg, rank, pm.fn)
+            dests = (dst,) if rank[dst] > rank[fid] else ()
+        else:
+            dests = routes.get(pm.fragments)
+            if dests is None:
+                dests = routes[pm.fragments] = sorted(route(pm, rank, topo))
         if not dests:
             return
         payload = encode_lpm(pm, fid)
@@ -359,14 +421,17 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
         byte_count += len(dests) * len(payload)
 
     for fid in range(dg.k):
-        base = sorted(omega.get(fid, frozenset()), key=_lpm_key)
+        base = []
+        for pm in sorted(omega.get(fid, frozenset()), key=_lpm_key):
+            if None not in pm.fn:
+                if not is_complete_locally(q, dg, pm.fn):
+                    continue
+                if top_home(dg, rank, pm.fn) == fid:
+                    emitted[fid].add(pm.fn)   # and send() drops it
+            base.append(pm)
+            send(pm, fid)
         pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)
-        for pm in base:
-            if is_complete_locally(q, dg, pm.fn):
-                if max(rank[dg.home(u)] for u in pm.fn) == rank[fid]:
-                    emitted[fid].add(pm.fn)
-            send(pm, fid)
 
     productive = 0
     supersteps_run = 0
@@ -385,11 +450,19 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
             supersteps_run += 1
             was_productive = False
             for fid in range(dg.k):
-                batch = [decode_lpm(p)[0] for p in delivered.get(fid, [])]
-                arrivals = [pm for pm in batch if pm not in seen[fid]]
-                arrivals = sorted(set(arrivals), key=_lpm_key)
+                arrivals = set()
+                for payload in delivered.get(fid, []):
+                    pm = decode_lpm(payload)[0]
+                    if None in pm.fn:
+                        if pm not in seen[fid]:
+                            arrivals.add(pm)
+                    elif pm.fn not in emitted[fid]:
+                        # only its top home is sent a complete item
+                        emitted[fid].add(pm.fn)
+                        was_productive = True
                 if not arrivals:
                     continue
+                arrivals = sorted(arrivals, key=_lpm_key)
                 new_emits, out = local_computation(
                     fid, arrivals, pools[fid], q, dg, rank,
                     seen=seen[fid], emitted=emitted[fid], deadline=deadline)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matcher import LocalPartialMatch, is_complete_match
+from .matcher import DEADLINE_EVERY, LocalPartialMatch, is_complete_match
 
 
 class NotJoinable(Exception):
@@ -38,7 +38,6 @@ class QueryTooLarge(Exception):
 
 
 MAX_ORDERED_VERTICES = 30
-DEADLINE_EVERY = 256   # work items between deadline checks
 
 
 def joinable(a, b, q):
@@ -227,19 +226,21 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
     deadline, if given, is checked every DEADLINE_EVERY memo misses.
     """
     n = q.n
-    pms = sorted(omega, key=_lpm_key)
-    if pms and n > MAX_ORDERED_VERTICES:
+    if omega and n > MAX_ORDERED_VERTICES:
         raise QueryTooLarge(
             "the partitioned join orders at most %d query vertices, got "
             "%d; distributed assembly or the naive join take it"
             % (MAX_ORDERED_VERTICES, n))
-    for pm in pms:
+    # a subproblem needs only how many matches have each internal set
+    counts = {}
+    for pm in omega:
         if not pm.internal:
             raise UnassignedLpm("match with no internal vertex: %r" % pm)
-    masks = [0] * len(pms)
-    for i, pm in enumerate(pms):
+        mask = 0
         for v in pm.internal:
-            masks[i] |= 1 << v
+            mask |= 1 << v
+        counts[mask] = counts.get(mask, 0) + 1
+    groups = list(counts.items())
     memo = {}
     misses = 0
 
@@ -250,7 +251,7 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
         misses += 1
         if deadline is not None and misses % DEADLINE_EVERY == 0:
             deadline.check("assembly")
-        left = [i for i in range(len(pms)) if not masks[i] & used]
+        left = [(mask, count) for mask, count in groups if not mask & used]
         if not left:
             tail = tuple(v for v in range(n) if not used & (1 << v))
             return 1, tail
@@ -259,7 +260,7 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
             bit = 1 << v
             if used & bit:
                 continue
-            size = sum(1 for i in left if masks[i] & bit)
+            size = sum(count for mask, count in left if mask & bit)
             sub_cost, sub_order = solve(used | bit)
             cost = max(size, 1) * sub_cost
             if best is None or cost < best[0]:
@@ -270,7 +271,7 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
     cost, order = solve(0)
     if stats is not None:
         stats["memo_keys"] = len(memo)
-    return build_partitioning(pms, order), cost
+    return build_partitioning(omega, order), cost
 
 
 def partitioning_based_join(p, q, g, stats=None, deadline=None):

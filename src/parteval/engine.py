@@ -76,19 +76,24 @@ class _Deadline:
 def _match_component(comp, dg, cfg, stats, deadline):
     """Full pipeline for one connected pattern graph: admission,
     per-fragment matching, then the configured assembly; returns match
-    vectors.  Distributed assembly opens its exchange here, because the
-    admission round already uses it."""
+    vectors.  Distributed assembly takes its exchange here, because the
+    admission round already uses it.  Over TCP that is the graph's own
+    exchange, given back after a clean finish and closed on any error,
+    since its buffers may then hold part of a round."""
     gq = matcher.ground(comp, dg.source)
-    exchange = None
-    if cfg.assembly == "distributed":
-        exchange = (assembly_bsp.TcpLoopbackExchange(dg.k)
-                    if cfg.transport == "tcp"
-                    else assembly_bsp.InProcessExchange(dg.k))
+    if cfg.assembly != "distributed":
+        return _evaluate(gq, dg, cfg, stats, deadline, None)
+    if cfg.transport != "tcp":
+        return _evaluate(gq, dg, cfg, stats, deadline,
+                         assembly_bsp.InProcessExchange(dg.k))
+    exchange = assembly_bsp.take_tcp_exchange(dg)
     try:
-        return _evaluate(gq, dg, cfg, stats, deadline, exchange)
-    finally:
-        if exchange is not None:
-            exchange.close()
+        vectors = _evaluate(gq, dg, cfg, stats, deadline, exchange)
+    except BaseException:
+        exchange.close()
+        raise
+    assembly_bsp.keep_tcp_exchange(dg, exchange)
+    return vectors
 
 
 def _evaluate(gq, dg, cfg, stats, deadline, exchange):
@@ -109,11 +114,13 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         union = {v: frozenset().union(*(own[fid][v] for fid in own))
                  for v in own[0]}
         admit = dict.fromkeys(own, union)
+    # the searches count steps only under a time limit
+    timed = deadline if deadline.limit else None
     omega = {frag.id: matcher.compute_local_partial_matches(
-                 gq, frag, admit[frag.id])
+                 gq, frag, admit[frag.id], timed)
              for frag in dg.fragments}
     inner = frozenset().union(*(matcher.compute_inner_matches(
-                                    gq, frag, own[frag.id])
+                                    gq, frag, own[frag.id], timed)
                                 for frag in dg.fragments))
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, lpms in omega.items():

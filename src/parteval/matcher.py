@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+DEADLINE_EVERY = 256   # work items between deadline checks
+
 
 @dataclass(frozen=True)
 class LocalPartialMatch:
@@ -284,7 +286,7 @@ def _connected_through(q, targets, allowed):
     return all(t in seen for t in targets)
 
 
-def compute_local_partial_matches(q, frag, admit=None):
+def compute_local_partial_matches(q, frag, admit=None, deadline=None):
     """All local partial matches of the query in one fragment.
 
     A local partial match binds a connected set I of internally matched
@@ -306,6 +308,7 @@ def compute_local_partial_matches(q, frag, admit=None):
     vertices to the only data vertices they may bind (the union of every
     fragment's admitted() sets, or this fragment's share of it), which
     drops local partial matches that no complete match extends.
+    deadline, if given, is checked every DEADLINE_EVERY search states.
     """
     if not frag.extended:
         return frozenset()
@@ -316,6 +319,7 @@ def compute_local_partial_matches(q, frag, admit=None):
         cand[v] = cand[v] & hosts
     results = set()
     fn = [None] * n
+    states = 0
 
     def fits(v, u, seed):
         if u in internal and v < seed:
@@ -333,6 +337,11 @@ def compute_local_partial_matches(q, frag, admit=None):
         return True
 
     def grow(seed):
+        nonlocal states
+        if deadline is not None:
+            states += 1
+            if states % DEADLINE_EVERY == 0:
+                deadline.check("partial evaluation")
         for v in range(n):
             if fn[v] is None:
                 hosts = [fn[w] for w in q.adj[v] if fn[w] in internal]
@@ -399,12 +408,29 @@ def is_complete_match(q, fn, labels_of):
     return True
 
 
-def compute_inner_matches(q, frag, admit=None):
+def _shared_pairs_feasible(q, fn, edges):
+    """True when every data pair that two or more query edges map onto
+    under fn carries labels that can serve them injectively."""
+    pairs = {}
+    for e in q.edges:
+        pairs.setdefault((fn[e.src], fn[e.dst]), []).append(e.label)
+    return all(len(labels) < 2 or _injective_feasible(labels, edges[pair])
+               for pair, labels in pairs.items())
+
+
+def compute_inner_matches(q, frag, admit=None, deadline=None):
     """Complete matches whose image uses only internal vertices and inner
     edges of the fragment.  admit, if given, is admitted(q, frag): those
     sets replace the candidates of the vertices they cover.  Every
     candidate is internal, so every pair looked up in frag.edges is an
-    inner edge."""
+    inner edge.  deadline, if given, is checked every DEADLINE_EVERY
+    search states.
+
+    Each query edge's label is checked as soon as both its ends are
+    bound, and a constant's only candidate is its own vertex.  So a full
+    assignment is a match unless two query edges land on one data pair
+    whose labels cannot serve them injectively; only such pairs are
+    checked at the leaves."""
     n = q.n
     admit = admit or {}
     cand = {}
@@ -417,12 +443,19 @@ def compute_inner_matches(q, frag, admit=None):
         cand[v] = cs
     order = match_order(q, cand)
     inner_labels = lambda a, b: frag.edges.get((a, b), frozenset())
+    shared = len(q.edges) > 1     # can two query edges share a data pair
     results = set()
     fn = [None] * n
+    states = 0
 
     def place(t):
+        nonlocal states
+        if deadline is not None:
+            states += 1
+            if states % DEADLINE_EVERY == 0:
+                deadline.check("partial evaluation")
         if t == n:
-            if is_complete_match(q, tuple(fn), inner_labels):
+            if not shared or _shared_pairs_feasible(q, fn, frag.edges):
                 results.add(tuple(fn))
             return
         v = order[t]

@@ -6,6 +6,7 @@ matters is productive supersteps <= topology diameter, and the counts
 pin the implementation against silent regressions.
 """
 
+import gc
 import random
 import threading
 
@@ -30,7 +31,8 @@ from parteval import (
     run_bsp,
 )
 from parteval.matcher import LocalPartialMatch
-from parteval.assembly_bsp import route
+from parteval.assembly_bsp import (InProcessExchange, keep_tcp_exchange,
+                                   route, take_tcp_exchange, top_home)
 
 
 def lpm(fn, internal, fragments):
@@ -235,7 +237,12 @@ def test_bsp_star(k):
         assert got == naive_iterative_join(omega_all, q, g)
 
 
-CLIQUE_EXPECT = {2: (1, 1), 3: (1, 1), 4: (6, 2), 5: (6, 2)}
+# Every partial match of the one-edge query is complete.  A complete
+# match goes only to its top home, the one site that may emit it: at
+# k >= 4 the two crossing m pairs each send one record, from the site of
+# the source to the higher-ranked site of the target.  (Routing them as
+# partial items sent each to every higher-ranked neighbour: 6 records.)
+CLIQUE_EXPECT = {2: (1, 1), 3: (1, 1), 4: (2, 2), 5: (2, 2)}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -256,6 +263,41 @@ def test_bsp_clique(k):
     assert len(sites) == emits
     _, crossing = classify(enumerate_matches(g, q_graph), dg)
     assert got == crossing
+
+
+class RecordingExchange(InProcessExchange):
+    def __init__(self, k):
+        super().__init__(k)
+        self.posts = []
+
+    def post(self, dst, payload):
+        self.posts.append((dst, payload))
+        super().post(dst, payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_complete_items_go_to_their_top_home_only(seed):
+    rng = random.Random(seed)
+    g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+    q = ground(q_graph, g)
+    omega = omega_of(dg, q)
+    rank = fragment_order({fid: omega.get(fid, frozenset())
+                           for fid in range(dg.k)})
+    exchange = RecordingExchange(dg.k)
+    stats = {}
+    got = run_bsp(dg, q, omega, stats, exchange)
+    for dst, payload in exchange.posts:
+        pm, src = decode_lpm(payload)
+        if None in pm.fn:
+            continue
+        # the one site that may emit it, above the sender, and among the
+        # sites the partial-item rule would have picked
+        assert dst == top_home(dg, rank, pm.fn)
+        assert rank[dst] > rank[src]
+        assert dst in route(pm, rank, dg.topo)
+    assert sum(stats["emissions_per_site"].values()) == len(got)
+    assert stats["supersteps_used"] <= stats["topology_diameter"]
 
 
 def test_bsp_chain_over_tcp():
@@ -333,3 +375,33 @@ def test_bsp_checks_matches_against_fragments_only(monkeypatch):
     monkeypatch.setattr(RdfGraph, "labels_between", global_read)
     for dg, q, omega, want in cases:
         assert run_bsp(dg, q, omega) == want
+
+
+# ---------------------------------------------------------------------------
+# The graph's TCP exchange.
+
+
+def test_tcp_exchange_is_taken_out_of_the_graph():
+    _, dg = helpers.movie_db()
+    first = take_tcp_exchange(dg)
+    # while a component holds it, another one opens its own
+    second = take_tcp_exchange(dg)
+    assert second is not first
+    keep_tcp_exchange(dg, first)
+    keep_tcp_exchange(dg, second)
+    # the graph already held one again, so the spare was closed
+    assert all(sock.fileno() == -1 for sock in second._senders)
+    assert take_tcp_exchange(dg) is first
+    first.close()
+
+
+def test_dropping_the_graph_closes_its_sockets():
+    _, dg = helpers.movie_db()
+    exchange = take_tcp_exchange(dg)
+    keep_tcp_exchange(dg, exchange)
+    sockets = exchange._senders + exchange._receivers
+    assert len(sockets) == 2 * dg.k
+    assert all(sock.fileno() != -1 for sock in sockets)
+    del exchange, dg
+    gc.collect()
+    assert all(sock.fileno() == -1 for sock in sockets)

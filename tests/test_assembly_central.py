@@ -326,6 +326,57 @@ def test_optimal_matches_exhaustive(seed):
     assert stats["memo_keys"] <= 2 ** n
 
 
+def _reference_dp(omega, n):
+    """The DP as it scanned every match on each memo miss, before the
+    matches were grouped by internal set: (cost, order, memo keys)."""
+    pms = sorted(omega, key=assembly_central._lpm_key)
+    masks = [sum(1 << v for v in pm.internal) for pm in pms]
+    memo = {}
+
+    def solve(used):
+        if used in memo:
+            return memo[used]
+        left = [i for i in range(len(pms)) if not masks[i] & used]
+        if not left:
+            return 1, tuple(v for v in range(n) if not used & (1 << v))
+        best = None
+        for v in range(n):
+            bit = 1 << v
+            if used & bit:
+                continue
+            size = sum(1 for i in left if masks[i] & bit)
+            sub_cost, sub_order = solve(used | bit)
+            cost = max(size, 1) * sub_cost
+            if best is None or cost < best[0]:
+                best = (cost, (v,) + sub_order)
+        memo[used] = best
+        return best
+
+    cost, order = solve(0)
+    return cost, order, len(memo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_grouped_dp_matches_the_per_match_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    q = ground_chain(n)
+    # few distinct internal sets, many matches each, as real pools have
+    shapes = [frozenset(v for v in range(n) if rng.random() < 0.4)
+              or frozenset({rng.randrange(n)})
+              for _ in range(rng.randint(1, 6))]
+    omega = {lpm(tuple(i if v in internal else None for v in range(n)),
+                 internal, (i % 4,))
+             for i, internal in enumerate(rng.choice(shapes)
+                                          for _ in range(rng.randint(0, 60)))}
+    stats = {}
+    p, cost = optimal_partitioning(omega, q, stats)
+    order = tuple(anchor for anchor, _ in p.parts)
+    assert (cost, order, stats["memo_keys"]) == _reference_dp(omega, n)
+    assert join_cost(p) == cost
+
+
 # ---------------------------------------------------------------------------
 # Partitioned join.
 

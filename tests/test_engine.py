@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import helpers
 import parteval
-from parteval import matcher
+from parteval import assembly_bsp, matcher
 from parteval import (
     Bgp,
     EngineConfig,
@@ -31,6 +32,7 @@ from parteval import (
     main,
     make_row,
     parse_ntriples,
+    parse_sparql,
     partition_from_file,
     partition_uniform_hash,
     tree_vars,
@@ -113,6 +115,80 @@ def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
 def test_execute_timeout(movie_dg, movie_query):
     with pytest.raises(TimeoutExceeded, match="timed out during"):
         execute(movie_query, movie_dg, EngineConfig(timeout_seconds=1e-9))
+
+
+def test_tcp_exchange_opens_once_per_graph(movie_query, monkeypatch):
+    _, dg = helpers.movie_db()
+    opened = []
+    init = assembly_bsp.TcpLoopbackExchange.__init__
+
+    def counting_init(self, k):
+        opened.append(k)
+        init(self, k)
+
+    monkeypatch.setattr(assembly_bsp.TcpLoopbackExchange, "__init__",
+                        counting_init)
+    cfg = EngineConfig(assembly="distributed", transport="tcp")
+    for _ in range(2):
+        table, stats = execute(movie_query, dg, cfg)
+        assert table.rows == {MOVIE_ROW}
+        assert stats.messages_sent == 5 + 1
+    assert opened == [dg.k]
+
+
+def test_concurrent_tcp_queries_on_one_graph_share_no_exchange(
+        movie_query):
+    """Each running query holds the graph's exchange alone; two queries
+    flushing one exchange would mix their rounds."""
+    _, dg = helpers.movie_db()
+    cfg = EngineConfig(assembly="distributed", transport="tcp")
+    answers, errors = [], []
+
+    def client():
+        try:
+            for _ in range(10):
+                answers.append(execute(movie_query, dg, cfg)[0].rows)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients)
+    assert errors == []
+    assert answers == [{MOVIE_ROW}] * 40
+
+
+def _path_query(vertices):
+    return parse_sparql("SELECT * WHERE { %s }" % " ".join(
+        "?x%d <http://ex/p> ?x%d ." % (i, i + 1)
+        for i in range(vertices - 1)))
+
+
+def test_tcp_timeout_inside_assembly_leaves_the_graph_usable():
+    """A timeout can leave part of a round in the exchange's buffers, so
+    the engine drops that exchange; the next query on the same graph
+    opens a fresh one and answers correctly."""
+    g = parse_ntriples("".join(
+        "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
+        for i in range(35)))
+    dg = build_fragments(g, partition_uniform_hash(g, 4))
+    with pytest.raises(TimeoutExceeded, match="during assembly"):
+        execute(_path_query(PATH_VERTICES), dg, EngineConfig(
+            assembly="distributed", transport="tcp", timeout_seconds=0.3))
+    tcp = EngineConfig(assembly="distributed", transport="tcp")
+    for vertices in (4, 6):
+        query = _path_query(vertices)
+        want = execute(query, dg)[0].rows
+        assert len(want) == 36 - vertices + 1
+        assert execute(query, dg, tcp)[0].rows == want
 
 
 def test_stats_to_dict_keys(movie_dg, movie_query):
@@ -404,6 +480,53 @@ def test_deadline_reaches_assembly(tmp_path, capsys, vertices, options):
     assert elapsed < 1.5
 
 
+def _bipartite_runaway(tmp_path, k):
+    """Both directions of every edge between two 5-vertex sides under
+    label p, plus one q edge to a vertex c.  An odd cycle of p edges has
+    no match there, but a search only learns that when the cycle closes:
+    about 10 * 5**14 states.  Fragment 0 holds both sides; at k=2 c is
+    fragment 1, so the q edge is crossing and the local-partial-match
+    search runs (and finds nothing); at k=1 only the inner search runs."""
+    sides = [["<http://ex/%s%d>" % (side, i) for i in range(5)]
+             for side in "ab"]
+    lines = ["%s <http://ex/p> %s .\n" % pair
+             for a in sides[0] for b in sides[1] for pair in ((a, b), (b, a))]
+    lines.append("<http://ex/a0> <http://ex/q> <http://ex/c> .\n")
+    src = tmp_path / "bipartite.nt"
+    src.write_text("".join(lines), encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    if k == 2:
+        homes = tmp_path / "homes.tsv"
+        homes.write_text("".join(
+            "%s\t%d\n" % (term, term == "<http://ex/c>")
+            for term in sides[0] + sides[1] + ["<http://ex/c>"]),
+            encoding="utf-8")
+        assert main(["partition", "--db", str(db), "-k", "2",
+                     "--strategy", "file", "--map", str(homes)]) == 0
+    query = tmp_path / "cycle.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(
+        "?x%d <http://ex/p> ?x%d ." % (i, (i + 1) % 15) for i in range(15)),
+        encoding="utf-8")
+    return db, query
+
+
+@pytest.mark.parametrize("k", [2, 1], ids=["lpm-search", "inner-search"])
+def test_deadline_reaches_the_searches(tmp_path, capsys, k):
+    """--timeout stops each matcher search from inside; it runs in a
+    child so that a search that ignores the limit fails the test instead
+    of hanging it."""
+    db, query = _bipartite_runaway(tmp_path, k)
+    t0 = time.monotonic()
+    proc = run_module("-m", "parteval", "query", "--db", str(db),
+                      "--sparql", str(query), "--timeout", "0.5")
+    elapsed = time.monotonic() - t0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(
+        "query error: timed out during partial evaluation")
+    assert elapsed < 3
+
+
 def run_module(*args):
     """Run `python <args>` in a child with this package importable."""
     env = dict(os.environ)
@@ -500,8 +623,8 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
     searched = {}
     paper = matcher.compute_local_partial_matches
 
-    def recording(q, frag, admit=None):
-        searched[frag.id] = paper(q, frag, admit)
+    def recording(q, frag, admit=None, deadline=None):
+        searched[frag.id] = paper(q, frag, admit, deadline)
         return searched[frag.id]
 
     monkeypatch.setattr(matcher, "compute_local_partial_matches", recording)
