@@ -13,19 +13,23 @@ but its own vector, so it travels only to its top home, and only when
 that home ranks above the sender (else it could never be emitted).  The
 top home owns an image vertex, which a provenance fragment stores as
 extended, so it is one of the sites the partial-item rule would pick.
-The top home emits an arriving complete item at once; it never enters a
-pool.  A site keeps no complete item that fails its local check, and
+No complete item enters a pool: the top home emits an arriving one at
+once, and at start-up a site drops one that fails its local check and
 emits, without sending, one whose top home it is.
 
 Supersteps alternate computation and a barriered exchange; the run ends
-when an exchange delivers nothing.  The exchange moves encoded byte
-records, either through an in-process mailbox or over loopback TCP.
-Before partial evaluation, the same exchange can carry one admission
-round, in which sites share which boundary vertices pass their checks.
-The caller owns the exchange.  The engine keeps one loopback exchange
-per DistributedGraph (take_tcp_exchange / keep_tcp_exchange): a
-component takes it out of the graph, so concurrent queries never share
-one, and gives it back only after a clean finish.
+when an exchange delivers nothing.  A compute step closes the site's
+arrivals into its PartialMatchIndex, the join loop that centralized
+assembly runs too; what is particular to BSP (the provenance peak, the
+emission rule, the outbox) is the keep() it passes.  The exchange moves
+encoded byte records, either through an in-process mailbox or over
+loopback TCP.  Before partial evaluation, the same exchange can carry
+one admission round, in which sites share which boundary vertices pass
+their checks.  The caller owns the exchange.  The engine keeps one
+loopback exchange per DistributedGraph (take_tcp_exchange /
+keep_tcp_exchange): a component takes it out of the graph, so
+concurrent queries never share one, and gives it back only after a
+clean finish.
 """
 
 from __future__ import annotations
@@ -34,12 +38,10 @@ import selectors
 import socket
 import struct
 import weakref
-from collections import deque
 
 from .matcher import LocalPartialMatch, is_complete_match
-from .assembly_central import (DEADLINE_EVERY, PartialMatchIndex, _lpm_key,
-                               joinable, merge)
-from .assembly_central import join  # noqa: F401  (re-exported)
+from .assembly_central import PartialMatchIndex, _lpm_key
+from .assembly_central import join, joinable  # noqa: F401  (re-exported)
 
 NULL_ID = 0xFFFFFFFF
 
@@ -328,53 +330,43 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                       deadline=None):
     """One site's compute superstep.
 
-    Received partial items are worked off a queue: each probes the
-    site's pool (a PartialMatchIndex kept across supersteps), then joins
-    it, so every cross pair is attempted once.  Admitted results are
-    either emitted (complete, valid, and this site is the top home),
-    readied for routing to their top home (complete and valid), or
-    queued for further local joins and readied for routing.  seen holds
-    every item the site has pooled or produced, emitted every vector it
-    has emitted; both are updated in place.  deadline, if given, is
-    checked every DEADLINE_EVERY items.  Returns (newly emitted vectors,
+    The received partial items close into the site's pool (a
+    PartialMatchIndex kept across supersteps) as one batch.  No two of
+    them are tried against each other: all lie below the site, so their
+    merge could not peak at it.  A merge is admitted when its provenance
+    peaks at the site and it is new to seen.  A complete admitted
+    result is either emitted (valid, and this site is the top home) or
+    readied for routing to its top home (valid); a partial one is
+    readied for routing and joins the pool in turn.  seen holds every
+    item the site has pooled or produced, emitted every vector it has
+    emitted; both are updated in place.  deadline, if given, is checked
+    every DEADLINE_EVERY probed pairs.  Returns (newly emitted vectors,
     items for the outbox).
     """
     site_rank = rank[site]
     out = []
-    queue = deque(delta_in)
-    done = set()
     new_emits = set()
-    while queue:
-        w = queue.popleft()
-        if w in done:
-            continue
-        done.add(w)
-        if deadline is not None and len(done) % DEADLINE_EVERY == 0:
-            deadline.check("assembly")
-        seen.add(w)
-        for m in pool.probe(w):
-            if not joinable(w, m, q):
-                continue
-            merged = merge(w, m)
-            if merged in seen:
-                continue
-            if max(rank[f] for f in merged.fragments) != site_rank:
-                continue
-            if None not in merged.fn:
-                seen.add(merged)
-                if not is_complete_locally(q, dg, merged.fn):
-                    continue
-                if top_home(dg, rank, merged.fn) == site:
-                    if merged.fn not in emitted:
-                        emitted.add(merged.fn)
-                        new_emits.add(merged.fn)
-                else:
-                    out.append(merged)
-                continue
-            seen.add(merged)
+
+    def keep(merged):
+        if merged in seen:
+            return False
+        if max(rank[f] for f in merged.fragments) != site_rank:
+            return False
+        seen.add(merged)
+        if None in merged.fn:
             out.append(merged)
-            queue.append(merged)
-        pool.add(w)
+            return True
+        if not is_complete_locally(q, dg, merged.fn):
+            return False
+        if top_home(dg, rank, merged.fn) != site:
+            out.append(merged)
+        elif merged.fn not in emitted:
+            emitted.add(merged.fn)
+            new_emits.add(merged.fn)
+        return False
+
+    seen.update(delta_in)
+    pool.close(delta_in, q, keep, deadline)
     return new_emits, out
 
 
@@ -423,12 +415,12 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     for fid in range(dg.k):
         base = []
         for pm in sorted(omega.get(fid, frozenset()), key=_lpm_key):
-            if None not in pm.fn:
-                if not is_complete_locally(q, dg, pm.fn):
-                    continue
-                if top_home(dg, rank, pm.fn) == fid:
-                    emitted[fid].add(pm.fn)   # and send() drops it
-            base.append(pm)
+            if None in pm.fn:
+                base.append(pm)
+            elif not is_complete_locally(q, dg, pm.fn):
+                continue
+            elif top_home(dg, rank, pm.fn) == fid:
+                emitted[fid].add(pm.fn)   # and send() drops it
             send(pm, fid)
         pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)

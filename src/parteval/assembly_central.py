@@ -3,20 +3,24 @@
 Partial matches from different fragments are merged wherever they share
 a crossing edge, flipping internal and extended roles between the two
 sides.  Two strategies produce the complete crossing matches: a naive
-fixpoint that repeatedly joins the working set against the input, and a
-partitioning-based pass that groups the partial matches by an anchor
-query vertex so that members of one group never join each other.  A
-dynamic program picks the anchor order minimizing the modeled cost.
+fixpoint that adds the partial matches one at a time, and a
+partitioning-based pass that groups them by an anchor query vertex so
+that members of one group never join each other.  A dynamic program
+picks the anchor order minimizing the modeled cost.
 
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
-match is tried only against the members that index returns for it; BSP
-assembly keeps one such index per site.  The ``pairs_examined`` stat
-counts those probed candidates, each then checked by joinable().
+match is tried only against the members that index returns for it.
+PartialMatchIndex.close is the one join loop: both strategies feed it
+batches (one match, or one part), and BSP assembly keeps one index per
+site and closes each superstep's arrivals into it.  The
+``pairs_examined`` stat counts the probed pairs, each then checked by
+joinable() once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .matcher import DEADLINE_EVERY, LocalPartialMatch, is_complete_match
@@ -94,13 +98,15 @@ class PartialMatchIndex:
     its destination internal, on the same images, so every member
     joinable with w offers one of w's keys with the side flipped.
     probe(w) returns exactly the members that do, each once; joinable()
-    stays the final check.
+    stays the final check.  close() is the one join loop built on it;
+    pairs_examined counts the pairs it has probed, over all its calls.
     """
 
     def __init__(self, q, members=()):
         self._edges = [(ei, e.src, e.dst) for ei, e in enumerate(q.edges)
                        if e.src != e.dst]
         self._buckets = {}
+        self.pairs_examined = 0
         for pm in members:
             self.add(pm)
 
@@ -129,49 +135,79 @@ class PartialMatchIndex:
                 found[id(m)] = m
         return found.values()
 
+    def close(self, batch, q, keep, deadline=None):
+        """Join the sequence batch into the index, then every merge that
+        keep(merged) accepts.
 
-def _absorb(merged, q, g, complete, intermediates):
-    """Classify a join result: a fully bound function either validates
-    into a complete match or dies; anything else stays an intermediate."""
-    if all(u is not None for u in merged.fn):
-        if is_complete_match(q, merged.fn, g.labels_between):
-            complete.add(merged.fn)
-        return
-    intermediates.add(merged)
+        Each item of batch probes the members present, and only then
+        does the whole batch join, so no two items of one batch are
+        tried against each other.  Accepted merges are queued and join
+        the same way, one at a time.  So every pair is probed once, and
+        keep decides what is new.  deadline, if given, is checked every
+        DEADLINE_EVERY probed pairs.
+        """
+        queue = deque()
+        for w in batch:
+            queue.extend(self._merges(w, q, keep, deadline))
+        for w in batch:
+            self.add(w)
+        while queue:
+            w = queue.popleft()
+            queue.extend(self._merges(w, q, keep, deadline))
+            self.add(w)
+
+    def _merges(self, w, q, keep, deadline):
+        out = []
+        for m in self.probe(w):
+            self.pairs_examined += 1
+            if (deadline is not None
+                    and self.pairs_examined % DEADLINE_EVERY == 0):
+                deadline.check("assembly")
+            if joinable(w, m, q):
+                merged = merge(w, m)
+                if keep(merged):
+                    out.append(merged)
+        return out
 
 
 def naive_iterative_join(omega, q, g, stats=None, deadline=None):
     """Fixpoint join of all local partial matches against each other.
 
-    The working set starts as the whole input and grows by every new
-    intermediate; each round joins the working set against the input.
-    A complete crossing match made of m constituents appears after at
-    most m-1 rounds, and m never exceeds the query size.  deadline, if
-    given, is checked every DEADLINE_EVERY probed pairs.
+    Each match joins the index alone, in _lpm_key order, and every
+    intermediate it yields joins in turn, so every pair of the working
+    set is probed once.  A join strictly grows the internal set, which
+    the query size bounds, so the closure ends.  deadline, if given, is
+    checked every DEADLINE_EVERY probed pairs.
     """
-    base = PartialMatchIndex(q, omega)
-    ms = set(omega)
+    return _join_batches(([pm] for pm in sorted(omega, key=_lpm_key)),
+                         q, g, stats, deadline)
+
+
+def _join_batches(batches, q, g, stats, deadline):
+    """Close each batch into one index in turn.  A new partial result is
+    kept for further joins; a fully bound one either validates into a
+    complete match or dies."""
+    index = PartialMatchIndex(q)
+    seen = set()
     rs = set()
-    examined = 0
-    for _ in range(max(q.n, 1)):
-        new = set()
-        for a in sorted(ms, key=_lpm_key):
-            for b in base.probe(a):
-                examined += 1
-                if deadline is not None and examined % DEADLINE_EVERY == 0:
-                    deadline.check("assembly")
-                if not joinable(a, b, q):
-                    continue
-                merged = merge(a, b)
-                if merged not in ms:
-                    _absorb(merged, q, g, rs, new)
-        new -= ms
-        if not new:
-            break
-        ms |= new
+
+    def keep(merged):
+        if merged in seen:
+            return False
+        if None in merged.fn:
+            seen.add(merged)
+            return True
+        if is_complete_match(q, merged.fn, g.labels_between):
+            rs.add(merged.fn)
+        return False
+
+    for batch in batches:
+        seen.update(batch)
+        index.close(batch, q, keep, deadline)
     if stats is not None:
-        stats["pairs_examined"] = stats.get("pairs_examined", 0) + examined
-        stats["working_set"] = len(ms)
+        stats["pairs_examined"] = (stats.get("pairs_examined", 0)
+                                   + index.pairs_examined)
+        stats["working_set"] = len(seen)
     return frozenset(rs)
 
 
@@ -277,54 +313,14 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
 def partitioning_based_join(p, q, g, stats=None, deadline=None):
     """Join pass over an anchor partitioning.
 
-    Members of each part join only against the accumulated working set,
-    never against each other.  Intermediates produced inside a part are
-    queued and also joined against the working set before the part
-    closes, so chains whose pieces straddle one part still complete.
-    Part members and processed intermediates then feed the working set
-    for later parts.  deadline, if given, is checked every
-    DEADLINE_EVERY probed pairs.
+    Each part joins the index as one batch: its members probe the
+    accumulated working set, never each other.  Intermediates produced
+    inside a part also join before the part closes, so chains whose
+    pieces straddle one part still complete.  deadline, if given, is
+    checked every DEADLINE_EVERY probed pairs.
     """
-    ms = PartialMatchIndex(q)
-    ms_seen = set()
-    rs = set()
-    examined = 0
-
-    def scan(w, new):
-        nonlocal examined
-        for m in ms.probe(w):
-            examined += 1
-            if deadline is not None and examined % DEADLINE_EVERY == 0:
-                deadline.check("assembly")
-            if not joinable(w, m, q):
-                continue
-            merged = merge(w, m)
-            if merged not in ms_seen:
-                _absorb(merged, q, g, rs, new)
-
-    for _, members in p.parts:
-        ordered = sorted(members, key=_lpm_key)
-        pending = []
-        fresh = set()
-        for w in ordered:
-            scan(w, fresh)
-        for w in ordered:
-            ms.add(w)
-            ms_seen.add(w)
-        pending.extend(sorted(fresh - ms_seen, key=_lpm_key))
-        while pending:
-            w = pending.pop(0)
-            if w in ms_seen:
-                continue
-            fresh = set()
-            scan(w, fresh)
-            ms.add(w)
-            ms_seen.add(w)
-            pending.extend(sorted(fresh - ms_seen, key=_lpm_key))
-    if stats is not None:
-        stats["pairs_examined"] = stats.get("pairs_examined", 0) + examined
-        stats["working_set"] = len(ms_seen)
-    return frozenset(rs)
+    return _join_batches((sorted(members, key=_lpm_key)
+                          for _, members in p.parts), q, g, stats, deadline)
 
 
 def assemble(omega, q, g, stats=None, deadline=None):

@@ -28,9 +28,6 @@ class LocalPartialMatch:
     internal: frozenset       # query vertex ids matched to internal vertices
     fragments: frozenset      # contributing fragment ids
 
-    def bound(self):
-        return [v for v, u in enumerate(self.fn) if u is not None]
-
     def __repr__(self):
         cells = []
         for v, u in enumerate(self.fn):

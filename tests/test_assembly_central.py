@@ -474,3 +474,34 @@ def test_index_probe_misses_no_joinable_match():
             assert {b for b in probed if joinable(a, b, q)} == want
             probed_pairs += len(want)
     assert probed_pairs > 0
+
+
+def test_no_pair_is_probed_twice(monkeypatch):
+    # every join loop closes over one index and probes each pair once:
+    # the naive join, the partitioned join and each site of a BSP run
+    probes = {}
+    probe = PartialMatchIndex.probe
+
+    def recording(self, w):
+        found = list(probe(self, w))
+        probes.setdefault(self, []).extend((w, m) for m in found)
+        return found
+
+    monkeypatch.setattr(PartialMatchIndex, "probe", recording)
+    rng = random.Random(5)
+    probed = 0
+    for _ in range(80):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        omega = {f.id: compute_local_partial_matches(q, f)
+                 for f in dg.fragments}
+        flat = frozenset().union(*omega.values())
+        for run in (lambda: naive_iterative_join(flat, q, g),
+                    lambda: assemble(flat, q, g),
+                    lambda: run_bsp(dg, q, omega)):
+            probes.clear()
+            run()
+            for pairs in probes.values():
+                assert len(pairs) == len(set(pairs))
+                probed += len(pairs)
+    assert probed > 0
