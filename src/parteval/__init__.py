@@ -10,7 +10,8 @@ from .query_model import (
     And, Bgp, BoolConst, BoundTest, Comparison, Filter, GeneralQuery,
     LogicalAnd, LogicalNot, LogicalOr, Opt, QueryGraph, QuerySyntaxError,
     TermConst, Union, UnsupportedFeatureError, VarRef,
-    build_query_graph, connected_components, parse_sparql, pretty, tree_vars,
+    build_query_graph, connected_components, parse_sparql, pretty,
+    projected_names, tree_vars,
 )
 from .fragmenter import (
     DistributedGraph, Fragment, PartitionError, PartitionMap, TopologyGraph,
@@ -31,7 +32,7 @@ from .assembly_central import (
     naive_iterative_join, optimal_partitioning, partitioning_based_join,
 )
 from .assembly_bsp import (
-    InProcessExchange, NonTermination, TcpLoopbackExchange,
+    InProcessExchange, NonTermination, RecordLayout, TcpLoopbackExchange,
     decode_lpm, encode_lpm, fragment_order, local_computation, route, run_bsp,
 )
 from .general_sparql import (

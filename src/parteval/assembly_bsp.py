@@ -21,15 +21,14 @@ Supersteps alternate computation and a barriered exchange; the run ends
 when an exchange delivers nothing.  A compute step closes the site's
 arrivals into its PartialMatchIndex, the join loop that centralized
 assembly runs too; what is particular to BSP (the provenance peak, the
-emission rule, the outbox) is the keep() it passes.  The exchange moves
-encoded byte records, either through an in-process mailbox or over
-loopback TCP.  Before partial evaluation, the same exchange can carry
-one admission round, in which sites share which boundary vertices pass
-their checks.  The caller owns the exchange.  The engine keeps one
+emission rule, the outbox) is the keep() it passes.  The exchange moves a
+run's records, all of one RecordLayout, through an in-process mailbox or
+over loopback TCP.  Before partial evaluation, the same exchange can
+carry one admission round, in which sites share which boundary vertices
+pass their checks.  The caller owns the exchange.  The engine keeps one
 loopback exchange per DistributedGraph (take_tcp_exchange /
-keep_tcp_exchange): a component takes it out of the graph, so
-concurrent queries never share one, and gives it back only after a
-clean finish.
+keep_tcp_exchange): a component takes it out of the graph, so concurrent
+queries never share one, and gives it back only after a clean finish.
 """
 
 from __future__ import annotations
@@ -72,47 +71,45 @@ def route(pm, rank, topo):
     return dests
 
 
-def encode_lpm(pm, src):
-    """Wire record: length, vertex count, source fragment, provenance
-    bitmap, vertex ids (NULL_ID for unmatched), internal-flag bitmap.
+class RecordLayout:
+    """The wire layout every local-partial-match record of one run
+    shares, fixed by the query size n and the site count k: length,
+    vertex count, source fragment, a provenance bitmap of ceil(k/32)
+    words, n vertex ids (NULL_ID for unmatched), and an internal-flag
+    bitmap of max(1, ceil(n/32)) words, all big-endian."""
 
-    The provenance bitmap takes as many 32-bit words as its highest
-    fragment id needs, at least one; the decoder works its width out
-    from the record length.  The internal-flag bitmap takes as many
-    words as the vertex count needs, at least one.
-    """
-    n = len(pm.fn)
+    def __init__(self, n, k):
+        self.prov_bytes = 4 * ((k + 31) // 32)
+        self.flag_bytes = 4 * max(1, (n + 31) // 32)
+        self.struct = struct.Struct(">IHH%ds%dI%ds" % (
+            self.prov_bytes, n, self.flag_bytes))
+
+
+def encode_lpm(pm, src, layout):
+    """pm as one record of layout, sent by fragment src."""
     prov = 0
     for f in pm.fragments:
         prov |= 1 << f
     flags = 0
     for v in pm.internal:
         flags |= 1 << v
-    body = struct.pack(">HH", n, src)
-    words = max(1, (prov.bit_length() + 31) // 32)
-    body += prov.to_bytes(4 * words, "big")
-    body += struct.pack(">%dI" % n,
-                        *(NULL_ID if u is None else u for u in pm.fn))
-    body += flags.to_bytes(_flag_bytes(n), "big")
-    return struct.pack(">I", len(body)) + body
+    return layout.struct.pack(
+        layout.struct.size - 4, len(pm.fn), src,
+        prov.to_bytes(layout.prov_bytes, "big"),
+        *(NULL_ID if u is None else u for u in pm.fn),
+        flags.to_bytes(layout.flag_bytes, "big"))
 
 
-def _flag_bytes(n):
-    return 4 * max(1, (n + 31) // 32)
-
-
-def decode_lpm(data):
-    (length,) = struct.unpack_from(">I", data, 0)
-    if length != len(data) - 4:
+def decode_lpm(data, layout):
+    """(pm, source fragment) from one record of layout; a record that
+    does not fit layout is a ValueError."""
+    if len(data) != layout.struct.size:
         raise ValueError("bad record length")
-    n, src = struct.unpack_from(">HH", data, 4)
-    flag_bytes = _flag_bytes(n)
-    width = length - 4 - 4 * n - flag_bytes
-    if width < 4 or width % 4:
+    length, n, src, prov, *ids, flags = layout.struct.unpack(data)
+    if length != len(data) - 4 or n != len(ids):
         raise ValueError("bad record length")
-    prov = int.from_bytes(data[8:8 + width], "big")
-    ids = struct.unpack_from(">%dI" % n, data, 8 + width)
-    flags = int.from_bytes(data[8 + width + 4 * n:], "big")
+    prov = int.from_bytes(prov, "big")
+    flags = int.from_bytes(flags, "big")
     fn = tuple(None if u == NULL_ID else u for u in ids)
     internal = frozenset(v for v in range(n) if flags & (1 << v))
     fragments = frozenset(f for f in range(prov.bit_length())
@@ -375,11 +372,11 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
 
     Superstep 0 only sends the initial partial matches along the routing
     rule, after each site has emitted its own complete ones; compute and
-    exchange then alternate until a barrier delivers no messages.  The
-    returned set is the union of all sites' emissions, which are
-    pairwise disjoint by the emission rule.  deadline, if given, has
-    check(phase) called once per superstep and inside long compute
-    steps.
+    exchange then alternate until a barrier delivers no messages, at
+    most k-1 times.  Every record of the run has one RecordLayout.  The
+    returned set is the union of all sites' emissions, pairwise disjoint
+    by the emission rule.  deadline, if given, has check(phase) called
+    once per superstep and inside long compute steps.
     """
     topo = dg.topo
     rank = fragment_order({fid: omega.get(fid, frozenset())
@@ -394,6 +391,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     messages = 0
     byte_count = 0
     routes = {}   # provenance -> destinations, which depend on nothing else
+    layout = RecordLayout(q.n, dg.k)
 
     def send(pm, fid):
         nonlocal messages, byte_count
@@ -406,7 +404,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
                 dests = routes[pm.fragments] = sorted(route(pm, rank, topo))
         if not dests:
             return
-        payload = encode_lpm(pm, fid)
+        payload = encode_lpm(pm, fid, layout)
         for dst in dests:
             exchange.post(dst, payload)
         messages += len(dests)
@@ -427,7 +425,6 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
 
     productive = 0
     supersteps_run = 0
-    superstep = 0
     try:
         while True:
             delivered = exchange.flush()
@@ -435,16 +432,18 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
                 break
             if deadline is not None:
                 deadline.check("assembly")
-            superstep += 1
-            if superstep > dg.k + 2:
-                raise NonTermination("still exchanging after %d supersteps"
-                                     % superstep)
             supersteps_run += 1
+            # what arrives in superstep t was sent by a site that computed
+            # in t-1 (so ranks t-1 or more) to a site ranked strictly
+            # higher, so only sites of rank t or more compute in t
+            if supersteps_run > dg.k - 1:
+                raise NonTermination("still exchanging after %d supersteps"
+                                     % supersteps_run)
             was_productive = False
             for fid in range(dg.k):
                 arrivals = set()
                 for payload in delivered.get(fid, []):
-                    pm = decode_lpm(payload)[0]
+                    pm = decode_lpm(payload, layout)[0]
                     if None in pm.fn:
                         if pm not in seen[fid]:
                             arrivals.add(pm)

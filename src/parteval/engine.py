@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
 from .general_sparql import evaluate_bgp, evaluate_general
-from .query_model import QuerySyntaxError, UnsupportedFeatureError, parse_sparql
-from .rdf_model import BLANK, IRI, NTriplesSyntaxError, parse_ntriples
+from .query_model import (QuerySyntaxError, UnsupportedFeatureError,
+                          parse_sparql, projected_names)
+from .rdf_model import IRI, NTriplesSyntaxError, parse_ntriples
 
 
 class TimeoutExceeded(Exception):
@@ -190,8 +191,6 @@ def _cell(term):
         return ""
     if term.kind == IRI:
         return term.lexical
-    if term.kind == BLANK:
-        return term.ntriples()
     return term.ntriples()
 
 
@@ -204,13 +203,6 @@ def format_tsv(table, names):
     for cells in sorted(rendered):
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _projection_names(gq):
-    from .query_model import tree_vars
-    if gq.projection is None:
-        return sorted(tree_vars(gq.node))
-    return list(gq.projection)
 
 
 # --- CLI ---
@@ -258,7 +250,7 @@ def _cmd_query(args):
                        transport=args.transport, threads=args.threads,
                        timeout_seconds=args.timeout)
     table, stats = execute(gq, dg, cfg)
-    sys.stdout.write(format_tsv(table, _projection_names(gq)))
+    sys.stdout.write(format_tsv(table, projected_names(gq)))
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
             # top-level keys sorted, lpm_counts in fragment order

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import query_model as qm
-from .rdf_model import LITERAL, literal_parts, numeric_value
+from .rdf_model import LITERAL, iri, literal_parts, numeric_value
 from .query_model import (
     Bgp, And, Union, Opt, Filter,
     VarRef, TermConst, BoolConst, Comparison,
@@ -248,14 +248,9 @@ def bgp_results_to_table(matches, q, g):
         for labels in _label_assignments(q, g, fn):
             row = dict(base)
             for name, label in labels.items():
-                row[name] = _label_term(label)
+                row[name] = iri(label)
             rows.add(make_row(row))
     return BindingTable(schema, frozenset(rows))
-
-
-def _label_term(label):
-    from .rdf_model import iri
-    return iri(label)
 
 
 def evaluate_bgp(graph, match_fn, g):
@@ -302,9 +297,4 @@ def evaluate_general(gq, bgp_eval):
     bgp_eval takes a pattern graph and returns its BindingTable; the
     caller decides how pattern matching actually runs.
     """
-    table = evaluate_node(gq.node, bgp_eval)
-    if gq.projection is None:
-        names = sorted(qm.tree_vars(gq.node))
-    else:
-        names = list(gq.projection)
-    return project(table, names)
+    return project(evaluate_node(gq.node, bgp_eval), qm.projected_names(gq))

@@ -219,6 +219,14 @@ def tree_vars(node):
     return tree_vars(node.left) | tree_vars(node.right)
 
 
+def projected_names(gq):
+    """The result columns: every variable, sorted, under SELECT *, else
+    the projection list in its written order."""
+    if gq.projection is None:
+        return sorted(tree_vars(gq.node))
+    return list(gq.projection)
+
+
 def _tree_vertex_and_label_vars(node, vertex_vars, label_vars):
     if isinstance(node, Bgp):
         vertex_vars |= set(node.graph.vertex_vars())

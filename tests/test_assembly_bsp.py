@@ -31,8 +31,9 @@ from parteval import (
     run_bsp,
 )
 from parteval.matcher import LocalPartialMatch
-from parteval.assembly_bsp import (InProcessExchange, keep_tcp_exchange,
-                                   route, take_tcp_exchange, top_home)
+from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
+                                   keep_tcp_exchange, route,
+                                   take_tcp_exchange, top_home)
 
 
 def lpm(fn, internal, fragments):
@@ -50,48 +51,67 @@ def omega_of(dg, q):
 
 def test_encode_decode_round_trip():
     pm = lpm((3, None, 0, 7), {0, 3}, {1, 4, 31})
-    data = encode_lpm(pm, src=4)
-    back, src = decode_lpm(data)
+    data = encode_lpm(pm, 4, RecordLayout(4, 32))
+    back, src = decode_lpm(data, RecordLayout(4, 32))
     assert back == pm
     assert src == 4
 
 
 def test_encode_decode_all_none_and_empty_sets():
     pm = lpm((None, None), set(), set())
-    back, src = decode_lpm(encode_lpm(pm, src=0))
+    layout = RecordLayout(2, 1)
+    back, src = decode_lpm(encode_lpm(pm, 0, layout), layout)
     assert back == pm and src == 0
 
 
 def test_encode_decode_queries_past_32_vertices():
     # up to 32 vertices the internal-flag bitmap is one word, as it was
-    full = encode_lpm(lpm((5,) * 32, {0, 31}, {0}), src=0)
+    full = encode_lpm(lpm((5,) * 32, {0, 31}, {0}), 0, RecordLayout(32, 1))
     assert len(full) == 4 + 4 + 4 + 4 * 32 + 4
     assert full[-4:] == bytes.fromhex("80000001")
     for n, internal in ((33, {0, 32}), (64, {63}), (65, {1, 64})):
         pm = lpm(tuple(range(n)), internal, {2, 40})
-        data = encode_lpm(pm, src=7)
-        assert decode_lpm(data) == (pm, 7)
+        layout = RecordLayout(n, 41)
+        data = encode_lpm(pm, 7, layout)
+        assert decode_lpm(data, layout) == (pm, 7)
         words = (n + 31) // 32
         assert len(data) == 4 + 4 + 8 + 4 * n + 4 * words
 
 
 def test_encode_decode_fragment_ids_past_31():
-    # below 32 the provenance bitmap is one word, as it always was
-    small = encode_lpm(lpm((3, None), {0}, {1, 4}), src=4)
+    # up to 32 sites the provenance bitmap is one word, as it always was
+    small = encode_lpm(lpm((3, None), {0}, {1, 4}), 4, RecordLayout(2, 8))
     assert small == bytes.fromhex(
         "00000014" "0002" "0004" "00000012" "00000003" "ffffffff" "00000001")
-    for fragments in ({32}, {0, 31, 32, 63}, {64, 200}):
+    # past 32 sites every record of the run takes ceil(k/32) words,
+    # whatever fragment ids it holds
+    for k, fragments in ((65, {32}), (65, {0}), (65, {0, 31, 32, 63}),
+                         (201, {64, 200})):
         pm = lpm((3, None), {0}, fragments)
-        data = encode_lpm(pm, src=40)
-        assert decode_lpm(data) == (pm, 40)
-        words = max(fragments) // 32 + 1
+        layout = RecordLayout(2, k)
+        data = encode_lpm(pm, 40, layout)
+        assert decode_lpm(data, layout) == (pm, 40)
+        words = (k + 31) // 32
         assert len(data) == len(small) + 4 * (words - 1)
 
 
 def test_decode_rejects_truncated_record():
-    data = encode_lpm(lpm((1, 2), {0}, {0}), src=0)
+    layout = RecordLayout(2, 1)
+    data = encode_lpm(lpm((1, 2), {0}, {0}), 0, layout)
     with pytest.raises(ValueError, match="bad record length"):
-        decode_lpm(data[:-2])
+        decode_lpm(data[:-2], layout)
+
+
+def test_decode_rejects_a_record_of_another_run():
+    data = encode_lpm(lpm((1, 2), {0}, {0, 5}), 0, RecordLayout(2, 8))
+    for n, k in ((2, 40), (3, 8), (1, 8)):
+        with pytest.raises(ValueError, match="bad record length"):
+            decode_lpm(data, RecordLayout(n, k))
+    # the same size as a 2-vertex record at k=40, but 3 vertices
+    data = encode_lpm(lpm((1, 2, None), {0}, {0}), 0, RecordLayout(3, 8))
+    assert len(data) == RecordLayout(2, 40).struct.size
+    with pytest.raises(ValueError, match="bad record length"):
+        decode_lpm(data, RecordLayout(2, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +313,7 @@ def test_complete_items_go_to_their_top_home_only(seed):
     stats = {}
     got = run_bsp(dg, q, omega, stats, exchange)
     for dst, payload in exchange.posts:
-        pm, src = decode_lpm(payload)
+        pm, src = decode_lpm(payload, RecordLayout(q.n, dg.k))
         if None in pm.fn:
             continue
         # the one site that may emit it, above the sender, and among the
@@ -302,7 +322,27 @@ def test_complete_items_go_to_their_top_home_only(seed):
         assert rank[dst] > rank[src]
         assert dst in route(pm, rank, dg.topo)
     assert sum(stats["emissions_per_site"].values()) == len(got)
+    # every item climbs in rank, so superstep t computes only at ranks >= t
+    assert stats["supersteps_run"] <= dg.k - 1
     assert stats["supersteps_used"] <= stats["topology_diameter"]
+
+
+@pytest.mark.parametrize("k", [2, 8, 40])
+def test_every_record_of_a_run_has_one_length(k):
+    rng = random.Random(k)
+    posted = 0
+    for _ in range(30):
+        g = helpers.rand_graph(rng, max_vertices=48)
+        dg = build_fragments(g, helpers.rand_partition(rng, g, k))
+        q = ground(helpers.rand_bgp(rng, g), g)
+        exchange = RecordingExchange(dg.k)
+        run_bsp(dg, q, omega_of(dg, q), {}, exchange)
+        # length, vertex count and source, ceil(k/32) provenance words,
+        # the ids, one internal-flag word
+        want = 4 + 4 + 4 * ((k + 31) // 32) + 4 * q.n + 4
+        assert {len(payload) for _, payload in exchange.posts} <= {want}
+        posted += len(exchange.posts)
+    assert posted > 0
 
 
 def test_bsp_chain_over_tcp():

@@ -29,5 +29,7 @@ def test_bench_instrument_finds_every_hook(monkeypatch, movie_dg,
     assert tracer.counts["matcher.states_checked"] > 0
     assert tracer.counts["matcher.candidates_calls"] > 0
     names = {span[spans.NAME] for span in tracer.spans}
+    # the movie query posts local partial matches, so run_bsp must have
+    # gone through the codec and the exchange
     assert {"engine.execute", "matcher.lpm", "matcher.candidates",
-            "assembly_bsp.exchange"} <= names
+            "assembly_bsp.exchange", "assembly_bsp.codec"} <= names
