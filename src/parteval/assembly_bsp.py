@@ -3,10 +3,13 @@
 Each fragment acts as a site.  Sites are totally ordered by the size of
 their partial-match sets (ties by fragment id), and every message climbs
 that order: an item is sent to the topology-adjacent sites ranked above
-everything in its provenance.  A site admits a join only when the merged
-provenance peaks at the site itself, and a finished match is emitted
-only at the highest-ranked fragment among its image vertices' homes (its
-top home), so each match surfaces at exactly one site.
+everything in its provenance.  An item's provenance is the set of homes
+of its internal images: a fragment's partial match is internal exactly
+on the vertices that fragment owns, and a join unions internal sets.  A
+site admits a join only when the merged provenance peaks at the site
+itself, and a finished match is emitted only at the highest-ranked
+fragment among its image vertices' homes (its top home), so each match
+surfaces at exactly one site.
 
 A complete item, one that binds every query vertex, joins into nothing
 but its own vector, so it travels only to its top home, and only when
@@ -23,12 +26,14 @@ arrivals into its PartialMatchIndex, the join loop that centralized
 assembly runs too; what is particular to BSP (the provenance peak, the
 emission rule, the outbox) is the keep() it passes.  The exchange moves a
 run's records, all of one RecordLayout, through an in-process mailbox or
-over loopback TCP.  Before partial evaluation, the same exchange can
-carry one admission round, in which sites share which boundary vertices
-pass their checks.  The caller owns the exchange.  The engine keeps one
-loopback exchange per DistributedGraph (take_tcp_exchange /
-keep_tcp_exchange): a component takes it out of the graph, so concurrent
-queries never share one, and gives it back only after a clean finish.
+over loopback TCP.  A record carries the vector and its internal flags
+only; every site derives provenance from vertex homes.  Before partial
+evaluation, the same exchange can carry one admission round, in which
+sites share which boundary vertices pass their checks.  The caller owns
+the exchange.  The engine keeps one loopback exchange per
+DistributedGraph (take_tcp_exchange / keep_tcp_exchange): a component
+takes it out of the graph, so concurrent queries never share one, and
+gives it back only after a clean finish.
 """
 
 from __future__ import annotations
@@ -57,64 +62,59 @@ def fragment_order(omega):
     return {fid: i for i, fid in enumerate(fids)}
 
 
-def route(pm, rank, topo):
-    """Destination sites for an item: strictly above the item's whole
-    provenance, and topology-adjacent to some provenance fragment."""
-    top = max(rank[f] for f in pm.fragments)
+def provenance(dg, pm):
+    """The fragments an item comes from: the homes of its internal
+    images."""
+    return frozenset(dg.home(pm.fn[v]) for v in pm.internal)
+
+
+def route(prov, rank, topo):
+    """Destination sites for an item of provenance prov: strictly above
+    every fragment of prov, and topology-adjacent to one of them."""
+    top = max(rank[f] for f in prov)
     dests = set()
     for fid in topo.nodes:
         if rank[fid] <= top:
             continue
-        if any(fid in topo.adjacency.get(f, frozenset())
-               for f in pm.fragments):
+        if any(fid in topo.adjacency.get(f, frozenset()) for f in prov):
             dests.add(fid)
     return dests
 
 
 class RecordLayout:
     """The wire layout every local-partial-match record of one run
-    shares, fixed by the query size n and the site count k: length,
-    vertex count, source fragment, a provenance bitmap of ceil(k/32)
-    words, n vertex ids (NULL_ID for unmatched), and an internal-flag
-    bitmap of max(1, ceil(n/32)) words, all big-endian."""
+    shares, fixed by the query size n: length, vertex count, n vertex
+    ids (NULL_ID for unmatched), and an internal-flag bitmap of
+    max(1, ceil(n/32)) words, all big-endian."""
 
-    def __init__(self, n, k):
-        self.prov_bytes = 4 * ((k + 31) // 32)
+    def __init__(self, n):
         self.flag_bytes = 4 * max(1, (n + 31) // 32)
-        self.struct = struct.Struct(">IHH%ds%dI%ds" % (
-            self.prov_bytes, n, self.flag_bytes))
+        self.struct = struct.Struct(">IH%dI%ds" % (n, self.flag_bytes))
 
 
-def encode_lpm(pm, src, layout):
-    """pm as one record of layout, sent by fragment src."""
-    prov = 0
-    for f in pm.fragments:
-        prov |= 1 << f
+def encode_lpm(pm, layout):
+    """pm as one record of layout."""
     flags = 0
     for v in pm.internal:
         flags |= 1 << v
     return layout.struct.pack(
-        layout.struct.size - 4, len(pm.fn), src,
-        prov.to_bytes(layout.prov_bytes, "big"),
+        layout.struct.size - 4, len(pm.fn),
         *(NULL_ID if u is None else u for u in pm.fn),
         flags.to_bytes(layout.flag_bytes, "big"))
 
 
 def decode_lpm(data, layout):
-    """(pm, source fragment) from one record of layout; a record that
-    does not fit layout is a ValueError."""
+    """The partial match in one record of layout; a record that does
+    not fit layout is a ValueError."""
     if len(data) != layout.struct.size:
         raise ValueError("bad record length")
-    length, n, src, prov, *ids, flags = layout.struct.unpack(data)
+    length, n, *ids, flags = layout.struct.unpack(data)
     if length != len(data) - 4 or n != len(ids):
         raise ValueError("bad record length")
-    prov = int.from_bytes(prov, "big")
     flags = int.from_bytes(flags, "big")
     fn = tuple(None if u == NULL_ID else u for u in ids)
     internal = frozenset(v for v in range(n) if flags & (1 << v))
-    fragments = frozenset(f for f in range(prov.bit_length())
-                          if prov & (1 << f))
-    return LocalPartialMatch(fn, internal, fragments), src
+    return LocalPartialMatch(fn, internal)
 
 
 def encode_admission(v, ids):
@@ -347,7 +347,8 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
     def keep(merged):
         if merged in seen:
             return False
-        if max(rank[f] for f in merged.fragments) != site_rank:
+        if max(rank[dg.home(merged.fn[v])]
+               for v in merged.internal) != site_rank:
             return False
         seen.add(merged)
         if None in merged.fn:
@@ -391,7 +392,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     messages = 0
     byte_count = 0
     routes = {}   # provenance -> destinations, which depend on nothing else
-    layout = RecordLayout(q.n, dg.k)
+    layout = RecordLayout(q.n)
 
     def send(pm, fid):
         nonlocal messages, byte_count
@@ -399,12 +400,13 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
             dst = top_home(dg, rank, pm.fn)
             dests = (dst,) if rank[dst] > rank[fid] else ()
         else:
-            dests = routes.get(pm.fragments)
+            prov = provenance(dg, pm)
+            dests = routes.get(prov)
             if dests is None:
-                dests = routes[pm.fragments] = sorted(route(pm, rank, topo))
+                dests = routes[prov] = sorted(route(prov, rank, topo))
         if not dests:
             return
-        payload = encode_lpm(pm, fid, layout)
+        payload = encode_lpm(pm, layout)
         for dst in dests:
             exchange.post(dst, payload)
         messages += len(dests)
@@ -443,7 +445,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
             for fid in range(dg.k):
                 arrivals = set()
                 for payload in delivered.get(fid, []):
-                    pm = decode_lpm(payload, layout)[0]
+                    pm = decode_lpm(payload, layout)
                     if None in pm.fn:
                         if pm not in seen[fid]:
                             arrivals.add(pm)

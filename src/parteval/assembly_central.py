@@ -80,12 +80,10 @@ def join(a, b, q):
 
 def merge(a, b):
     """join() without the joinable() test, for callers that have just
-    made it: bound values win over None, internal roles and contributing
-    fragments accumulate."""
+    made it: bound values win over None, and internal roles accumulate."""
     fn = tuple(ua if ua is not None else ub
                for ua, ub in zip(a.fn, b.fn))
-    return LocalPartialMatch(fn, a.internal | b.internal,
-                             a.fragments | b.fragments)
+    return LocalPartialMatch(fn, a.internal | b.internal)
 
 
 class PartialMatchIndex:
@@ -213,7 +211,7 @@ def _join_batches(batches, q, g, stats, deadline):
 
 def _lpm_key(pm):
     return (tuple(-2 if u is None else u for u in pm.fn),
-            tuple(sorted(pm.internal)), tuple(sorted(pm.fragments)))
+            tuple(sorted(pm.internal)))
 
 
 @dataclass(frozen=True)

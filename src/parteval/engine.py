@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
@@ -51,17 +51,10 @@ class QueryStats:
     join_cost: int = 0
 
     def to_dict(self):
-        return {
-            "lpm_counts": {str(k): v for k, v in sorted(self.lpm_counts.items())},
-            "inner_matches": self.inner_matches,
-            "crossing_matches": self.crossing_matches,
-            "partial_eval_seconds": self.partial_eval_seconds,
-            "assembly_seconds": self.assembly_seconds,
-            "supersteps": self.supersteps,
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "join_cost": self.join_cost,
-        }
+        out = asdict(self)
+        out["lpm_counts"] = {str(k): v
+                             for k, v in sorted(self.lpm_counts.items())}
+        return out
 
 
 class _Deadline:
@@ -237,6 +230,18 @@ def _cmd_partition(args):
     return 0
 
 
+def _timeout_seconds(text):
+    """argparse type of --timeout: seconds >= 0, where 0 is no limit."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = None
+    if seconds is None or not seconds >= 0:     # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            "expected a number of seconds >= 0, got %r" % text)
+    return seconds
+
+
 _ASSEMBLY = {"c": "centralized", "centralized": "centralized",
              "d": "distributed", "distributed": "distributed"}
 
@@ -310,7 +315,7 @@ def _build_parser():
                          choices=["inproc", "tcp"])
     query_p.add_argument("--threads", type=int, default=0,
                          help="accepted and ignored")
-    query_p.add_argument("--timeout", type=float, default=0.0)
+    query_p.add_argument("--timeout", type=_timeout_seconds, default=0.0)
     query_p.add_argument("--stats")
     query_p.set_defaults(fn=_cmd_query)
 

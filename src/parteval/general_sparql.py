@@ -41,20 +41,6 @@ def empty_table(schema=()):
     return BindingTable(frozenset(schema), frozenset())
 
 
-def _compatible(r1, r2):
-    d1 = dict(r1)
-    for name, term in r2:
-        if name in d1 and d1[name] != term:
-            return False
-    return True
-
-
-def _merge(r1, r2):
-    d = dict(r1)
-    d.update(dict(r2))
-    return make_row(d)
-
-
 def _always_bound(rows):
     names = None
     for r in rows:
@@ -63,34 +49,37 @@ def _always_bound(rows):
     return names or set()
 
 
-def _partners(t1, t2):
-    """Hash t2's rows on the variables every row of both tables binds.
+def _join(t1, t2, outer):
+    """The hashed join loop of nat_join and left_outer_join.
 
-    Returns a function giving, for a row of t1, the rows of t2 that agree
-    with it on those variables; _compatible still decides.  A variable
-    some row leaves unbound (OPTIONAL output) stays out of the key, since
-    an unbound variable is compatible with any value.
+    t2's rows are bucketed on the variables every row of both tables
+    binds, and each row of t1 is merged with every compatible row of its
+    bucket; when outer, a row of t1 with no such partner is kept alone.
+    A variable some row leaves unbound (OPTIONAL output) stays out of the
+    key, since an unbound variable is compatible with any value.
     """
     keys = sorted(_always_bound(t1.rows) & _always_bound(t2.rows))
     buckets = {}
     for r2 in t2.rows:
-        d = dict(r2)
-        buckets.setdefault(tuple(d[k] for k in keys), []).append(r2)
-
-    def probe(r1):
-        d = dict(r1)
-        return buckets.get(tuple(d[k] for k in keys), ())
-    return probe
+        d2 = dict(r2)
+        buckets.setdefault(tuple(d2[k] for k in keys), []).append(r2)
+    rows = set()
+    for r1 in t1.rows:
+        d1 = dict(r1)
+        partnered = False
+        for r2 in buckets.get(tuple(d1[k] for k in keys), ()):
+            if all(name not in d1 or d1[name] == term for name, term in r2):
+                merged = dict(d1)
+                merged.update(r2)
+                rows.add(make_row(merged))
+                partnered = True
+        if outer and not partnered:
+            rows.add(r1)
+    return BindingTable(t1.schema | t2.schema, frozenset(rows))
 
 
 def nat_join(t1, t2):
-    partners = _partners(t1, t2)
-    rows = set()
-    for r1 in t1.rows:
-        for r2 in partners(r1):
-            if _compatible(r1, r2):
-                rows.add(_merge(r1, r2))
-    return BindingTable(t1.schema | t2.schema, frozenset(rows))
+    return _join(t1, t2, outer=False)
 
 
 def union(t1, t2):
@@ -98,17 +87,7 @@ def union(t1, t2):
 
 
 def left_outer_join(t1, t2):
-    partners = _partners(t1, t2)
-    rows = set()
-    for r1 in t1.rows:
-        partnered = False
-        for r2 in partners(r1):
-            if _compatible(r1, r2):
-                rows.add(_merge(r1, r2))
-                partnered = True
-        if not partnered:
-            rows.add(r1)
-    return BindingTable(t1.schema | t2.schema, frozenset(rows))
+    return _join(t1, t2, outer=True)
 
 
 def _numeric_pair(lt, rt):

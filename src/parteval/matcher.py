@@ -11,8 +11,8 @@ matching anything.
 
 A local partial match is serialized as the vector [f(v_1)..f(v_n)] with
 None for unmatched vertices, tagged with which query vertices landed on
-internal vertices and which fragments contributed.  The same structure
-carries join intermediates during assembly, where the tags are unions.
+internal vertices.  The same structure carries join intermediates during
+assembly, where the tag is the union of both sides' tags.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ DEADLINE_EVERY = 256   # work items between deadline checks
 class LocalPartialMatch:
     fn: tuple                 # data vertex id or None per query vertex
     internal: frozenset       # query vertex ids matched to internal vertices
-    fragments: frozenset      # contributing fragment ids
 
     def __repr__(self):
         cells = []
@@ -37,7 +36,7 @@ class LocalPartialMatch:
                 cells.append(str(u))
             else:
                 cells.append("(%d)" % u)
-        return "LPM[%s]@%s" % (",".join(cells), set(self.fragments))
+        return "LPM[%s]" % ",".join(cells)
 
 
 @dataclass(frozen=True)
@@ -348,8 +347,7 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
             key = tuple(fn)
             if is_local_partial_match(q, frag, key):
                 results.add(LocalPartialMatch(
-                    key, frozenset(v for v in range(n) if key[v] in internal),
-                    frozenset([frag.id])))
+                    key, frozenset(v for v in range(n) if key[v] in internal)))
             return
         pool = cand[v]
         for h in hosts:

@@ -211,12 +211,19 @@ class GeneralQuery:
     projection: tuple | None  # None means SELECT *
 
 
-def tree_vars(node):
+def _tree_graphs(node):
+    """The pattern graphs of the tree's Bgp leaves, left to right."""
     if isinstance(node, Bgp):
-        return node.graph.all_vars()
-    if isinstance(node, Filter):
-        return tree_vars(node.child)
-    return tree_vars(node.left) | tree_vars(node.right)
+        yield node.graph
+    elif isinstance(node, Filter):
+        yield from _tree_graphs(node.child)
+    else:
+        yield from _tree_graphs(node.left)
+        yield from _tree_graphs(node.right)
+
+
+def tree_vars(node):
+    return set().union(*(graph.all_vars() for graph in _tree_graphs(node)))
 
 
 def projected_names(gq):
@@ -225,17 +232,6 @@ def projected_names(gq):
     if gq.projection is None:
         return sorted(tree_vars(gq.node))
     return list(gq.projection)
-
-
-def _tree_vertex_and_label_vars(node, vertex_vars, label_vars):
-    if isinstance(node, Bgp):
-        vertex_vars |= set(node.graph.vertex_vars())
-        label_vars |= node.graph.label_vars()
-    elif isinstance(node, Filter):
-        _tree_vertex_and_label_vars(node.child, vertex_vars, label_vars)
-    else:
-        _tree_vertex_and_label_vars(node.left, vertex_vars, label_vars)
-        _tree_vertex_and_label_vars(node.right, vertex_vars, label_vars)
 
 
 # --- filter expressions ---------------------------------------------------
@@ -657,9 +653,9 @@ def _shape(spec):
 
 
 def _validate(gq):
-    vertex_vars = set()
-    label_vars = set()
-    _tree_vertex_and_label_vars(gq.node, vertex_vars, label_vars)
+    graphs = list(_tree_graphs(gq.node))
+    vertex_vars = set().union(*(graph.vertex_vars() for graph in graphs))
+    label_vars = set().union(*(graph.label_vars() for graph in graphs))
     clash = vertex_vars & label_vars
     if clash:
         raise QuerySyntaxError(

@@ -100,7 +100,7 @@ def movie_db():
     return g, build_fragments(g, PartitionMap(assignment, 4))
 
 
-def expect_lpm(g, q, frag_id, bindings, internal):
+def expect_lpm(g, q, bindings, internal):
     """Build the partial match {var: term_key} with the named variables
     flagged internal; the hand-derived expectations live in the tests."""
     vv = q.vertex_vars()
@@ -108,8 +108,7 @@ def expect_lpm(g, q, frag_id, bindings, internal):
     for name, key in bindings.items():
         fn[vv[name]] = vid(g, key)
     return LocalPartialMatch(tuple(fn),
-                             frozenset(vv[name] for name in internal),
-                             frozenset([frag_id]))
+                             frozenset(vv[name] for name in internal))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def restriction_lpms(fn, q, dg, fid):
         for v in comp:
             bound |= q.adj[v]
         vec = tuple(fn[v] if v in bound else None for v in range(q.n))
-        out.append(LocalPartialMatch(vec, frozenset(comp), frozenset([fid])))
+        out.append(LocalPartialMatch(vec, frozenset(comp)))
     return out
 
 

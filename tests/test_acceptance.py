@@ -189,7 +189,7 @@ def _sized_partitioning(sizes):
         members = frozenset(
             LocalPartialMatch(
                 (i,) * (anchor + 1) + (None,) * (len(sizes) - anchor - 1),
-                frozenset({anchor}), frozenset({i % 3}))
+                frozenset({anchor}))
             for i in range(size))
         parts.append((anchor, members))
     return LpmPartitioning(tuple(parts))
@@ -244,7 +244,7 @@ def test_06_optimal_partitioning(capsys):
                                  if rng.random() < 0.5) \
                 or frozenset({rng.randrange(n)})
             fn = tuple(j if v in internal else None for v in range(n))
-            omega.add(LocalPartialMatch(fn, internal, frozenset({j % 3})))
+            omega.add(LocalPartialMatch(fn, internal))
         stats = {}
         p, cost = optimal_partitioning(omega, gq, stats)
         want = _exhaustive_minimum(omega, n)

@@ -19,7 +19,10 @@ from parteval import (
     RdfGraph,
     TcpLoopbackExchange,
     TopologyGraph,
+    Triple,
+    assemble,
     build_fragments,
+    build_query_graph,
     classify,
     compute_local_partial_matches,
     decode_lpm,
@@ -27,18 +30,19 @@ from parteval import (
     enumerate_matches,
     fragment_order,
     ground,
+    iri,
     naive_iterative_join,
     run_bsp,
 )
+from parteval import assembly_central
 from parteval.matcher import LocalPartialMatch
 from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
-                                   keep_tcp_exchange, route,
+                                   keep_tcp_exchange, provenance, route,
                                    take_tcp_exchange, top_home)
 
 
-def lpm(fn, internal, fragments):
-    return LocalPartialMatch(tuple(fn), frozenset(internal),
-                             frozenset(fragments))
+def lpm(fn, internal):
+    return LocalPartialMatch(tuple(fn), frozenset(internal))
 
 
 def omega_of(dg, q):
@@ -50,68 +54,72 @@ def omega_of(dg, q):
 
 
 def test_encode_decode_round_trip():
-    pm = lpm((3, None, 0, 7), {0, 3}, {1, 4, 31})
-    data = encode_lpm(pm, 4, RecordLayout(4, 32))
-    back, src = decode_lpm(data, RecordLayout(4, 32))
-    assert back == pm
-    assert src == 4
+    pm = lpm((3, None, 0, 7), {0, 3})
+    layout = RecordLayout(4)
+    assert decode_lpm(encode_lpm(pm, layout), layout) == pm
 
 
 def test_encode_decode_all_none_and_empty_sets():
-    pm = lpm((None, None), set(), set())
-    layout = RecordLayout(2, 1)
-    back, src = decode_lpm(encode_lpm(pm, 0, layout), layout)
-    assert back == pm and src == 0
+    pm = lpm((None, None), set())
+    layout = RecordLayout(2)
+    assert decode_lpm(encode_lpm(pm, layout), layout) == pm
 
 
 def test_encode_decode_queries_past_32_vertices():
-    # up to 32 vertices the internal-flag bitmap is one word, as it was
-    full = encode_lpm(lpm((5,) * 32, {0, 31}, {0}), 0, RecordLayout(32, 1))
-    assert len(full) == 4 + 4 + 4 + 4 * 32 + 4
+    # up to 32 vertices the internal-flag bitmap is one word
+    full = encode_lpm(lpm((5,) * 32, {0, 31}), RecordLayout(32))
+    assert len(full) == 4 + 2 + 4 * 32 + 4
     assert full[-4:] == bytes.fromhex("80000001")
     for n, internal in ((33, {0, 32}), (64, {63}), (65, {1, 64})):
-        pm = lpm(tuple(range(n)), internal, {2, 40})
-        layout = RecordLayout(n, 41)
-        data = encode_lpm(pm, 7, layout)
-        assert decode_lpm(data, layout) == (pm, 7)
+        pm = lpm(tuple(range(n)), internal)
+        layout = RecordLayout(n)
+        data = encode_lpm(pm, layout)
+        assert decode_lpm(data, layout) == pm
         words = (n + 31) // 32
-        assert len(data) == 4 + 4 + 8 + 4 * n + 4 * words
+        assert len(data) == 4 + 2 + 4 * n + 4 * words
 
 
 def test_encode_decode_fragment_ids_past_31():
-    # up to 32 sites the provenance bitmap is one word, as it always was
-    small = encode_lpm(lpm((3, None), {0}, {1, 4}), 4, RecordLayout(2, 8))
-    assert small == bytes.fromhex(
-        "00000014" "0002" "0004" "00000012" "00000003" "ffffffff" "00000001")
-    # past 32 sites every record of the run takes ceil(k/32) words,
-    # whatever fragment ids it holds
-    for k, fragments in ((65, {32}), (65, {0}), (65, {0, 31, 32, 63}),
-                         (201, {64, 200})):
-        pm = lpm((3, None), {0}, fragments)
-        layout = RecordLayout(2, k)
-        data = encode_lpm(pm, 40, layout)
-        assert decode_lpm(data, layout) == (pm, 40)
-        words = (k + 31) // 32
-        assert len(data) == len(small) + 4 * (words - 1)
+    # a record holds no fragment ids: sites read provenance from vertex
+    # homes, so the one record a run sends is the same bytes at k=8 and
+    # past 32 sites, and its provenance comes back past fragment id 31
+    a, b = iri("a"), iri("b")
+    g = RdfGraph.from_triples([Triple(a, "p", b)])
+    ia, ib = g.term_id(a), g.term_id(b)
+    q = ground(build_query_graph(
+        [(("var", "x"), ("label", "p"), ("var", "y"))]), g)
+    layout = RecordLayout(q.n)
+    for k in (8, 65, 201):
+        dg = build_fragments(g, PartitionMap({ia: k - 1, ib: k // 2}, k))
+        exchange = RecordingExchange(k)
+        run_bsp(dg, q, omega_of(dg, q), {}, exchange)
+        # the complete item of b's home goes to a's home, which ranks
+        # above it by id; a's home emits its own without sending
+        assert exchange.posts == [(k - 1, bytes.fromhex(
+            "0000000e" "0002" "00000000" "00000001" "00000002"))]
+        pm = decode_lpm(exchange.posts[0][1], layout)
+        assert pm == lpm((ia, ib), {1})
+        assert provenance(dg, pm) == {k // 2}
 
 
 def test_decode_rejects_truncated_record():
-    layout = RecordLayout(2, 1)
-    data = encode_lpm(lpm((1, 2), {0}, {0}), 0, layout)
+    layout = RecordLayout(2)
+    data = encode_lpm(lpm((1, 2), {0}), layout)
     with pytest.raises(ValueError, match="bad record length"):
         decode_lpm(data[:-2], layout)
 
 
 def test_decode_rejects_a_record_of_another_run():
-    data = encode_lpm(lpm((1, 2), {0}, {0, 5}), 0, RecordLayout(2, 8))
-    for n, k in ((2, 40), (3, 8), (1, 8)):
+    data = encode_lpm(lpm((1, 2), {0}), RecordLayout(2))
+    for n in (1, 3, 40):
         with pytest.raises(ValueError, match="bad record length"):
-            decode_lpm(data, RecordLayout(n, k))
-    # the same size as a 2-vertex record at k=40, but 3 vertices
-    data = encode_lpm(lpm((1, 2, None), {0}, {0}), 0, RecordLayout(3, 8))
-    assert len(data) == RecordLayout(2, 40).struct.size
-    with pytest.raises(ValueError, match="bad record length"):
-        decode_lpm(data, RecordLayout(2, 40))
+            decode_lpm(data, RecordLayout(n))
+    # the size alone fixes n, so a damaged header is the remaining case:
+    # a wrong vertex count, or a length word that disagrees with the size
+    for bad in (data[:4] + bytes.fromhex("0003") + data[6:],
+                bytes.fromhex("0000000f") + data[4:]):
+        with pytest.raises(ValueError, match="bad record length"):
+            decode_lpm(bad, RecordLayout(2))
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +128,9 @@ def test_decode_rejects_a_record_of_another_run():
 
 def test_fragment_order_by_size_then_id():
     omega = {
-        0: frozenset({lpm((0,), {0}, {0}), lpm((1,), {0}, {0})}),
-        1: frozenset({lpm((2,), {0}, {1})}),
-        2: frozenset({lpm((3,), {0}, {2})}),
+        0: frozenset({lpm((0,), {0}), lpm((1,), {0})}),
+        1: frozenset({lpm((2,), {0})}),
+        2: frozenset({lpm((3,), {0})}),
         3: frozenset(),
     }
     assert fragment_order(omega) == {3: 0, 1: 1, 2: 2, 0: 3}
@@ -139,9 +147,9 @@ def _chain_topo():
 def test_route_climbs_rank_through_adjacency():
     rank = {0: 0, 1: 1, 2: 2}
     topo = _chain_topo()
-    assert route(lpm((0, None), {0}, {0}), rank, topo) == {1}
-    assert route(lpm((0, 1), {0}, {0, 1}), rank, topo) == {2}
-    assert route(lpm((None, 0), {1}, {2}), rank, topo) == set()
+    assert route({0}, rank, topo) == {1}
+    assert route({0, 1}, rank, topo) == {2}
+    assert route({2}, rank, topo) == set()
 
 
 def test_route_respects_rank_not_id():
@@ -149,11 +157,11 @@ def test_route_respects_rank_not_id():
     rank = {2: 0, 1: 1, 0: 2}
     topo = _chain_topo()
     # provenance {2} climbs to 1; 0 outranks it too but is not adjacent
-    assert route(lpm((0, None), {0}, {2}), rank, topo) == {1}
-    assert route(lpm((0, None), {0}, {1}), rank, topo) == {0}
-    assert route(lpm((0, None), {0}, {2, 1}), rank, topo) == {0}
+    assert route({2}, rank, topo) == {1}
+    assert route({1}, rank, topo) == {0}
+    assert route({2, 1}, rank, topo) == {0}
     # the top-ranked fragment has nowhere to send
-    assert route(lpm((0, None), {0}, {0}), rank, topo) == set()
+    assert route({0}, rank, topo) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +321,16 @@ def test_complete_items_go_to_their_top_home_only(seed):
     stats = {}
     got = run_bsp(dg, q, omega, stats, exchange)
     for dst, payload in exchange.posts:
-        pm, src = decode_lpm(payload, RecordLayout(q.n, dg.k))
+        pm = decode_lpm(payload, RecordLayout(q.n))
         if None in pm.fn:
             continue
-        # the one site that may emit it, above the sender, and among the
-        # sites the partial-item rule would have picked
+        # the one site that may emit it, above the sender (its provenance
+        # peaks there), and among the sites the partial-item rule would
+        # have picked
+        prov = provenance(dg, pm)
         assert dst == top_home(dg, rank, pm.fn)
-        assert rank[dst] > rank[src]
-        assert dst in route(pm, rank, dg.topo)
+        assert rank[dst] > max(rank[f] for f in prov)
+        assert dst in route(prov, rank, dg.topo)
     assert sum(stats["emissions_per_site"].values()) == len(got)
     # every item climbs in rank, so superstep t computes only at ranks >= t
     assert stats["supersteps_run"] <= dg.k - 1
@@ -337,9 +347,8 @@ def test_every_record_of_a_run_has_one_length(k):
         q = ground(helpers.rand_bgp(rng, g), g)
         exchange = RecordingExchange(dg.k)
         run_bsp(dg, q, omega_of(dg, q), {}, exchange)
-        # length, vertex count and source, ceil(k/32) provenance words,
-        # the ids, one internal-flag word
-        want = 4 + 4 + 4 * ((k + 31) // 32) + 4 * q.n + 4
+        # length, vertex count, the ids, and the internal-flag words
+        want = 4 + 2 + 4 * q.n + 4 * max(1, (q.n + 31) // 32)
         assert {len(payload) for _, payload in exchange.posts} <= {want}
         posted += len(exchange.posts)
     assert posted > 0
@@ -399,6 +408,37 @@ def test_bsp_matches_centralized(seed):
         omega_all |= pms
     assert got == naive_iterative_join(omega_all, q, g)
     assert sum(stats["emissions_per_site"].values()) == len(got)
+
+
+def test_provenance_of_a_merge_is_the_union_of_its_parts(monkeypatch):
+    """Provenance is read from vertex homes, not carried: every merge the
+    join loop makes, in the naive, partitioned and BSP assemblies, has
+    the union of its parts' provenance."""
+    merges = []
+    real_merge = assembly_central.merge
+
+    def recording_merge(a, b):
+        merged = real_merge(a, b)
+        merges.append((a, b, merged))
+        return merged
+
+    monkeypatch.setattr(assembly_central, "merge", recording_merge)
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(150):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        omega = omega_of(dg, q)
+        flat = frozenset().union(*omega.values())
+        naive_iterative_join(flat, q, g)
+        assemble(flat, q, g)
+        run_bsp(dg, q, omega)
+        for a, b, merged in merges:
+            assert provenance(dg, merged) == (provenance(dg, a)
+                                              | provenance(dg, b))
+        checked += len(merges)
+        merges.clear()
+    assert checked > 100
 
 
 def test_bsp_checks_matches_against_fragments_only(monkeypatch):

@@ -32,19 +32,18 @@ from parteval import (
 )
 
 
-def lpm(fn, internal, fragments=(0,)):
-    return LocalPartialMatch(tuple(fn), frozenset(internal),
-                             frozenset(fragments))
+def lpm(fn, internal):
+    return LocalPartialMatch(tuple(fn), frozenset(internal))
 
 
 def movie_pieces(movie_graph, movie_gq):
     """The two halves of the fixture's crossing match."""
     left = helpers.expect_lpm(
-        movie_graph, movie_gq.graph, 0,
+        movie_graph, movie_gq.graph,
         {"a": "s2:act1", "d": "s1:dir1", "f2": "s1:film2", "n2": '"Film Two"'},
         ["d", "f2", "n2"])
     right = helpers.expect_lpm(
-        movie_graph, movie_gq.graph, 1,
+        movie_graph, movie_gq.graph,
         {"a": "s2:act1", "d": "s1:dir1", "f1": "s2:film1",
          "n1": '"Film One at Two"'},
         ["a", "f1", "n1"])
@@ -68,12 +67,12 @@ def test_joinable_movie_halves(movie_graph, movie_gq):
     assert joinable(right, left, movie_gq)
 
 
-def test_join_merges_movie_halves(movie_graph, movie_gq):
+def test_join_merges_movie_halves(movie_graph, movie_gq, movie_dg):
     left, right = movie_pieces(movie_graph, movie_gq)
     merged = join(left, right, movie_gq)
     assert None not in merged.fn
     assert merged.internal == frozenset(range(movie_gq.n))
-    assert merged.fragments == frozenset({0, 1})
+    assert assembly_bsp.provenance(movie_dg, merged) == frozenset({0, 1})
     vv = movie_gq.graph.vertex_vars()
     assert movie_graph.term(merged.fn[vv["f1"]]).lexical == "s2:film1"
     assert movie_graph.term(merged.fn[vv["f2"]]).lexical == "s1:film2"
@@ -82,7 +81,7 @@ def test_join_merges_movie_halves(movie_graph, movie_gq):
 def test_joinable_rejects_binding_conflict(movie_graph, movie_gq):
     left, _ = movie_pieces(movie_graph, movie_gq)
     other = helpers.expect_lpm(
-        movie_graph, movie_gq.graph, 0,
+        movie_graph, movie_gq.graph,
         {"a": "s2:act1", "d": "s1:dir1", "f2": "s3:film4"}, ["d"])
     assert not joinable(left, other, movie_gq)
 
@@ -95,9 +94,9 @@ def test_joinable_rejects_same_fragment_pairs(movie_gq, movie_dg):
 
 
 def test_joinable_rejects_disjoint_pieces(movie_graph, movie_gq):
-    a = helpers.expect_lpm(movie_graph, movie_gq.graph, 0,
+    a = helpers.expect_lpm(movie_graph, movie_gq.graph,
                            {"f1": "s3:film3", "n1": '"Film Three"'}, ["n1"])
-    b = helpers.expect_lpm(movie_graph, movie_gq.graph, 1,
+    b = helpers.expect_lpm(movie_graph, movie_gq.graph,
                            {"f2": "s4:archive", "n2": "s2:film1"}, ["n2"])
     # no query edge is bound by both sides
     assert not joinable(a, b, movie_gq)
@@ -106,18 +105,18 @@ def test_joinable_rejects_disjoint_pieces(movie_graph, movie_gq):
 def test_joinable_needs_role_alternation():
     q = ground_chain(2)
     # both sides claim the edge source internally: no swap
-    a = lpm((0, 1), {0}, {0})
-    b = lpm((0, 1), {0, 1}, {1})
+    a = lpm((0, 1), {0})
+    b = lpm((0, 1), {0, 1})
     assert not joinable(a, b, q)
     # proper alternation across the edge
-    c = lpm((0, 1), {1}, {1})
+    c = lpm((0, 1), {1})
     assert joinable(a, c, q)
 
 
 def test_join_raises_on_non_joinable():
     q = ground_chain(2)
-    a = lpm((0, None), {0}, {0})
-    b = lpm((2, None), {0}, {1})
+    a = lpm((0, None), {0})
+    b = lpm((2, None), {0})
     with pytest.raises(NotJoinable):
         join(a, b, q)
 
@@ -233,14 +232,14 @@ def test_build_partitioning_movie_identity_order(movie_gq, movie_dg):
 
 
 def test_build_partitioning_unassigned():
-    omega = [lpm((0, 1), {1}, {0})]
+    omega = [lpm((0, 1), {1})]
     with pytest.raises(UnassignedLpm):
         build_partitioning(omega, [0])
 
 
 def test_join_cost_neutral_on_empty_parts():
     p = LpmPartitioning((
-        (0, frozenset({lpm((0, None), {0}), lpm((1, None), {0}, (1,))})),
+        (0, frozenset({lpm((0, None), {0}), lpm((1, None), {0})})),
         (1, frozenset()),
         (2, frozenset({lpm((None, 2), {1})})),
     ))
@@ -253,7 +252,7 @@ def _sized_partitioning(sizes):
     for anchor, size in enumerate(sizes):
         members = frozenset(
             lpm((i,) * (anchor + 1) + (None,) * (len(sizes) - anchor - 1),
-                {anchor}, (i,))
+                {anchor})
             for i in range(size))
         parts.append((anchor, members))
     return LpmPartitioning(tuple(parts))
@@ -277,12 +276,12 @@ def test_optimal_partitioning_movie(movie_gq, movie_dg):
 def test_optimal_partitioning_rejects_anchorless():
     q = ground_chain(2)
     with pytest.raises(UnassignedLpm):
-        optimal_partitioning([lpm((0, 1), set(), {0})], q)
+        optimal_partitioning([lpm((0, 1), set())], q)
 
 
 def test_optimal_partitioning_tie_breaks_low_vertex():
     q = ground_chain(2)
-    omega = [lpm((0, None), {0}, {0}), lpm((None, 1), {1}, {1})]
+    omega = [lpm((0, None), {0}), lpm((None, 1), {1})]
     p, cost = optimal_partitioning(omega, q)
     assert cost == 1
     assert [anchor for anchor, _ in p.parts] == [0, 1]
@@ -308,7 +307,7 @@ def _random_synthetic_omega(rng, n):
         internal = frozenset(
             v for v in range(n) if rng.random() < 0.5) or frozenset({rng.randrange(n)})
         fn = tuple(i if v in internal else None for v in range(n))
-        out.add(lpm(fn, internal, (i % 3,)))
+        out.add(lpm(fn, internal))
     return out
 
 
@@ -367,7 +366,7 @@ def test_grouped_dp_matches_the_per_match_scan(seed):
               or frozenset({rng.randrange(n)})
               for _ in range(rng.randint(1, 6))]
     omega = {lpm(tuple(i if v in internal else None for v in range(n)),
-                 internal, (i % 4,))
+                 internal)
              for i, internal in enumerate(rng.choice(shapes)
                                           for _ in range(rng.randint(0, 60)))}
     stats = {}

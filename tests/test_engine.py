@@ -97,10 +97,10 @@ def test_execute_distributed_stats(movie_dg, movie_query):
     assert stats.supersteps == 1
     # the admission round: of the 6 (home, neighbour) pairs x 4 filterable
     # query vertices, only the 5 records that carry an admitted boundary
-    # id are sent, each a 2-byte header and one id; then one 40-byte
-    # partial match
+    # id are sent, each a 2-byte header and one id; then one 34-byte
+    # partial match: length word, vertex count, 6 ids and one flag word
     assert stats.messages_sent == 5 + 1
-    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 40
+    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 34
     assert stats.join_cost == 0
 
 
@@ -345,6 +345,18 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_cli_timeout_must_be_seconds_at_least_zero(movie_disk, capsys):
+    db, query = movie_disk
+    base = ["query", "--db", str(db), "--sparql", str(query)]
+    for bad in ("-1", "-0.5", "nan", "NaN", "-inf", "soon", ""):
+        code, out, err = run_cli(capsys, base + ["--timeout=" + bad])
+        assert (code, out) == (2, ""), bad
+        assert "--timeout" in err and "seconds >= 0" in err
+    for good in ("0", "30", "inf"):
+        code, out, err = run_cli(capsys, base + ["--timeout=" + good])
+        assert (code, out, err) == (0, "?a\t?d\ns2:act1\ts1:dir1\n", "")
 
 
 def test_cli_bad_query_is_exit_1(movie_disk, tmp_path, capsys):

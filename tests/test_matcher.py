@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from parteval import matcher
+from parteval import assembly_bsp, matcher
 from parteval import (
     PartitionMap,
     RdfGraph,
@@ -136,10 +136,9 @@ F1_EXPECTED = [
 ]
 
 
-def _expected_omega(movie_graph, movie_gq, frag_id, table):
+def _expected_omega(movie_graph, movie_gq, table):
     return frozenset(
-        helpers.expect_lpm(movie_graph, movie_gq.graph, frag_id, bindings,
-                           internal)
+        helpers.expect_lpm(movie_graph, movie_gq.graph, bindings, internal)
         for bindings, internal in table)
 
 
@@ -147,8 +146,8 @@ def test_predicate_accepts_frozen_matches(movie_graph, movie_dg, movie_gq):
     for frag_id, table in ((0, F0_EXPECTED), (1, F1_EXPECTED)):
         frag = movie_dg.fragments[frag_id]
         for bindings, internal in table:
-            pm = helpers.expect_lpm(movie_graph, movie_gq.graph, frag_id,
-                                    bindings, internal)
+            pm = helpers.expect_lpm(movie_graph, movie_gq.graph, bindings,
+                                    internal)
             assert is_local_partial_match(movie_gq, frag, pm.fn), bindings
 
 
@@ -254,13 +253,13 @@ def test_predicate_injective_label_budget():
 
 def test_movie_omega_fragment0(movie_graph, movie_dg, movie_gq):
     got = compute_local_partial_matches(movie_gq, movie_dg.fragments[0])
-    assert got == _expected_omega(movie_graph, movie_gq, 0, F0_EXPECTED)
+    assert got == _expected_omega(movie_graph, movie_gq, F0_EXPECTED)
     assert len(got) == 5
 
 
 def test_movie_omega_fragment1(movie_graph, movie_dg, movie_gq):
     got = compute_local_partial_matches(movie_gq, movie_dg.fragments[1])
-    assert got == _expected_omega(movie_graph, movie_gq, 1, F1_EXPECTED)
+    assert got == _expected_omega(movie_graph, movie_gq, F1_EXPECTED)
 
 
 def test_movie_omega_outer_fragments_empty(movie_dg, movie_gq):
@@ -292,7 +291,7 @@ def test_chain_omega_by_hand():
     assert {pm.fn for pm in omegas[2]} == {(None, w[1], w[2])}
     (mid,) = omegas[1]
     assert mid.internal == frozenset({1})
-    assert mid.fragments == frozenset({1})
+    assert assembly_bsp.provenance(dg, mid) == frozenset({1})
 
 
 def test_omega_deterministic(movie_dg, movie_gq):
@@ -374,7 +373,7 @@ def test_omega_members_satisfy_predicate(seed):
             assert pm.internal == frozenset(
                 v for v in range(q.n)
                 if pm.fn[v] is not None and pm.fn[v] in frag.internal)
-            assert pm.fragments == frozenset([frag.id])
+            assert assembly_bsp.provenance(dg, pm) == {frag.id}
 
 
 def _strictly_extends(big, small):
