@@ -17,8 +17,10 @@ that home ranks above the sender (else it could never be emitted).  The
 top home owns an image vertex, which a provenance fragment stores as
 extended, so it is one of the sites the partial-item rule would pick.
 No complete item enters a pool: the top home emits an arriving one at
-once, and at start-up a site drops one that fails its local check and
-emits, without sending, one whose top home it is.
+once.  At start-up a site drops one that fails its local check and
+emits, without sending, one whose top home it is; the check runs only
+where some query edge lies between two extended images, since the
+search already checked every edge with an internal endpoint.
 
 Supersteps alternate computation and a barriered exchange; the run ends
 when an exchange delivers nothing.  A compute step closes the site's
@@ -317,6 +319,17 @@ def is_complete_locally(q, dg, fn):
         dg.home(a)].edges.get((a, b), frozenset()))
 
 
+def checked_by_search(q, pm):
+    """True when every query edge has an internally matched endpoint in
+    pm.  For a local partial match that the search found, the search has
+    then checked every query edge, and every data pair several of them
+    share, against the labels is_complete_locally would read (both see
+    the graph's one label set per pair), so a complete pm needs no
+    second check."""
+    return all(e.src in pm.internal or e.dst in pm.internal
+               for e in q.edges)
+
+
 def top_home(dg, rank, fn):
     """The highest-ranked home among the image vertices of fn, the one
     site that may emit it."""
@@ -376,8 +389,11 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     exchange then alternate until a barrier delivers no messages, at
     most k-1 times.  Every record of the run has one RecordLayout.  The
     returned set is the union of all sites' emissions, pairwise disjoint
-    by the emission rule.  deadline, if given, has check(phase) called
-    once per superstep and inside long compute steps.
+    by the emission rule.  omega holds each fragment's local partial
+    matches as compute_local_partial_matches found them, which lets
+    start-up trust the edges the search checked (checked_by_search).
+    deadline, if given, has check(phase) called once per superstep and
+    inside long compute steps.
     """
     topo = dg.topo
     rank = fragment_order({fid: omega.get(fid, frozenset())
@@ -417,7 +433,8 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
         for pm in sorted(omega.get(fid, frozenset()), key=_lpm_key):
             if None in pm.fn:
                 base.append(pm)
-            elif not is_complete_locally(q, dg, pm.fn):
+            elif not (checked_by_search(q, pm)
+                      or is_complete_locally(q, dg, pm.fn)):
                 continue
             elif top_home(dg, rank, pm.fn) == fid:
                 emitted[fid].add(pm.fn)   # and send() drops it

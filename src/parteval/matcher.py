@@ -7,7 +7,9 @@ edge, give every internally-matched query vertex its complete
 neighborhood, and keep the internally-matched vertices connected inside
 the query.  Matching is homomorphic: two query vertices may share an
 image.  Edge labels map injectively per vertex pair, with variable labels
-matching anything.
+matching anything.  is_local_partial_match() is the definition; the
+search meets most of it by construction and checks only the rest at its
+leaves.
 
 A local partial match is serialized as the vector [f(v_1)..f(v_n)] with
 None for unmatched vertices, tagged with which query vertices landed on
@@ -184,7 +186,43 @@ def _realized_flags(q, frag, fn):
     return flags
 
 
-def is_local_partial_match(q, frag, fn):
+def is_local_partial_match(q, frag, fn, *, grown=False):
+    """True when fn is a local partial match of q in frag, by the
+    paper's eight conditions:
+    1. every image is a vertex the fragment stores, and every constant
+       binds its own vertex;
+    2. some query vertex has an internal image (I, the internally
+       matched vertices, is not empty);
+    3. every query edge with an internal endpoint image is bound and
+       stored with a compatible label and direction;
+    4. each data pair with an internal endpoint can serve the labels of
+       all query edges on it injectively;
+    5. some query edge sits on a crossing edge;
+    6. every vertex of I has its whole neighbourhood bound;
+    7. I is connected within the query;
+    8. every binding is witnessed by a realized edge, and the realized
+       edges connect all bound vertices.
+
+    grown=True is for a leaf of compute_local_partial_matches, and
+    checks only 4 and 5, because the way the search grows fn makes the
+    other six hold.  1: every image comes from candidates(), which hold
+    only stored vertices and a constant's own vertex.  2: the seed has
+    an internal image.  3 and 6: fits() checks each edge with an
+    internal endpoint as its second end is bound, and a leaf is a state
+    with no unbound neighbour of I.  7: each vertex bound to an internal
+    image after the seed neighbours an earlier one.  8: each binding
+    after the seed is made over an edge to an internal image, which
+    fits() checked, so they all connect to the seed; if the seed is
+    bound alone, 5 fails anyway.  Of 5, a leaf checks that some
+    binding is extended: the edge that witnessed it is a realized
+    crossing edge, and no crossing edge is realized without one.  Of 4,
+    only pairs that two or more query edges land on remain, as fits()
+    checked each lone edge.
+    """
+    if grown:
+        if all(u is None or u in frag.internal for u in fn):
+            return False
+        return len(q.edges) < 2 or _shared_pairs_feasible(q, fn, frag)
     n = q.n
     if len(fn) != n:
         return False
@@ -296,9 +334,12 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
     not take an internal image, so s = min(I) and the next vertex depends
     only on the bindings made so far: each local partial match is reached
     exactly once.  Edges with an internal endpoint are checked as they
-    are bound; a state with nothing left to bind is emitted when the full
-    predicate holds.  A fragment without crossing edges (every fragment
-    at k=1) holds no local partial match and is not searched.
+    are bound, so a state with nothing left to bind already meets six of
+    the eight conditions of is_local_partial_match; it is emitted when
+    the other two hold (grown=True): some binding is extended, and the
+    data pairs that several query edges land on can serve them
+    injectively.  A fragment without crossing edges (every fragment at
+    k=1) holds no local partial match and is not searched.
 
     Without admit this is the paper's definition.  admit maps some query
     vertices to the only data vertices they may bind (the union of every
@@ -345,7 +386,7 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
                     break
         else:
             key = tuple(fn)
-            if is_local_partial_match(q, frag, key):
+            if is_local_partial_match(q, frag, key, grown=True):
                 results.add(LocalPartialMatch(
                     key, frozenset(v for v in range(n) if key[v] in internal)))
             return
@@ -403,13 +444,20 @@ def is_complete_match(q, fn, labels_of):
     return True
 
 
-def _shared_pairs_feasible(q, fn, edges):
-    """True when every data pair that two or more query edges map onto
-    under fn carries labels that can serve them injectively."""
+def _shared_pairs_feasible(q, fn, frag):
+    """True when every data pair with an internal endpoint that two or
+    more query edges map onto under fn carries labels that can serve
+    them injectively.  The fragment stores every such pair that fn
+    binds: the callers have checked each query edge on it."""
+    internal = frag.internal
     pairs = {}
     for e in q.edges:
-        pairs.setdefault((fn[e.src], fn[e.dst]), []).append(e.label)
-    return all(len(labels) < 2 or _injective_feasible(labels, edges[pair])
+        a = fn[e.src]
+        b = fn[e.dst]
+        if a in internal or b in internal:
+            pairs.setdefault((a, b), []).append(e.label)
+    return all(len(labels) < 2
+               or _injective_feasible(labels, frag.edges[pair])
                for pair, labels in pairs.items())
 
 
@@ -450,7 +498,7 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
             if states % DEADLINE_EVERY == 0:
                 deadline.check("partial evaluation")
         if t == n:
-            if not shared or _shared_pairs_feasible(q, fn, frag.edges):
+            if not shared or _shared_pairs_feasible(q, fn, frag):
                 results.add(tuple(fn))
             return
         v = order[t]

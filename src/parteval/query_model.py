@@ -415,10 +415,19 @@ def _tokenize(text):
 
 class _GroupSpec:
     def __init__(self):
-        self.patterns = []
-        self.optionals = []   # list of _GroupSpec
-        self.joins = []       # list of single _GroupSpec or union chains
+        # in textual order: ("triples", [pattern, ...]) for a run of
+        # triple patterns, ("optional", _GroupSpec), or ("join", [a
+        # _GroupSpec per UNION alternative]); the first is always the
+        # leading run of triples, empty when the group opens otherwise
+        self.elements = [("triples", [])]
         self.filters = []
+
+    def add_pattern(self, pattern):
+        # a FILTER does not end a run of triple patterns
+        if self.elements[-1][0] == "triples":
+            self.elements[-1][1].append(pattern)
+        else:
+            self.elements.append(("triples", [pattern]))
 
 
 class _Parser:
@@ -501,11 +510,11 @@ class _Parser:
             if t.kind == "eof":
                 raise QuerySyntaxError("unterminated group", t.pos)
             if t.kind == "punct" and t.value == "{":
-                spec.joins.append(self.parse_union_chain())
+                spec.elements.append(("join", self.parse_union_chain()))
                 continue
             if t.kind == "kw" and t.value == "optional":
                 self.next()
-                spec.optionals.append(self.parse_group())
+                spec.elements.append(("optional", self.parse_group()))
                 continue
             if t.kind == "kw" and t.value == "filter":
                 self.next()
@@ -514,7 +523,7 @@ class _Parser:
                 self.expect_punct(")")
                 spec.filters.append(expr)
                 continue
-            spec.patterns.append(self.parse_pattern())
+            spec.add_pattern(self.parse_pattern())
 
     def parse_union_chain(self):
         groups = [self.parse_group()]
@@ -635,18 +644,25 @@ def _number_literal(text):
 def _shape(spec):
     """Turn a parsed group into the evaluation tree.
 
-    The group's own patterns form the base BGP; OPTIONAL blocks fold in as
-    left-outer joins, then nested groups and UNION chains join in, and
-    FILTERs wrap last.
+    The group's elements fold in textual order, as in SPARQL 1.1
+    section 18.2.2.6.  The group starts from its leading run of triple
+    patterns as one BGP (empty when it opens with something else).  Each
+    later run of triples, nested group or UNION chain joins onto
+    everything before it, and each OPTIONAL left-joins onto everything
+    before it.  FILTERs, wherever they stand, wrap the whole group.
     """
-    node = Bgp(build_query_graph(spec.patterns))
-    for opt_spec in spec.optionals:
-        node = Opt(node, _shape(opt_spec))
-    for chain in spec.joins:
-        shaped = _shape(chain[0])
-        for alternative in chain[1:]:
-            shaped = Union(shaped, _shape(alternative))
-        node = And(node, shaped)
+    (_, leading), *rest = spec.elements
+    node = Bgp(build_query_graph(leading))
+    for kind, item in rest:
+        if kind == "triples":
+            node = And(node, Bgp(build_query_graph(item)))
+        elif kind == "optional":
+            node = Opt(node, _shape(item))
+        else:
+            shaped = _shape(item[0])
+            for alternative in item[1:]:
+                shaped = Union(shaped, _shape(alternative))
+            node = And(node, shaped)
     for expr in spec.filters:
         node = Filter(node, expr)
     return node
@@ -719,50 +735,56 @@ def _expr_text(expr):
     raise TypeError("unknown filter node %r" % expr)
 
 
+def _joined_lines(node, indent):
+    """node as a group element that _shape joins in: a nested group, or
+    a UNION chain of nested groups when node is a Union."""
+    alternatives = []
+    while isinstance(node, Union):
+        alternatives.append(node.right)
+        node = node.left
+    alternatives.append(node)
+    pad = "  " * indent
+    lines = []
+    for alternative in reversed(alternatives):
+        if lines:
+            lines.append(pad + "UNION")
+        lines.append(pad + "{")
+        lines.extend(_group_body_lines(alternative, indent + 1))
+        lines.append(pad + "}")
+    return lines
+
+
 def _group_body_lines(node, indent):
-    # peel the shaping spine back into textual order
+    """Group elements that _shape folds back into node, or into a tree
+    that differs only by joins with the empty BGP."""
     filters = []
     while isinstance(node, Filter):
         filters.append(node.expr)
         node = node.child
     filters.reverse()
-    joins = []
-    while isinstance(node, And):
-        joins.append(node.right)
+    spine = []
+    while isinstance(node, (And, Opt)):
+        spine.append(node)
         node = node.left
-    joins.reverse()
-    optionals = []
-    while isinstance(node, Opt):
-        optionals.append(node.right)
-        node = node.left
-    optionals.reverse()
+    spine.reverse()
     pad = "  " * indent
-    lines = []
     if isinstance(node, Bgp):
-        lines.extend(_bgp_text(node.graph, indent))
+        lines = _bgp_text(node.graph, indent)
     else:
-        lines.append(pad + "{")
-        lines.extend(_group_body_lines(node, indent + 1))
-        lines.append(pad + "}")
-    for opt in optionals:
-        lines.append(pad + "OPTIONAL {")
-        lines.extend(_group_body_lines(opt, indent + 1))
-        lines.append(pad + "}")
-    for join in joins:
-        alternatives = []
-        while isinstance(join, Union):
-            alternatives.append(join.right)
-            join = join.left
-        alternatives.append(join)
-        alternatives.reverse()
-        for pos, alt in enumerate(alternatives):
-            if pos:
-                lines.append(pad + "UNION")
-            lines.append(pad + "{")
-            lines.extend(_group_body_lines(alt, indent + 1))
+        lines = _joined_lines(node, indent)
+    for step in spine:
+        if isinstance(step, Opt):
+            lines.append(pad + "OPTIONAL {")
+            lines.extend(_group_body_lines(step.right, indent + 1))
             lines.append(pad + "}")
+        else:
+            lines.extend(_joined_lines(step.right, indent))
     for expr in filters:
-        lines.append("%sFILTER%s" % (pad, _expr_text(expr)))
+        text = _expr_text(expr)
+        # compound expressions come parenthesized, atoms do not
+        if not text.startswith("("):
+            text = "(%s)" % text
+        lines.append("%sFILTER%s" % (pad, text))
     return lines
 
 

@@ -37,6 +37,7 @@ from parteval import (
 from parteval import assembly_central
 from parteval.matcher import LocalPartialMatch
 from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
+                                   checked_by_search, is_complete_locally,
                                    keep_tcp_exchange, provenance, route,
                                    take_tcp_exchange, top_home)
 
@@ -460,6 +461,27 @@ def test_bsp_checks_matches_against_fragments_only(monkeypatch):
     monkeypatch.setattr(RdfGraph, "labels_between", global_read)
     for dg, q, omega, want in cases:
         assert run_bsp(dg, q, omega) == want
+
+
+def test_start_up_skips_the_check_only_where_the_search_made_it():
+    """run_bsp trusts a complete local partial match whose every query
+    edge has an internal endpoint; each such match passes the check it
+    skips.  The others still need it: some of them fail."""
+    rng = random.Random(3)
+    covered = failed = 0
+    for _ in range(300):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        for pms in omega_of(dg, q).values():
+            for pm in pms:
+                if None in pm.fn:
+                    continue
+                if checked_by_search(q, pm):
+                    covered += 1
+                    assert is_complete_locally(q, dg, pm.fn), pm
+                elif not is_complete_locally(q, dg, pm.fn):
+                    failed += 1
+    assert covered > 50 and failed > 10
 
 
 # ---------------------------------------------------------------------------

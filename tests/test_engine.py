@@ -285,6 +285,27 @@ def test_cli_query_tsv(movie_disk, capsys):
     assert out == "?a\t?d\ns2:act1\ts1:dir1\n"
 
 
+def test_cli_optional_after_a_nested_group(tmp_path, capsys):
+    """The OPTIONAL left-joins onto the nested group before it, so the
+    unmatched ?z leaves the row in, unbound."""
+    src = tmp_path / "in.nt"
+    src.write_text("<a> <p> <b> .\n<c> <q> <d> .\n", encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(
+        "SELECT * WHERE { { ?x <p> ?y } OPTIONAL { ?y <q> ?z } }",
+        encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2"]) == 0
+    capsys.readouterr()
+    for assembly in ("centralized", "distributed"):
+        code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                          "--sparql", str(query),
+                                          "--assembly", assembly])
+        assert (code, err) == (0, "")
+        assert out == "?x\t?y\t?z\na\tb\t\n"
+
+
 def test_cli_query_deterministic_across_pipelines(movie_disk, capsys):
     db, query = movie_disk
     base = ["query", "--db", str(db), "--sparql", str(query)]

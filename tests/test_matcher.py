@@ -429,3 +429,34 @@ def test_crossing_match_restrictions_appear_in_omega(seed):
         for fid in {dg.home(u) for u in fn}:
             for piece in helpers.restriction_lpms(fn, q, dg, fid):
                 assert piece in omegas[fid], (fn, fid)
+
+
+def test_every_grown_leaf_gets_the_full_predicate_verdict(monkeypatch):
+    """The search's leaf test (grown=True) checks two of the eight
+    conditions; on every vector it reaches, with and without admission,
+    its verdict is the full predicate's."""
+    full = matcher.is_local_partial_match
+    verdicts = []
+
+    def compared(q, frag, fn, *, grown=False):
+        verdict = full(q, frag, fn, grown=grown)
+        if grown:
+            assert verdict == full(q, frag, fn), fn
+            verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(matcher, "is_local_partial_match", compared)
+    rng = random.Random(7)
+    admitted_runs = 0
+    for _ in range(300):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        own = [matcher.admitted(q, frag) for frag in dg.fragments]
+        union = {v: frozenset().union(*(sets[v] for sets in own))
+                 for v in own[0]}
+        for admit in ({}, union) if union else ({},):
+            admitted_runs += bool(admit)
+            for frag in dg.fragments:
+                compute_local_partial_matches(q, frag, admit)
+    assert admitted_runs > 200
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000

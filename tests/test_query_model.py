@@ -1,6 +1,12 @@
 """Query parsing, the BGP graph, and the general-query tree."""
 
+import os
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import helpers
 
 from parteval import (
     And,
@@ -9,6 +15,7 @@ from parteval import (
     BoundTest,
     Comparison,
     Filter,
+    GeneralQuery,
     LogicalAnd,
     LogicalNot,
     LogicalOr,
@@ -26,6 +33,20 @@ from parteval import (
     tree_vars,
 )
 from parteval.query_model import RDF_TYPE, TermConst, XSD_DECIMAL, XSD_INTEGER
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+
+
+def _outline(node):
+    """A tree's operators, with each BGP as the local names of its edge
+    labels in order."""
+    if isinstance(node, Bgp):
+        return [e.label.rsplit("#", 1)[-1] for e in node.graph.edges]
+    if isinstance(node, Filter):
+        return ("Filter", _outline(node.child))
+    return (type(node).__name__, _outline(node.left), _outline(node.right))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +268,48 @@ def test_parse_nested_group_joins():
     assert gq.node.right.graph.edges[0].label == "q"
 
 
+def test_parse_optional_after_a_nested_group_left_joins_onto_it():
+    # SPARQL 1.1, 18.2.2.6: the group's elements fold in textual order,
+    # so the OPTIONAL applies to the nested group before it
+    gq = parse_sparql(
+        "SELECT * WHERE { { ?x <p> ?y } OPTIONAL { ?y <q> ?z } }")
+    assert _outline(gq.node) == ("Opt", ("And", [], ["p"]), ["q"])
+
+
+def test_parse_folds_group_elements_in_textual_order():
+    def outline(body):
+        return _outline(parse_sparql("SELECT * WHERE { %s }" % body).node)
+
+    assert outline("OPTIONAL { ?a <q> ?b } ?a <p> ?c") == \
+        ("And", ("Opt", [], ["q"]), ["p"])
+    # a nested group ends a run of triple patterns, a FILTER does not
+    assert outline("?a <p> ?b . { ?b <q> ?c } ?c <r> ?d") == \
+        ("And", ("And", ["p"], ["q"]), ["r"])
+    assert outline("?a <p> ?b . FILTER(?a != ?b) ?b <q> ?c") == \
+        ("Filter", ["p", "q"])
+    assert outline("?a <p> ?b . OPTIONAL { ?b <q> ?c } "
+                   "{ ?a <r> ?d } UNION { ?a <s> ?d } FILTER(bound(?c))") == \
+        ("Filter", ("And", ("Opt", ["p"], ["q"]), ("Union", ["r"], ["s"])))
+
+
+def test_bench_algebra_templates_keep_their_shapes(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import lubm
+
+    def outline(name):
+        text = lubm.TEMPLATES[name][1] % {"student_age": "20"}
+        return _outline(parse_sparql(lubm.PREFIX + text).node)
+
+    assert outline("A1") == \
+        ("Opt", ("Opt", ["memberOf"], ["takesCourse"]), ["advisor"])
+    assert outline("A2") == \
+        ("And", ["age"], ("Union", ["worksFor"], ["memberOf"]))
+    assert outline("A3") == \
+        ("Filter", ("And", ("And", [], ["takesCourse"]), ["age"]))
+    assert outline("A4") == ("Opt", ["memberOf"], ("Filter", ["age"]))
+    assert outline("A5") == ("And", ("And", [], ["memberOf"]), ["takesCourse"])
+
+
 def test_parse_filter_wraps_group():
     gq = parse_sparql("SELECT * WHERE { FILTER(?a = ?b) ?a <p> ?b . }")
     assert isinstance(gq.node, Filter)
@@ -383,6 +446,33 @@ def test_pretty_compound_fixed_point():
     assert "OPTIONAL {" in out
     assert "UNION" in out
     assert "FILTER((?a != ?b) && bound(?c))" in out
+
+
+def test_pretty_prints_atoms_in_filter_parentheses():
+    out = roundtrips("SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?c } "
+                     "FILTER(bound(?c)) FILTER(true) }")
+    assert "FILTER(bound(?c))" in out
+    assert "FILTER(true)" in out
+
+
+def test_pretty_prints_a_bare_union_as_its_alternatives():
+    a = Bgp(build_query_graph([(V("x"), L("p"), V("y"))]))
+    b = Bgp(build_query_graph([(V("x"), L("q"), V("y"))]))
+    out = pretty(GeneralQuery(Opt(Union(a, b), a), None))
+    assert _outline(parse_sparql(out).node) == \
+        ("Opt", ("And", [], ("Union", ["p"], ["q"])), ["p"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_pretty_round_trips_random_trees(seed):
+    rng = random.Random(seed)
+    g, _, _ = helpers.rand_instance(rng, max_vertices=14)
+    gq = helpers.rand_ast(rng, g)
+    text = pretty(gq)
+    back = parse_sparql(text)
+    assert helpers.ref_general(back, g) == helpers.ref_general(gq, g), text
+    assert pretty(back) == text
 
 
 def test_pretty_constants():
