@@ -37,7 +37,7 @@ from .assembly_bsp import (
 )
 from .general_sparql import (
     BindingTable, bgp_results_to_table, empty_table, evaluate_bgp,
-    evaluate_general, evaluate_node, filter_table, left_outer_join, make_row,
+    evaluate_general, evaluate_node, filter_table, left_outer_join,
     nat_join, project, union, unit_table,
 )
 from .oracle import SizeLimit, classify, enumerate_matches

@@ -16,10 +16,11 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
-from .general_sparql import evaluate_bgp, evaluate_general
+from .general_sparql import align, evaluate_bgp, evaluate_general
 from .query_model import (QuerySyntaxError, UnsupportedFeatureError,
                           parse_sparql, projected_names)
 from .rdf_model import IRI, NTriplesSyntaxError, parse_ntriples
@@ -180,21 +181,24 @@ def load_db(path):
 # --- output ---
 
 def _cell(term):
-    if term is None:
-        return ""
     if term.kind == IRI:
         return term.lexical
     return term.ntriples()
 
 
 def format_tsv(table, names):
+    """A header of names, then one line per row, sorted by cell text; an
+    unbound or absent name prints as an empty cell.  Each value's cell
+    text is built once per call."""
+    texts = {value: _cell(table.term(value))
+             for value in set(chain.from_iterable(table.rows))
+             if value is not None}
+    texts[None] = ""
+    cells = texts.__getitem__
+    rendered = sorted(tuple(map(cells, row))
+                      for row in align(table.rows, table.names, names))
     lines = ["\t".join("?" + n for n in names)]
-    rendered = []
-    for row in table.rows:
-        d = dict(row)
-        rendered.append(tuple(_cell(d.get(n)) for n in names))
-    for cells in sorted(rendered):
-        lines.append("\t".join(cells))
+    lines.extend("\t".join(row) for row in rendered)
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,28 @@
-"""Table algebra over pattern-match results: UNION, OPTIONAL, FILTER.
+"""Table algebra over pattern-match results: join, UNION, OPTIONAL,
+FILTER and projection.
 
-Rows are partial bindings (a variable absent from a row is unbound), and
-tables are canonical row sets.  Pattern groups evaluate bottom-up: the
-group's triple patterns first, then each OPTIONAL via left outer join,
-then nested groups and UNION chains joined in, filters last.
+A table's rows are tuples aligned to one sorted tuple of variable names,
+with None for an unbound variable.  A vertex variable holds its data
+vertex id and a label variable its label string; query_model forbids a
+variable that is both, so a column never mixes kinds and two values of
+one column are equal exactly when their terms are.  Terms are built
+late: a FILTER decodes the values it compares and engine.format_tsv the
+values it prints, each through a memo that lasts one call.  This is
+dictionary encoding with late materialization, as in RDF-3X (Neumann,
+Weikum, PVLDB 2008).
+
+Every table also carries the names all of its rows bind, set by the
+operator that builds it; the joins hash on the names both sides always
+bind.  Pattern groups evaluate bottom-up: the group's triple patterns
+first, then each OPTIONAL via left outer join (its group's filters as
+the join's condition), nested groups and UNION chains joined in, filters
+last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import query_model as qm
 from .rdf_model import LITERAL, iri, literal_parts, numeric_value
@@ -19,63 +33,143 @@ from .query_model import (
 )
 
 
+def _term_of(graph, value):
+    """The term a row value stands for: a label string is an IRI, any
+    other value is a vertex id of graph."""
+    if isinstance(value, str):
+        return iri(value)
+    return graph.term(value)
+
+
 @dataclass(frozen=True)
 class BindingTable:
-    schema: frozenset    # variable names that may be bound
-    rows: frozenset      # of tuples of (name, Term), sorted by name
+    """A set of rows over the sorted variable names `names`.
+
+    Each row holds one value per name, None where the row leaves the
+    name unbound.  `always` is a subset of the names that every row
+    binds, as the operators that built the table know it; it is not
+    part of the table's value.  `graph` is the RdfGraph whose vertex ids
+    the rows hold; a table without values (unit_table(), empty_table())
+    leaves it None, and an operator takes the graph of whichever input
+    has one.
+    """
+    names: tuple
+    rows: frozenset
+    always: frozenset = field(default=frozenset(), compare=False)
+    graph: object = None
+
+    @property
+    def schema(self):
+        """The variable names that may be bound."""
+        return frozenset(self.names)
+
+    def term(self, value):
+        return _term_of(self.graph, value)
 
     def __len__(self):
         return len(self.rows)
 
 
-def make_row(bindings):
-    return tuple(sorted(bindings.items()))
-
-
 def unit_table():
     """One all-unbound row: the identity for joining."""
-    return BindingTable(frozenset(), frozenset([()]))
+    return BindingTable((), frozenset([()]))
 
 
 def empty_table(schema=()):
-    return BindingTable(frozenset(schema), frozenset())
+    return BindingTable(tuple(sorted(schema)), frozenset(), frozenset(schema))
 
 
-def _always_bound(rows):
-    names = None
-    for r in rows:
-        bound = {name for name, _ in r}
-        names = bound if names is None else names & bound
-    return names or set()
+_UNBOUND = (None,)
+_UNSEEN = object()
 
 
-def _join(t1, t2, outer):
+def _picker(positions):
+    """row -> the tuple of its values at positions.  itemgetter returns
+    a bare value for one position and takes at least one."""
+    if len(positions) == 1:
+        i, = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def align(rows, source, target):
+    """rows over the names source, re-aligned to the names target (any
+    sequence of names): None where source lacks a name."""
+    if source == target:
+        return rows
+    at = {name: i for i, name in enumerate(source)}
+    if all(name in at for name in target):
+        return map(_picker([at[name] for name in target]), rows)
+    pick = _picker([at.get(name, len(source)) for name in target])
+    return (pick(r + _UNBOUND) for r in rows)
+
+
+def _reconcile(merged, r1, r2, loose):
+    """merged with each loose variable (i in r1, j in r2, k in merged)
+    taken from whichever row binds it; None if both bind it to
+    different values."""
+    out = None
+    for i, j, k in loose:
+        a, b = r1[i], r2[j]
+        if a is None:
+            if b is not None:
+                out = out or list(merged)
+                out[k] = b
+        elif b is not None and a != b:
+            return None
+    return merged if out is None else tuple(out)
+
+
+def _join(t1, t2, outer, cond=None):
     """The hashed join loop of nat_join and left_outer_join.
 
-    t2's rows are bucketed on the variables every row of both tables
-    binds, and each row of t1 is merged with every compatible row of its
-    bucket; when outer, a row of t1 with no such partner is kept alone.
-    A variable some row leaves unbound (OPTIONAL output) stays out of the
-    key, since an unbound variable is compatible with any value.
+    t2's rows are bucketed on the variables both tables always bind, and
+    each row of t1 merges with every compatible row of its bucket whose
+    merge meets cond; when outer, a row of t1 with no such partner is
+    kept alone.  A merged row is read off r1 + r2 at positions computed
+    once per join.  A shared variable outside the key may be unbound on
+    either side, so it alone is checked and merged value by value.
     """
-    keys = sorted(_always_bound(t1.rows) & _always_bound(t2.rows))
+    n1, n2 = t1.names, t2.names
+    at1 = {name: i for i, name in enumerate(n1)}
+    at2 = {name: i for i, name in enumerate(n2)}
+    names = tuple(sorted(at1.keys() | at2.keys()))
+    keyed = t1.always & t2.always
+    keys = sorted(keyed)
+    key1 = _picker([at1[name] for name in keys])
+    key2 = _picker([at2[name] for name in keys])
+    width = len(n1)
+    # t1's value wins in the merge; _reconcile fixes the loose ones
+    merge = _picker([at1[name] if name in at1 else width + at2[name]
+                     for name in names])
+    loose = [(at1[name], at2[name], k) for k, name in enumerate(names)
+             if name in at1 and name in at2 and name not in keyed]
+    pad = _picker([at1.get(name, width) for name in names])
+    graph = t1.graph if t1.graph is not None else t2.graph
+    test = None if cond is None else _compile(cond, names, graph)
+
     buckets = {}
     for r2 in t2.rows:
-        d2 = dict(r2)
-        buckets.setdefault(tuple(d2[k] for k in keys), []).append(r2)
+        buckets.setdefault(key2(r2), []).append(r2)
     rows = set()
     for r1 in t1.rows:
-        d1 = dict(r1)
         partnered = False
-        for r2 in buckets.get(tuple(d1[k] for k in keys), ()):
-            if all(name not in d1 or d1[name] == term for name, term in r2):
-                merged = dict(d1)
-                merged.update(r2)
-                rows.add(make_row(merged))
-                partnered = True
+        for r2 in buckets.get(key1(r1), ()):
+            merged = merge(r1 + r2)
+            if loose:
+                merged = _reconcile(merged, r1, r2, loose)
+                if merged is None:
+                    continue
+            if test is not None and test(merged) is not True:
+                continue
+            rows.add(merged)
+            partnered = True
         if outer and not partnered:
-            rows.add(r1)
-    return BindingTable(t1.schema | t2.schema, frozenset(rows))
+            rows.add(pad(r1 + _UNBOUND))
+    always = t1.always if outer else t1.always | t2.always
+    return BindingTable(names, frozenset(rows), always, graph)
 
 
 def nat_join(t1, t2):
@@ -83,23 +177,23 @@ def nat_join(t1, t2):
 
 
 def union(t1, t2):
-    return BindingTable(t1.schema | t2.schema, t1.rows | t2.rows)
+    names = tuple(sorted(set(t1.names) | set(t2.names)))
+    rows = frozenset(align(t1.rows, t1.names, names)) \
+        | frozenset(align(t2.rows, t2.names, names))
+    graph = t1.graph if t1.graph is not None else t2.graph
+    return BindingTable(names, rows, t1.always & t2.always, graph)
 
 
-def left_outer_join(t1, t2):
-    return _join(t1, t2, outer=True)
+def left_outer_join(t1, t2, cond=None):
+    """SPARQL's LeftJoin(t1, t2, cond): a row of t1 is kept alone when
+    no compatible row of t2 merges with it into a row that meets cond
+    (None: no condition)."""
+    return _join(t1, t2, outer=True, cond=cond)
 
 
-def _numeric_pair(lt, rt):
-    lv = numeric_value(lt)
-    rv = numeric_value(rt)
-    if lv is None or rv is None:
-        return None
-    return lv, rv
-
-
-def _compare(op, lt, rt):
-    """Term comparison; returns bool, or None for an evaluation error."""
+def _compare(op, lt, rt, number):
+    """Term comparison; returns bool, or None for an evaluation error.
+    number(term) is the term's numeric value, or None."""
     if op == "=":
         return lt == rt
     if op == "!=":
@@ -107,10 +201,9 @@ def _compare(op, lt, rt):
     if lt.kind != rt.kind:
         return None
     if lt.kind == LITERAL:
-        pair = _numeric_pair(lt, rt)
-        if pair is not None:
-            lv, rv = pair
-        else:
+        lv = number(lt)
+        rv = number(rt)
+        if lv is None or rv is None:
             lv = literal_parts(lt)[0]
             rv = literal_parts(rt)[0]
     else:
@@ -125,51 +218,112 @@ def _compare(op, lt, rt):
     return lv >= rv
 
 
-def _eval_expr(expr, bindings):
-    """Three-valued filter evaluation: True, False, or None on error
-    (unbound variable, kind mismatch)."""
+def _compile(expr, names, graph):
+    """expr as a function of a row aligned to names, giving the
+    three-valued filter result: True, False, or None on error (unbound
+    variable, kind mismatch).  The function keeps two memos for its
+    lifetime: row value -> Term and Term -> numeric value."""
+    terms = {}
+    numbers = {}
+
+    def term(value):
+        t = terms.get(value)
+        if t is None:
+            t = terms[value] = _term_of(graph, value)
+        return t
+
+    def number(t):
+        value = numbers.get(t, _UNSEEN)
+        if value is _UNSEEN:
+            value = numbers[t] = numeric_value(t)
+        return value
+
+    at = {name: i for i, name in enumerate(names)}
+    return _compiled(expr, at, term, number)
+
+
+def _compiled(expr, at, term, number):
     if isinstance(expr, BoolConst):
-        return expr.value
+        value = expr.value
+        return lambda row: value
     if isinstance(expr, BoundTest):
-        return expr.name in bindings
+        if expr.name not in at:
+            return lambda row: False
+        i = at[expr.name]
+        return lambda row: row[i] is not None
     if isinstance(expr, Comparison):
-        sides = []
-        for node in (expr.lhs, expr.rhs):
-            if isinstance(node, VarRef):
-                if node.name not in bindings:
-                    return None
-                sides.append(bindings[node.name])
-            elif isinstance(node, TermConst):
-                sides.append(node.term)
-            else:
-                return None
-        return _compare(expr.op, sides[0], sides[1])
+        return _compiled_comparison(expr, at, term, number)
     if isinstance(expr, LogicalNot):
-        inner = _eval_expr(expr.operand, bindings)
-        return None if inner is None else not inner
+        operand = _compiled(expr.operand, at, term, number)
+
+        def negation(row):
+            inner = operand(row)
+            return None if inner is None else not inner
+        return negation
     if isinstance(expr, LogicalAnd):
-        left = _eval_expr(expr.left, bindings)
-        right = _eval_expr(expr.right, bindings)
-        if left is False or right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if isinstance(expr, LogicalOr):
-        left = _eval_expr(expr.left, bindings)
-        right = _eval_expr(expr.right, bindings)
-        if left is True or right is True:
+        left = _compiled(expr.left, at, term, number)
+        right = _compiled(expr.right, at, term, number)
+
+        def conjunction(row):
+            lv, rv = left(row), right(row)
+            if lv is False or rv is False:
+                return False
+            if lv is None or rv is None:
+                return None
             return True
-        if left is None or right is None:
-            return None
-        return False
+        return conjunction
+    if isinstance(expr, LogicalOr):
+        left = _compiled(expr.left, at, term, number)
+        right = _compiled(expr.right, at, term, number)
+
+        def disjunction(row):
+            lv, rv = left(row), right(row)
+            if lv is True or rv is True:
+                return True
+            if lv is None or rv is None:
+                return None
+            return False
+        return disjunction
     raise TypeError("unknown filter node %r" % (expr,))
 
 
+def _compiled_comparison(expr, at, term, number):
+    # each side: (row position, None) for a variable, (None, term) for a
+    # constant
+    sides = []
+    for node in (expr.lhs, expr.rhs):
+        if isinstance(node, TermConst):
+            sides.append((None, node.term))
+        elif isinstance(node, VarRef) and node.name in at:
+            sides.append((at[node.name], None))
+        else:       # an unbound variable: always an error
+            return lambda row: None
+    (i, lconst), (j, rconst) = sides
+    op = expr.op
+
+    def comparison(row):
+        if i is None:
+            lt = lconst
+        else:
+            value = row[i]
+            if value is None:
+                return None
+            lt = term(value)
+        if j is None:
+            rt = rconst
+        else:
+            value = row[j]
+            if value is None:
+                return None
+            rt = term(value)
+        return _compare(op, lt, rt, number)
+    return comparison
+
+
 def filter_table(t, expr):
-    rows = frozenset(r for r in t.rows
-                     if _eval_expr(expr, dict(r)) is True)
-    return BindingTable(t.schema, rows)
+    test = _compile(expr, t.names, t.graph)
+    rows = frozenset(r for r in t.rows if test(r) is True)
+    return BindingTable(t.names, rows, t.always, t.graph)
 
 
 def _label_assignments(q, g, fn):
@@ -217,19 +371,21 @@ def _label_assignments(q, g, fn):
 
 
 def bgp_results_to_table(matches, q, g):
-    """Rows from match vectors: vertex variables bind their data terms,
-    label variables expand to every consistent assignment."""
+    """Rows from match vectors: a vertex variable holds its data vertex
+    id, and label variables expand to every consistent assignment of
+    label strings.  No term is built."""
     vertex_vars = q.vertex_vars()
-    schema = frozenset(vertex_vars) | q.label_vars()
-    rows = set()
-    for fn in matches:
-        base = {name: g.term(fn[vid]) for name, vid in vertex_vars.items()}
-        for labels in _label_assignments(q, g, fn):
-            row = dict(base)
-            for name, label in labels.items():
-                row[name] = iri(label)
-            rows.add(make_row(row))
-    return BindingTable(schema, frozenset(rows))
+    label_vars = q.label_vars()
+    names = tuple(sorted(vertex_vars.keys() | label_vars))
+    if label_vars:
+        rows = set()
+        for fn in matches:
+            for labels in _label_assignments(q, g, fn):
+                rows.add(tuple(labels[name] if name in labels
+                               else fn[vertex_vars[name]] for name in names))
+    else:
+        rows = map(_picker([vertex_vars[name] for name in names]), matches)
+    return BindingTable(names, frozenset(rows), frozenset(names), g)
 
 
 def evaluate_bgp(graph, match_fn, g):
@@ -256,18 +412,17 @@ def evaluate_node(node, bgp_eval):
                      evaluate_node(node.right, bgp_eval))
     if isinstance(node, Opt):
         return left_outer_join(evaluate_node(node.left, bgp_eval),
-                               evaluate_node(node.right, bgp_eval))
+                               evaluate_node(node.right, bgp_eval),
+                               node.cond)
     if isinstance(node, Filter):
         return filter_table(evaluate_node(node.child, bgp_eval), node.expr)
     raise TypeError("unknown query node %r" % (node,))
 
 
 def project(table, names):
-    rows = set()
-    keep = set(names)
-    for r in table.rows:
-        rows.add(tuple((n, t) for n, t in r if n in keep))
-    return BindingTable(frozenset(keep), frozenset(rows))
+    keep = tuple(sorted(set(names)))
+    rows = frozenset(align(table.rows, table.names, keep))
+    return BindingTable(keep, rows, table.always & set(keep), table.graph)
 
 
 def evaluate_general(gq, bgp_eval):

@@ -195,8 +195,11 @@ class Union:
 
 @dataclass(frozen=True)
 class Opt:
+    """LeftJoin(left, right, cond); cond is a filter expression over
+    the merged row, or None for none."""
     left: object
     right: object
+    cond: object = None
 
 
 @dataclass(frozen=True)
@@ -642,14 +645,24 @@ def _number_literal(text):
 
 
 def _shape(spec):
-    """Turn a parsed group into the evaluation tree.
+    """Turn a parsed group into the evaluation tree: its elements, with
+    its FILTERs, wherever they stand, wrapping the whole group."""
+    node = _shape_elements(spec)
+    for expr in spec.filters:
+        node = Filter(node, expr)
+    return node
 
-    The group's elements fold in textual order, as in SPARQL 1.1
-    section 18.2.2.6.  The group starts from its leading run of triple
-    patterns as one BGP (empty when it opens with something else).  Each
-    later run of triples, nested group or UNION chain joins onto
-    everything before it, and each OPTIONAL left-joins onto everything
-    before it.  FILTERs, wherever they stand, wrap the whole group.
+
+def _shape_elements(spec):
+    """The group's elements, folded in textual order as in SPARQL 1.1
+    section 18.2.2.6.
+
+    The group starts from its leading run of triple patterns as one BGP
+    (empty when it opens with something else).  Each later run of
+    triples, nested group or UNION chain joins onto everything before
+    it, and each OPTIONAL left-joins onto everything before it.  An
+    OPTIONAL group's own FILTERs become the left join's condition, so
+    they see the variables of both sides.
     """
     (_, leading), *rest = spec.elements
     node = Bgp(build_query_graph(leading))
@@ -657,14 +670,15 @@ def _shape(spec):
         if kind == "triples":
             node = And(node, Bgp(build_query_graph(item)))
         elif kind == "optional":
-            node = Opt(node, _shape(item))
+            cond = None
+            for expr in item.filters:
+                cond = expr if cond is None else LogicalAnd(cond, expr)
+            node = Opt(node, _shape_elements(item), cond)
         else:
             shaped = _shape(item[0])
             for alternative in item[1:]:
                 shaped = Union(shaped, _shape(alternative))
             node = And(node, shaped)
-    for expr in spec.filters:
-        node = Filter(node, expr)
     return node
 
 
@@ -775,17 +789,34 @@ def _group_body_lines(node, indent):
     for step in spine:
         if isinstance(step, Opt):
             lines.append(pad + "OPTIONAL {")
-            lines.extend(_group_body_lines(step.right, indent + 1))
+            lines.extend(_optional_lines(step, indent + 1))
             lines.append(pad + "}")
         else:
             lines.extend(_joined_lines(step.right, indent))
-    for expr in filters:
-        text = _expr_text(expr)
-        # compound expressions come parenthesized, atoms do not
-        if not text.startswith("("):
-            text = "(%s)" % text
-        lines.append("%sFILTER%s" % (pad, text))
+    lines.extend(_filter_line(expr, indent) for expr in filters)
     return lines
+
+
+def _optional_lines(step, indent):
+    """The group of OPTIONAL step: its right side, then its condition as
+    the group's FILTER.  A Filter on the right side goes one group
+    deeper, since _shape would read a filter of the OPTIONAL's own
+    group back as the condition."""
+    if isinstance(step.right, Filter):
+        lines = _joined_lines(step.right, indent)
+    else:
+        lines = _group_body_lines(step.right, indent)
+    if step.cond is not None:
+        lines.append(_filter_line(step.cond, indent))
+    return lines
+
+
+def _filter_line(expr, indent):
+    text = _expr_text(expr)
+    # compound expressions come parenthesized, atoms do not
+    if not text.startswith("("):
+        text = "(%s)" % text
+    return "%sFILTER%s" % ("  " * indent, text)
 
 
 def pretty(gq):

@@ -11,6 +11,7 @@ import itertools
 from parteval import (
     And,
     Bgp,
+    BindingTable,
     BoolConst,
     BoundTest,
     Comparison,
@@ -31,7 +32,6 @@ from parteval import (
     build_query_graph,
     iri,
     literal,
-    make_row,
     parse_ntriples,
     tree_vars,
 )
@@ -246,8 +246,13 @@ def rand_ast(rng, g, depth=3):
         if kind == "filter":
             child = node(d - 1)
             return Filter(child, rand_expr(rng, sorted(tree_vars(child)), g))
-        cls = {"and": And, "union": Union, "opt": Opt}[kind]
-        return cls(node(d - 1), node(d - 1))
+        left, right = node(d - 1), node(d - 1)
+        if kind == "opt":
+            # a condition may name variables of either side
+            names = sorted(tree_vars(left) | tree_vars(right))
+            cond = rand_expr(rng, names, g) if rng.random() < 0.4 else None
+            return Opt(left, right, cond)
+        return {"and": And, "union": Union}[kind](left, right)
 
     root = node(depth)
     names = sorted(tree_vars(root))
@@ -260,15 +265,55 @@ def rand_ast(rng, g, depth=3):
 
 
 # ---------------------------------------------------------------------------
+# Term rows: a row as the sorted tuple of its (name, Term) bindings, an
+# unbound name left out.  The reference evaluation below works on them,
+# and tests read a BindingTable's id rows through term_rows.
+
+
+def make_row(bindings):
+    return tuple(sorted(bindings.items()))
+
+
+def term_rows(table):
+    """The table's rows as term rows."""
+    return frozenset(
+        tuple((name, table.term(value))
+              for name, value in zip(table.names, row) if value is not None)
+        for row in table.rows)
+
+
+def terms_graph(terms):
+    """A graph holding each term as a vertex, to encode tables with."""
+    anchor = iri("terms-graph-anchor")
+    return RdfGraph.from_triples([Triple(anchor, "holds", t) for t in terms])
+
+
+def term_table(schema, rows, graph=None):
+    """The BindingTable of term-row dicts over schema, with every term
+    encoded as its vertex id in graph (by default a graph of the rows'
+    terms); always holds the names every row binds."""
+    rows = [dict(r) for r in rows]
+    if graph is None:
+        graph = terms_graph([t for r in rows for t in r.values()])
+    names = tuple(sorted(set(schema).union(*rows)))
+    always = set(names).intersection(*rows)
+    encoded = frozenset(
+        tuple(None if name not in r else graph.term_id(r[name])
+              for name in names)
+        for r in rows)
+    return BindingTable(names, encoded, frozenset(always), graph)
+
+
+# ---------------------------------------------------------------------------
 # Reference SPARQL evaluation.  Tables are (schema frozenset, rows
-# frozenset of make_row tuples); rows are partial bindings.
+# frozenset of term rows); rows are partial bindings.
 
 
 def table_key(t):
     if isinstance(t, tuple):
         schema, rows = t
     else:
-        schema, rows = t.schema, t.rows
+        schema, rows = t.schema, term_rows(t)
     return frozenset(schema), frozenset(rows)
 
 
@@ -352,20 +397,25 @@ def ref_join_rows(ra, rb):
     return out
 
 
-def ref_left_join_rows(ra, rb):
-    """Nested-loop left outer join: a row of ra without a compatible row
-    in rb survives alone."""
-    out = set()
-    for r1 in ra:
-        d1 = dict(r1)
-        partners = [r2 for r2 in rb
-                    if all(d1[k] == dict(r2)[k]
-                           for k in d1.keys() & dict(r2).keys())]
-        if partners:
-            out.update(make_row({**d1, **dict(r2)}) for r2 in partners)
-        else:
-            out.add(r1)
-    return out
+def _compatible(d1, d2):
+    return all(d1[k] == d2[k] for k in d1.keys() & d2.keys())
+
+
+def ref_left_join_rows(ra, rb, expr=None):
+    """LeftJoin(ra, rb, expr) as SPARQL 1.1 section 18.5 defines it:
+    Filter(expr, Join(ra, rb)) together with Diff(ra, rb, expr), the rows
+    of ra for which no compatible row of rb gives a merge where expr is
+    true.  No expression means true."""
+    def holds(d):
+        return expr is None or ref_truth(expr, d) is True
+
+    merged = [{**dict(r1), **dict(r2)} for r1 in ra for r2 in rb
+              if _compatible(dict(r1), dict(r2))]
+    filtered = {make_row(d) for d in merged if holds(d)}
+    diff = {r1 for r1 in ra
+            if all(not _compatible(dict(r1), dict(r2))
+                   or not holds({**dict(r1), **dict(r2)}) for r2 in rb)}
+    return filtered | diff
 
 
 def ref_bgp(q, g):
@@ -461,7 +511,7 @@ def ref_eval(node, g):
     if isinstance(node, Opt):
         sa, ra = ref_eval(node.left, g)
         sb, rb = ref_eval(node.right, g)
-        return sa | sb, frozenset(ref_left_join_rows(ra, rb))
+        return sa | sb, frozenset(ref_left_join_rows(ra, rb, node.cond))
     if isinstance(node, Filter):
         schema, rows = ref_eval(node.child, g)
         return schema, frozenset(r for r in rows

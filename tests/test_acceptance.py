@@ -31,7 +31,6 @@ from parteval import (
     join_cost,
     joinable,
     main,
-    make_row,
     naive_iterative_join,
     optimal_partitioning,
     parse_ntriples,
@@ -107,10 +106,10 @@ def test_01_fixture_fidelity(movie, movie_bgp, movie_gq, movie_query, capsys):
     if run_bsp(dg, movie_gq, omega) != want:
         problems.append("distributed crossing set differs")
 
-    answer = {make_row({"a": iri("s2:act1"), "d": iri("s1:dir1")})}
+    answer = {helpers.make_row({"a": iri("s2:act1"), "d": iri("s1:dir1")})}
     for mode in ("centralized", "distributed"):
         table, _ = execute(movie_query, dg, EngineConfig(assembly=mode))
-        if set(table.rows) != answer:
+        if helpers.term_rows(table) != answer:
             problems.append("%s answer table differs" % mode)
 
     _verdict(capsys, 1, "fixture fidelity", problems)

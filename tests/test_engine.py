@@ -30,7 +30,6 @@ from parteval import (
     literal,
     load_db,
     main,
-    make_row,
     parse_ntriples,
     parse_sparql,
     partition_from_file,
@@ -38,8 +37,8 @@ from parteval import (
     tree_vars,
     write_partition_file,
 )
-from parteval.general_sparql import BindingTable
 from parteval.oracle import MAX_DATA_VERTICES
+from helpers import make_row, term_rows
 
 CONFIGS = [
     EngineConfig(assembly="centralized", join="partitioned"),
@@ -80,7 +79,7 @@ def movie_disk(tmp_path_factory):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.assembly[:1] + c.join[:1] + c.transport[:1])
 def test_execute_movie_all_pipelines(movie_graph, movie_dg, movie_query, cfg):
     table, stats = execute(movie_query, movie_dg, cfg)
-    assert table.rows == {MOVIE_ROW}
+    assert term_rows(table) == {MOVIE_ROW}
     assert stats.inner_matches == 0
     assert stats.crossing_matches == 1
     assert stats.lpm_counts == {0: 1, 1: 1, 2: 0, 3: 0}
@@ -88,7 +87,7 @@ def test_execute_movie_all_pipelines(movie_graph, movie_dg, movie_query, cfg):
 
 def test_execute_default_config(movie_dg, movie_query):
     table, stats = execute(movie_query, movie_dg)
-    assert table.rows == {MOVIE_ROW}
+    assert term_rows(table) == {MOVIE_ROW}
     assert stats.join_cost == 1
 
 
@@ -106,10 +105,10 @@ def test_execute_distributed_stats(movie_dg, movie_query):
 
 def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
     table, _ = execute(movie_query, movie_dg, EngineConfig(threads=3))
-    assert table.rows == {MOVIE_ROW}
+    assert term_rows(table) == {MOVIE_ROW}
     monkeypatch.setenv("PARTEVAL_THREADS", "2")
     table, _ = execute(movie_query, movie_dg)
-    assert table.rows == {MOVIE_ROW}
+    assert term_rows(table) == {MOVIE_ROW}
 
 
 def test_execute_timeout(movie_dg, movie_query):
@@ -131,7 +130,7 @@ def test_tcp_exchange_opens_once_per_graph(movie_query, monkeypatch):
     cfg = EngineConfig(assembly="distributed", transport="tcp")
     for _ in range(2):
         table, stats = execute(movie_query, dg, cfg)
-        assert table.rows == {MOVIE_ROW}
+        assert term_rows(table) == {MOVIE_ROW}
         assert stats.messages_sent == 5 + 1
     assert opened == [dg.k]
 
@@ -147,7 +146,7 @@ def test_concurrent_tcp_queries_on_one_graph_share_no_exchange(
     def client():
         try:
             for _ in range(10):
-                answers.append(execute(movie_query, dg, cfg)[0].rows)
+                answers.append(term_rows(execute(movie_query, dg, cfg)[0]))
         except Exception as exc:
             errors.append(exc)
 
@@ -186,9 +185,9 @@ def test_tcp_timeout_inside_assembly_leaves_the_graph_usable():
     tcp = EngineConfig(assembly="distributed", transport="tcp")
     for vertices in (4, 6):
         query = _path_query(vertices)
-        want = execute(query, dg)[0].rows
+        want = term_rows(execute(query, dg)[0])
         assert len(want) == 36 - vertices + 1
-        assert execute(query, dg, tcp)[0].rows == want
+        assert term_rows(execute(query, dg, tcp)[0]) == want
 
 
 def test_stats_to_dict_keys(movie_dg, movie_query):
@@ -235,7 +234,7 @@ def test_format_tsv_cells_and_sorting():
         make_row({"x": iri("a")}),
         make_row({"x": iri("a"), "y": blank("n0")}),
     ])
-    t = BindingTable(frozenset({"x", "y"}), rows)
+    t = helpers.term_table({"x", "y"}, rows)
     got = format_tsv(t, ["x", "y"])
     assert got == ("?x\t?y\n"
                    "a\t\n"
@@ -244,8 +243,7 @@ def test_format_tsv_cells_and_sorting():
 
 
 def test_format_tsv_column_order_follows_names():
-    t = BindingTable(frozenset({"x", "y"}),
-                     frozenset([make_row({"x": iri("a"), "y": iri("b")})]))
+    t = helpers.term_table({"x", "y"}, [{"x": iri("a"), "y": iri("b")}])
     assert format_tsv(t, ["y", "x"]) == "?y\t?x\nb\ta\n"
 
 
@@ -304,6 +302,40 @@ def test_cli_optional_after_a_nested_group(tmp_path, capsys):
                                           "--assembly", assembly])
         assert (code, err) == (0, "")
         assert out == "?x\t?y\t?z\na\tb\t\n"
+
+
+@pytest.mark.parametrize("op, want", [
+    ("=", "?x\t?y\t?z\na\tb\ta\n"),
+    ("!=", "?x\t?y\t?z\na\tb\t\n"),
+], ids=["equal", "not-equal"])
+def test_cli_filter_in_optional_sees_the_outer_group(tmp_path, capsys, op,
+                                                     want):
+    """The OPTIONAL group's FILTER is the left join's condition, so ?x
+    from outside the group is bound when it is evaluated."""
+    src = tmp_path / "in.nt"
+    src.write_text("<a> <p> <b> .\n<b> <q> <a> .\n", encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(
+        "SELECT * WHERE { ?x <p> ?y OPTIONAL { ?y <q> ?z FILTER(?x %s ?z) } }"
+        % op, encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2"]) == 0
+    capsys.readouterr()
+    for assembly in ("centralized", "distributed"):
+        code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                          "--sparql", str(query),
+                                          "--assembly", assembly])
+        assert (code, err) == (0, "")
+        assert out == want
+
+
+def test_format_tsv_prints_a_label_variable_as_its_iri(movie_dg):
+    gq = parse_sparql(
+        "SELECT ?l ?f WHERE { <s1:dir1> ?l ?f . ?f <rdfs:label> ?n . }")
+    table, _ = execute(gq, movie_dg)
+    assert format_tsv(table, ["l", "f"]) == \
+        "?l\t?f\ndirected\ts1:film2\n"
 
 
 def test_cli_query_deterministic_across_pipelines(movie_disk, capsys):
@@ -603,7 +635,7 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
     queries = [GeneralQuery(Bgp(helpers.rand_bgp(rng, g, n_max=3)), None)
                for _ in range(4)]
     single = build_fragments(g, partition_uniform_hash(g, 1))
-    want = [execute(gq, single)[0].rows for gq in queries]
+    want = [term_rows(execute(gq, single)[0]) for gq in queries]
     assert any(want)
     runs = [(k, EngineConfig(assembly=mode)) for k in range(2, 9)
             for mode in ("centralized", "distributed")]
@@ -612,7 +644,7 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
     runs.append((40, EngineConfig(assembly="distributed")))
     for k, cfg in runs:
         dg = build_fragments(g, partition_uniform_hash(g, k))
-        got = [execute(gq, dg, cfg)[0].rows for gq in queries]
+        got = [term_rows(execute(gq, dg, cfg)[0]) for gq in queries]
         assert got == want, "k=%d, %s" % (k, cfg)
     # a partition file (`--strategy file`) cuts the graph elsewhere than
     # the hash at the same k, which gave want above
@@ -624,7 +656,7 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
         assert pm.assignment != partition_uniform_hash(g, k).assignment
         dg = build_fragments(g, pm)
         for mode in ("centralized", "distributed"):
-            got = [execute(gq, dg, EngineConfig(assembly=mode))[0].rows
+            got = [term_rows(execute(gq, dg, EngineConfig(assembly=mode))[0])
                    for gq in queries]
             assert got == want, "file partition, k=%d, %s" % (k, mode)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from parteval import (
-    BindingTable,
     BoolConst,
     BoundTest,
     Comparison,
@@ -21,7 +20,6 @@ from parteval import (
     iri,
     left_outer_join,
     literal,
-    make_row,
     nat_join,
     parse_sparql,
     project,
@@ -29,14 +27,18 @@ from parteval import (
     unit_table,
 )
 from parteval.query_model import LogicalAnd, LogicalNot, LogicalOr, TermConst
+from helpers import make_row, term_rows
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DEC = "http://www.w3.org/2001/XMLSchema#decimal"
 
+# every term the tables below hold, so that tables built apart can join
+TERMS = helpers.terms_graph(
+    [iri(c) for c in "abcde"] + [literal("one"), literal("uno"), literal("x")])
+
 
 def table(schema, *rows):
-    return BindingTable(frozenset(schema),
-                        frozenset(make_row(r) for r in rows))
+    return helpers.term_table(schema, rows, TERMS)
 
 
 def bgp_eval_for(g):
@@ -55,6 +57,10 @@ def run_query(text, g):
 def test_make_row_sorts_by_name():
     row = make_row({"b": iri("2"), "a": iri("1")})
     assert row == (("a", iri("1")), ("b", iri("2")))
+    # a table's rows align to its names in the same order
+    t = helpers.term_table({"b", "a"}, [{"b": iri("2"), "a": iri("1")}])
+    assert t.names == ("a", "b")
+    assert term_rows(t) == {row}
 
 
 def test_unit_and_empty():
@@ -70,7 +76,7 @@ def test_nat_join_matches_on_shared_columns():
     t2 = table({"y", "z"}, {"y": iri("b"), "z": iri("e")})
     got = nat_join(t1, t2)
     assert got.schema == {"x", "y", "z"}
-    assert got.rows == {make_row({"x": iri("a"), "y": iri("b"), "z": iri("e")})}
+    assert term_rows(got) == {make_row({"x": iri("a"), "y": iri("b"), "z": iri("e")})}
 
 
 def test_nat_join_unit_identity():
@@ -90,7 +96,7 @@ def test_nat_join_unbound_is_compatible():
     t1 = table({"x", "y"}, {"x": iri("a")})
     t2 = table({"y"}, {"y": iri("b")})
     got = nat_join(t1, t2)
-    assert got.rows == {make_row({"x": iri("a"), "y": iri("b")})}
+    assert term_rows(got) == {make_row({"x": iri("a"), "y": iri("b")})}
 
 
 def test_union_keeps_partial_rows():
@@ -106,15 +112,48 @@ def test_left_outer_join_extends_or_keeps():
     details = table({"x", "n"}, {"x": iri("a"), "n": literal("one")},
                     {"x": iri("a"), "n": literal("uno")})
     got = left_outer_join(people, details)
-    assert make_row({"x": iri("b")}) in got.rows
+    assert make_row({"x": iri("b")}) in term_rows(got)
     assert len(got) == 3
+
+
+def test_left_outer_join_condition_sees_both_sides():
+    people = table({"x", "y"}, {"x": iri("a"), "y": iri("b")},
+                   {"x": iri("c"), "y": iri("b")})
+    details = table({"y", "z"}, {"y": iri("b"), "z": iri("a")})
+    same = Comparison("=", VarRef("x"), VarRef("z"))
+    got = left_outer_join(people, details, same)
+    assert term_rows(got) == {
+        make_row({"x": iri("a"), "y": iri("b"), "z": iri("a")}),
+        make_row({"x": iri("c"), "y": iri("b")})}
+    # an error in the condition (?w is never bound) keeps the rows alone
+    err = Comparison("=", VarRef("w"), VarRef("z"))
+    assert term_rows(left_outer_join(people, details, err)) == \
+        term_rows(people)
+
+
+def test_union_aligns_tables_with_different_columns():
+    t1 = table({"x", "y"}, {"x": iri("a"), "y": iri("b")})
+    t2 = table({"y", "z"}, {"y": iri("b"), "z": iri("c")},
+               {"y": iri("d")})
+    got = union(t1, t2)
+    assert got.names == ("x", "y", "z")
+    assert term_rows(got) == term_rows(t1) | term_rows(t2)
+    assert got.always == {"y"}
+
+
+def test_join_after_optional_leaves_its_unbound_names_out_of_the_key():
+    people = table({"x"}, {"x": iri("a")}, {"x": iri("b")})
+    details = table({"x", "n"}, {"x": iri("a"), "n": literal("one")})
+    names = table({"n"}, {"n": literal("uno")})
+    got = nat_join(left_outer_join(people, details), names)
+    assert term_rows(got) == {make_row({"x": iri("b"), "n": literal("uno")})}
 
 
 def test_left_outer_join_is_asymmetric():
     t1 = table({"x"}, {"x": iri("a")})
     t2 = table({"x"}, {"x": iri("b")})
-    assert left_outer_join(t1, t2).rows == t1.rows
-    assert left_outer_join(t2, t1).rows == t2.rows
+    assert term_rows(left_outer_join(t1, t2)) == term_rows(t1)
+    assert term_rows(left_outer_join(t2, t1)) == term_rows(t2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +161,7 @@ def test_left_outer_join_is_asymmetric():
 
 
 def row_passes(expr, bindings):
-    t = BindingTable(frozenset(bindings), frozenset([make_row(bindings)]))
+    t = helpers.term_table(bindings, [bindings])
     return len(filter_table(t, expr)) == 1
 
 
@@ -216,20 +255,20 @@ def _two_label_graph():
 def test_label_variable_enumerates_labels():
     g = _two_label_graph()
     got = run_query("SELECT * WHERE { <a> ?l <b> . }", g)
-    assert got.rows == {make_row({"l": iri("p")}), make_row({"l": iri("q")})}
+    assert term_rows(got) == {make_row({"l": iri("p")}), make_row({"l": iri("q")})}
 
 
 def test_label_variable_consistent_across_edges():
     g = _two_label_graph()
     got = run_query("SELECT ?l WHERE { <a> ?l <b> . <b> ?l <c> . }", g)
     # q is not available on the second edge, so only p survives
-    assert got.rows == {make_row({"l": iri("p")})}
+    assert term_rows(got) == {make_row({"l": iri("p")})}
 
 
 def test_label_variable_injective_against_constant():
     g = _two_label_graph()
     got = run_query("SELECT ?l WHERE { <a> <p> <b> . <a> ?l <b> . }", g)
-    assert got.rows == {make_row({"l": iri("q")})}
+    assert term_rows(got) == {make_row({"l": iri("q")})}
     only_p = RdfGraph.from_triples([Triple(iri("a"), "p", iri("b"))])
     assert len(run_query("SELECT ?l WHERE { <a> <p> <b> . <a> ?l <b> . }",
                          only_p)) == 0
@@ -238,22 +277,42 @@ def test_label_variable_injective_against_constant():
 def test_two_label_variables_stay_distinct_on_one_pair():
     g = _two_label_graph()
     got = run_query("SELECT * WHERE { <a> ?l <b> . <a> ?m <b> . }", g)
-    assert got.rows == {
+    assert term_rows(got) == {
         make_row({"l": iri("p"), "m": iri("q")}),
         make_row({"l": iri("q"), "m": iri("p")}),
     }
 
 
+def _predicate_vertex_graph():
+    # the predicate IRI <p> is also a vertex, the object of a <q> edge
+    a, b, p = iri("a"), iri("b"), iri("p")
+    return RdfGraph.from_triples([Triple(a, "p", b), Triple(b, "q", p)])
+
+
+def test_filter_compares_a_label_variable_with_a_vertex_variable():
+    """A label variable holds a label string and a vertex variable a
+    vertex id; compared, both stand for the IRI <p>."""
+    g = _predicate_vertex_graph()
+    text = "SELECT * WHERE { ?s ?p ?o . ?o <q> ?z . FILTER(?p %s ?z) }"
+    got = run_query(text % "=", g)
+    assert term_rows(got) == {make_row({"s": iri("a"), "p": iri("p"),
+                                        "o": iri("b"), "z": iri("p")})}
+    assert len(run_query(text % "!=", g)) == 0
+    # the same through an ordering comparison, which also decodes
+    assert len(run_query(text % "<=", g)) == 1
+    assert len(run_query(text % "<", g)) == 0
+
+
 def test_empty_bgp_gives_unit():
     g = _two_label_graph()
     got = run_query("SELECT * WHERE { }", g)
-    assert got.rows == frozenset([()])
+    assert term_rows(got) == frozenset([()])
 
 
 def test_disconnected_components_cross_join():
     g = _two_label_graph()
     got = run_query("SELECT * WHERE { <a> <p> ?x . ?y <p> <c> . }", g)
-    assert got.rows == {make_row({"x": iri("b"), "y": iri("b")})}
+    assert term_rows(got) == {make_row({"x": iri("b"), "y": iri("b")})}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +322,7 @@ def test_disconnected_components_cross_join():
 def test_movie_label_rows(movie_graph):
     got = run_query("SELECT * WHERE { ?f <rdfs:label> ?n . }", movie_graph)
     assert len(got) == 5
-    assert make_row({"f": iri("s4:archive"), "n": iri("s2:film1")}) in got.rows
+    assert make_row({"f": iri("s4:archive"), "n": iri("s2:film1")}) in term_rows(got)
 
 
 def test_movie_optional_keeps_bare_row(movie_graph):
@@ -271,8 +330,8 @@ def test_movie_optional_keeps_bare_row(movie_graph):
         "SELECT * WHERE { ?d <directed> ?f . "
         "OPTIONAL { ?f <rdfs:label> ?n . } }", movie_graph)
     assert make_row({"d": iri("s1:dir1"), "f": iri("s1:film2"),
-                     "n": literal("Film Two")}) in got.rows
-    assert make_row({"d": iri("s1:dir1"), "f": iri("s3:film4")}) in got.rows
+                     "n": literal("Film Two")}) in term_rows(got)
+    assert make_row({"d": iri("s1:dir1"), "f": iri("s3:film4")}) in term_rows(got)
     assert len(got) == 2
 
 
@@ -288,14 +347,14 @@ def test_movie_filter_on_rows(movie_graph):
     got = run_query(
         'SELECT * WHERE { ?f <rdfs:label> ?n . FILTER(?n = "Film Two") }',
         movie_graph)
-    assert got.rows == {make_row({"f": iri("s1:film2"),
+    assert term_rows(got) == {make_row({"f": iri("s1:film2"),
                                   "n": literal("Film Two")})}
 
 
 def test_movie_full_query_table(movie_graph):
     got = run_query(helpers.MOVIE_QUERY, movie_graph)
     assert got.schema == {"a", "d"}
-    assert got.rows == {make_row({"a": iri("s2:act1"), "d": iri("s1:dir1")})}
+    assert term_rows(got) == {make_row({"a": iri("s2:act1"), "d": iri("s1:dir1")})}
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +367,14 @@ def test_project_drops_and_dedups():
               {"x": iri("a"), "y": iri("c")})
     got = project(t, ["x"])
     assert got.schema == {"x"}
-    assert got.rows == {make_row({"x": iri("a")})}
+    assert term_rows(got) == {make_row({"x": iri("a")})}
 
 
 def test_project_keeps_absent_names_in_schema():
     t = table({"x"}, {"x": iri("a")})
     got = project(t, ["x", "ghost"])
     assert got.schema == {"x", "ghost"}
-    assert got.rows == {make_row({"x": iri("a")})}
+    assert term_rows(got) == {make_row({"x": iri("a")})}
 
 
 def test_evaluate_general_star_keeps_all_vars(movie_graph):
@@ -345,8 +404,7 @@ def tables(draw):
                               max_size=3, unique=True))
         rows.add(make_row({n: draw(st.sampled_from(_terms))
                            for n in sorted(set(names) | set(always))}))
-    return BindingTable(schema | {n for r in rows for n, _ in r},
-                        frozenset(rows))
+    return table(schema, *rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,9 +422,31 @@ def test_nat_join_commutes(t1, t2):
 @settings(max_examples=150, deadline=None)
 @given(tables(), tables())
 def test_joins_match_nested_loop_reference(t1, t2):
-    assert nat_join(t1, t2).rows == helpers.ref_join_rows(t1.rows, t2.rows)
-    assert left_outer_join(t1, t2).rows == \
-        helpers.ref_left_join_rows(t1.rows, t2.rows)
+    r1, r2 = term_rows(t1), term_rows(t2)
+    assert term_rows(nat_join(t1, t2)) == helpers.ref_join_rows(r1, r2)
+    assert term_rows(left_outer_join(t1, t2)) == \
+        helpers.ref_left_join_rows(r1, r2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), tables(), st.integers(0, 2 ** 30))
+def test_conditional_left_join_matches_the_spec_reference(t1, t2, seed):
+    cond = helpers.rand_expr(random.Random(seed), _names, TERMS)
+    assert term_rows(left_outer_join(t1, t2, cond)) == \
+        helpers.ref_left_join_rows(term_rows(t1), term_rows(t2), cond)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), tables(), tables())
+def test_joins_over_operator_results_match_the_reference(t1, t2, t3):
+    """A join keys on the names each side's operator says it always
+    binds; an OPTIONAL's right side and one UNION side may leave theirs
+    unbound."""
+    r1, r2, r3 = term_rows(t1), term_rows(t2), term_rows(t3)
+    assert term_rows(nat_join(left_outer_join(t1, t2), t3)) == \
+        helpers.ref_join_rows(helpers.ref_left_join_rows(r1, r2), r3)
+    assert term_rows(nat_join(t3, union(t1, t2))) == \
+        helpers.ref_join_rows(r3, r1 | r2)
 
 
 @settings(max_examples=40, deadline=None)

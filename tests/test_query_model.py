@@ -248,6 +248,41 @@ def test_parse_optional_shape():
     assert gq.node.right.graph.vertex_vars().keys() == {"b", "c"}
 
 
+def test_parse_optional_filters_become_the_left_join_condition():
+    """SPARQL 1.1 section 18.2.2.6: OPTIONAL { A FILTER(F) } is
+    LeftJoin(G, A, F); several filters of that group conjoin, and a
+    filter of a group nested inside it stays there."""
+    gq = parse_sparql(
+        "SELECT * WHERE { ?x <p> ?y . OPTIONAL { ?y <q> ?z . "
+        "FILTER(?x = ?z) FILTER(bound(?y)) } }")
+    assert isinstance(gq.node, Opt)
+    assert isinstance(gq.node.right, Bgp)
+    assert gq.node.cond == LogicalAnd(
+        Comparison("=", VarRef("x"), VarRef("z")), BoundTest("y"))
+    # the result columns come from the patterns, not from the condition
+    assert tree_vars(parse_sparql(
+        "SELECT * WHERE { ?x <p> ?y . OPTIONAL { ?y <q> ?z . "
+        "FILTER(?w = ?z) } }").node) == {"x", "y", "z"}
+    nested = parse_sparql(
+        "SELECT * WHERE { ?x <p> ?y . OPTIONAL { { ?y <q> ?z . "
+        "FILTER(?x = ?z) } } }").node
+    assert nested.cond is None
+    assert _outline(nested.right) == ("And", [], ("Filter", ["q"]))
+
+
+def test_pretty_keeps_a_filter_under_optional_out_of_the_condition():
+    a = Bgp(build_query_graph([(V("x"), L("p"), V("y"))]))
+    b = Bgp(build_query_graph([(V("y"), L("q"), V("z"))]))
+    same = Comparison("=", VarRef("x"), VarRef("z"))
+    inner = parse_sparql(pretty(GeneralQuery(
+        Opt(a, Filter(b, same)), None))).node
+    assert inner.cond is None
+    assert _outline(inner.right) == ("And", [], ("Filter", ["q"]))
+    lifted = parse_sparql(pretty(GeneralQuery(Opt(a, b, same), None))).node
+    assert _outline(lifted) == ("Opt", ["p"], ["q"])
+    assert lifted.cond == same
+
+
 def test_parse_union_chain_left_assoc():
     gq = parse_sparql(
         "SELECT * WHERE { { ?a <p> ?b . } UNION { ?a <q> ?b . } UNION { ?a <r> ?b . } }"
@@ -306,7 +341,13 @@ def test_bench_algebra_templates_keep_their_shapes(monkeypatch):
         ("And", ["age"], ("Union", ["worksFor"], ["memberOf"]))
     assert outline("A3") == \
         ("Filter", ("And", ("And", [], ["takesCourse"]), ["age"]))
-    assert outline("A4") == ("Opt", ["memberOf"], ("Filter", ["age"]))
+    # the OPTIONAL's filter is the left join's condition (SPARQL 1.1
+    # section 18.2.2.6); it names only ?a, so the answers are unchanged
+    assert outline("A4") == ("Opt", ["memberOf"], ["age"])
+    a4 = parse_sparql(lubm.PREFIX + lubm.TEMPLATES["A4"][1]
+                      % {"student_age": "20"}).node
+    assert a4.cond == Comparison(
+        ">=", VarRef("a"), TermConst(literal("20", datatype=XSD_INTEGER)))
     assert outline("A5") == ("And", ("And", [], ["memberOf"]), ["takesCourse"])
 
 
