@@ -12,26 +12,31 @@ fragment among its image vertices' homes (its top home), so each match
 surfaces at exactly one site.
 
 A complete item, one that binds every query vertex, joins into nothing
-but its own vector, so it travels only to its top home, and only when
-that home ranks above the sender (else it could never be emitted).  The
-top home owns an image vertex, which a provenance fragment stores as
-extended, so it is one of the sites the partial-item rule would pick.
-No complete item enters a pool: the top home emits an arriving one at
-once.  At start-up a site drops one that fails its local check and
-emits, without sending, one whose top home it is; the check runs only
-where some query edge lies between two extended images, since the
-search already checked every edge with an internal endpoint.
+but its own vector, so it travels only to its top home, which ranks
+above the sender (the sender is one of its homes).  The top home owns an
+image vertex, which a provenance fragment stores as extended, so it is
+one of the sites the partial-item rule would pick.  No complete item
+enters a pool: the top home emits an arriving one at once.  No site
+sends one that the top home's own search must already have found
+(held_at, decided from vertex homes alone): the top home emitted it at
+start-up.  At start-up a site settles each complete match from its top
+home first: it drops one the top home holds, then one that fails its
+local check, and emits, without sending, one whose top home it is; the
+check runs only where some query edge lies between two extended images,
+since the search already checked every edge with an internal endpoint.
 
 Supersteps alternate computation and a barriered exchange; the run ends
-when an exchange delivers nothing.  A compute step closes the site's
-arrivals into its PartialMatchIndex, the join loop that centralized
-assembly runs too; what is particular to BSP (the provenance peak, the
-emission rule, the outbox) is the keep() it passes.  The exchange moves a
-run's records, all of one RecordLayout, through an in-process mailbox or
-over loopback TCP.  A record carries the vector and its internal flags
-only; every site derives provenance from vertex homes.  Before partial
-evaluation, the same exchange can carry one admission round, in which
-sites share which boundary vertices pass their checks.  The caller owns
+when a superstep posts nothing, without a barrier, so a run whose
+start-up posts nothing makes no exchange round at all.  A compute step
+closes the site's arrivals into its PartialMatchIndex, the join loop
+that centralized assembly runs too; what is particular to BSP (the
+provenance peak, the emission rule, the outbox) is the keep() it
+passes.  The exchange moves a run's records, all of one RecordLayout,
+through an in-process mailbox or over loopback TCP.  A record carries
+the vector and its internal flags only; every site derives provenance
+from vertex homes.  Before partial evaluation, the same exchange can
+carry one admission round, in which sites share which boundary vertices
+pass their checks.  The caller owns
 the exchange.  The engine keeps one loopback exchange per
 DistributedGraph (take_tcp_exchange / keep_tcp_exchange): a component
 takes it out of the graph, so concurrent queries never share one, and
@@ -45,7 +50,7 @@ import socket
 import struct
 import weakref
 
-from .matcher import LocalPartialMatch, is_complete_match
+from .matcher import LocalPartialMatch, _connected_through, is_complete_match
 from .assembly_central import PartialMatchIndex, _lpm_key
 from .assembly_central import join, joinable  # noqa: F401  (re-exported)
 
@@ -336,6 +341,28 @@ def top_home(dg, rank, fn):
     return max(map(dg.home, fn), key=rank.__getitem__)
 
 
+def held_at(q, dg, site, fn):
+    """True when site's own search finds the complete match fn as a
+    local partial match, internal on I, the query vertices whose images
+    site owns.
+
+    For a match, six of the eight conditions of is_local_partial_match
+    hold at any of its homes, as its edges with an endpoint in I are
+    stored there.  The other two are that I is connected in the query
+    and that every query vertex outside I neighbours it; with some
+    vertex outside I, the edge to it is a crossing edge.  Admission
+    keeps fn too: every image of a match passes at its home, and site
+    learns its topology neighbours' verdicts.  For a vector that is not
+    a match this may say True while site lacks it, so a caller may only
+    drop a record on its word, never emit one.
+    """
+    inside = frozenset(v for v, u in enumerate(fn) if dg.home(u) == site)
+    return (0 < len(inside) < q.n
+            and all(v in inside or not q.adj[v].isdisjoint(inside)
+                    for v in range(q.n))
+            and _connected_through(q, inside, inside))
+
+
 def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                       deadline=None):
     """One site's compute superstep.
@@ -345,8 +372,9 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
     them are tried against each other: all lie below the site, so their
     merge could not peak at it.  A merge is admitted when its provenance
     peaks at the site and it is new to seen.  A complete admitted
-    result is either emitted (valid, and this site is the top home) or
-    readied for routing to its top home (valid); a partial one is
+    result is dropped when its top home holds it (held_at), and
+    otherwise either emitted (valid, and this site is the top home) or
+    readied for sending to its top home (valid); a partial one is
     readied for routing and joins the pool in turn.  seen holds every
     item the site has pooled or produced, emitted every vector it has
     emitted; both are updated in place.  deadline, if given, is checked
@@ -367,9 +395,12 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
         if None in merged.fn:
             out.append(merged)
             return True
+        top = top_home(dg, rank, merged.fn)
+        if top != site and held_at(q, dg, top, merged.fn):
+            return False
         if not is_complete_locally(q, dg, merged.fn):
             return False
-        if top_home(dg, rank, merged.fn) != site:
+        if top != site:
             out.append(merged)
         elif merged.fn not in emitted:
             emitted.add(merged.fn)
@@ -386,12 +417,13 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
 
     Superstep 0 only sends the initial partial matches along the routing
     rule, after each site has emitted its own complete ones; compute and
-    exchange then alternate until a barrier delivers no messages, at
-    most k-1 times.  Every record of the run has one RecordLayout.  The
-    returned set is the union of all sites' emissions, pairwise disjoint
-    by the emission rule.  omega holds each fragment's local partial
-    matches as compute_local_partial_matches found them, which lets
-    start-up trust the edges the search checked (checked_by_search).
+    exchange then alternate until a superstep posts nothing, at most k-1
+    times.  Every record of the run has one RecordLayout.  The returned
+    set is the union of all sites' emissions, pairwise disjoint by the
+    emission rule.  omega holds each fragment's local partial matches as
+    compute_local_partial_matches found them, which lets start-up trust
+    the edges the search checked (checked_by_search) and a site trust
+    that a top home holds what its search must find (held_at).
     deadline, if given, has check(phase) called once per superstep and
     inside long compute steps.
     """
@@ -410,16 +442,8 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     routes = {}   # provenance -> destinations, which depend on nothing else
     layout = RecordLayout(q.n)
 
-    def send(pm, fid):
+    def post(pm, dests):
         nonlocal messages, byte_count
-        if None not in pm.fn:
-            dst = top_home(dg, rank, pm.fn)
-            dests = (dst,) if rank[dst] > rank[fid] else ()
-        else:
-            prov = provenance(dg, pm)
-            dests = routes.get(prov)
-            if dests is None:
-                dests = routes[prov] = sorted(route(prov, rank, topo))
         if not dests:
             return
         payload = encode_lpm(pm, layout)
@@ -428,27 +452,48 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
         messages += len(dests)
         byte_count += len(dests) * len(payload)
 
+    def send(pm):
+        if None not in pm.fn:
+            post(pm, (top_home(dg, rank, pm.fn),))
+            return
+        prov = provenance(dg, pm)
+        dests = routes.get(prov)
+        if dests is None:
+            dests = routes[prov] = sorted(route(prov, rank, topo))
+        post(pm, dests)
+
     for fid in range(dg.k):
         base = []
-        for pm in sorted(omega.get(fid, frozenset()), key=_lpm_key):
+        up = []
+        for pm in omega.get(fid, frozenset()):
             if None in pm.fn:
                 base.append(pm)
-            elif not (checked_by_search(q, pm)
-                      or is_complete_locally(q, dg, pm.fn)):
                 continue
-            elif top_home(dg, rank, pm.fn) == fid:
-                emitted[fid].add(pm.fn)   # and send() drops it
-            send(pm, fid)
+            dst = top_home(dg, rank, pm.fn)
+            if dst != fid and held_at(q, dg, dst, pm.fn):
+                continue    # dst's own search found it and emits it
+            if not (checked_by_search(q, pm)
+                    or is_complete_locally(q, dg, pm.fn)):
+                continue
+            if dst == fid:
+                emitted[fid].add(pm.fn)
+            else:
+                up.append((_lpm_key(pm), pm, dst))
+        base.sort(key=_lpm_key)
+        for pm in base:
+            send(pm)
+        for _, pm, dst in sorted(up):
+            post(pm, (dst,))
         pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)
 
     productive = 0
     supersteps_run = 0
+    flushed = 0   # messages posted before the last barrier
     try:
-        while True:
+        while messages > flushed:
+            flushed = messages
             delivered = exchange.flush()
-            if not any(delivered.get(fid) for fid in range(dg.k)):
-                break
             if deadline is not None:
                 deadline.check("assembly")
             supersteps_run += 1
@@ -479,7 +524,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
                 if new_emits or out:
                     was_productive = True
                 for pm in out:
-                    send(pm, fid)
+                    send(pm)
             if was_productive:
                 productive += 1
     finally:
