@@ -134,7 +134,10 @@ class Fragment:
     labelled l, targets[l] every vertex with a stored in-edge labelled l,
     and the key None holds every vertex with any stored out-edge
     (in-edge).  Candidate generation reads its sets from this label
-    index.  Treat as immutable once built.
+    index.  pairs lists, for each label, the stored pairs that carry it,
+    as the edges map's own key tuples; it has no None key.  The
+    inner-match search scans one such list to bind both ends of a query
+    edge at once.  Treat as immutable once built.
     """
 
     id: int
@@ -144,6 +147,7 @@ class Fragment:
     nbrs: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     targets: dict = field(default_factory=dict)
+    pairs: dict = field(default_factory=dict)
 
     def crossing_edge_count(self):
         return sum(len(ls) for (u, v), ls in self.edges.items()
@@ -160,13 +164,17 @@ def _finish_fragment(fid, internal, edges):
     nbrs = {}
     sources = {}
     targets = {}
-    for (u, v), labels in edges.items():
-        extended.update(w for w in (u, v) if w not in internal)
+    pairs = {}
+    for pair, labels in edges.items():
+        u, v = pair
+        extended.update(w for w in pair if w not in internal)
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
         for label in (None, *labels):
             sources.setdefault(label, set()).add(u)
             targets.setdefault(label, set()).add(v)
+        for label in labels:
+            pairs.setdefault(label, []).append(pair)
     return Fragment(
         id=fid,
         internal=internal,
@@ -175,6 +183,7 @@ def _finish_fragment(fid, internal, edges):
         nbrs={v: frozenset(ns) for v, ns in nbrs.items()},
         sources={l: frozenset(vs) for l, vs in sources.items()},
         targets={l: frozenset(vs) for l, vs in targets.items()},
+        pairs={l: tuple(ps) for l, ps in pairs.items()},
     )
 
 

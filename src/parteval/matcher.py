@@ -220,7 +220,8 @@ def is_local_partial_match(q, frag, fn, *, grown=False):
     checked each lone edge.
     """
     if grown:
-        if all(u is None or u in frag.internal for u in fn):
+        # every image is internal or extended, and the two are disjoint
+        if frag.extended.isdisjoint(fn):
             return False
         return len(q.edges) < 2 or _shared_pairs_feasible(q, fn, frag)
     n = q.n
@@ -408,14 +409,17 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
     return frozenset(results)
 
 
-def match_order(q, cand):
-    """A connected-prefix vertex ordering, smallest candidate set first;
-    cand maps each query vertex to its candidate set."""
+def match_order(q, cand, start=None):
+    """A connected-prefix vertex ordering; cand maps each query vertex to
+    its candidate set.  The order begins with the vertices of start, by
+    default the one vertex with the smallest candidate set, and then
+    takes the neighbour of the placed vertices with the smallest set."""
     n = q.n
     counts = {v: len(cand[v]) for v in range(n)}
-    start = min(range(n), key=lambda v: (counts[v], v))
-    order = [start]
-    placed = {start}
+    if start is None:
+        start = (min(range(n), key=lambda v: (counts[v], v)),)
+    order = list(start)
+    placed = set(start)
     while len(order) < n:
         frontier = [v for v in range(n)
                     if v not in placed and q.adj[v] & placed]
@@ -461,13 +465,59 @@ def _shared_pairs_feasible(q, fn, frag):
                for pair, labels in pairs.items())
 
 
+def _seed_edge(q, frag, cand):
+    """The index of the query edge the inner-match search starts from,
+    or None to start from the smallest candidate set.
+
+    The seed is the edge with the fewest stored pairs of its label among
+    edges with a constant label between two distinct vertices.  The
+    smallest candidate set wins when its vertices have fewer stored
+    neighbours in total than that edge has pairs, as a constant's single
+    candidate usually does."""
+    best = None
+    for ei, e in enumerate(q.edges):
+        if e.label is not None and e.src != e.dst:
+            size = len(frag.pairs.get(e.label, ()))
+            if best is None or size < best[0]:
+                best = (size, ei)
+    if best is None:
+        return None
+    size, ei = best
+    total = 0
+    for u in min(cand.values(), key=len):
+        total += len(frag.nbrs.get(u, ()))
+        if total >= size:
+            return ei
+    return None
+
+
+def _chunks(pairs, deadline):
+    """pairs in slices of DEADLINE_EVERY, checking deadline, if given,
+    before each slice after the first."""
+    for start in range(0, len(pairs), DEADLINE_EVERY):
+        if start and deadline is not None:
+            deadline.check("partial evaluation")
+        yield pairs[start:start + DEADLINE_EVERY]
+
+
 def compute_inner_matches(q, frag, admit=None, deadline=None):
     """Complete matches whose image uses only internal vertices and inner
     edges of the fragment.  admit, if given, is admitted(q, frag): those
     sets replace the candidates of the vertices they cover.  Every
     candidate is internal, so every pair looked up in frag.edges is an
-    inner edge.  deadline, if given, is checked every DEADLINE_EVERY
-    search states.
+    inner edge.
+
+    The search starts from the query edge whose label has the fewest
+    stored pairs (see _seed_edge): it scans that label's list in
+    frag.pairs and binds both ends from each pair whose ends are
+    candidates, and a query that is just that edge takes the filtered
+    pairs as its matches.  When no edge has a constant label between two
+    distinct vertices, or the smallest candidate set has fewer stored
+    neighbours than that list has pairs, it starts from that set
+    instead.  Either way the remaining vertices are bound one at a time
+    in a connected order, each over the stored neighbours of its bound
+    query neighbours' images.  deadline, if given, is checked every
+    DEADLINE_EVERY scanned pairs and every DEADLINE_EVERY search states.
 
     Each query edge's label is checked as soon as both its ends are
     bound, and a constant's only candidate is its own vertex.  So a full
@@ -484,7 +534,6 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
         if not cs:
             return frozenset()
         cand[v] = cs
-    order = match_order(q, cand)
     inner_labels = lambda a, b: frag.edges.get((a, b), frozenset())
     shared = len(q.edges) > 1     # can two query edges share a data pair
     results = set()
@@ -523,5 +572,29 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
                 place(t + 1)
                 fn[v] = None
 
-    place(0)
+    seed = _seed_edge(q, frag, cand)
+    if seed is None:
+        order = match_order(q, cand)
+        place(0)
+        return frozenset(results)
+
+    s, d = q.edges[seed].src, q.edges[seed].dst
+    cs, cd = cand[s], cand[d]
+    chunks = _chunks(frag.pairs.get(q.edges[seed].label, ()), deadline)
+    if n == 2 and not shared:           # the query is the seed edge
+        return frozenset(p if s == 0 else (p[1], p[0]) for chunk in chunks
+                         for p in chunk if p[0] in cs and p[1] in cd)
+    order = match_order(q, cand, (s, d))
+    # the other query edges between the seeded vertices, self-loops too
+    others = [e for ei, e in enumerate(q.edges)
+              if ei != seed and e.src in (s, d) and e.dst in (s, d)]
+    for chunk in chunks:
+        for a, b in chunk:
+            if a in cs and b in cd:
+                fn[s] = a
+                fn[d] = b
+                if all(_label_compatible(e.label,
+                                         inner_labels(fn[e.src], fn[e.dst]))
+                       for e in others):
+                    place(2)
     return frozenset(results)

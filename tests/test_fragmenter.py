@@ -63,6 +63,18 @@ def check_fragmentation(g, dg):
                 for w in vs:
                     assert w in stored
                     assert label is None or label in stored[w]
+        # the pair lists hold each stored pair once under each of its
+        # labels and under no other, as the edges map's own key object
+        key_of = {pair: pair for pair in f.edges}
+        listed = {}
+        assert None not in f.pairs
+        for label, pairs in f.pairs.items():
+            for pair in pairs:
+                assert pair is key_of[pair]
+                listed.setdefault(pair, []).append(label)
+        assert listed.keys() <= f.edges.keys()
+        for pair, labels in f.edges.items():
+            assert sorted(listed.get(pair, ())) == sorted(labels)
     # a same-owner pair sits in exactly one fragment, a crossing pair in
     # exactly two
     for (u, v) in g.edges:

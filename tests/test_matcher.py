@@ -10,17 +10,21 @@ matches frozen here.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from parteval import assembly_bsp, matcher
+from parteval import assembly_bsp, engine, matcher
 from parteval import (
     PartitionMap,
+    QueryGraph,
     RdfGraph,
+    TimeoutExceeded,
     Triple,
     build_fragments,
     build_query_graph,
     candidates,
+    classify,
     compute_inner_matches,
     compute_local_partial_matches,
     enumerate_matches,
@@ -30,6 +34,8 @@ from parteval import (
     is_local_partial_match,
     match_order,
 )
+from parteval.matcher import DEADLINE_EVERY
+from parteval.query_model import QueryEdge, QueryVertex
 
 
 def V(name):
@@ -355,6 +361,166 @@ def test_match_order_connected_prefix(movie_dg, movie_gq):
     for v in order[1:]:
         assert movie_gq.adj[v] & placed
         placed.add(v)
+    # an order started from the two ends of a query edge keeps them first
+    e = movie_gq.edges[2]
+    seeded = match_order(movie_gq, cand, (e.dst, e.src))
+    assert seeded[:2] == [e.dst, e.src]
+    assert sorted(seeded) == list(range(movie_gq.n))
+    placed = set(seeded[:2])
+    for v in seeded[2:]:
+        assert movie_gq.adj[v] & placed
+        placed.add(v)
+
+
+# ---------------------------------------------------------------------------
+# The inner-match search's two starts: a scan of one label's stored pairs,
+# or the smallest candidate set.
+
+
+def record_starts(monkeypatch):
+    """Spy on the start choice: appends "pairs" or "vertex" per search
+    that reaches it."""
+    starts = []
+    choose = matcher._seed_edge
+
+    def spied(q, frag, cand):
+        seed = choose(q, frag, cand)
+        starts.append("vertex" if seed is None else "pairs")
+        return seed
+
+    monkeypatch.setattr(matcher, "_seed_edge", spied)
+    return starts
+
+
+def check_inner(g, dg, q_graph):
+    """compute_inner_matches equals the oracle's inner matches on every
+    fragment, with and without the fragment's admitted sets."""
+    q = ground(q_graph, g)
+    want = classify(enumerate_matches(g, q_graph), dg)[0]
+    for frag in dg.fragments:
+        assert compute_inner_matches(q, frag) == want[frag.id]
+        assert compute_inner_matches(
+            q, frag, matcher.admitted(q, frag)) == want[frag.id]
+    return want
+
+
+def test_inner_matches_equal_the_oracle_from_either_start(monkeypatch):
+    starts = record_starts(monkeypatch)
+    rng = random.Random(15)
+    ks = set()
+    for _ in range(600):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        ks.add(dg.k)
+        check_inner(g, dg, q_graph)
+    assert ks == {1, 2, 3, 4}
+    assert starts.count("pairs") > 300 and starts.count("vertex") > 300
+
+
+def test_inner_seed_label_absent_from_a_fragment(monkeypatch):
+    # fragment 0 stores q pairs but no p pair, yet both query vertices
+    # have candidates there through the q edge
+    a, b, c, d = (iri(x) for x in "abcd")
+    g, dg = tiny_db([Triple(a, "q", b), Triple(c, "p", d), Triple(c, "q", d)],
+                    {"a": 0, "b": 0, "c": 1, "d": 1}, 2)
+    q_graph = build_query_graph([(V("x"), L("p"), V("y")),
+                                 (V("x"), L("q"), V("y"))])
+    q = ground(q_graph, g)
+    frag0 = dg.fragments[0]
+    assert "p" not in frag0.pairs
+    assert all(candidates(q, frag0, v) for v in range(q.n))
+    starts = record_starts(monkeypatch)
+    want = check_inner(g, dg, q_graph)
+    assert want[1] == {(g.term_id(c), g.term_id(d))} and not want[0]
+    assert starts[0] == "pairs"
+
+
+def test_inner_parallel_query_edges_between_the_seeded_vertices(monkeypatch):
+    a, b, c, d = (iri(x) for x in "abcd")
+    g, dg = tiny_db([Triple(a, "p", b), Triple(a, "q", b), Triple(b, "r", a),
+                     Triple(c, "p", d), Triple(d, "r", c)],
+                    dict.fromkeys("abcd", 0), 1)
+    starts = record_starts(monkeypatch)
+    same_way = check_inner(g, dg, build_query_graph([
+        (V("x"), L("p"), V("y")), (V("x"), L("q"), V("y"))]))
+    assert same_way[0] == {(g.term_id(a), g.term_id(b))}
+    both_ways = check_inner(g, dg, build_query_graph([
+        (V("x"), L("p"), V("y")), (V("y"), L("r"), V("x"))]))
+    assert len(both_ways[0]) == 2
+    # one data label cannot serve two query edges
+    twice = QueryGraph([QueryVertex(0, var="x"), QueryVertex(1, var="y")],
+                       [QueryEdge(0, 1, "p"), QueryEdge(0, 1, "p")])
+    assert check_inner(g, dg, twice)[0] == frozenset()
+    assert set(starts) == {"pairs"}
+
+
+def test_inner_self_loop_on_a_seeded_vertex(monkeypatch):
+    a, b, c, d = (iri(x) for x in "abcd")
+    g, dg = tiny_db([Triple(a, "p", b), Triple(a, "r", a), Triple(c, "p", d),
+                     Triple(d, "r", d)], dict.fromkeys("abcd", 0), 1)
+    starts = record_starts(monkeypatch)
+    want = check_inner(g, dg, build_query_graph([
+        (V("x"), L("p"), V("y")), (V("x"), L("r"), V("x"))]))
+    assert want[0] == {(g.term_id(a), g.term_id(b))}
+    assert set(starts) == {"pairs"}
+
+
+def test_inner_data_self_pair_matched_by_two_query_vertices(monkeypatch):
+    a, b = iri("a"), iri("b")
+    g, dg = tiny_db([Triple(a, "p", a), Triple(a, "p", b)],
+                    {"a": 0, "b": 0}, 1)
+    starts = record_starts(monkeypatch)
+    ia, ib = g.term_id(a), g.term_id(b)
+    want = check_inner(g, dg, build_query_graph([(V("x"), L("p"), V("y"))]))
+    assert want[0] == {(ia, ia), (ia, ib)}
+    # (a, a, a) would put both query edges on the one pair (a, a), whose
+    # single label cannot serve them injectively
+    want = check_inner(g, dg, build_query_graph([
+        (V("x"), L("p"), V("y")), (V("y"), L("p"), V("z"))]))
+    assert want[0] == {(ia, ia, ib)}
+    assert set(starts) == {"pairs"}
+
+
+def test_inner_seed_edge_from_vertex_1_to_vertex_0(monkeypatch):
+    a, b, c = iri("a"), iri("b"), iri("c")
+    g, dg = tiny_db([Triple(a, "p", b), Triple(b, "q", c)],
+                    {"a": 0, "b": 0, "c": 0}, 1)
+    ia, ib, ic = g.term_id(a), g.term_id(b), g.term_id(c)
+    x, y, z = (QueryVertex(i, var=name) for i, name in enumerate("xyz"))
+    starts = record_starts(monkeypatch)
+    one_edge = QueryGraph([x, y], [QueryEdge(1, 0, "p")])
+    assert check_inner(g, dg, one_edge)[0] == {(ib, ia)}
+    two_edges = QueryGraph([x, y, z], [QueryEdge(1, 0, "p"),
+                                       QueryEdge(0, 2, "q")])
+    assert check_inner(g, dg, two_edges)[0] == {(ib, ia, ic)}
+    assert set(starts) == {"pairs"}
+
+
+def test_inner_constant_anchor_keeps_the_vertex_start(monkeypatch):
+    # forty students, each with one advisor among two professors: the
+    # advisor label has forty pairs, the constant twenty neighbours
+    triples = [Triple(iri("s%d" % i), "advisor", iri("prof%d" % (i % 2)))
+               for i in range(40)]
+    g = RdfGraph.from_triples(triples)
+    dg = build_fragments(g, PartitionMap(dict.fromkeys(g.vertex_ids(), 0), 1))
+    starts = record_starts(monkeypatch)
+    want = check_inner(g, dg, build_query_graph([
+        (V("s"), L("advisor"), T(iri("prof0")))]))
+    assert len(want[0]) == 20
+    assert set(starts) == {"vertex"}
+
+
+def test_pair_scan_answers_to_the_deadline():
+    triples = [Triple(iri("s%d" % i), "p", iri("o%d" % i))
+               for i in range(DEADLINE_EVERY + 1)]
+    g = RdfGraph.from_triples(triples)
+    dg = build_fragments(g, PartitionMap(dict.fromkeys(g.vertex_ids(), 0), 1))
+    q = ground(build_query_graph([(V("x"), L("p"), V("y"))]), g)
+    frag = dg.fragments[0]
+    assert len(compute_inner_matches(q, frag)) == DEADLINE_EVERY + 1
+    expired = engine._Deadline(1.0)
+    expired.start -= 2.0
+    with pytest.raises(TimeoutExceeded, match="partial evaluation"):
+        compute_inner_matches(q, frag, deadline=expired)
 
 
 # ---------------------------------------------------------------------------
