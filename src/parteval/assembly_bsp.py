@@ -50,7 +50,8 @@ import socket
 import struct
 import weakref
 
-from .matcher import LocalPartialMatch, _connected_through, is_complete_match
+from .matcher import (LocalPartialMatch, _connected_through,
+                      checked_by_search, is_complete_match)
 from .assembly_central import PartialMatchIndex, _lpm_key
 from .assembly_central import join, joinable  # noqa: F401  (re-exported)
 
@@ -322,17 +323,6 @@ def is_complete_locally(q, dg, fn):
     edge of the vertices it owns."""
     return is_complete_match(q, fn, lambda a, b: dg.fragments[
         dg.home(a)].edges.get((a, b), frozenset()))
-
-
-def checked_by_search(q, pm):
-    """True when every query edge has an internally matched endpoint in
-    pm.  For a local partial match that the search found, the search has
-    then checked every query edge, and every data pair several of them
-    share, against the labels is_complete_locally would read (both see
-    the graph's one label set per pair), so a complete pm needs no
-    second check."""
-    return all(e.src in pm.internal or e.dst in pm.internal
-               for e in q.edges)
 
 
 def top_home(dg, rank, fn):

@@ -8,6 +8,13 @@ partitioning-based pass that groups them by an anchor query vertex so
 that members of one group never join each other.  A dynamic program
 picks the anchor order minimizing the modeled cost.
 
+assemble, the default, first answers the fully bound partial matches
+directly, since a join would only find each again, and gives the DP and
+the join the rest.  When some query vertex neighbours every other one,
+the fragment owning that vertex's image holds every crossing match
+fully bound, so the rest is not joined at all.  The naive join takes
+every match, as the paper's baseline.
+
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
 match is tried only against the members that index returns for it.
@@ -23,7 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .matcher import DEADLINE_EVERY, LocalPartialMatch, is_complete_match
+from .matcher import (DEADLINE_EVERY, LocalPartialMatch, checked_by_search,
+                      is_complete_match)
 
 
 class NotJoinable(Exception):
@@ -322,8 +330,37 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
 
 
 def assemble(omega, q, g, stats=None, deadline=None):
-    """Optimal partitioning followed by the partitioned join."""
-    p, cost = optimal_partitioning(omega, q, stats=stats, deadline=deadline)
+    """Crossing matches of omega: its fully bound matches answered
+    directly, then the optimal partitioning and the partitioned join
+    over the rest, when the rest can add an answer.
+
+    A fully bound match merges into nothing but its own vector, so the
+    join would only find it again, once per joinable partner.  It is an
+    answer when the search checked its every edge (checked_by_search) or
+    it passes is_complete_match against g.  When some query vertex v
+    neighbours every other one, the rest cannot add an answer: in any
+    crossing match, the fragment owning v's image has an internal set
+    that holds v and is connected through it, whose neighbourhood is the
+    whole query, so that fragment's search found the match fully bound.
+    The DP and the join then receive no matches.  join_cost in stats is
+    the modeled cost over what the join receives.  deadline, if given,
+    is checked every DEADLINE_EVERY matches of the split, and by the DP
+    and the join as they describe.
+    """
+    joined = not any(len(q.adj[v] | {v}) == q.n for v in range(q.n))
+    direct = set()
+    rest = []
+    for i, pm in enumerate(omega, 1):
+        if deadline is not None and i % DEADLINE_EVERY == 0:
+            deadline.check("assembly")
+        if None in pm.fn:
+            if joined:
+                rest.append(pm)
+        elif (checked_by_search(q, pm)
+              or is_complete_match(q, pm.fn, g.labels_between)):
+            direct.add(pm.fn)
+    p, cost = optimal_partitioning(rest, q, stats=stats, deadline=deadline)
     if stats is not None:
         stats["join_cost"] = cost
-    return partitioning_based_join(p, q, g, stats=stats, deadline=deadline)
+    return frozenset(direct).union(partitioning_based_join(
+        p, q, g, stats=stats, deadline=deadline))

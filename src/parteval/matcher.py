@@ -114,14 +114,15 @@ def candidates(q, frag, v):
                                              or cid in frag.extended):
             return frozenset([cid])
         return frozenset()
-    hosts = frozenset()
+    sets = []
     for ei in q.incident[v]:
         e = q.edges[ei]
         if e.src == v:
-            hosts |= frag.sources.get(e.label, frozenset())
+            sets.append(frag.sources.get(e.label, frozenset()))
         if e.dst == v:
-            hosts |= frag.targets.get(e.label, frozenset())
-    return hosts
+            sets.append(frag.targets.get(e.label, frozenset()))
+    # a lone index set is returned itself, not copied
+    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 def _pinned(q, v, e):
@@ -431,6 +432,17 @@ def match_order(q, cand, start=None):
     return order
 
 
+def checked_by_search(q, pm):
+    """True when every query edge has an internally matched endpoint in
+    pm.  For a local partial match that the search found, the search has
+    then checked every query edge, and every data pair several of them
+    share, against the fragment's stored labels, which are the graph's
+    own label set per pair; so a complete pm is a match and needs no
+    is_complete_match."""
+    return all(e.src in pm.internal or e.dst in pm.internal
+               for e in q.edges)
+
+
 def is_complete_match(q, fn, labels_of):
     """Full homomorphism check of a totally bound function against an
     edge view (labels_of(u, v) returns the labels on that pair)."""
@@ -530,7 +542,9 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     for v in range(n):
         cs = admit.get(v)
         if cs is None:
-            cs = candidates(q, frag, v) & frag.internal
+            cs = candidates(q, frag, v)
+            if frag.extended:       # else every stored vertex is internal
+                cs = cs & frag.internal
         if not cs:
             return frozenset()
         cand[v] = cs

@@ -35,12 +35,12 @@ from parteval import (
     run_bsp,
 )
 from parteval import assembly_central, matcher
-from parteval.matcher import LocalPartialMatch
+from parteval.matcher import LocalPartialMatch, checked_by_search
 from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
-                                   checked_by_search, exchange_admission,
-                                   held_at, is_complete_locally,
-                                   keep_tcp_exchange, provenance, route,
-                                   take_tcp_exchange, top_home)
+                                   exchange_admission, held_at,
+                                   is_complete_locally, keep_tcp_exchange,
+                                   provenance, route, take_tcp_exchange,
+                                   top_home)
 
 
 def lpm(fn, internal):
@@ -597,20 +597,26 @@ def test_provenance_of_a_merge_is_the_union_of_its_parts(monkeypatch):
     monkeypatch.setattr(assembly_central, "merge", recording_merge)
     rng = random.Random(5)
     checked = 0
-    for _ in range(150):
+    per_run = [0, 0, 0]
+    # assemble joins nothing for most of these queries, which have a
+    # vertex next to all others, so the draw is large enough for it too
+    for _ in range(400):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)
         omega = omega_of(dg, q)
         flat = frozenset().union(*omega.values())
-        naive_iterative_join(flat, q, g)
-        assemble(flat, q, g)
-        run_bsp(dg, q, omega)
-        for a, b, merged in merges:
-            assert provenance(dg, merged) == (provenance(dg, a)
-                                              | provenance(dg, b))
-        checked += len(merges)
-        merges.clear()
+        for i, run in enumerate((lambda: naive_iterative_join(flat, q, g),
+                                 lambda: assemble(flat, q, g),
+                                 lambda: run_bsp(dg, q, omega))):
+            run()
+            per_run[i] += len(merges)
+            for a, b, merged in merges:
+                assert provenance(dg, merged) == (provenance(dg, a)
+                                                  | provenance(dg, b))
+            checked += len(merges)
+            merges.clear()
     assert checked > 100
+    assert min(per_run) > 50
 
 
 def test_bsp_checks_matches_against_fragments_only(monkeypatch):

@@ -8,20 +8,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from parteval import assembly_bsp, assembly_central
+from parteval import assembly_bsp, assembly_central, matcher
 from parteval import (
     LocalPartialMatch,
     LpmPartitioning,
     NotJoinable,
     PartialMatchIndex,
+    PartitionMap,
+    RdfGraph,
+    Triple,
     UnassignedLpm,
     assemble,
+    build_fragments,
     build_partitioning,
     build_query_graph,
     classify,
     compute_local_partial_matches,
     enumerate_matches,
     ground,
+    iri,
     join,
     join_cost,
     joinable,
@@ -145,22 +150,22 @@ def test_joinable_runs_once_per_probed_pair(monkeypatch):
         monkeypatch.setattr(module, "joinable", counting_joinable)
     monkeypatch.setattr(PartialMatchIndex, "probe", counting_probe)
     rng = random.Random(6)
-    joined = 0
+    joined = [0, 0, 0]
     for _ in range(60):
         g, dg, q = helpers.rand_instance(rng)
         gq = ground(q, g)
         omega = {frag.id: compute_local_partial_matches(gq, frag)
                  for frag in dg.fragments}
         flat = frozenset().union(*omega.values())
-        for run in (lambda: naive_iterative_join(flat, gq, g),
-                    lambda: assemble(flat, gq, g),
-                    lambda: run_bsp(dg, gq, omega)):
+        for i, run in enumerate((lambda: naive_iterative_join(flat, gq, g),
+                                 lambda: assemble(flat, gq, g),
+                                 lambda: run_bsp(dg, gq, omega))):
             calls[:] = [0, 0]
             probed[0] = 0
             run()
             assert calls[0] == probed[0]
-            joined += calls[1]
-    assert joined > 0
+            joined[i] += calls[1]
+    assert min(joined) > 0
 
 
 def ground_chain(n_vertices):
@@ -422,6 +427,97 @@ def test_assemble_movie(movie, movie_bgp, movie_gq):
     assert stats["join_cost"] == 4
 
 
+def has_universal_vertex(q):
+    return any(all(w in q.adj[v] for w in range(q.n) if w != v)
+               for v in range(q.n))
+
+
+def admitted_union(q, dg):
+    """The admitted sets the engine gives every fragment under
+    centralized assembly, or None when no query vertex is filterable."""
+    own = [matcher.admitted(q, frag) for frag in dg.fragments]
+    if not own[0]:
+        return None
+    return {v: frozenset().union(*(o[v] for o in own)) for v in own[0]}
+
+
+def test_assemble_equals_the_oracle_and_the_naive_join():
+    """assemble answers the fully bound matches directly and joins the
+    rest only when no query vertex neighbours all others; either way it
+    gives the oracle's crossing matches, as the naive join does, with
+    and without admitted sets.  Most random queries have such a vertex,
+    so the floors count instances whose answers needed each branch."""
+    rng = random.Random(17)
+    ks = set()
+    universal = joined = 0
+    for _ in range(1500):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        _, crossing = classify(enumerate_matches(g, q_graph), dg)
+        for admit in (None, admitted_union(q, dg)):
+            omega = frozenset().union(*(
+                compute_local_partial_matches(q, frag, admit)
+                for frag in dg.fragments))
+            assert assemble(omega, q, g) == crossing
+            assert naive_iterative_join(omega, q, g) == crossing
+        ks.add(dg.k)
+        if has_universal_vertex(q):
+            universal += bool(crossing)
+        else:
+            joined += bool(crossing - {pm.fn for pm in omega})
+    assert ks == {1, 2, 3, 4}
+    assert universal > 100 and joined > 10
+
+
+def test_assemble_drops_a_bound_match_missing_an_extended_edge():
+    """A fully bound local partial match whose edge between two extended
+    images the search never checked is not an answer when g lacks it."""
+    a, b, c = iri("a"), iri("b"), iri("c")
+    g = RdfGraph.from_triples([Triple(a, "p", b), Triple(a, "p", c)])
+    dg = build_fragments(g, PartitionMap(
+        {g.term_id(a): 0, g.term_id(b): 1, g.term_id(c): 1}, 2))
+    q_graph = build_query_graph([(("var", "x"), ("label", "p"), ("var", "y")),
+                                 (("var", "x"), ("label", "p"), ("var", "z")),
+                                 (("var", "y"), ("label", "p"), ("var", "z"))])
+    q = ground(q_graph, g)
+    omega = frozenset().union(*(compute_local_partial_matches(q, frag)
+                                for frag in dg.fragments))
+    want = lpm((g.term_id(a), g.term_id(b), g.term_id(c)), {0})
+    assert want in omega
+    assert not matcher.checked_by_search(q, want)
+    assert not enumerate_matches(g, q_graph)
+    assert assemble(omega, q, g) == frozenset()
+
+
+def test_star_answers_without_the_join():
+    # the hub's spokes only, so the hub neighbours every other vertex
+    g, dg, _ = helpers.star_instance(4)
+    q_graph = build_query_graph([
+        (("var", "x"), ("label", "q%d" % i), ("var", "y%d" % i))
+        for i in range(3)])
+    q = ground(q_graph, g)
+    omega = full_omega(q, dg)
+    assert any(None in pm.fn for pm in omega)
+    stats = {}
+    got = assemble(omega, q, g, stats)
+    _, crossing = classify(enumerate_matches(g, q_graph), dg)
+    assert got == crossing and len(got) == 1
+    # the leaves' partial matches reach neither the DP nor the join
+    assert stats["memo_keys"] == 0
+    assert stats["pairs_examined"] == 0
+    assert stats["join_cost"] == 1
+
+
+def test_path_still_joins():
+    g, dg, q_graph = helpers.path_instance(4)
+    q = ground(q_graph, g)
+    stats = {}
+    got = assemble(full_omega(q, dg), q, g, stats)
+    _, crossing = classify(enumerate_matches(g, q_graph), dg)
+    assert got == crossing and len(got) == 1
+    assert stats["pairs_examined"] > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_both_strategies_match_oracle(seed):
@@ -488,19 +584,21 @@ def test_no_pair_is_probed_twice(monkeypatch):
 
     monkeypatch.setattr(PartialMatchIndex, "probe", recording)
     rng = random.Random(5)
-    probed = 0
-    for _ in range(80):
+    probed = [0, 0, 0]
+    # most of these queries have a vertex next to all others, for which
+    # assemble joins nothing, so the draw is large enough for it too
+    for _ in range(300):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)
         omega = {f.id: compute_local_partial_matches(q, f)
                  for f in dg.fragments}
         flat = frozenset().union(*omega.values())
-        for run in (lambda: naive_iterative_join(flat, q, g),
-                    lambda: assemble(flat, q, g),
-                    lambda: run_bsp(dg, q, omega)):
+        for i, run in enumerate((lambda: naive_iterative_join(flat, q, g),
+                                 lambda: assemble(flat, q, g),
+                                 lambda: run_bsp(dg, q, omega))):
             probes.clear()
             run()
             for pairs in probes.values():
                 assert len(pairs) == len(set(pairs))
-                probed += len(pairs)
-    assert probed > 0
+                probed[i] += len(pairs)
+    assert min(probed) > 30

@@ -12,15 +12,18 @@ import pytest
 
 import helpers
 import parteval
-from parteval import assembly_bsp, matcher
+from parteval import assembly_bsp, assembly_central, engine, matcher
 from parteval import (
     Bgp,
     EngineConfig,
     GeneralQuery,
     PartitionMap,
+    RdfGraph,
     TimeoutExceeded,
+    Triple,
     blank,
     build_fragments,
+    build_query_graph,
     classify,
     empty_table,
     enumerate_matches,
@@ -37,6 +40,7 @@ from parteval import (
     tree_vars,
     write_partition_file,
 )
+from parteval.matcher import DEADLINE_EVERY
 from parteval.oracle import MAX_DATA_VERTICES
 from helpers import make_row, term_rows
 
@@ -511,6 +515,71 @@ def test_cli_large_query_partitioned(chain_disk, capsys):
     _, want, _ = run_cli(capsys, ["query", "--db", str(dbs[1]),
                                   "--sparql", str(query)])
     assert run_cli(capsys, base + ["--assembly", "d"]) == (0, want, "")
+
+
+# A star of STAR_LEAVES spokes, one label each: past the partitioned
+# join's ordering limit, but its hub neighbours every other vertex.
+STAR_LEAVES = 32
+
+
+def test_cli_large_star_partitioned(tmp_path, capsys):
+    """The hub's home holds every crossing match of a star fully bound,
+    so the default partitioned join answers it without ordering or
+    joining anything, with the same rows as one fragment.  A second hub
+    with half the spokes leaves partial matches that match nothing."""
+    lines = ["<http://ex/%s> <http://ex/p%d> <http://ex/%s%d> .\n"
+             % (hub, i, hub, i)
+             for hub, spokes in (("h", STAR_LEAVES), ("g", STAR_LEAVES // 2))
+             for i in range(spokes)]
+    src = tmp_path / "star.nt"
+    src.write_text("".join(lines), encoding="utf-8")
+    query = tmp_path / "star.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(
+        "?x <http://ex/p%d> ?y%d ." % (i, i) for i in range(STAR_LEAVES)),
+        encoding="utf-8")
+    out = {}
+    for k in (1, 4):
+        db = tmp_path / ("db%d" % k)
+        assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+        if k > 1:
+            assert main(["partition", "--db", str(db), "-k", str(k)]) == 0
+        stats = tmp_path / ("stats%d.json" % k)
+        capsys.readouterr()
+        code, out[k], err = run_cli(capsys, [
+            "query", "--db", str(db), "--sparql", str(query),
+            "--stats", str(stats)])
+        assert (code, err) == (0, "")
+    assert out[4] == out[1]
+    assert len(out[1].splitlines()) == 1 + 1
+    stats = json.loads(stats.read_text(encoding="utf-8"))
+    assert stats["crossing_matches"] == 1
+    assert sum(stats["lpm_counts"].values()) > 1
+    assert stats["join_cost"] == 1
+
+
+def test_an_expired_deadline_stops_the_split(monkeypatch):
+    """assemble checks the deadline every DEADLINE_EVERY partial matches
+    while it answers the fully bound ones, before the DP sees any."""
+    hub = iri("h")
+    g = RdfGraph.from_triples([Triple(hub, "p", iri("l%d" % i))
+                               for i in range(DEADLINE_EVERY)])
+    dg = build_fragments(g, PartitionMap(
+        {v: int(v != g.term_id(hub)) for v in g.vertex_ids()}, 2))
+    q = matcher.ground(build_query_graph([
+        (("var", "x"), ("label", "p"), ("var", "y"))]), g)
+    omega = frozenset().union(*(matcher.compute_local_partial_matches(q, f)
+                                for f in dg.fragments))
+    assert len(omega) == 2 * DEADLINE_EVERY
+    assert len(assembly_central.assemble(omega, q, g)) == DEADLINE_EVERY
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(assembly_central, "optimal_partitioning", no_dp)
+    expired = engine._Deadline(1.0)
+    expired.start -= 2.0
+    with pytest.raises(TimeoutExceeded, match="assembly"):
+        assembly_central.assemble(omega, q, g, deadline=expired)
 
 
 @pytest.mark.parametrize("vertices, options", [
