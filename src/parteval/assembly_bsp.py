@@ -91,13 +91,16 @@ def route(prov, rank, topo):
 
 class RecordLayout:
     """The wire layout every local-partial-match record of one run
-    shares, fixed by the query size n: length, vertex count, n vertex
-    ids (NULL_ID for unmatched), and an internal-flag bitmap of
-    max(1, ceil(n/32)) words, all big-endian."""
+    shares, fixed by the query size n: n vertex ids (NULL_ID for
+    unmatched), then an internal-flag bitmap of max(1, ceil(n/32))
+    words, all big-endian.  A record has no header: both transports
+    deliver each record as its own payload, and its size,
+    4n + 4 max(1, ceil(n/32)) bytes, grows strictly with n, so a record
+    of another run has another size."""
 
     def __init__(self, n):
         self.flag_bytes = 4 * max(1, (n + 31) // 32)
-        self.struct = struct.Struct(">IH%dI%ds" % (n, self.flag_bytes))
+        self.struct = struct.Struct(">%dI%ds" % (n, self.flag_bytes))
 
 
 def encode_lpm(pm, layout):
@@ -106,7 +109,6 @@ def encode_lpm(pm, layout):
     for v in pm.internal:
         flags |= 1 << v
     return layout.struct.pack(
-        layout.struct.size - 4, len(pm.fn),
         *(NULL_ID if u is None else u for u in pm.fn),
         flags.to_bytes(layout.flag_bytes, "big"))
 
@@ -116,12 +118,10 @@ def decode_lpm(data, layout):
     not fit layout is a ValueError."""
     if len(data) != layout.struct.size:
         raise ValueError("bad record length")
-    length, n, *ids, flags = layout.struct.unpack(data)
-    if length != len(data) - 4 or n != len(ids):
-        raise ValueError("bad record length")
+    *ids, flags = layout.struct.unpack(data)
     flags = int.from_bytes(flags, "big")
     fn = tuple(None if u == NULL_ID else u for u in ids)
-    internal = frozenset(v for v in range(n) if flags & (1 << v))
+    internal = frozenset(v for v in range(len(ids)) if flags & (1 << v))
     return LocalPartialMatch(fn, internal)
 
 

@@ -9,13 +9,21 @@ Supported grammar: PREFIX declarations, SELECT with a variable list or *,
 WHERE with triple patterns, nested {} groups, OPTIONAL {}, {} UNION {},
 and FILTER(expr) with comparisons, &&, ||, !, and bound(?v).  Anything
 else raises UnsupportedFeatureError.
+
+The text becomes the tree in one pass: one regular expression splits it
+into (kind, value, offset) tokens, and each group folds its elements
+into the tree as it reads them.  Numbers are ASCII digits only, as in
+SPARQL's INTEGER and DECIMAL, and a literal whose escapes do not decode
+is a QuerySyntaxError at the literal's offset.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
-from .rdf_model import IRI, LITERAL, Term, literal
+from .rdf_model import IRI, LITERAL, Term, decode_escapes, literal
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -295,143 +303,78 @@ _UNSUPPORTED_KEYWORDS = {
     "having", "from", "named",
 }
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # iri pname var literal num kw op punct eof
-    value: object
-    pos: int
+# One alternative per token kind, tried in this order at each offset;
+# blanks and comments match with no group.  A '<' opens an IRI only
+# when a '>' comes before any blank or parenthesis, and is an operator
+# otherwise.  A word (a keyword or a prefixed name) keeps no trailing
+# dots, since a '.' there ends a triple pattern.  \w is a character for
+# which str.isalnum() holds, or '_'; numbers take only 0-9.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | \#[^\n]*
+  | <(?P<iri>[^ \t\r\n()>]*)>
+  | (?P<literal>"(?P<body>[^"\\]*(?:\\[\s\S][^"\\]*)*)"
+        (?: \^\^<[^>]*> | @(?:[^\W_]|-)* | (?P<open_datatype>\^\^<) )?)
+  | [?$](?P<var>\w+)
+  | (?P<num>-?[0-9]+(?:\.[0-9]+)?)
+  | (?P<punct>[{}().*])
+  | (?P<op><=|<|!=|&&|\|\||>=|=|>|!)
+  | (?P<word>[\w:][\w:.-]*(?<!\.))
+""", re.VERBOSE)
 
 
 def _tokenize(text):
+    """text as (kind, value, offset) tuples, ending with an eof token.
+
+    Kinds: iri pname var literal num kw op punct eof.  A literal's value
+    is its Term, a pname's its (prefix, local) pair, a keyword's its
+    lower-case spelling.
+    """
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c == "<":
-            j = i + 1
-            while j < n and text[j] not in " \t\r\n()":
-                if text[j] == ">":
-                    break
-                j += 1
-            if j < n and text[j] == ">":
-                tokens.append(_Token("iri", text[i + 1:j], start))
-                i = j + 1
-                continue
-            # a lone '<' is a comparison operator
-            if text.startswith("<=", i):
-                tokens.append(_Token("op", "<=", start))
-                i += 2
-            else:
-                tokens.append(_Token("op", "<", start))
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                raise QuerySyntaxError("unterminated literal", start)
-            end = j + 1
-            if text.startswith("^^<", end):
-                k = text.find(">", end + 3)
-                if k < 0:
-                    raise QuerySyntaxError("unterminated datatype IRI", end)
-                end = k + 1
-            elif text.startswith("@", end):
-                k = end + 1
-                while k < n and (text[k].isalnum() or text[k] == "-"):
-                    k += 1
-                end = k
-            tokens.append(_Token("literal", Term(LITERAL, text[i:end]), start))
-            i = end
-            continue
-        if c == "?" or c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise QuerySyntaxError("empty variable name", start)
-            tokens.append(_Token("var", text[i + 1:j], start))
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("num", text[i:j], start))
-            i = j
-            continue
-        if c in "{}().*":
-            tokens.append(_Token("punct", c, start))
-            i += 1
-            continue
-        for op in ("!=", "&&", "||", ">=", "<=", "=", ">", "!"):
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, start))
-                i += len(op)
-                break
-        else:
-            if c.isalpha() or c == "_" or c == ":":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_-:."):
-                    j += 1
-                while j > i and text[j - 1] == ".":
-                    j -= 1
-                word = text[i:j]
-                lowered = word.lower()
-                if ":" in word:
-                    prefix, _, local = word.partition(":")
-                    tokens.append(_Token("pname", (prefix, local), start))
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            c = text[pos]
+            if c == '"':
+                raise QuerySyntaxError("unterminated literal", pos)
+            if c in "?$":
+                raise QuerySyntaxError("empty variable name", pos)
+            raise QuerySyntaxError("unexpected character %r" % c, pos)
+        kind = m.lastgroup
+        if kind is not None:
+            value = m[kind]
+            if kind == "literal":
+                if m["open_datatype"]:
+                    raise QuerySyntaxError("unterminated datatype IRI",
+                                           m.start("open_datatype"))
+                if "\\" in m["body"]:
+                    try:
+                        decode_escapes(m["body"])
+                    except ValueError as exc:
+                        raise QuerySyntaxError(str(exc), pos) from None
+                value = Term(LITERAL, value)
+            elif kind == "word":
+                # a digit other than 0-9 starts neither a number nor a word
+                if not (value[0].isalpha() or value[0] in "_:"):
+                    raise QuerySyntaxError(
+                        "unexpected character %r" % value[0], pos)
+                lowered = value.lower()
+                if ":" in value:
+                    prefix, _, local = value.partition(":")
+                    kind, value = "pname", (prefix, local)
                 elif lowered in _KEYWORDS:
-                    tokens.append(_Token("kw", lowered, start))
+                    kind, value = "kw", lowered
                 elif lowered in _UNSUPPORTED_KEYWORDS:
-                    raise UnsupportedFeatureError(word, start)
+                    raise UnsupportedFeatureError(value, pos)
                 else:
-                    raise QuerySyntaxError("unexpected word %r" % word, start)
-                i = j
-                continue
-            raise QuerySyntaxError("unexpected character %r" % c, start)
-    tokens.append(_Token("eof", None, n))
+                    raise QuerySyntaxError("unexpected word %r" % value, pos)
+            tokens.append((kind, value, pos))
+        pos = m.end()
+    tokens.append(("eof", None, len(text)))
     return tokens
 
 
 # --- parser ---------------------------------------------------------------
-
-class _GroupSpec:
-    def __init__(self):
-        # in textual order: ("triples", [pattern, ...]) for a run of
-        # triple patterns, ("optional", _GroupSpec), or ("join", [a
-        # _GroupSpec per UNION alternative]); the first is always the
-        # leading run of triples, empty when the group opens otherwise
-        self.elements = [("triples", [])]
-        self.filters = []
-
-    def add_pattern(self, pattern):
-        # a FILTER does not end a run of triple patterns
-        if self.elements[-1][0] == "triples":
-            self.elements[-1][1].append(pattern)
-        else:
-            self.elements.append(("triples", [pattern]))
-
 
 class _Parser:
     def __init__(self, text):
@@ -447,195 +390,220 @@ class _Parser:
         self.i += 1
         return t
 
+    def at(self, kind, value):
+        t = self.tokens[self.i]
+        return t[0] == kind and t[1] == value
+
     def expect_punct(self, ch):
-        t = self.next()
-        if t.kind != "punct" or t.value != ch:
-            raise QuerySyntaxError("expected %r" % ch, t.pos)
-        return t
+        kind, value, pos = self.next()
+        if kind != "punct" or value != ch:
+            raise QuerySyntaxError("expected %r" % ch, pos)
 
     def expect_kw(self, word):
-        t = self.next()
-        if t.kind != "kw" or t.value != word:
-            raise QuerySyntaxError("expected %s" % word.upper(), t.pos)
-        return t
+        kind, value, pos = self.next()
+        if kind != "kw" or value != word:
+            raise QuerySyntaxError("expected %s" % word.upper(), pos)
 
-    def resolve_pname(self, token):
-        prefix, local = token.value
+    def resolve_pname(self, pname, pos):
+        prefix, local = pname
         if prefix not in self.prefixes:
-            raise QuerySyntaxError("unknown prefix %r" % prefix, token.pos)
+            raise QuerySyntaxError("unknown prefix %r" % prefix, pos)
         return self.prefixes[prefix] + local
 
+    def constant(self, kind, value, pos):
+        """The term a token names, or None when it names no constant."""
+        if kind == "iri":
+            return Term(IRI, value)
+        if kind == "pname":
+            return Term(IRI, self.resolve_pname(value, pos))
+        if kind == "literal":
+            return value
+        if kind == "num":
+            return _number_literal(value)
+        return None
+
     def parse_query(self):
-        while self.peek().kind == "kw" and self.peek().value == "prefix":
+        while self.at("kw", "prefix"):
             self.next()
-            t = self.next()
-            if t.kind != "pname" or t.value[1] != "":
+            kind, pname, pos = self.next()
+            if kind != "pname" or pname[1] != "":
                 raise QuerySyntaxError("expected prefix name ending in ':'",
-                                       t.pos)
-            ns = t.value[0]
-            t2 = self.next()
-            if t2.kind != "iri":
-                raise QuerySyntaxError("expected namespace IRI", t2.pos)
-            self.prefixes[ns] = t2.value
+                                       pos)
+            kind, namespace, pos = self.next()
+            if kind != "iri":
+                raise QuerySyntaxError("expected namespace IRI", pos)
+            self.prefixes[pname[0]] = namespace
         self.expect_kw("select")
-        projection = self.parse_projection()
+        projected = self.parse_projection()
         self.expect_kw("where")
-        spec = self.parse_group()
-        t = self.next()
-        if t.kind != "eof":
-            raise QuerySyntaxError("trailing content after query", t.pos)
-        node = _shape(spec)
-        gq = GeneralQuery(node, projection)
-        _validate(gq)
-        return gq
+        node = self.parse_filtered_group()
+        kind, _, pos = self.next()
+        if kind != "eof":
+            raise QuerySyntaxError("trailing content after query", pos)
+        _validate(node, projected)
+        if projected is None:
+            return GeneralQuery(node, None)
+        return GeneralQuery(node, tuple(name for name, _ in projected))
 
     def parse_projection(self):
-        t = self.peek()
-        if t.kind == "punct" and t.value == "*":
+        """The projected variables as (name, offset) pairs, or None for
+        SELECT *."""
+        if self.at("punct", "*"):
             self.next()
             return None
-        names = []
-        while self.peek().kind == "var":
-            names.append(self.next().value)
-        if not names:
+        projected = []
+        while self.peek()[0] == "var":
+            _, name, pos = self.next()
+            projected.append((name, pos))
+        if not projected:
             raise QuerySyntaxError("expected projection variables or *",
-                                   self.peek().pos)
-        return tuple(names)
+                                   self.peek()[2])
+        return projected
+
+    def parse_filtered_group(self):
+        """A group as one node: its elements, with its FILTERs, wherever
+        they stand, wrapping the whole group."""
+        node, filters = self.parse_group()
+        return reduce(Filter, filters, node)
 
     def parse_group(self):
+        """A group as (node, filters): its elements, each folded in as it
+        is read, in textual order as in SPARQL 1.1 section 18.2.2.6, and
+        the FILTERs that the caller applies.
+
+        The group starts from its leading run of triple patterns as one
+        BGP (empty when it opens with something else); a FILTER does not
+        end a run.  Each later run of triples, nested group or UNION chain
+        joins onto everything before it, and each OPTIONAL left-joins
+        onto everything before it.  An OPTIONAL group's own FILTERs
+        become the left join's condition, so they see the variables of
+        both sides.
+        """
         self.expect_punct("{")
-        spec = _GroupSpec()
+        node = None   # the elements before the open run; None before any
+        run = []      # the open run of triple patterns
+        filters = []
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.value == "}":
+            kind, value, pos = self.peek()
+            if kind == "punct" and value == "}":
                 self.next()
-                return spec
-            if t.kind == "eof":
-                raise QuerySyntaxError("unterminated group", t.pos)
-            if t.kind == "punct" and t.value == "{":
-                spec.elements.append(("join", self.parse_union_chain()))
-                continue
-            if t.kind == "kw" and t.value == "optional":
+                return _join_run(node, run), filters
+            if kind == "eof":
+                raise QuerySyntaxError("unterminated group", pos)
+            if kind == "punct" and value == "{":
+                node = And(_join_run(node, run), self.parse_union_chain())
+                run = []
+            elif kind == "kw" and value == "optional":
                 self.next()
-                spec.elements.append(("optional", self.parse_group()))
-                continue
-            if t.kind == "kw" and t.value == "filter":
+                left = _join_run(node, run)
+                right, conds = self.parse_group()
+                node = Opt(left, right,
+                           reduce(LogicalAnd, conds) if conds else None)
+                run = []
+            elif kind == "kw" and value == "filter":
                 self.next()
                 self.expect_punct("(")
-                expr = self.parse_or_expr()
+                filters.append(self.parse_or_expr())
                 self.expect_punct(")")
-                spec.filters.append(expr)
-                continue
-            spec.add_pattern(self.parse_pattern())
+            else:
+                run.append(self.parse_pattern())
 
     def parse_union_chain(self):
-        groups = [self.parse_group()]
-        while self.peek().kind == "kw" and self.peek().value == "union":
+        node = self.parse_filtered_group()
+        while self.at("kw", "union"):
             self.next()
-            groups.append(self.parse_group())
-        return groups
+            node = Union(node, self.parse_filtered_group())
+        return node
 
     def parse_pattern(self):
         s = self.parse_vertex_spec("subject")
         p = self.parse_predicate_spec()
         o = self.parse_vertex_spec("object")
-        if self.peek().kind == "punct" and self.peek().value == ".":
+        if self.at("punct", "."):
             self.next()
         return (s, p, o)
 
     def parse_vertex_spec(self, position):
-        t = self.next()
-        if t.kind == "var":
-            return ("var", t.value)
-        if t.kind == "iri":
-            return ("term", Term(IRI, t.value))
-        if t.kind == "pname":
-            return ("term", Term(IRI, self.resolve_pname(t)))
-        if t.kind == "literal":
-            return ("term", t.value)
-        if t.kind == "num":
-            return ("term", _number_literal(t.value))
-        if t.kind == "kw" and t.value == "a" and position == "subject":
-            raise QuerySyntaxError("'a' is only valid as a predicate", t.pos)
+        kind, value, pos = self.next()
+        if kind == "var":
+            return ("var", value)
+        term = self.constant(kind, value, pos)
+        if term is not None:
+            return ("term", term)
+        if kind == "kw" and value == "a" and position == "subject":
+            raise QuerySyntaxError("'a' is only valid as a predicate", pos)
         raise QuerySyntaxError("expected a term in %s position" % position,
-                               t.pos)
+                               pos)
 
     def parse_predicate_spec(self):
-        t = self.next()
-        if t.kind == "var":
-            return ("var", t.value)
-        if t.kind == "iri":
-            return ("label", t.value)
-        if t.kind == "pname":
-            return ("label", self.resolve_pname(t))
-        if t.kind == "kw" and t.value == "a":
+        kind, value, pos = self.next()
+        if kind == "var":
+            return ("var", value)
+        if kind == "iri":
+            return ("label", value)
+        if kind == "pname":
+            return ("label", self.resolve_pname(value, pos))
+        if kind == "kw" and value == "a":
             return ("label", RDF_TYPE)
-        raise QuerySyntaxError("expected predicate", t.pos)
+        raise QuerySyntaxError("expected predicate", pos)
 
     # filter expressions, lowest precedence first
     def parse_or_expr(self):
         left = self.parse_and_expr()
-        while self.peek().kind == "op" and self.peek().value == "||":
+        while self.at("op", "||"):
             self.next()
             left = LogicalOr(left, self.parse_and_expr())
         return left
 
     def parse_and_expr(self):
         left = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().value == "&&":
+        while self.at("op", "&&"):
             self.next()
             left = LogicalAnd(left, self.parse_unary())
         return left
 
     def parse_unary(self):
-        t = self.peek()
-        if t.kind == "op" and t.value == "!":
+        if self.at("op", "!"):
             self.next()
             return LogicalNot(self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self):
-        t = self.peek()
-        if t.kind == "punct" and t.value == "(":
+        kind, value, pos = self.peek()
+        if kind == "punct" and value == "(":
             self.next()
             inner = self.parse_or_expr()
             self.expect_punct(")")
             return inner
-        if t.kind == "kw" and t.value == "bound":
+        if kind == "kw" and value == "bound":
             self.next()
             self.expect_punct("(")
-            v = self.next()
-            if v.kind != "var":
-                raise QuerySyntaxError("bound() takes a variable", v.pos)
+            var_kind, name, var_pos = self.next()
+            if var_kind != "var":
+                raise QuerySyntaxError("bound() takes a variable", var_pos)
             self.expect_punct(")")
-            return BoundTest(v.value)
-        if t.kind == "kw" and t.value in ("true", "false"):
+            return BoundTest(name)
+        if kind == "kw" and value in ("true", "false"):
             self.next()
-            return BoolConst(t.value == "true")
+            return BoolConst(value == "true")
         operand = self.parse_operand()
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.value in ("=", "!=", "<", "<=", ">", ">="):
-            op = self.next().value
-            rhs = self.parse_operand()
-            return Comparison(op, operand, rhs)
+        op_kind, op, op_pos = self.peek()
+        if op_kind == "op" and op in ("=", "!=", "<", "<=", ">", ">="):
+            self.next()
+            return Comparison(op, operand, self.parse_operand())
         if isinstance(operand, VarRef):
             raise UnsupportedFeatureError(
-                "bare variable as boolean filter", t.pos)
-        raise QuerySyntaxError("expected comparison", nxt.pos)
+                "bare variable as boolean filter", pos)
+        raise QuerySyntaxError("expected comparison", op_pos)
 
     def parse_operand(self):
-        t = self.next()
-        if t.kind == "var":
-            return VarRef(t.value)
-        if t.kind == "literal":
-            return TermConst(t.value)
-        if t.kind == "iri":
-            return TermConst(Term(IRI, t.value))
-        if t.kind == "pname":
-            return TermConst(Term(IRI, self.resolve_pname(t)))
-        if t.kind == "num":
-            return TermConst(_number_literal(t.value))
-        raise QuerySyntaxError("expected filter operand", t.pos)
+        kind, value, pos = self.next()
+        if kind == "var":
+            return VarRef(value)
+        term = self.constant(kind, value, pos)
+        if term is not None:
+            return TermConst(term)
+        raise QuerySyntaxError("expected filter operand", pos)
 
 
 def _number_literal(text):
@@ -644,46 +612,18 @@ def _number_literal(text):
     return literal(text, datatype=XSD_INTEGER)
 
 
-def _shape(spec):
-    """Turn a parsed group into the evaluation tree: its elements, with
-    its FILTERs, wherever they stand, wrapping the whole group."""
-    node = _shape_elements(spec)
-    for expr in spec.filters:
-        node = Filter(node, expr)
+def _join_run(node, run):
+    """node with the run of triple patterns that ends here joined on; a
+    group's leading run (node None) is its first BGP even when empty."""
+    if node is None:
+        return Bgp(build_query_graph(run))
+    if run:
+        return And(node, Bgp(build_query_graph(run)))
     return node
 
 
-def _shape_elements(spec):
-    """The group's elements, folded in textual order as in SPARQL 1.1
-    section 18.2.2.6.
-
-    The group starts from its leading run of triple patterns as one BGP
-    (empty when it opens with something else).  Each later run of
-    triples, nested group or UNION chain joins onto everything before
-    it, and each OPTIONAL left-joins onto everything before it.  An
-    OPTIONAL group's own FILTERs become the left join's condition, so
-    they see the variables of both sides.
-    """
-    (_, leading), *rest = spec.elements
-    node = Bgp(build_query_graph(leading))
-    for kind, item in rest:
-        if kind == "triples":
-            node = And(node, Bgp(build_query_graph(item)))
-        elif kind == "optional":
-            cond = None
-            for expr in item.filters:
-                cond = expr if cond is None else LogicalAnd(cond, expr)
-            node = Opt(node, _shape_elements(item), cond)
-        else:
-            shaped = _shape(item[0])
-            for alternative in item[1:]:
-                shaped = Union(shaped, _shape(alternative))
-            node = And(node, shaped)
-    return node
-
-
-def _validate(gq):
-    graphs = list(_tree_graphs(gq.node))
+def _validate(node, projected):
+    graphs = list(_tree_graphs(node))
     vertex_vars = set().union(*(graph.vertex_vars() for graph in graphs))
     label_vars = set().union(*(graph.label_vars() for graph in graphs))
     clash = vertex_vars & label_vars
@@ -691,12 +631,12 @@ def _validate(gq):
         raise QuerySyntaxError(
             "variable ?%s used both as a vertex and as an edge label"
             % sorted(clash)[0], 0)
-    if gq.projection is not None:
+    if projected is not None:
         known = vertex_vars | label_vars
-        for name in gq.projection:
+        for name, pos in projected:
             if name not in known:
                 raise QuerySyntaxError(
-                    "projected variable ?%s is never bound" % name, 0)
+                    "projected variable ?%s is never bound" % name, pos)
 
 
 def parse_sparql(text):
@@ -750,8 +690,8 @@ def _expr_text(expr):
 
 
 def _joined_lines(node, indent):
-    """node as a group element that _shape joins in: a nested group, or
-    a UNION chain of nested groups when node is a Union."""
+    """node as a group element that parse_group joins in: a nested
+    group, or a UNION chain of nested groups when node is a Union."""
     alternatives = []
     while isinstance(node, Union):
         alternatives.append(node.right)
@@ -769,8 +709,8 @@ def _joined_lines(node, indent):
 
 
 def _group_body_lines(node, indent):
-    """Group elements that _shape folds back into node, or into a tree
-    that differs only by joins with the empty BGP."""
+    """Group elements that parse_group folds back into node, or into a
+    tree that differs only by joins with the empty BGP."""
     filters = []
     while isinstance(node, Filter):
         filters.append(node.expr)
@@ -800,7 +740,7 @@ def _group_body_lines(node, indent):
 def _optional_lines(step, indent):
     """The group of OPTIONAL step: its right side, then its condition as
     the group's FILTER.  A Filter on the right side goes one group
-    deeper, since _shape would read a filter of the OPTIONAL's own
+    deeper, since parse_group would read a filter of the OPTIONAL's own
     group back as the condition."""
     if isinstance(step.right, Filter):
         lines = _joined_lines(step.right, indent)

@@ -100,10 +100,10 @@ def test_execute_distributed_stats(movie_dg, movie_query):
     assert stats.supersteps == 1
     # the admission round: of the 6 (home, neighbour) pairs x 4 filterable
     # query vertices, only the 5 records that carry an admitted boundary
-    # id are sent, each a 2-byte header and one id; then one 34-byte
-    # partial match: length word, vertex count, 6 ids and one flag word
+    # id are sent, each a 2-byte header and one id; then one 28-byte
+    # partial match: 6 ids and one flag word
     assert stats.messages_sent == 5 + 1
-    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 34
+    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 28
     assert stats.join_cost == 0
 
 
@@ -435,6 +435,25 @@ def test_cli_unsupported_feature_is_exit_1(movie_disk, tmp_path, capsys):
                                     "--sparql", str(bad)])
     assert code == 1
     assert "DISTINCT" in err
+
+
+def test_cli_bad_literal_escape_is_exit_1(tmp_path):
+    """A literal whose escape does not decode is a query error when the
+    query is parsed, not a traceback from the FILTER that reads it."""
+    src = tmp_path / "in.nt"
+    src.write_text('<a> <p> "x" .\n', encoding="utf-8")
+    text = 'SELECT ?n WHERE { ?a <p> ?n . FILTER(?n < "a\\q") }'
+    query = tmp_path / "q.rq"
+    query.write_text(text, encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2"]) == 0
+    proc = run_module("-m", "parteval", "query", "--db", str(db),
+                      "--sparql", str(query))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    offset = text.index('"a')
+    assert proc.stderr == (
+        "query error: at offset %d: unknown escape \\q\n" % offset)
 
 
 def test_cli_bad_data_is_exit_2(tmp_path, capsys):

@@ -33,6 +33,7 @@ from parteval import (
     tree_vars,
 )
 from parteval.query_model import RDF_TYPE, TermConst, XSD_DECIMAL, XSD_INTEGER
+from parteval.rdf_model import LITERAL, Term
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -397,6 +398,70 @@ def test_tree_vars_unions_everything():
     assert tree_vars(gq.node) == {"a", "b", "c", "d", "e", "l"}
 
 
+def _end(v):
+    """A pattern end as "?name", an IRI string or a literal Term."""
+    if v.is_var:
+        return "?" + v.var
+    if v.constant.kind == LITERAL:
+        return v.constant
+    return v.constant.lexical
+
+
+def _tree(node):
+    """A tree with each BGP as its patterns in order."""
+    if isinstance(node, Bgp):
+        by_id = {v.id: v for v in node.graph.vertices}
+        return [(_end(by_id[e.src]),
+                 "?" + e.label_var if e.is_var else e.label,
+                 _end(by_id[e.dst])) for e in node.graph.edges]
+    if isinstance(node, Filter):
+        return ("Filter", _tree(node.child), node.expr)
+    parts = (type(node).__name__, _tree(node.left), _tree(node.right))
+    return parts + (node.cond,) if isinstance(node, Opt) else parts
+
+
+def _int(text):
+    return literal(text, datatype=XSD_INTEGER)
+
+
+@pytest.mark.parametrize("text,projection,tree", [
+    # '<' is an operator when no '>' comes before a blank or a parenthesis
+    ("SELECT * WHERE { ?a <p> ?b . FILTER(?a <?b) }", None,
+     ("Filter", [("?a", "p", "?b")],
+      Comparison("<", VarRef("a"), VarRef("b")))),
+    ("SELECT * WHERE { ?a <p> ?b . FILTER(?a<=3) }", None,
+     ("Filter", [("?a", "p", "?b")],
+      Comparison("<=", VarRef("a"), TermConst(_int("3"))))),
+    # a prefixed name keeps no trailing dots: they end the pattern
+    ("PREFIX ub: <http://u#> SELECT * WHERE { ?x ub:p ub:name. "
+     "?x ub:q ?y }", None,
+     [("?x", "http://u#p", "http://u#name"), ("?x", "http://u#q", "?y")]),
+    ("SELECT $x WHERE { $x <p> ?y }", ("x",), [("?x", "p", "?y")]),
+    # a comment runs to the end of the line
+    ("SELECT * WHERE { ?a <p> ?b # } ?c <q> ?d\n}", None,
+     [("?a", "p", "?b")]),
+    ('SELECT * WHERE { ?a <p> "v"@en-GB }', None,
+     [("?a", "p", Term(LITERAL, '"v"@en-GB'))]),
+    ('SELECT * WHERE { ?a <p> "3"^^<http://x#t> }', None,
+     [("?a", "p", Term(LITERAL, '"3"^^<http://x#t>'))]),
+    ('SELECT * WHERE { ?a <p> "a\\"b" }', None,
+     [("?a", "p", Term(LITERAL, '"a\\"b"'))]),
+    # "3." before "}" is the number 3, then the pattern's dot
+    ("SELECT * WHERE { ?a <p> 3.}", None, [("?a", "p", _int("3"))]),
+    ("SELECT * WHERE { ?a <p> -2 }", None, [("?a", "p", _int("-2"))]),
+    ("PREFIX : <http://e/> SELECT * WHERE { :x <p> ?y }", None,
+     [("http://e/x", "p", "?y")]),
+    ("sElEcT * WhErE { ?a <p> ?b oPtIoNaL { ?b <q> ?c } }", None,
+     ("Opt", [("?a", "p", "?b")], [("?b", "q", "?c")], None)),
+    ("SELECT * WHERE { ?x a <C> . ?x A <D> }", None,
+     [("?x", RDF_TYPE, "C"), ("?x", RDF_TYPE, "D")]),
+])
+def test_token_edge_cases(text, projection, tree):
+    gq = parse_sparql(text)
+    assert gq.projection == projection
+    assert _tree(gq.node) == tree
+
+
 # ---------------------------------------------------------------------------
 # Parsing: rejections.
 
@@ -423,6 +488,8 @@ def test_tree_vars_unions_everything():
         ("SELECT ?a WHERE { ?a <p> ?b . ?x ?a ?y . }",
          "used both as a vertex and as an edge label"),
         ("SELECT ?a WHERE { ?a <p> ?b . } ~", "unexpected character"),
+        ('SELECT ?n WHERE { ?a <p> ?n . FILTER(?n < "a\\q") }',
+         "unknown escape \\q"),
     ],
 )
 def test_parse_errors(text, msg):
@@ -452,6 +519,28 @@ def test_error_position_points_at_offender():
     with pytest.raises(UnsupportedFeatureError) as exc:
         parse_sparql(text)
     assert exc.value.pos == text.index("?a)")
+
+
+@pytest.mark.parametrize("text,offender,message", [
+    ("SELECT ?a ?z WHERE { ?a <p> ?b . }", "?z",
+     "projected variable ?z is never bound"),
+    ('SELECT * WHERE { ?a <p> "ok\\n" . ?a <q> "x\\u00g9" }', '"x',
+     "bad \\u escape"),
+    ('SELECT * WHERE { ?a <p> "\\z"@en }', '"', "unknown escape \\z"),
+    # numbers are ASCII digits; any other digit starts no token
+    ("SELECT * WHERE { ?a <p> ² }", "²",
+     "unexpected character '²'"),
+    ("SELECT * WHERE { ?a <p> ٣ }", "٣",
+     "unexpected character '٣'"),
+    ("SELECT * WHERE { ?a <p> 3² }", "²",
+     "unexpected character '²'"),
+])
+def test_error_offsets(text, offender, message):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_sparql(text)
+    assert str(exc.value) == "at offset %d: %s" % (text.index(offender),
+                                                    message)
+    assert exc.value.pos == text.index(offender)
 
 
 # ---------------------------------------------------------------------------
