@@ -10,10 +10,11 @@ picks the anchor order minimizing the modeled cost.
 
 assemble, the default, first answers the fully bound partial matches
 directly, since a join would only find each again, and gives the DP and
-the join the rest.  When some query vertex neighbours every other one,
-the fragment owning that vertex's image holds every crossing match
-fully bound, so the rest is not joined at all.  The naive join takes
-every match, as the paper's baseline.
+the join the rest.  When some query vertex neighbours every other one
+(universal_vertex), the fragment owning that vertex's image holds every
+crossing match fully bound, so the rest is not joined at all, and the
+engine searches only the partial matches that hold that vertex
+internally.  The naive join takes every match, as the paper's baseline.
 
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
@@ -329,6 +330,14 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
                           for _, members in p.parts), q, g, stats, deadline)
 
 
+def universal_vertex(q):
+    """The lowest query vertex that neighbours every other one, or None."""
+    for v in range(q.n):
+        if len(q.adj[v] | {v}) == q.n:
+            return v
+    return None
+
+
 def assemble(omega, q, g, stats=None, deadline=None):
     """Crossing matches of omega: its fully bound matches answered
     directly, then the optimal partitioning and the partitioned join
@@ -347,7 +356,7 @@ def assemble(omega, q, g, stats=None, deadline=None):
     is checked every DEADLINE_EVERY matches of the split, and by the DP
     and the join as they describe.
     """
-    joined = not any(len(q.adj[v] | {v}) == q.n for v in range(q.n))
+    joined = universal_vertex(q) is None
     direct = set()
     rest = []
     for i, pm in enumerate(omega, 1):

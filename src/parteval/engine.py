@@ -111,8 +111,14 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         admit = dict.fromkeys(own, union)
     # the searches count steps only under a time limit
     timed = deadline if deadline.limit else None
+    # the partitioned join answers a query with a universal vertex from
+    # the partial matches holding that vertex internally, and reads no
+    # other; the naive join and BSP merge partial matches, so they take all
+    anchor = None
+    if exchange is None and cfg.join != "naive":
+        anchor = assembly_central.universal_vertex(gq)
     omega = {frag.id: matcher.compute_local_partial_matches(
-                 gq, frag, admit[frag.id], timed)
+                 gq, frag, admit[frag.id], timed, anchor=anchor)
              for frag in dg.fragments}
     inner = frozenset().union(*(matcher.compute_inner_matches(
                                     gq, frag, own[frag.id], timed)

@@ -322,8 +322,10 @@ def _connected_through(q, targets, allowed):
     return all(t in seen for t in targets)
 
 
-def compute_local_partial_matches(q, frag, admit=None, deadline=None):
-    """All local partial matches of the query in one fragment.
+def compute_local_partial_matches(q, frag, admit=None, deadline=None,
+                                  anchor=None):
+    """All local partial matches of the query in one fragment, or with
+    an anchor, those whose internal set holds the anchor.
 
     A local partial match binds a connected set I of internally matched
     query vertices together with their whole neighbourhood N(I), and
@@ -335,19 +337,25 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
     fragment neighbours of those vertices' images.  A vertex below s may
     not take an internal image, so s = min(I) and the next vertex depends
     only on the bindings made so far: each local partial match is reached
-    exactly once.  Edges with an internal endpoint are checked as they
-    are bound, so a state with nothing left to bind already meets six of
-    the eight conditions of is_local_partial_match; it is emitted when
-    the other two hold (grown=True): some binding is extended, and the
-    data pairs that several query edges land on can serve them
-    injectively.  A fragment without crossing edges (every fragment at
-    k=1) holds no local partial match and is not searched.
+    exactly once.  With an anchor, the anchor is the only seed and any
+    vertex may take an internal image; the next vertex still depends only
+    on the bindings made so far, so each local partial match whose I
+    holds the anchor is reached exactly once.  Edges with an internal
+    endpoint are checked as they are bound, so a state with nothing left
+    to bind already meets six of the eight conditions of
+    is_local_partial_match; it is emitted when the other two hold
+    (grown=True): some binding is extended, and the data pairs that
+    several query edges land on can serve them injectively.  A fragment
+    without crossing edges (every fragment at k=1) holds no local partial
+    match and is not searched.
 
-    Without admit this is the paper's definition.  admit maps some query
-    vertices to the only data vertices they may bind (the union of every
-    fragment's admitted() sets, or this fragment's share of it), which
-    drops local partial matches that no complete match extends.
-    deadline, if given, is checked every DEADLINE_EVERY search states.
+    A seed is tried only where its scarcest neighbour can bind (see
+    _seeds), which drops no local partial match.  Without admit this is
+    the paper's definition.  admit maps some query vertices to the only
+    data vertices they may bind (the union of every fragment's admitted()
+    sets, or this fragment's share of it), which drops local partial
+    matches that no complete match extends.  deadline, if given, is
+    checked every DEADLINE_EVERY search states.
     """
     if not frag.extended:
         return frozenset()
@@ -360,8 +368,8 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
     fn = [None] * n
     states = 0
 
-    def fits(v, u, seed):
-        if u in internal and v < seed:
+    def fits(v, u, floor):
+        if u in internal and v < floor:
             return False
         for ei in q.incident[v]:
             e = q.edges[ei]
@@ -375,7 +383,7 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
                 return False
         return True
 
-    def grow(seed):
+    def grow(floor):
         nonlocal states
         if deadline is not None:
             states += 1
@@ -396,18 +404,38 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None):
         for h in hosts:
             pool = pool & frag.nbrs.get(h, frozenset())
         for u in pool:
-            if fits(v, u, seed):
+            if fits(v, u, floor):
                 fn[v] = u
-                grow(seed)
+                grow(floor)
         fn[v] = None
 
-    for s in range(n):
-        for u in cand[s] & internal:
-            if fits(s, u, s):
+    for s in range(n) if anchor is None else (anchor,):
+        # no vertex is below the floor when the anchor is the only seed
+        floor = s if anchor is None else 0
+        for u in _seeds(q, frag, cand, s):
+            if fits(s, u, floor):
                 fn[s] = u
-                grow(s)
+                grow(floor)
         fn[s] = None
     return frozenset(results)
+
+
+def _seeds(q, frag, cand, s):
+    """The internal candidates of s the search seeds from.
+
+    Any local partial match with s internal binds every query neighbour
+    w of s to a stored neighbour of s's image, taken from cand[w].  So
+    when the neighbour w with the smallest candidate set (self-loops
+    aside) has fewer candidates than s has internal ones, only the
+    stored neighbours of cand[w] are kept."""
+    seeds = cand[s] & frag.internal
+    others = [w for w in q.adj[s] if w != s]
+    if others:
+        w = min(others, key=lambda v: (len(cand[v]), v))
+        if len(cand[w]) < len(seeds):
+            seeds = seeds & frozenset().union(
+                *(frag.nbrs.get(u, frozenset()) for u in cand[w]))
+    return seeds
 
 
 def match_order(q, cand, start=None):

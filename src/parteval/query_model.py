@@ -303,6 +303,14 @@ _UNSUPPORTED_KEYWORDS = {
     "having", "from", "named",
 }
 
+# A variable name is SPARQL 1.1's VARNAME (grammar productions [164] to
+# [166]): a first character from _VARNAME_FIRST, then any from both sets.
+_VARNAME_FIRST = (r"A-Za-z_0-9\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF"
+                  r"\u0370-\u037D\u037F-\u1FFF\u200C-\u200D\u2070-\u218F"
+                  r"\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF\uFDF0-\uFFFD"
+                  r"\U00010000-\U000EFFFF")
+_VARNAME_NEXT = r"\u00B7\u0300-\u036F\u203F-\u2040"
+
 # One alternative per token kind, tried in this order at each offset;
 # blanks and comments match with no group.  A '<' opens an IRI only
 # when a '>' comes before any blank or parenthesis, and is an operator
@@ -314,12 +322,12 @@ _TOKEN = re.compile(r"""
   | <(?P<iri>[^ \t\r\n()>]*)>
   | (?P<literal>"(?P<body>[^"\\]*(?:\\[\s\S][^"\\]*)*)"
         (?: \^\^<[^>]*> | @(?:[^\W_]|-)* | (?P<open_datatype>\^\^<) )?)
-  | [?$](?P<var>\w+)
+  | [?$](?P<var>[%(first)s][%(first)s%(next)s]*)
   | (?P<num>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<punct>[{}().*])
   | (?P<op><=|<|!=|&&|\|\||>=|=|>|!)
   | (?P<word>[\w:][\w:.-]*(?<!\.))
-""", re.VERBOSE)
+""" % {"first": _VARNAME_FIRST, "next": _VARNAME_NEXT}, re.VERBOSE)
 
 
 def _tokenize(text):
@@ -381,6 +389,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.prefixes = {}
+        self.label_offsets = {}   # label variable -> offset of first use
 
     def peek(self):
         return self.tokens[self.i]
@@ -440,7 +449,7 @@ class _Parser:
         kind, _, pos = self.next()
         if kind != "eof":
             raise QuerySyntaxError("trailing content after query", pos)
-        _validate(node, projected)
+        _validate(node, projected, self.label_offsets)
         if projected is None:
             return GeneralQuery(node, None)
         return GeneralQuery(node, tuple(name for name, _ in projected))
@@ -538,6 +547,7 @@ class _Parser:
     def parse_predicate_spec(self):
         kind, value, pos = self.next()
         if kind == "var":
+            self.label_offsets.setdefault(value, pos)
             return ("var", value)
         if kind == "iri":
             return ("label", value)
@@ -622,15 +632,20 @@ def _join_run(node, run):
     return node
 
 
-def _validate(node, projected):
-    graphs = list(_tree_graphs(node))
-    vertex_vars = set().union(*(graph.vertex_vars() for graph in graphs))
-    label_vars = set().union(*(graph.label_vars() for graph in graphs))
+def _validate(node, projected, label_offsets):
+    """Reject a variable used both as a vertex and as an edge label, at
+    the first use as a label among such variables (label_offsets maps
+    each label variable to its first offset), and a projected variable
+    that no pattern binds."""
+    vertex_vars = set().union(*(graph.vertex_vars()
+                                for graph in _tree_graphs(node)))
+    label_vars = label_offsets.keys()
     clash = vertex_vars & label_vars
     if clash:
+        name = min(clash, key=label_offsets.__getitem__)
         raise QuerySyntaxError(
             "variable ?%s used both as a vertex and as an edge label"
-            % sorted(clash)[0], 0)
+            % name, label_offsets[name])
     if projected is not None:
         known = vertex_vars | label_vars
         for name, pos in projected:

@@ -37,12 +37,16 @@ from parteval import (
     parse_sparql,
     partition_from_file,
     partition_uniform_hash,
+    projected_names,
     tree_vars,
     write_partition_file,
 )
 from parteval.matcher import DEADLINE_EVERY
 from parteval.oracle import MAX_DATA_VERTICES
 from helpers import make_row, term_rows
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
 
 CONFIGS = [
     EngineConfig(assembly="centralized", join="partitioned"),
@@ -544,8 +548,9 @@ STAR_LEAVES = 32
 def test_cli_large_star_partitioned(tmp_path, capsys):
     """The hub's home holds every crossing match of a star fully bound,
     so the default partitioned join answers it without ordering or
-    joining anything, with the same rows as one fragment.  A second hub
-    with half the spokes leaves partial matches that match nothing."""
+    joining anything, with the same rows as one fragment.  Only partial
+    matches with the hub internal are searched: a second hub with half
+    the spokes has none, and the spokes' homes search nothing."""
     lines = ["<http://ex/%s> <http://ex/p%d> <http://ex/%s%d> .\n"
              % (hub, i, hub, i)
              for hub, spokes in (("h", STAR_LEAVES), ("g", STAR_LEAVES // 2))
@@ -572,7 +577,7 @@ def test_cli_large_star_partitioned(tmp_path, capsys):
     assert len(out[1].splitlines()) == 1 + 1
     stats = json.loads(stats.read_text(encoding="utf-8"))
     assert stats["crossing_matches"] == 1
-    assert sum(stats["lpm_counts"].values()) > 1
+    assert sum(stats["lpm_counts"].values()) == 1
     assert stats["join_cost"] == 1
 
 
@@ -749,6 +754,35 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
             assert got == want, "file partition, k=%d, %s" % (k, mode)
 
 
+def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
+    """The bench's BGP templates over a 16-department LUBM graph (896
+    triples) print the same TSV at k=1 as at k=4 under the partitioned
+    join, which searches only the universal vertex's slices where the
+    query has one, the naive join and distributed assembly."""
+    monkeypatch.syspath_prepend(BENCH)
+    import lubm
+
+    data = lubm.generate(1, lubm.Scale(departments=16))
+    g = parse_ntriples(data.ntriples)
+    assert g.n_vertices > MAX_DATA_VERTICES
+    single = build_fragments(g, partition_uniform_hash(g, 1))
+    four = build_fragments(g, partition_uniform_hash(g, 4, seed=1))
+    runs = [(four, EngineConfig()), (four, EngineConfig(join="naive")),
+            (four, EngineConfig(assembly="distributed"))]
+    dealer = lubm.Dealer(random.Random(1))
+    crossing = 0
+    for name in lubm.BGP_TEMPLATES:
+        for _ in range(3):
+            gq = parse_sparql(lubm.instantiate(name, data, dealer))
+            names = projected_names(gq)
+            want = format_tsv(execute(gq, single)[0], names)
+            for dg, cfg in runs:
+                table, stats = execute(gq, dg, cfg)
+                assert format_tsv(table, names) == want, (name, cfg)
+                crossing += stats.crossing_matches
+    assert crossing > 1000
+
+
 # ---------------------------------------------------------------------------
 # Admission: the engine binds a filterable query vertex only to vertices
 # that pass all of its edges at their home site.  That must lose no slice
@@ -774,16 +808,18 @@ def _filterable_kinds(q):
 
 def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
     searched = {}
+    anchors = {}
     paper = matcher.compute_local_partial_matches
 
-    def recording(q, frag, admit=None, deadline=None):
-        searched[frag.id] = paper(q, frag, admit, deadline)
+    def recording(q, frag, admit=None, deadline=None, anchor=None):
+        searched[frag.id] = paper(q, frag, admit, deadline, anchor)
+        anchors[frag.id] = anchor
         return searched[frag.id]
 
     monkeypatch.setattr(matcher, "compute_local_partial_matches", recording)
     rng = random.Random(1411)
     covered = dict.fromkeys(["two-edge vertex", "self-loop",
-                             "edge to a constant", "pruned"], 0)
+                             "edge to a constant", "pruned", "anchored"], 0)
     configs = [EngineConfig(assembly="centralized"),
                EngineConfig(assembly="distributed"),
                EngineConfig(assembly="distributed", transport="tcp")]
@@ -814,7 +850,13 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
                 full = paper(gq, frag)
                 assert searched[frag.id] <= full, (trial, cfg, frag.id)
                 covered["pruned"] += searched[frag.id] < full
+                # an anchored search keeps only the slices holding the
+                # anchor, which hold every crossing match fully bound
+                anchor = anchors[frag.id]
+                covered["anchored"] += anchor is not None
                 for fn in crossing:
                     for piece in helpers.restriction_lpms(fn, q, dg, frag.id):
-                        assert piece in searched[frag.id], (trial, cfg, fn)
+                        if anchor is None or anchor in piece.internal:
+                            assert piece in searched[frag.id], (trial, cfg,
+                                                                fn)
     assert all(covered.values()), covered

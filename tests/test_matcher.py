@@ -564,21 +564,82 @@ def test_omega_is_an_antichain(seed):
                 assert not _strictly_extends(p2.fn, p1.fn)
 
 
+def every_vector_the_predicate_accepts(q, frag):
+    """Brute force over every vector of fragment vertices and None."""
+    domain = [None] + sorted(frag.internal | frag.extended)
+    return {fn for fn in itertools.product(domain, repeat=q.n)
+            if is_local_partial_match(q, frag, fn)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_omega_is_every_vector_the_predicate_accepts(seed):
-    # brute force over every vector of fragment vertices and None, which
-    # tiny instances keep to at most 9^4 vectors per fragment
+    # tiny instances keep the brute force to at most 9^4 vectors per
+    # fragment
     rng = random.Random(seed)
     g = helpers.rand_graph(rng, max_vertices=8)
     dg = build_fragments(g, helpers.rand_partition(rng, g))
     q = ground(helpers.rand_bgp(rng, g, n_max=4), g)
     for frag in dg.fragments:
-        domain = [None] + sorted(frag.internal | frag.extended)
-        want = {fn for fn in itertools.product(domain, repeat=q.n)
-                if is_local_partial_match(q, frag, fn)}
         got = {pm.fn for pm in compute_local_partial_matches(q, frag)}
-        assert got == want
+        assert got == every_vector_the_predicate_accepts(q, frag)
+
+
+def test_seeds_only_next_to_the_scarcest_neighbour():
+    # x1..x3 all have a p edge, but only x1's goes to the constant c: the
+    # seeds of ?x shrink to the stored neighbours of c's one candidate,
+    # where x2 stays over its q edge and then fails the p edge
+    x1, x2, x3, c, d = (iri(x) for x in ("x1", "x2", "x3", "c", "d"))
+    g, dg = tiny_db([Triple(x1, "p", c), Triple(x2, "p", d),
+                     Triple(x3, "p", d), Triple(x2, "q", c)],
+                    {"x1": 0, "x2": 0, "x3": 0, "c": 1, "d": 1}, 2)
+    q = ground(build_query_graph([(V("x"), L("p"), T(c))]), g)
+    frag = dg.fragments[0]
+    cand = [candidates(q, frag, v) for v in range(q.n)]
+    assert cand[0] & frag.internal == {g.term_id(x) for x in (x1, x2, x3)}
+    assert matcher._seeds(q, frag, cand, 0) == {g.term_id(x1),
+                                                g.term_id(x2)}
+    for frag in dg.fragments:
+        got = {pm.fn for pm in compute_local_partial_matches(q, frag)}
+        assert got == every_vector_the_predicate_accepts(q, frag)
+        assert got == {(g.term_id(x1), g.term_id(c))}
+
+
+def test_anchored_search_is_the_full_set_holding_the_anchor(monkeypatch):
+    """With and without admission, an anchored search finds exactly the
+    local partial matches whose internal set holds the anchor, and
+    reaches each once, as the full search does."""
+    full_predicate = matcher.is_local_partial_match
+    emitted = []
+
+    def counted(q, frag, fn, *, grown=False):
+        verdict = full_predicate(q, frag, fn, grown=grown)
+        emitted.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(matcher, "is_local_partial_match", counted)
+    rng = random.Random(19)
+    anchored = 0
+    for _ in range(150):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        own = [matcher.admitted(q, frag) for frag in dg.fragments]
+        union = {v: frozenset().union(*(sets[v] for sets in own))
+                 for v in own[0]}
+        for admit in ({}, union) if union else ({},):
+            for frag in dg.fragments:
+                for anchor in (None,) + tuple(range(q.n)):
+                    emitted.clear()
+                    got = compute_local_partial_matches(q, frag, admit,
+                                                        anchor=anchor)
+                    assert emitted.count(True) == len(got)
+                    if anchor is None:
+                        full = got
+                    else:
+                        assert got == {pm for pm in full
+                                       if anchor in pm.internal}
+                        anchored += len(got)
+    assert anchored > 500
 
 
 @settings(max_examples=30, deadline=None)

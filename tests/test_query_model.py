@@ -534,6 +534,17 @@ def test_error_position_points_at_offender():
      "unexpected character '٣'"),
     ("SELECT * WHERE { ?a <p> 3² }", "²",
      "unexpected character '²'"),
+    # a variable name is SPARQL's VARNAME, which ½ cannot start and ²
+    # cannot continue
+    ("SELECT * WHERE { ?½s <p> ?b }", "?½",
+     "empty variable name"),
+    ("SELECT * WHERE { ?a <p> ?x² }", "²",
+     "unexpected character '²'"),
+    # a clash is reported where the name is first used as a label
+    ("SELECT ?a WHERE { ?a <p> ?b . ?x ?a ?y . ?y ?a ?b }", "?a ?y",
+     "variable ?a used both as a vertex and as an edge label"),
+    ("SELECT * WHERE { ?a ?b ?c . ?b <p> ?a . ?c ?a ?d }", "?b ?c",
+     "variable ?b used both as a vertex and as an edge label"),
 ])
 def test_error_offsets(text, offender, message):
     with pytest.raises(QuerySyntaxError) as exc:
@@ -541,6 +552,14 @@ def test_error_offsets(text, offender, message):
     assert str(exc.value) == "at offset %d: %s" % (text.index(offender),
                                                     message)
     assert exc.value.pos == text.index(offender)
+
+
+def test_variable_names_follow_varname():
+    # U+0663 lies in VARNAME's #x037F-#x1FFF range, and a name may start
+    # with a digit
+    gq = parse_sparql("SELECT ?é ?x_1 ?1a ?\u0663 WHERE "
+                      "{ ?é <p> ?x_1 . ?x_1 ?1a ?\u0663 . }")
+    assert gq.projection == ("é", "x_1", "1a", "\u0663")
 
 
 # ---------------------------------------------------------------------------
