@@ -26,7 +26,7 @@ from .matcher import (
     is_local_partial_match, match_order,
 )
 from .assembly_central import (
-    LpmPartitioning, NotJoinable, PartialMatchIndex, QueryTooLarge,
+    LpmPartitioning, NotJoinable, PartialMatchIndex,
     UnassignedLpm,
     assemble, build_partitioning, join, join_cost, joinable, merge,
     naive_iterative_join, optimal_partitioning, partitioning_based_join,

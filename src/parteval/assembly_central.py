@@ -14,7 +14,8 @@ the join the rest.  When some query vertex neighbours every other one
 (universal_vertex), the fragment owning that vertex's image holds every
 crossing match fully bound, so the rest is not joined at all, and the
 engine searches only the partial matches that hold that vertex
-internally.  The naive join takes every match, as the paper's baseline.
+internally, for this join and for BSP assembly alike.  The naive join
+takes every match, as the paper's baseline.
 
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
@@ -44,12 +45,8 @@ class UnassignedLpm(Exception):
     placed in any part."""
 
 
-class QueryTooLarge(Exception):
-    """The anchor-order search is exponential in the query size, so it
-    refuses queries above MAX_ORDERED_VERTICES that have matches to
-    partition."""
-
-
+# the anchor-order search is exponential in the query size, so it orders
+# at most this many query vertices
 MAX_ORDERED_VERTICES = 30
 
 
@@ -266,14 +263,15 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
     of vertices already used: the matches still unassigned are exactly
     those avoiding every used vertex internally, so the used set
     determines the whole subproblem.  Ties fall to the lowest vertex id.
-    deadline, if given, is checked every DEADLINE_EVERY memo misses.
+    Above MAX_ORDERED_VERTICES query vertices the search is skipped and
+    the vertices anchor in id order, which is as valid a partitioning,
+    only not a cheapest one.  deadline, if given, is checked every
+    DEADLINE_EVERY memo misses.
     """
     n = q.n
-    if omega and n > MAX_ORDERED_VERTICES:
-        raise QueryTooLarge(
-            "the partitioned join orders at most %d query vertices, got "
-            "%d; distributed assembly or the naive join take it"
-            % (MAX_ORDERED_VERTICES, n))
+    if n > MAX_ORDERED_VERTICES:
+        p = build_partitioning(omega, range(n))
+        return p, join_cost(p)
     # a subproblem needs only how many matches have each internal set
     counts = {}
     for pm in omega:

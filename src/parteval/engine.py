@@ -111,11 +111,11 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         admit = dict.fromkeys(own, union)
     # the searches count steps only under a time limit
     timed = deadline if deadline.limit else None
-    # the partitioned join answers a query with a universal vertex from
-    # the partial matches holding that vertex internally, and reads no
-    # other; the naive join and BSP merge partial matches, so they take all
+    # the partitioned join and BSP answer a query with a universal vertex
+    # from the partial matches holding that vertex internally, and read
+    # no other; the naive join merges partial matches, so it takes all
     anchor = None
-    if exchange is None and cfg.join != "naive":
+    if exchange is not None or cfg.join != "naive":
         anchor = assembly_central.universal_vertex(gq)
     omega = {frag.id: matcher.compute_local_partial_matches(
                  gq, frag, admit[frag.id], timed, anchor=anchor)
@@ -132,7 +132,8 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     if exchange is not None:
         bsp_stats = {}
         crossing = assembly_bsp.run_bsp(dg, gq, omega, stats=bsp_stats,
-                                        exchange=exchange, deadline=deadline)
+                                        exchange=exchange, deadline=deadline,
+                                        anchor=anchor)
         stats.supersteps = max(stats.supersteps,
                                bsp_stats.get("supersteps_used", 0))
         stats.messages_sent += bsp_stats.get("messages_sent", 0)
@@ -343,10 +344,8 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (QuerySyntaxError, UnsupportedFeatureError) as exc:
-        print("query error: %s" % exc, file=sys.stderr)
-        return 1
-    except (TimeoutExceeded, assembly_central.QueryTooLarge) as exc:
+    except (QuerySyntaxError, UnsupportedFeatureError,
+            TimeoutExceeded) as exc:
         print("query error: %s" % exc, file=sys.stderr)
         return 1
     except NTriplesSyntaxError as exc:

@@ -346,7 +346,11 @@ def _tokenize(text):
             if c == '"':
                 raise QuerySyntaxError("unterminated literal", pos)
             if c in "?$":
-                raise QuerySyntaxError("empty variable name", pos)
+                # a name character that cannot start a VARNAME is the fault
+                if not text[pos + 1:pos + 2].isalnum():
+                    raise QuerySyntaxError("empty variable name", pos)
+                pos += 1
+                c = text[pos]
             raise QuerySyntaxError("unexpected character %r" % c, pos)
         kind = m.lastgroup
         if kind is not None:

@@ -35,6 +35,7 @@ from parteval import (
     main,
     parse_ntriples,
     parse_sparql,
+    partition_exponential_hash,
     partition_from_file,
     partition_uniform_hash,
     projected_names,
@@ -370,6 +371,32 @@ def test_cli_query_stats_file(movie_disk, tmp_path, capsys):
     assert got["lpm_counts"] == {"0": 1, "1": 1, "2": 0, "3": 0}
 
 
+def test_cli_distributed_star_runs_no_superstep(movie_disk, tmp_path,
+                                                capsys):
+    """?d neighbours both other vertices, so distributed assembly, like
+    the partitioned join, searches only the partial matches holding ?d
+    internally; its home emits both crossing matches at start-up."""
+    db, _ = movie_disk
+    query = tmp_path / "star.rq"
+    query.write_text("SELECT * WHERE { ?a <isMarriedTo> ?d . "
+                     "?d <directed> ?f . }", encoding="utf-8")
+    stats_path = tmp_path / "stats.json"
+
+    def run(*options):
+        code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                          "--sparql", str(query), *options,
+                                          "--stats", str(stats_path)])
+        assert (code, err) == (0, "")
+        return out, json.loads(stats_path.read_text(encoding="utf-8"))
+
+    central_out, central = run()
+    bsp_out, bsp = run("--assembly", "d", "--transport", "tcp")
+    assert bsp_out == central_out
+    assert bsp["crossing_matches"] == central["crossing_matches"] == 2
+    assert bsp["supersteps"] == 0
+    assert bsp["lpm_counts"] == central["lpm_counts"]
+
+
 def test_cli_stats_file_lists_fragments_in_numeric_order(tmp_path, capsys):
     src = tmp_path / "in.nt"
     src.write_text(helpers.MOVIE_NT, encoding="utf-8")
@@ -530,13 +557,13 @@ def test_cli_large_query_unpartitioned(chain_disk, capsys):
 
 
 def test_cli_large_query_partitioned(chain_disk, capsys):
+    # past the anchor-order search's limit the partitioned join anchors
+    # the query vertices in id order, and answers as one fragment does
     dbs, query = chain_disk
     base = ["query", "--db", str(dbs[4]), "--sparql", str(query)]
-    code, out, err = run_cli(capsys, base)
-    assert (code, out) == (1, "")
-    assert err.startswith("query error:")
     _, want, _ = run_cli(capsys, ["query", "--db", str(dbs[1]),
                                   "--sparql", str(query)])
+    assert run_cli(capsys, base) == (0, want, "")
     assert run_cli(capsys, base + ["--assembly", "d"]) == (0, want, "")
 
 
@@ -757,8 +784,11 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
 def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
     """The bench's BGP templates over a 16-department LUBM graph (896
     triples) print the same TSV at k=1 as at k=4 under the partitioned
-    join, which searches only the universal vertex's slices where the
-    query has one, the naive join and distributed assembly."""
+    join, the naive join and distributed assembly, and as at k=8 under
+    lubm-bsp-skew's set-up (skewed hash, distributed assembly over TCP).
+    The partitioned join and distributed assembly search only the
+    universal vertex's slices where the query has one; F1 has none, so
+    there BSP still merges partial matches over supersteps."""
     monkeypatch.syspath_prepend(BENCH)
     import lubm
 
@@ -767,10 +797,13 @@ def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
     assert g.n_vertices > MAX_DATA_VERTICES
     single = build_fragments(g, partition_uniform_hash(g, 1))
     four = build_fragments(g, partition_uniform_hash(g, 4, seed=1))
+    skew = build_fragments(g, partition_exponential_hash(g, 8, seed=0))
     runs = [(four, EngineConfig()), (four, EngineConfig(join="naive")),
-            (four, EngineConfig(assembly="distributed"))]
+            (four, EngineConfig(assembly="distributed")),
+            (skew, EngineConfig(assembly="distributed", transport="tcp"))]
     dealer = lubm.Dealer(random.Random(1))
     crossing = 0
+    supersteps = dict.fromkeys(lubm.BGP_TEMPLATES, 0)
     for name in lubm.BGP_TEMPLATES:
         for _ in range(3):
             gq = parse_sparql(lubm.instantiate(name, data, dealer))
@@ -780,7 +813,10 @@ def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
                 table, stats = execute(gq, dg, cfg)
                 assert format_tsv(table, names) == want, (name, cfg)
                 crossing += stats.crossing_matches
+            supersteps[name] += stats.supersteps
     assert crossing > 1000
+    # under lubm-bsp-skew's set-up, the last of the runs
+    assert {name for name, used in supersteps.items() if used} == {"F1"}
 
 
 # ---------------------------------------------------------------------------

@@ -535,9 +535,13 @@ def test_error_position_points_at_offender():
     ("SELECT * WHERE { ?a <p> 3² }", "²",
      "unexpected character '²'"),
     # a variable name is SPARQL's VARNAME, which ½ cannot start and ²
-    # cannot continue
-    ("SELECT * WHERE { ?½s <p> ?b }", "?½",
-     "empty variable name"),
+    # cannot continue; either is reported where it stands
+    ("SELECT * WHERE { ?½s <p> ?b }", "½",
+     "unexpected character '½'"),
+    ("SELECT * WHERE { $½s <p> ?b }", "½",
+     "unexpected character '½'"),
+    ("SELECT * WHERE { ? <p> ?b }", "? <p>", "empty variable name"),
+    ("SELECT * WHERE { ?a <p> ?}", "?}", "empty variable name"),
     ("SELECT * WHERE { ?a <p> ?x² }", "²",
      "unexpected character '²'"),
     # a clash is reported where the name is first used as a label
