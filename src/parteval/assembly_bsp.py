@@ -24,10 +24,6 @@ home first: it drops one the top home holds, then one that fails its
 local check, and emits, without sending, one whose top home it is; the
 check runs only where some query edge lies between two extended images,
 since the search already checked every edge with an internal endpoint.
-When some query vertex neighbours every other one, the engine searches
-only the partial matches that hold it internally (the anchor); each is
-complete and found only at the home of the anchor's image, which emits
-it at start-up, so such a run posts nothing.
 
 Supersteps alternate computation and a barriered exchange; the run ends
 when a superstep posts nothing, without a barrier, so a run whose
@@ -406,8 +402,7 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
     return new_emits, out
 
 
-def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None,
-            anchor=None):
+def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     """Drive the sites to quiescence and collect every emission.
 
     Superstep 0 only sends the initial partial matches along the routing
@@ -421,14 +416,6 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None,
     that a top home holds what its search must find (held_at).
     deadline, if given, has check(phase) called once per superstep and
     inside long compute steps.
-
-    anchor is a query vertex that neighbours every other one
-    (assembly_central.universal_vertex), when omega was searched from it
-    alone (compute_local_partial_matches(..., anchor=...)).  Every match
-    of omega is then fully bound with the anchor internal, and only the
-    home of the anchor's image holds it, so that site emits it at
-    start-up without consulting its top home, nothing is posted and no
-    superstep runs.
     """
     topo = dg.topo
     rank = fragment_order({fid: omega.get(fid, frozenset())
@@ -472,7 +459,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None,
             if None in pm.fn:
                 base.append(pm)
                 continue
-            dst = fid if anchor is not None else top_home(dg, rank, pm.fn)
+            dst = top_home(dg, rank, pm.fn)
             if dst != fid and held_at(q, dg, dst, pm.fn):
                 continue    # dst's own search found it and emits it
             if not (checked_by_search(q, pm)

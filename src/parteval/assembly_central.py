@@ -9,13 +9,9 @@ that members of one group never join each other.  A dynamic program
 picks the anchor order minimizing the modeled cost.
 
 assemble, the default, first answers the fully bound partial matches
-directly, since a join would only find each again, and gives the DP and
-the join the rest.  When some query vertex neighbours every other one
-(universal_vertex), the fragment owning that vertex's image holds every
-crossing match fully bound, so the rest is not joined at all, and the
-engine searches only the partial matches that hold that vertex
-internally, for this join and for BSP assembly alike.  The naive join
-takes every match, as the paper's baseline.
+directly (bound_answers), since a join would only find each again, and
+gives the DP and the join the rest.  The naive join takes every match,
+as the paper's baseline.
 
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
@@ -328,46 +324,37 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
                           for _, members in p.parts), q, g, stats, deadline)
 
 
-def universal_vertex(q):
-    """The lowest query vertex that neighbours every other one, or None."""
-    for v in range(q.n):
-        if len(q.adj[v] | {v}) == q.n:
-            return v
-    return None
+def bound_answers(omega, q, g, deadline=None):
+    """The vectors of omega's fully bound matches whose every edge the
+    search checked (checked_by_search) or that pass is_complete_match
+    against g.  deadline, if given, is checked every DEADLINE_EVERY
+    matches."""
+    out = set()
+    for i, pm in enumerate(omega, 1):
+        if deadline is not None and i % DEADLINE_EVERY == 0:
+            deadline.check("assembly")
+        if None not in pm.fn and (
+                checked_by_search(q, pm)
+                or is_complete_match(q, pm.fn, g.labels_between)):
+            out.add(pm.fn)
+    return frozenset(out)
 
 
 def assemble(omega, q, g, stats=None, deadline=None):
     """Crossing matches of omega: its fully bound matches answered
-    directly, then the optimal partitioning and the partitioned join
-    over the rest, when the rest can add an answer.
+    directly (bound_answers), then the optimal partitioning and the
+    partitioned join over the rest.
 
     A fully bound match merges into nothing but its own vector, so the
-    join would only find it again, once per joinable partner.  It is an
-    answer when the search checked its every edge (checked_by_search) or
-    it passes is_complete_match against g.  When some query vertex v
-    neighbours every other one, the rest cannot add an answer: in any
-    crossing match, the fragment owning v's image has an internal set
-    that holds v and is connected through it, whose neighbourhood is the
-    whole query, so that fragment's search found the match fully bound.
-    The DP and the join then receive no matches.  join_cost in stats is
-    the modeled cost over what the join receives.  deadline, if given,
-    is checked every DEADLINE_EVERY matches of the split, and by the DP
-    and the join as they describe.
+    join would only find it again, once per joinable partner.  join_cost
+    in stats is the modeled cost over what the join receives.  deadline,
+    if given, is checked by bound_answers, the DP and the join as they
+    describe.
     """
-    joined = universal_vertex(q) is None
-    direct = set()
-    rest = []
-    for i, pm in enumerate(omega, 1):
-        if deadline is not None and i % DEADLINE_EVERY == 0:
-            deadline.check("assembly")
-        if None in pm.fn:
-            if joined:
-                rest.append(pm)
-        elif (checked_by_search(q, pm)
-              or is_complete_match(q, pm.fn, g.labels_between)):
-            direct.add(pm.fn)
+    direct = bound_answers(omega, q, g, deadline)
+    rest = [pm for pm in omega if None in pm.fn]
     p, cost = optimal_partitioning(rest, q, stats=stats, deadline=deadline)
     if stats is not None:
         stats["join_cost"] = cost
-    return frozenset(direct).union(partitioning_based_join(
+    return direct.union(partitioning_based_join(
         p, q, g, stats=stats, deadline=deadline))

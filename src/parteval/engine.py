@@ -111,35 +111,38 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         admit = dict.fromkeys(own, union)
     # the searches count steps only under a time limit
     timed = deadline if deadline.limit else None
-    # the partitioned join and BSP answer a query with a universal vertex
-    # from the partial matches holding that vertex internally, and read
-    # no other; the naive join merges partial matches, so it takes all
-    anchor = None
-    if exchange is not None or cfg.join != "naive":
-        anchor = assembly_central.universal_vertex(gq)
+    # a query with a universal vertex is answered by the fully bound
+    # partial matches holding it internally, with no assembly; the naive
+    # join merges partial matches, so it takes all
+    anchor = (matcher.universal_vertex(gq)
+              if exchange is not None or cfg.join != "naive" else None)
+    # the search collects inner matches where it runs; a fragment without
+    # crossing edges (each one at k=1) has the pair-list search instead
+    inner = set().union(*(matcher.compute_inner_matches(
+                              gq, frag, own[frag.id], timed)
+                          for frag in dg.fragments if not frag.extended))
     omega = {frag.id: matcher.compute_local_partial_matches(
-                 gq, frag, admit[frag.id], timed, anchor=anchor)
+                 gq, frag, admit[frag.id], timed, anchor=anchor, inner=inner)
              for frag in dg.fragments}
-    inner = frozenset().union(*(matcher.compute_inner_matches(
-                                    gq, frag, own[frag.id], timed)
-                                for frag in dg.fragments))
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, lpms in omega.items():
         stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + len(lpms)
     deadline.check("partial evaluation")
 
     t1 = time.monotonic()
-    if exchange is not None:
+    if anchor is not None:
+        crossing = assembly_central.bound_answers(
+            chain.from_iterable(omega.values()), gq, dg.source, deadline)
+    elif exchange is not None:
         bsp_stats = {}
         crossing = assembly_bsp.run_bsp(dg, gq, omega, stats=bsp_stats,
-                                        exchange=exchange, deadline=deadline,
-                                        anchor=anchor)
+                                        exchange=exchange, deadline=deadline)
         stats.supersteps = max(stats.supersteps,
                                bsp_stats.get("supersteps_used", 0))
         stats.messages_sent += bsp_stats.get("messages_sent", 0)
         stats.bytes_sent += bsp_stats.get("bytes_sent", 0)
     else:
-        flat = frozenset().union(*omega.values()) if omega else frozenset()
+        flat = frozenset().union(*omega.values())
         central_stats = {}
         if cfg.join == "naive":
             crossing = assembly_central.naive_iterative_join(
@@ -153,7 +156,7 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
 
     stats.inner_matches += len(inner)
     stats.crossing_matches += len(crossing)
-    return inner | crossing
+    return crossing | inner
 
 
 def execute(gq, dg, cfg=None):
@@ -259,7 +262,10 @@ _ASSEMBLY = {"c": "centralized", "centralized": "centralized",
 
 def _cmd_query(args):
     with open(args.sparql, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:    # start is a byte offset
+            raise QuerySyntaxError("invalid UTF-8", exc.start) from None
     gq = parse_sparql(text)
     g, dg = load_db(args.db)
     cfg = EngineConfig(assembly=_ASSEMBLY[args.assembly], join=args.join,

@@ -323,9 +323,10 @@ def _connected_through(q, targets, allowed):
 
 
 def compute_local_partial_matches(q, frag, admit=None, deadline=None,
-                                  anchor=None):
+                                  anchor=None, inner=None):
     """All local partial matches of the query in one fragment, or with
-    an anchor, those whose internal set holds the anchor.
+    an anchor, those whose internal set holds the anchor; inner, if
+    given, is a set the fragment's inner matches are added to.
 
     A local partial match binds a connected set I of internally matched
     query vertices together with their whole neighbourhood N(I), and
@@ -345,9 +346,11 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
     to bind already meets six of the eight conditions of
     is_local_partial_match; it is emitted when the other two hold
     (grown=True): some binding is extended, and the data pairs that
-    several query edges land on can serve them injectively.  A fragment
-    without crossing edges (every fragment at k=1) holds no local partial
-    match and is not searched.
+    several query edges land on can serve them injectively.  A leaf with
+    no extended binding has checked every edge of the connected query,
+    so it is an inner match once its shared pairs pass; each inner match
+    (I is the whole query) grows from seed 0 or the anchor.  A fragment
+    without crossing edges (all of them at k=1) is not searched.
 
     A seed is tried only where its scarcest neighbour can bind (see
     _seeds), which drops no local partial match.  Without admit this is
@@ -399,6 +402,9 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
             if is_local_partial_match(q, frag, key, grown=True):
                 results.add(LocalPartialMatch(
                     key, frozenset(v for v in range(n) if key[v] in internal)))
+            elif (inner is not None and frag.extended.isdisjoint(key)
+                  and _shared_pairs_feasible(q, key, frag)):
+                inner.add(key)
             return
         pool = cand[v]
         for h in hosts:
@@ -436,6 +442,15 @@ def _seeds(q, frag, cand, s):
             seeds = seeds & frozenset().union(
                 *(frag.nbrs.get(u, frozenset()) for u in cand[w]))
     return seeds
+
+
+def universal_vertex(q):
+    """The lowest query vertex that neighbours every other one, or None.
+    In a crossing match, the fragment owning such a vertex's image has a
+    connected internal set holding it, whose neighbourhood is the whole
+    query, so its search from that vertex alone finds the match fully
+    bound."""
+    return next((v for v in range(q.n) if len(q.adj[v] | {v}) == q.n), None)
 
 
 def match_order(q, cand, start=None):
@@ -545,7 +560,8 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     edges of the fragment.  admit, if given, is admitted(q, frag): those
     sets replace the candidates of the vertices they cover.  Every
     candidate is internal, so every pair looked up in frag.edges is an
-    inner edge.
+    inner edge.  The engine uses it only where the partial-match search
+    does not run: on a fragment without extended vertices.
 
     The search starts from the query edge whose label has the fewest
     stored pairs (see _seed_edge): it scans that label's list in

@@ -576,41 +576,6 @@ def test_bsp_matches_centralized(seed):
     assert sum(stats["emissions_per_site"].values()) == len(got)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_an_anchored_run_emits_at_the_anchor_home_with_no_superstep(k):
-    """Where the query has a universal vertex u, the partial matches
-    holding u internally hold every crossing match fully bound, each at
-    the home of u's image.  Run over those alone with anchor=u, BSP
-    answers what the run over every partial match answers, posts
-    nothing, and emits each match at that home."""
-    rng = random.Random(k)
-    runs = answers = 0
-    while runs < 200:
-        g = helpers.rand_graph(rng, max_vertices=16)
-        dg = build_fragments(g, helpers.rand_partition(rng, g, k))
-        q_graph = helpers.rand_bgp(rng, g)
-        q = ground(q_graph, g)
-        u = assembly_central.universal_vertex(q)
-        if u is None:
-            continue
-        runs += 1
-        anchored = {f.id: compute_local_partial_matches(q, f, anchor=u)
-                    for f in dg.fragments}
-        stats = {}
-        got = run_bsp(dg, q, anchored, stats, anchor=u)
-        assert got == run_bsp(dg, q, omega_of(dg, q))
-        _, crossing = classify(enumerate_matches(g, q_graph), dg)
-        assert got == crossing
-        assert stats["supersteps_used"] == stats["supersteps_run"] == 0
-        assert stats["messages_sent"] == 0
-        homes = [dg.home(fn[u]) for fn in got]
-        assert stats["emissions_per_site"] == {fid: homes.count(fid)
-                                               for fid in range(dg.k)}
-        assert sum(stats["emissions_per_site"].values()) == len(got)
-        answers += len(got)
-    assert answers > 50
-
-
 def test_provenance_of_a_merge_is_the_union_of_its_parts(monkeypatch):
     """Provenance is read from vertex homes, not carried: every merge the
     join loop makes, in the naive, partitioned and BSP assemblies, has
@@ -627,8 +592,6 @@ def test_provenance_of_a_merge_is_the_union_of_its_parts(monkeypatch):
     rng = random.Random(5)
     checked = 0
     per_run = [0, 0, 0]
-    # assemble joins nothing for most of these queries, which have a
-    # vertex next to all others, so the draw is large enough for it too
     for _ in range(400):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)

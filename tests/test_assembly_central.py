@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from parteval import assembly_bsp, assembly_central, matcher
+from parteval import assembly_bsp, assembly_central, engine, matcher
 from parteval import (
+    EngineConfig,
     LocalPartialMatch,
     LpmPartitioning,
     NotJoinable,
@@ -427,11 +428,6 @@ def test_assemble_movie(movie, movie_bgp, movie_gq):
     assert stats["join_cost"] == 4
 
 
-def has_universal_vertex(q):
-    return any(all(w in q.adj[v] for w in range(q.n) if w != v)
-               for v in range(q.n))
-
-
 def admitted_union(q, dg):
     """The admitted sets the engine gives every fragment under
     centralized assembly, or None when no query vertex is filterable."""
@@ -443,13 +439,13 @@ def admitted_union(q, dg):
 
 def test_assemble_equals_the_oracle_and_the_naive_join():
     """assemble answers the fully bound matches directly and joins the
-    rest only when no query vertex neighbours all others; either way it
-    gives the oracle's crossing matches, as the naive join does, with
-    and without admitted sets.  Most random queries have such a vertex,
-    so the floors count instances whose answers needed each branch."""
+    rest; it gives the oracle's crossing matches, as the naive join
+    does, with and without admitted sets.  The floors count instances
+    whose answers some fully bound match gave, and ones that needed the
+    join."""
     rng = random.Random(17)
     ks = set()
-    universal = joined = 0
+    direct = joined = 0
     for _ in range(1500):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)
@@ -461,12 +457,11 @@ def test_assemble_equals_the_oracle_and_the_naive_join():
             assert assemble(omega, q, g) == crossing
             assert naive_iterative_join(omega, q, g) == crossing
         ks.add(dg.k)
-        if has_universal_vertex(q):
-            universal += bool(crossing)
-        else:
-            joined += bool(crossing - {pm.fn for pm in omega})
+        bound = {pm.fn for pm in omega}
+        direct += bool(crossing & bound)
+        joined += bool(crossing - bound)
     assert ks == {1, 2, 3, 4}
-    assert universal > 100 and joined > 10
+    assert direct > 100 and joined > 10
 
 
 def test_assemble_drops_a_bound_match_missing_an_extended_edge():
@@ -489,23 +484,30 @@ def test_assemble_drops_a_bound_match_missing_an_extended_edge():
     assert assemble(omega, q, g) == frozenset()
 
 
-def test_star_answers_without_the_join():
+def test_star_answers_without_the_join(monkeypatch):
+    """The hub neighbours every other query vertex, so the engine
+    answers from the fully bound partial matches holding it internally;
+    the leaves' partial matches reach no join, and the join adds 0 to
+    join_cost."""
     # the hub's spokes only, so the hub neighbours every other vertex
     g, dg, _ = helpers.star_instance(4)
     q_graph = build_query_graph([
         (("var", "x"), ("label", "q%d" % i), ("var", "y%d" % i))
         for i in range(3)])
     q = ground(q_graph, g)
-    omega = full_omega(q, dg)
-    assert any(None in pm.fn for pm in omega)
-    stats = {}
-    got = assemble(omega, q, g, stats)
+    assert any(None in pm.fn for pm in full_omega(q, dg))
+
+    def no_join(*args, **kwargs):
+        raise AssertionError("the join ran")
+
+    monkeypatch.setattr(assembly_central, "assemble", no_join)
+    stats = engine.QueryStats()
+    got = engine._match_component(q_graph, dg, EngineConfig(), stats,
+                                  engine._Deadline(0))
     _, crossing = classify(enumerate_matches(g, q_graph), dg)
     assert got == crossing and len(got) == 1
-    # the leaves' partial matches reach neither the DP nor the join
-    assert stats["memo_keys"] == 0
-    assert stats["pairs_examined"] == 0
-    assert stats["join_cost"] == 1
+    assert stats.crossing_matches == 1
+    assert stats.join_cost == 0
 
 
 def test_path_still_joins():
@@ -585,8 +587,6 @@ def test_no_pair_is_probed_twice(monkeypatch):
     monkeypatch.setattr(PartialMatchIndex, "probe", recording)
     rng = random.Random(5)
     probed = [0, 0, 0]
-    # most of these queries have a vertex next to all others, for which
-    # assemble joins nothing, so the draw is large enough for it too
     for _ in range(300):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)

@@ -112,6 +112,47 @@ def test_execute_distributed_stats(movie_dg, movie_query):
     assert stats.join_cost == 0
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_radius_one_query_reaches_no_assembler(k, monkeypatch):
+    """Where some query vertex u neighbours every other one, the fully
+    bound partial matches holding u internally are every crossing match,
+    so distributed assembly answers, over either transport, with neither
+    assembler, no superstep, and only the admission round's records."""
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an assembler ran")
+
+    monkeypatch.setattr(assembly_bsp, "run_bsp", no_assembly)
+    monkeypatch.setattr(assembly_central, "assemble", no_assembly)
+    rng = random.Random(k)
+    runs = answers = 0
+    while runs < 200:
+        g = helpers.rand_graph(rng, max_vertices=16)
+        dg = build_fragments(g, helpers.rand_partition(rng, g, k))
+        q = helpers.rand_bgp(rng, g)
+        gq = matcher.ground(q, g)
+        if matcher.universal_vertex(gq) is None:
+            continue
+        runs += 1
+        inner, crossing = classify(enumerate_matches(g, q), dg)
+        inner = set().union(*inner.values())
+        own = {f.id: matcher.admitted(gq, f) for f in dg.fragments}
+        admission = (0, 0)
+        if own[0]:
+            admission = assembly_bsp.exchange_admission(
+                dg, own, assembly_bsp.InProcessExchange(k))[1:]
+        for transport in ("inproc", "tcp"):
+            stats = engine.QueryStats()
+            got = engine._match_component(q, dg, EngineConfig(
+                assembly="distributed", transport=transport), stats,
+                engine._Deadline(0))
+            assert got == inner | crossing
+            assert stats.crossing_matches == len(crossing)
+            assert stats.supersteps == 0
+            assert (stats.messages_sent, stats.bytes_sent) == admission
+        answers += len(crossing)
+    assert answers > 50
+
+
 def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
     table, _ = execute(movie_query, movie_dg, EngineConfig(threads=3))
     assert term_rows(table) == {MOVIE_ROW}
@@ -373,9 +414,9 @@ def test_cli_query_stats_file(movie_disk, tmp_path, capsys):
 
 def test_cli_distributed_star_runs_no_superstep(movie_disk, tmp_path,
                                                 capsys):
-    """?d neighbours both other vertices, so distributed assembly, like
-    the partitioned join, searches only the partial matches holding ?d
-    internally; its home emits both crossing matches at start-up."""
+    """?d neighbours both other vertices, so under either assembly the
+    engine searches only the partial matches holding ?d internally and
+    answers from the fully bound ones, with no superstep."""
     db, _ = movie_disk
     query = tmp_path / "star.rq"
     query.write_text("SELECT * WHERE { ?a <isMarriedTo> ?d . "
@@ -487,6 +528,28 @@ def test_cli_bad_literal_escape_is_exit_1(tmp_path):
         "query error: at offset %d: unknown escape \\q\n" % offset)
 
 
+def test_cli_query_that_is_not_utf8_is_exit_1(movie_disk, tmp_path):
+    """An undecodable query file is a query error at the byte offset of
+    the first bad byte, not a traceback; bad UTF-8 in the data stays a
+    data error."""
+    db, _ = movie_disk
+    text = b"SELECT * WHERE { ?a <isMarriedTo> ?d . }\xff"
+    query = tmp_path / "q.rq"
+    query.write_bytes(text)
+    proc = run_module("-m", "parteval", "query", "--db", str(db),
+                      "--sparql", str(query))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "query error: at offset %d: invalid UTF-8\n" % text.index(b"\xff"))
+    src = tmp_path / "bad.nt"
+    src.write_bytes(b'<a> <p> "\xff" .\n')
+    proc = run_module("-m", "parteval", "load", "--data", str(src),
+                      "--out", str(tmp_path / "db"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_bad_data_is_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.nt"
     src.write_text("<a> <p>\n", encoding="utf-8")
@@ -574,10 +637,11 @@ STAR_LEAVES = 32
 
 def test_cli_large_star_partitioned(tmp_path, capsys):
     """The hub's home holds every crossing match of a star fully bound,
-    so the default partitioned join answers it without ordering or
-    joining anything, with the same rows as one fragment.  Only partial
-    matches with the hub internal are searched: a second hub with half
-    the spokes has none, and the spokes' homes search nothing."""
+    so under the default partitioned join the engine answers it without
+    ordering or joining anything, with the same rows as one fragment.
+    Only partial matches with the hub internal are searched: a second
+    hub with half the spokes has none, and the spokes' homes search
+    nothing."""
     lines = ["<http://ex/%s> <http://ex/p%d> <http://ex/%s%d> .\n"
              % (hub, i, hub, i)
              for hub, spokes in (("h", STAR_LEAVES), ("g", STAR_LEAVES // 2))
@@ -605,12 +669,14 @@ def test_cli_large_star_partitioned(tmp_path, capsys):
     stats = json.loads(stats.read_text(encoding="utf-8"))
     assert stats["crossing_matches"] == 1
     assert sum(stats["lpm_counts"].values()) == 1
-    assert stats["join_cost"] == 1
+    # no join ran, so none added to the modeled cost
+    assert stats["join_cost"] == 0
 
 
 def test_an_expired_deadline_stops_the_split(monkeypatch):
-    """assemble checks the deadline every DEADLINE_EVERY partial matches
-    while it answers the fully bound ones, before the DP sees any."""
+    """bound_answers checks the deadline every DEADLINE_EVERY partial
+    matches, both where the engine answers a universal-vertex query and
+    inside assemble, before the DP sees any."""
     hub = iri("h")
     g = RdfGraph.from_triples([Triple(hub, "p", iri("l%d" % i))
                                for i in range(DEADLINE_EVERY)])
@@ -629,6 +695,8 @@ def test_an_expired_deadline_stops_the_split(monkeypatch):
     monkeypatch.setattr(assembly_central, "optimal_partitioning", no_dp)
     expired = engine._Deadline(1.0)
     expired.start -= 2.0
+    with pytest.raises(TimeoutExceeded, match="assembly"):
+        assembly_central.bound_answers(omega, q, g, expired)
     with pytest.raises(TimeoutExceeded, match="assembly"):
         assembly_central.assemble(omega, q, g, deadline=expired)
 
@@ -847,8 +915,9 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
     anchors = {}
     paper = matcher.compute_local_partial_matches
 
-    def recording(q, frag, admit=None, deadline=None, anchor=None):
-        searched[frag.id] = paper(q, frag, admit, deadline, anchor)
+    def recording(q, frag, admit=None, deadline=None, anchor=None,
+                  inner=None):
+        searched[frag.id] = paper(q, frag, admit, deadline, anchor, inner)
         anchors[frag.id] = anchor
         return searched[frag.id]
 

@@ -642,6 +642,50 @@ def test_anchored_search_is_the_full_set_holding_the_anchor(monkeypatch):
     assert anchored > 500
 
 
+def test_one_search_finds_the_inner_matches_too():
+    """On a fragment with crossing edges, the partial-match search adds
+    exactly compute_inner_matches' result to inner, and returns the same
+    local partial matches as without it, with and without an anchor at
+    the universal vertex and with and without admission.  Under that
+    anchor u, each crossing match is found fully bound at one fragment
+    only, the home of its image of u."""
+    rng = random.Random(23)
+    with_inner = anchored = 0
+    for _ in range(1000):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        own = [matcher.admitted(q, frag) for frag in dg.fragments]
+        union = {v: frozenset().union(*(sets[v] for sets in own))
+                 for v in own[0]}
+        _, crossing = classify(enumerate_matches(g, q_graph), dg)
+        u = matcher.universal_vertex(q)
+        found_inner = False
+        for anchor in (None,) if u is None else (None, u):
+            for admit in (None, union):
+                found = []
+                for frag in dg.fragments:
+                    if not frag.extended:
+                        continue
+                    inner = set()
+                    got = compute_local_partial_matches(q, frag, admit,
+                                                        anchor=anchor,
+                                                        inner=inner)
+                    assert inner == compute_inner_matches(q, frag,
+                                                          own[frag.id])
+                    assert got == compute_local_partial_matches(
+                        q, frag, admit, anchor=anchor)
+                    found_inner |= bool(inner)
+                    if anchor is not None:
+                        bound = [pm.fn for pm in got if None not in pm.fn]
+                        assert all(dg.home(fn[u]) == frag.id for fn in bound)
+                        found.extend(bound)
+                if anchor is not None:
+                    assert all(found.count(fn) == 1 for fn in crossing)
+                    anchored += len(crossing)
+        with_inner += found_inner
+    assert with_inner > 60 and anchored > 300
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_crossing_match_restrictions_appear_in_omega(seed):
