@@ -21,7 +21,7 @@ from .fragmenter import (
 )
 from .matcher import (
     GroundedQuery, LocalPartialMatch,
-    admitted, candidates, compute_inner_matches,
+    admitted, candidates, compute_anchored_matches, compute_inner_matches,
     compute_local_partial_matches, ground, is_complete_match,
     is_local_partial_match, match_order,
 )

@@ -327,8 +327,8 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
 def bound_answers(omega, q, g, deadline=None):
     """The vectors of omega's fully bound matches whose every edge the
     search checked (checked_by_search) or that pass is_complete_match
-    against g.  deadline, if given, is checked every DEADLINE_EVERY
-    matches."""
+    against g: the part of assemble()'s answer that needs no join.
+    deadline, if given, is checked every DEADLINE_EVERY matches."""
     out = set()
     for i, pm in enumerate(omega, 1):
         if deadline is not None and i % DEADLINE_EVERY == 0:

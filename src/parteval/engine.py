@@ -93,7 +93,10 @@ def _match_component(comp, dg, cfg, stats, deadline):
 
 def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     """_match_component's work; exchange is None under centralized
-    assembly."""
+    assembly.  A query with a universal vertex, except under the naive
+    join, is answered by compute_anchored_matches() from that vertex on
+    each fragment, with no assembler; any other query has its local
+    partial matches joined by the configured assembly."""
     t0 = time.monotonic()
     # each home admits its own vertices; the search binds a filterable
     # query vertex only within what some home admitted
@@ -111,29 +114,46 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         admit = dict.fromkeys(own, union)
     # the searches count steps only under a time limit
     timed = deadline if deadline.limit else None
-    # a query with a universal vertex is answered by the fully bound
-    # partial matches holding it internally, with no assembly; the naive
-    # join merges partial matches, so it takes all
+    # the naive join merges partial matches, so it takes all of them
+    # even when a universal vertex would answer the query directly
     anchor = (matcher.universal_vertex(gq)
               if exchange is not None or cfg.join != "naive" else None)
-    # the search collects inner matches where it runs; a fragment without
-    # crossing edges (each one at k=1) has the pair-list search instead
+    # the searches collect inner matches where they run; a fragment
+    # without crossing edges (each one at k=1) has the pair-list search
     inner = set().union(*(matcher.compute_inner_matches(
                               gq, frag, own[frag.id], timed)
                           for frag in dg.fragments if not frag.extended))
-    omega = {frag.id: matcher.compute_local_partial_matches(
-                 gq, frag, admit[frag.id], timed, anchor=anchor, inner=inner)
-             for frag in dg.fragments}
+    if anchor is None:
+        omega = {frag.id: matcher.compute_local_partial_matches(
+                     gq, frag, admit[frag.id], timed, inner=inner)
+                 for frag in dg.fragments}
+    else:
+        omega = {}
+        crossing = set()
+        for frag in dg.fragments:
+            omega[frag.id], answers = matcher.compute_anchored_matches(
+                gq, frag, anchor, dg.source, admit[frag.id], timed, inner)
+            crossing |= answers
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, lpms in omega.items():
         stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + len(lpms)
     deadline.check("partial evaluation")
 
-    t1 = time.monotonic()
-    if anchor is not None:
-        crossing = assembly_central.bound_answers(
-            chain.from_iterable(omega.values()), gq, dg.source, deadline)
-    elif exchange is not None:
+    if anchor is None:
+        t1 = time.monotonic()
+        crossing = _assemble(omega, gq, dg, cfg, stats, deadline, exchange)
+        stats.assembly_seconds += time.monotonic() - t1
+        deadline.check("assembly")
+
+    stats.inner_matches += len(inner)
+    stats.crossing_matches += len(crossing)
+    return crossing | inner
+
+
+def _assemble(omega, gq, dg, cfg, stats, deadline, exchange):
+    """The crossing matches that the configured assembly makes of omega,
+    the local partial matches per fragment id."""
+    if exchange is not None:
         bsp_stats = {}
         crossing = assembly_bsp.run_bsp(dg, gq, omega, stats=bsp_stats,
                                         exchange=exchange, deadline=deadline)
@@ -141,22 +161,16 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
                                bsp_stats.get("supersteps_used", 0))
         stats.messages_sent += bsp_stats.get("messages_sent", 0)
         stats.bytes_sent += bsp_stats.get("bytes_sent", 0)
-    else:
-        flat = frozenset().union(*omega.values())
-        central_stats = {}
-        if cfg.join == "naive":
-            crossing = assembly_central.naive_iterative_join(
-                flat, gq, dg.source, stats=central_stats, deadline=deadline)
-        else:
-            crossing = assembly_central.assemble(
-                flat, gq, dg.source, stats=central_stats, deadline=deadline)
-            stats.join_cost += central_stats.get("join_cost", 0)
-    stats.assembly_seconds += time.monotonic() - t1
-    deadline.check("assembly")
-
-    stats.inner_matches += len(inner)
-    stats.crossing_matches += len(crossing)
-    return crossing | inner
+        return crossing
+    flat = frozenset().union(*omega.values())
+    central_stats = {}
+    if cfg.join == "naive":
+        return assembly_central.naive_iterative_join(
+            flat, gq, dg.source, stats=central_stats, deadline=deadline)
+    crossing = assembly_central.assemble(
+        flat, gq, dg.source, stats=central_stats, deadline=deadline)
+    stats.join_cost += central_stats.get("join_cost", 0)
+    return crossing
 
 
 def execute(gq, dg, cfg=None):

@@ -143,7 +143,10 @@ def admitted(q, frag):
     over the edges instead, because an extended vertex shows only the
     edges it shares with the fragment.  Any match maps v to a vertex that
     passes at its home, so binding v only within the union of these sets
-    over all fragments loses no match.
+    over all fragments loses no match.  The hosts of a vertex with an
+    edge to a constant start from the constant's stored neighbours, so
+    that a selective constant, not the size of a label index, sets what
+    the check costs.
 
     A variable is filterable when the check can say more than
     candidates(): it has two or more incident edges, a self-loop, or an
@@ -158,6 +161,11 @@ def admitted(q, frag):
         if len(edges) < 2 and not pinned:
             continue
         hosts = frag.internal
+        for e in pinned:
+            # an edge to a constant keeps only the constant's neighbours
+            if e.src != e.dst:
+                c = q.const_id[e.dst if e.src == v else e.src]
+                hosts = hosts & frag.nbrs.get(c, frozenset())
         for e in edges:
             if e.src == v:
                 hosts = hosts & frag.sources.get(e.label, frozenset())
@@ -323,9 +331,8 @@ def _connected_through(q, targets, allowed):
 
 
 def compute_local_partial_matches(q, frag, admit=None, deadline=None,
-                                  anchor=None, inner=None):
-    """All local partial matches of the query in one fragment, or with
-    an anchor, those whose internal set holds the anchor; inner, if
+                                  inner=None):
+    """All local partial matches of the query in one fragment; inner, if
     given, is a set the fragment's inner matches are added to.
 
     A local partial match binds a connected set I of internally matched
@@ -338,19 +345,18 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
     fragment neighbours of those vertices' images.  A vertex below s may
     not take an internal image, so s = min(I) and the next vertex depends
     only on the bindings made so far: each local partial match is reached
-    exactly once.  With an anchor, the anchor is the only seed and any
-    vertex may take an internal image; the next vertex still depends only
-    on the bindings made so far, so each local partial match whose I
-    holds the anchor is reached exactly once.  Edges with an internal
-    endpoint are checked as they are bound, so a state with nothing left
-    to bind already meets six of the eight conditions of
-    is_local_partial_match; it is emitted when the other two hold
-    (grown=True): some binding is extended, and the data pairs that
-    several query edges land on can serve them injectively.  A leaf with
-    no extended binding has checked every edge of the connected query,
-    so it is an inner match once its shared pairs pass; each inner match
-    (I is the whole query) grows from seed 0 or the anchor.  A fragment
-    without crossing edges (all of them at k=1) is not searched.
+    exactly once.  Edges with an internal endpoint are checked as they
+    are bound, so a state with nothing left to bind already meets six of
+    the eight conditions of is_local_partial_match; it is emitted when
+    the other two hold (grown=True): some binding is extended, and the
+    data pairs that several query edges land on can serve them
+    injectively.  A leaf with no extended binding has checked every edge
+    of the connected query, so it is an inner match once its shared
+    pairs pass; each inner match (I is the whole query) grows from seed
+    0.  A fragment without crossing edges (all of them at k=1) is not
+    searched.  A query with a universal vertex needs only the matches
+    whose I holds it, which compute_anchored_matches() finds without
+    this search.
 
     A seed is tried only where its scarcest neighbour can bind (see
     _seeds), which drops no local partial match.  Without admit this is
@@ -415,15 +421,138 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
                 grow(floor)
         fn[v] = None
 
-    for s in range(n) if anchor is None else (anchor,):
-        # no vertex is below the floor when the anchor is the only seed
-        floor = s if anchor is None else 0
+    for s in range(n):
         for u in _seeds(q, frag, cand, s):
-            if fits(s, u, floor):
+            if fits(s, u, s):
                 fn[s] = u
-                grow(floor)
+                grow(s)
         fn[s] = None
     return frozenset(results)
+
+
+def _placer(q, frag, order, cand, fn, leaf, deadline):
+    """A function place(t) that binds order[t:] one vertex at a time,
+    given that fn binds order[:t], and calls leaf() at each total
+    assignment.
+
+    Each vertex takes a candidate (cand[v]) that is a stored neighbour of
+    every internal image among its bound query neighbours.  Each query
+    edge is checked against the stored labels as its second end is
+    bound, unless both images are extended: the fragment stores no edge
+    between those.  deadline, if given, is checked every DEADLINE_EVERY
+    states."""
+    n = q.n
+    internal = frag.internal
+    nbrs = frag.nbrs
+    stored = frag.edges
+    # per step: the vertex, its candidates, its query neighbours bound
+    # before it, and its edges to itself or to those, as (src, dst, label)
+    edges = q.edges
+    adj = q.adj
+    steps = []
+    for t, v in enumerate(order):
+        bound = order[:t + 1]
+        steps.append((v, cand[v], [w for w in order[:t] if w in adj[v]],
+                      [(e.src, e.dst, e.label) for e in edges
+                       if v in (e.src, e.dst)
+                       and e.src in bound and e.dst in bound]))
+    states = 0
+
+    def place(t):
+        nonlocal states
+        if deadline is not None:
+            states += 1
+            if states % DEADLINE_EVERY == 0:
+                deadline.check("partial evaluation")
+        if t == n:
+            leaf()
+            return
+        v, pool, before, checks = steps[t]
+        for w in before:
+            if fn[w] in internal:
+                pool = pool & nbrs.get(fn[w], frozenset())
+        for u in pool:
+            fn[v] = u
+            for a, b, label in checks:
+                a = fn[a]
+                b = fn[b]
+                if (a in internal or b in internal) and not _label_compatible(
+                        label, stored.get((a, b), frozenset())):
+                    break
+            else:
+                place(t + 1)
+        fn[v] = None
+
+    return place
+
+
+def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
+                             inner=None):
+    """The local partial matches of the fragment whose internal set
+    holds anchor, a universal vertex of the query, as vectors, and those
+    of them that are matches of the graph g, as two sets (lpms, answers).
+    inner, if given, is a set the fragment's inner matches are added to.
+
+    Every query vertex neighbours the anchor, so a local partial match
+    that binds the anchor internally binds the whole query; in a crossing
+    match, the fragment that owns the anchor's image finds it so, and no
+    other fragment does.  So the search binds the anchor to each internal
+    candidate and then the other vertices in id order (see _placer).
+    A total assignment whose shared data
+    pairs pass (_shared_pairs_feasible, needed only where two query
+    vertices share an image or two query edges join the same vertices
+    the same way) is an inner match when no image is extended.
+    Otherwise it is the local partial match that
+    compute_local_partial_matches() reaches from the same bindings, and
+    an answer when every query edge has an internal end, as the search
+    then checked each one, or when it passes is_complete_match against
+    g.  Each total assignment is reached once.  admit is as for
+    compute_local_partial_matches(); deadline, if given, is checked every
+    DEADLINE_EVERY search states.
+    """
+    if not frag.extended:
+        return set(), set()
+    n = q.n
+    internal = frag.internal
+    extended = frag.extended
+    admit = admit or {}
+    order = [anchor] + [v for v in range(n) if v != anchor]
+    cand = [None] * n
+    for v in order:
+        cand[v] = candidates(q, frag, v)
+        if v in admit:
+            cand[v] = cand[v] & admit[v]
+        if v == anchor:
+            cand[v] = cand[v] & internal
+        if not cand[v]:
+            return set(), set()
+    ends = [(e.src, e.dst) for e in q.edges]
+    # the edges that may lack an internal end: those off the anchor
+    loose = [(a, b) for a, b in ends if anchor != a and anchor != b]
+    # two query edges share a data pair only if they join the same two
+    # query vertices the same way, or if two vertices share an image
+    parallel = len(set(ends)) < len(ends)
+    lpms = set()
+    answers = set()
+    fn = [None] * n
+
+    def leaf():
+        key = tuple(fn)
+        if ((parallel or len(set(key)) < n)
+                and not _shared_pairs_feasible(q, key, frag)):
+            return
+        if extended.isdisjoint(key):
+            if inner is not None:
+                inner.add(key)
+            return
+        lpms.add(key)
+        if all(key[a] in internal or key[b] in internal
+               for a, b in loose) or is_complete_match(
+                   q, key, g.labels_between):
+            answers.add(key)
+
+    _placer(q, frag, order, cand, fn, leaf, deadline)(0)
+    return lpms, answers
 
 
 def _seeds(q, frag, cand, s):
@@ -448,8 +577,8 @@ def universal_vertex(q):
     """The lowest query vertex that neighbours every other one, or None.
     In a crossing match, the fragment owning such a vertex's image has a
     connected internal set holding it, whose neighbourhood is the whole
-    query, so its search from that vertex alone finds the match fully
-    bound."""
+    query, so compute_anchored_matches() from that vertex finds the match
+    fully bound there."""
     return next((v for v in range(q.n) if len(q.adj[v] | {v}) == q.n), None)
 
 
@@ -579,7 +708,9 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     bound, and a constant's only candidate is its own vertex.  So a full
     assignment is a match unless two query edges land on one data pair
     whose labels cannot serve them injectively; only such pairs are
-    checked at the leaves."""
+    checked at the leaves.  The binding loop is _placer, shared with
+    compute_anchored_matches(); with every candidate internal, it checks
+    every query edge."""
     n = q.n
     admit = admit or {}
     cand = {}
@@ -592,48 +723,17 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
         if not cs:
             return frozenset()
         cand[v] = cs
-    inner_labels = lambda a, b: frag.edges.get((a, b), frozenset())
     shared = len(q.edges) > 1     # can two query edges share a data pair
     results = set()
     fn = [None] * n
-    states = 0
 
-    def place(t):
-        nonlocal states
-        if deadline is not None:
-            states += 1
-            if states % DEADLINE_EVERY == 0:
-                deadline.check("partial evaluation")
-        if t == n:
-            if not shared or _shared_pairs_feasible(q, fn, frag):
-                results.add(tuple(fn))
-            return
-        v = order[t]
-        pool = cand[v]
-        for w in q.adj[v]:
-            if fn[w] is not None:
-                pool = pool & frag.nbrs.get(fn[w], frozenset())
-        for u in pool:
-            ok = True
-            for ei in q.incident[v]:
-                e = q.edges[ei]
-                w = e.dst if e.src == v else e.src
-                if fn[w] is None and w != v:
-                    continue
-                a = u if e.src == v else fn[e.src]
-                b = u if e.dst == v else fn[e.dst]
-                if not _label_compatible(e.label, inner_labels(a, b)):
-                    ok = False
-                    break
-            if ok:
-                fn[v] = u
-                place(t + 1)
-                fn[v] = None
+    def leaf():
+        if not shared or _shared_pairs_feasible(q, fn, frag):
+            results.add(tuple(fn))
 
     seed = _seed_edge(q, frag, cand)
     if seed is None:
-        order = match_order(q, cand)
-        place(0)
+        _placer(q, frag, match_order(q, cand), cand, fn, leaf, deadline)(0)
         return frozenset(results)
 
     s, d = q.edges[seed].src, q.edges[seed].dst
@@ -642,7 +742,8 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     if n == 2 and not shared:           # the query is the seed edge
         return frozenset(p if s == 0 else (p[1], p[0]) for chunk in chunks
                          for p in chunk if p[0] in cs and p[1] in cd)
-    order = match_order(q, cand, (s, d))
+    place = _placer(q, frag, match_order(q, cand, (s, d)), cand, fn, leaf,
+                    deadline)
     # the other query edges between the seeded vertices, self-loops too
     others = [e for ei, e in enumerate(q.edges)
               if ei != seed and e.src in (s, d) and e.dst in (s, d)]
@@ -651,8 +752,8 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
             if a in cs and b in cd:
                 fn[s] = a
                 fn[d] = b
-                if all(_label_compatible(e.label,
-                                         inner_labels(fn[e.src], fn[e.dst]))
+                if all(_label_compatible(e.label, frag.edges.get(
+                        (fn[e.src], fn[e.dst]), frozenset()))
                        for e in others):
                     place(2)
     return frozenset(results)

@@ -30,6 +30,14 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
 
 
+# The parser and every walk over a query tree recurse once per level of
+# true nesting: a group, an OPTIONAL group, a parenthesis or a '!' inside
+# another.  A query may hold at most this many levels open at once, which
+# keeps those walks well inside Python's recursion limit.  Flat chains of
+# UNION, OPTIONAL, FILTER or '&&' are not nesting.
+MAX_NESTING = 100
+
+
 class QuerySyntaxError(Exception):
     def __init__(self, message, pos):
         super().__init__("at offset %d: %s" % (pos, message))
@@ -394,6 +402,14 @@ class _Parser:
         self.i = 0
         self.prefixes = {}
         self.label_offsets = {}   # label variable -> offset of first use
+        self.depth = 0            # levels of nesting open
+
+    def enter(self, pos):
+        """Open one level of nesting at the token at pos."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise QuerySyntaxError(
+                "nesting deeper than %d levels" % MAX_NESTING, pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -492,7 +508,9 @@ class _Parser:
         become the left join's condition, so they see the variables of
         both sides.
         """
+        pos = self.peek()[2]
         self.expect_punct("{")
+        self.enter(pos)
         node = None   # the elements before the open run; None before any
         run = []      # the open run of triple patterns
         filters = []
@@ -500,6 +518,7 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "punct" and value == "}":
                 self.next()
+                self.depth -= 1
                 return _join_run(node, run), filters
             if kind == "eof":
                 raise QuerySyntaxError("unterminated group", pos)
@@ -578,16 +597,19 @@ class _Parser:
 
     def parse_unary(self):
         if self.at("op", "!"):
-            self.next()
-            return LogicalNot(self.parse_unary())
+            self.enter(self.next()[2])
+            node = LogicalNot(self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_primary()
 
     def parse_primary(self):
         kind, value, pos = self.peek()
         if kind == "punct" and value == "(":
-            self.next()
+            self.enter(self.next()[2])
             inner = self.parse_or_expr()
             self.expect_punct(")")
+            self.depth -= 1
             return inner
         if kind == "kw" and value == "bound":
             self.next()

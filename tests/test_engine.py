@@ -43,6 +43,7 @@ from parteval import (
     write_partition_file,
 )
 from parteval.matcher import DEADLINE_EVERY
+from parteval.query_model import MAX_NESTING
 from parteval.oracle import MAX_DATA_VERTICES
 from helpers import make_row, term_rows
 
@@ -498,6 +499,75 @@ def test_cli_bad_query_is_exit_1(movie_disk, tmp_path, capsys):
     assert err.startswith("query error:")
 
 
+def _nested_groups(depth):
+    return ("SELECT * WHERE " + "{ " * depth + "?a <isMarriedTo> ?d"
+            + " }" * depth)
+
+
+def _nested_optionals(depth):
+    return ("SELECT * WHERE { ?a <isMarriedTo> ?d "
+            + "OPTIONAL { ?d <isMarriedTo> ?a " * (depth - 1) + "}" * depth)
+
+
+def _nested_parentheses(depth):
+    return ("SELECT * WHERE { ?a <isMarriedTo> ?d FILTER("
+            + "(" * depth + "?a != ?d" + ")" * depth + ") }")
+
+
+def _nested_negations(depth):
+    return ("SELECT * WHERE { ?a <isMarriedTo> ?d FILTER("
+            + "!" * depth + "(?a != ?d)) }")
+
+
+@pytest.mark.parametrize("shape, depth, token, nth, fits", [
+    # the WHERE group is the first level, a FILTER's own parenthesis none
+    (_nested_groups, 500, "{", MAX_NESTING + 1, MAX_NESTING),
+    (_nested_optionals, 1000, "{", MAX_NESTING + 1, MAX_NESTING),
+    (_nested_parentheses, 300, "(", MAX_NESTING + 1, MAX_NESTING - 1),
+    (_nested_negations, 1000, "!", MAX_NESTING, MAX_NESTING - 2),
+], ids=["groups", "optionals", "parentheses", "negations"])
+def test_cli_query_nested_too_deep_is_exit_1(movie_disk, tmp_path, capsys,
+                                             shape, depth, token, nth, fits):
+    """Nesting past MAX_NESTING is a query error at the nth token, the
+    one that opens a level too many, not a RecursionError; the deepest
+    query of the shape that stays within the limit runs."""
+    db, _ = movie_disk
+    query = tmp_path / "deep.rq"
+    argv = ["query", "--db", str(db), "--sparql", str(query)]
+    text = shape(depth)
+    query.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv)
+    offset = -1
+    for _ in range(nth):
+        offset = text.index(token, offset + 1)
+    assert (code, out) == (1, "")
+    assert err == ("query error: at offset %d: nesting deeper than %d "
+                   "levels\n" % (offset, MAX_NESTING))
+    assert "Traceback" not in err
+    query.write_text(shape(fits), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("?a\t?d\n")
+
+
+def test_cli_query_closed_levels_do_not_count(movie_disk, tmp_path, capsys):
+    """Only levels open at once count towards MAX_NESTING: sibling
+    groups, OPTIONALs and negated parentheses past it run."""
+    db, _ = movie_disk
+    query = tmp_path / "wide.rq"
+    width = MAX_NESTING + 20
+    query.write_text(
+        "SELECT * WHERE { ?a <isMarriedTo> ?d "
+        + "{ ?a <isMarriedTo> ?d } " * width
+        + "OPTIONAL { ?a <isMarriedTo> ?d } " * width
+        + "FILTER(" + " && ".join(["!(?a = ?d)"] * width) + ") }",
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                      "--sparql", str(query)])
+    assert (code, err) == (0, "")
+    assert out.startswith("?a\t?d\n")
+
+
 def test_cli_unsupported_feature_is_exit_1(movie_disk, tmp_path, capsys):
     db, _ = movie_disk
     bad = tmp_path / "distinct.rq"
@@ -764,12 +834,40 @@ def _bipartite_runaway(tmp_path, k):
     return db, query
 
 
-@pytest.mark.parametrize("k", [2, 1], ids=["lpm-search", "inner-search"])
-def test_deadline_reaches_the_searches(tmp_path, capsys, k):
+def _star_runaway(tmp_path):
+    """A hub with 40 neighbours under label p, one of them in fragment 1,
+    and a star of 8 p arms.  The star's centre neighbours every other
+    query vertex, so the engine answers it with the anchored search from
+    the hub in fragment 0: about 40**8 assignments."""
+    arms = ["<http://ex/x%d>" % i for i in range(40)]
+    src = tmp_path / "hub.nt"
+    src.write_text("".join("<http://ex/hub> <http://ex/p> %s .\n" % arm
+                           for arm in arms), encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    homes = tmp_path / "homes.tsv"
+    homes.write_text("".join("%s\t%d\n" % (term, term == arms[0])
+                             for term in ["<http://ex/hub>"] + arms),
+                     encoding="utf-8")
+    assert main(["partition", "--db", str(db), "-k", "2", "--strategy",
+                 "file", "--map", str(homes)]) == 0
+    query = tmp_path / "star.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(
+        "?c <http://ex/p> ?x%d ." % i for i in range(8)), encoding="utf-8")
+    return db, query
+
+
+@pytest.mark.parametrize("shape", ["lpm-search", "inner-search",
+                                   "anchored-search"])
+def test_deadline_reaches_the_searches(tmp_path, capsys, shape):
     """--timeout stops each matcher search from inside; it runs in a
     child so that a search that ignores the limit fails the test instead
     of hanging it."""
-    db, query = _bipartite_runaway(tmp_path, k)
+    if shape == "anchored-search":
+        db, query = _star_runaway(tmp_path)
+    else:
+        db, query = _bipartite_runaway(tmp_path,
+                                       2 if shape == "lpm-search" else 1)
     t0 = time.monotonic()
     proc = run_module("-m", "parteval", "query", "--db", str(db),
                       "--sparql", str(query), "--timeout", "0.5")
@@ -914,14 +1012,32 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
     searched = {}
     anchors = {}
     paper = matcher.compute_local_partial_matches
+    bound = matcher.compute_anchored_matches
 
-    def recording(q, frag, admit=None, deadline=None, anchor=None,
-                  inner=None):
-        searched[frag.id] = paper(q, frag, admit, deadline, anchor, inner)
+    def recording(q, frag, admit=None, deadline=None, inner=None):
+        got = paper(q, frag, admit, deadline, inner)
+        searched[frag.id] = {pm.fn for pm in got}
+        anchors[frag.id] = None
+        return got
+
+    def recording_anchored(q, frag, anchor, g, admit=None, deadline=None,
+                           inner=None):
+        found = set()
+        lpms, answers = bound(q, frag, anchor, g, admit, deadline, found)
+        # the anchored search is the full search's slice holding the
+        # anchor, and finds the inner matches as the inner search does
+        assert lpms == {pm.fn for pm in paper(q, frag, admit)
+                        if anchor in pm.internal}
+        assert found == (matcher.compute_inner_matches(
+            q, frag, matcher.admitted(q, frag)) if frag.extended else set())
+        inner |= found
+        searched[frag.id] = lpms
         anchors[frag.id] = anchor
-        return searched[frag.id]
+        return lpms, answers
 
     monkeypatch.setattr(matcher, "compute_local_partial_matches", recording)
+    monkeypatch.setattr(matcher, "compute_anchored_matches",
+                        recording_anchored)
     rng = random.Random(1411)
     covered = dict.fromkeys(["two-edge vertex", "self-loop",
                              "edge to a constant", "pruned", "anchored"], 0)
@@ -952,7 +1068,7 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
             table, _ = execute(query, dg, cfg)
             assert format_tsv(table, names) == want, (trial, cfg)
             for frag in dg.fragments:
-                full = paper(gq, frag)
+                full = {pm.fn for pm in paper(gq, frag)}
                 assert searched[frag.id] <= full, (trial, cfg, frag.id)
                 covered["pruned"] += searched[frag.id] < full
                 # an anchored search keeps only the slices holding the
@@ -962,6 +1078,6 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
                 for fn in crossing:
                     for piece in helpers.restriction_lpms(fn, q, dg, frag.id):
                         if anchor is None or anchor in piece.internal:
-                            assert piece in searched[frag.id], (trial, cfg,
-                                                                fn)
+                            assert piece.fn in searched[frag.id], (trial,
+                                                                   cfg, fn)
     assert all(covered.values()), covered

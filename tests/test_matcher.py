@@ -605,50 +605,101 @@ def test_seeds_only_next_to_the_scarcest_neighbour():
         assert got == {(g.term_id(x1), g.term_id(c))}
 
 
-def test_anchored_search_is_the_full_set_holding_the_anchor(monkeypatch):
-    """With and without admission, an anchored search finds exactly the
-    local partial matches whose internal set holds the anchor, and
-    reaches each once, as the full search does."""
-    full_predicate = matcher.is_local_partial_match
-    emitted = []
+def _hosts_on_edge(q, frag, v, u, e):
+    """True when the internal vertex u can host query vertex v on query
+    edge e, judged from the stored pairs around u alone."""
+    w = e.dst if e.src == v else e.src
+    if w == v:
+        pairs = [(u, u)]
+    elif q.const_id[w] is not None:
+        c = q.const_id[w]
+        pairs = [(u, c) if e.src == v else (c, u)]
+    else:
+        pairs = [(u, x) if e.src == v else (x, u)
+                 for x in frag.nbrs.get(u, ())]
+    for pair in pairs:
+        labels = frag.edges.get(pair, frozenset())
+        if labels if e.label is None else e.label in labels:
+            return True
+    return False
 
-    def counted(q, frag, fn, *, grown=False):
-        verdict = full_predicate(q, frag, fn, grown=grown)
-        emitted.append(verdict)
-        return verdict
 
-    monkeypatch.setattr(matcher, "is_local_partial_match", counted)
-    rng = random.Random(19)
-    anchored = 0
-    for _ in range(150):
+def test_admitted_is_the_brute_force_filter():
+    """admitted(q, frag) maps each filterable variable (two or more
+    incident edges, a self-loop or an edge to a constant) to exactly the
+    internal vertices that pass each of its edges pair by pair, on
+    random instances with constants, absent constants and self-loops."""
+    rng = random.Random(31)
+    seen = dict.fromkeys(["constant", "absent", "self-loop", "admitted"], 0)
+    for _ in range(600):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)
+        for frag in dg.fragments:
+            want = {}
+            for v in range(q.n):
+                if q.const_id[v] is not None:
+                    continue
+                edges = [q.edges[ei] for ei in q.incident[v]]
+                ends = [e.dst if e.src == v else e.src for e in edges]
+                consts = [q.const_id[w] for w in ends
+                          if q.const_id[w] is not None]
+                loops = ends.count(v)
+                if len(edges) < 2 and not consts and not loops:
+                    continue
+                want[v] = frozenset(
+                    u for u in frag.internal
+                    if all(_hosts_on_edge(q, frag, v, u, e) for e in edges))
+                seen["constant"] += sum(c >= 0 for c in consts)
+                seen["absent"] += consts.count(-1)
+                seen["self-loop"] += loops
+                seen["admitted"] += bool(want[v])
+            assert matcher.admitted(q, frag) == want
+    assert min(seen.values()) > 100, seen
+
+
+def test_anchored_search_is_the_full_set_holding_the_anchor():
+    """With and without admission, the anchored search from a universal
+    vertex u finds exactly the local partial matches whose internal set
+    holds u, adds exactly compute_inner_matches' result to inner, and
+    answers exactly those of its matches that are complete matches."""
+    rng = random.Random(19)
+    anchored = answered = inner_found = 0
+    for _ in range(1200):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        u = matcher.universal_vertex(q)
+        if u is None:
+            continue
         own = [matcher.admitted(q, frag) for frag in dg.fragments]
         union = {v: frozenset().union(*(sets[v] for sets in own))
                  for v in own[0]}
-        for admit in ({}, union) if union else ({},):
+        for admit in (None, union):
             for frag in dg.fragments:
-                for anchor in (None,) + tuple(range(q.n)):
-                    emitted.clear()
-                    got = compute_local_partial_matches(q, frag, admit,
-                                                        anchor=anchor)
-                    assert emitted.count(True) == len(got)
-                    if anchor is None:
-                        full = got
-                    else:
-                        assert got == {pm for pm in full
-                                       if anchor in pm.internal}
-                        anchored += len(got)
-    assert anchored > 500
+                inner = set()
+                lpms, answers = matcher.compute_anchored_matches(
+                    q, frag, u, g, admit, inner=inner)
+                assert lpms == {pm.fn for pm in compute_local_partial_matches(
+                    q, frag, admit) if u in pm.internal}
+                assert inner == (compute_inner_matches(q, frag, own[frag.id])
+                                 if frag.extended else set())
+                assert answers == {fn for fn in lpms if is_complete_match(
+                    q, fn, g.labels_between)}
+                anchored += len(lpms)
+                answered += len(answers)
+                inner_found += len(inner)
+    # a partial match is no answer when the graph lacks an edge between
+    # two of its extended images, which the fragment cannot check
+    assert anchored > 500 and 300 < answered < anchored - 50
+    assert inner_found > 200
 
 
 def test_one_search_finds_the_inner_matches_too():
     """On a fragment with crossing edges, the partial-match search adds
     exactly compute_inner_matches' result to inner, and returns the same
-    local partial matches as without it, with and without an anchor at
-    the universal vertex and with and without admission.  Under that
-    anchor u, each crossing match is found fully bound at one fragment
-    only, the home of its image of u."""
+    local partial matches as without it, with and without admission.
+    With a universal vertex u, the anchored search adds the same inner
+    matches, and answers each crossing match at one fragment only, the
+    home of its image of u."""
     rng = random.Random(23)
     with_inner = anchored = 0
     for _ in range(1000):
@@ -660,28 +711,28 @@ def test_one_search_finds_the_inner_matches_too():
         _, crossing = classify(enumerate_matches(g, q_graph), dg)
         u = matcher.universal_vertex(q)
         found_inner = False
-        for anchor in (None,) if u is None else (None, u):
-            for admit in (None, union):
-                found = []
-                for frag in dg.fragments:
-                    if not frag.extended:
-                        continue
+        for admit in (None, union):
+            found = []
+            for frag in dg.fragments:
+                if not frag.extended:
+                    continue
+                want = compute_inner_matches(q, frag, own[frag.id])
+                inner = set()
+                got = compute_local_partial_matches(q, frag, admit,
+                                                    inner=inner)
+                assert inner == want
+                assert got == compute_local_partial_matches(q, frag, admit)
+                found_inner |= bool(inner)
+                if u is not None:
                     inner = set()
-                    got = compute_local_partial_matches(q, frag, admit,
-                                                        anchor=anchor,
-                                                        inner=inner)
-                    assert inner == compute_inner_matches(q, frag,
-                                                          own[frag.id])
-                    assert got == compute_local_partial_matches(
-                        q, frag, admit, anchor=anchor)
-                    found_inner |= bool(inner)
-                    if anchor is not None:
-                        bound = [pm.fn for pm in got if None not in pm.fn]
-                        assert all(dg.home(fn[u]) == frag.id for fn in bound)
-                        found.extend(bound)
-                if anchor is not None:
-                    assert all(found.count(fn) == 1 for fn in crossing)
-                    anchored += len(crossing)
+                    _, answers = matcher.compute_anchored_matches(
+                        q, frag, u, g, admit, inner=inner)
+                    assert inner == want
+                    assert all(dg.home(fn[u]) == frag.id for fn in answers)
+                    found.extend(answers)
+            if u is not None:
+                assert sorted(found) == sorted(crossing)
+                anchored += len(crossing)
         with_inner += found_inner
     assert with_inner > 60 and anchored > 300
 
