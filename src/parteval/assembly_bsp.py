@@ -462,7 +462,7 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
             dst = top_home(dg, rank, pm.fn)
             if dst != fid and held_at(q, dg, dst, pm.fn):
                 continue    # dst's own search found it and emits it
-            if not (checked_by_search(q, pm)
+            if not (checked_by_search(q, pm.internal)
                     or is_complete_locally(q, dg, pm.fn)):
                 continue
             if dst == fid:

@@ -9,9 +9,9 @@ that members of one group never join each other.  A dynamic program
 picks the anchor order minimizing the modeled cost.
 
 assemble, the default, first answers the fully bound partial matches
-directly (bound_answers), since a join would only find each again, and
-gives the DP and the join the rest.  The naive join takes every match,
-as the paper's baseline.
+directly (matcher.is_bound_answer), since a join would only find each
+again, and gives the DP and the join the rest.  The naive join takes
+every match, as the paper's baseline.
 
 Neither strategy compares all pairs.  Partial matches sit in a
 PartialMatchIndex keyed by the crossing edges they could join on, and a
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .matcher import (DEADLINE_EVERY, LocalPartialMatch, checked_by_search,
+from .matcher import (DEADLINE_EVERY, LocalPartialMatch, is_bound_answer,
                       is_complete_match)
 
 
@@ -324,37 +324,28 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
                           for _, members in p.parts), q, g, stats, deadline)
 
 
-def bound_answers(omega, q, g, deadline=None):
-    """The vectors of omega's fully bound matches whose every edge the
-    search checked (checked_by_search) or that pass is_complete_match
-    against g: the part of assemble()'s answer that needs no join.
-    deadline, if given, is checked every DEADLINE_EVERY matches."""
-    out = set()
-    for i, pm in enumerate(omega, 1):
-        if deadline is not None and i % DEADLINE_EVERY == 0:
-            deadline.check("assembly")
-        if None not in pm.fn and (
-                checked_by_search(q, pm)
-                or is_complete_match(q, pm.fn, g.labels_between)):
-            out.add(pm.fn)
-    return frozenset(out)
-
-
 def assemble(omega, q, g, stats=None, deadline=None):
     """Crossing matches of omega: its fully bound matches answered
-    directly (bound_answers), then the optimal partitioning and the
+    directly (is_bound_answer), then the optimal partitioning and the
     partitioned join over the rest.
 
     A fully bound match merges into nothing but its own vector, so the
     join would only find it again, once per joinable partner.  join_cost
     in stats is the modeled cost over what the join receives.  deadline,
-    if given, is checked by bound_answers, the DP and the join as they
-    describe.
+    if given, is checked every DEADLINE_EVERY matches of omega as they
+    are split, then by the DP and the join as they describe.
     """
-    direct = bound_answers(omega, q, g, deadline)
-    rest = [pm for pm in omega if None in pm.fn]
+    direct = set()
+    rest = []
+    for i, pm in enumerate(omega, 1):
+        if deadline is not None and i % DEADLINE_EVERY == 0:
+            deadline.check("assembly")
+        if None in pm.fn:
+            rest.append(pm)
+        elif is_bound_answer(q, pm.fn, pm.internal, g.labels_between):
+            direct.add(pm.fn)
     p, cost = optimal_partitioning(rest, q, stats=stats, deadline=deadline)
     if stats is not None:
         stats["join_cost"] = cost
-    return direct.union(partitioning_based_join(
+    return frozenset(direct).union(partitioning_based_join(
         p, q, g, stats=stats, deadline=deadline))

@@ -127,16 +127,17 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         omega = {frag.id: matcher.compute_local_partial_matches(
                      gq, frag, admit[frag.id], timed, inner=inner)
                  for frag in dg.fragments}
+        counts = {fid: len(lpms) for fid, lpms in omega.items()}
     else:
-        omega = {}
+        counts = {}
         crossing = set()
         for frag in dg.fragments:
-            omega[frag.id], answers = matcher.compute_anchored_matches(
+            counts[frag.id], answers = matcher.compute_anchored_matches(
                 gq, frag, anchor, dg.source, admit[frag.id], timed, inner)
             crossing |= answers
     stats.partial_eval_seconds += time.monotonic() - t0
-    for fid, lpms in omega.items():
-        stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + len(lpms)
+    for fid, count in counts.items():
+        stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + count
     deadline.check("partial evaluation")
 
     if anchor is None:

@@ -487,31 +487,32 @@ def _placer(q, frag, order, cand, fn, leaf, deadline):
 
 
 def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
-                             inner=None):
-    """The local partial matches of the fragment whose internal set
-    holds anchor, a universal vertex of the query, as vectors, and those
-    of them that are matches of the graph g, as two sets (lpms, answers).
-    inner, if given, is a set the fragment's inner matches are added to.
+                             inner=None, lpms=None):
+    """The number of local partial matches of the fragment whose internal
+    set holds anchor, a universal vertex of the query, and the set of the
+    vectors of those that are matches of the graph g, as (count,
+    answers).  inner and lpms, if given, are sets that the fragment's
+    inner matches and the vectors of those local partial matches are
+    added to.
 
     Every query vertex neighbours the anchor, so a local partial match
     that binds the anchor internally binds the whole query; in a crossing
     match, the fragment that owns the anchor's image finds it so, and no
     other fragment does.  So the search binds the anchor to each internal
     candidate and then the other vertices in id order (see _placer).
-    A total assignment whose shared data
-    pairs pass (_shared_pairs_feasible, needed only where two query
-    vertices share an image or two query edges join the same vertices
-    the same way) is an inner match when no image is extended.
-    Otherwise it is the local partial match that
-    compute_local_partial_matches() reaches from the same bindings, and
-    an answer when every query edge has an internal end, as the search
-    then checked each one, or when it passes is_complete_match against
-    g.  Each total assignment is reached once.  admit is as for
-    compute_local_partial_matches(); deadline, if given, is checked every
-    DEADLINE_EVERY search states.
+    A total assignment whose shared data pairs pass
+    (_shared_pairs_feasible, needed only where two query vertices share
+    an image or two query edges join the same vertices the same way) is
+    an inner match when no image is extended.  Otherwise it is the local
+    partial match that compute_local_partial_matches() reaches from the
+    same bindings, and an answer when is_bound_answer() holds for it.
+    Each total assignment is reached once, so the count is of distinct
+    matches.  admit is as for compute_local_partial_matches(); deadline,
+    if given, is checked every DEADLINE_EVERY search states.
     """
+    answers = set()
     if not frag.extended:
-        return set(), set()
+        return 0, answers
     n = q.n
     internal = frag.internal
     extended = frag.extended
@@ -525,18 +526,19 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
         if v == anchor:
             cand[v] = cand[v] & internal
         if not cand[v]:
-            return set(), set()
+            return 0, answers
     ends = [(e.src, e.dst) for e in q.edges]
-    # the edges that may lack an internal end: those off the anchor
-    loose = [(a, b) for a, b in ends if anchor != a and anchor != b]
     # two query edges share a data pair only if they join the same two
     # query vertices the same way, or if two vertices share an image
     parallel = len(set(ends)) < len(ends)
-    lpms = set()
-    answers = set()
+    # the anchor is internal in every match found here, so when each
+    # query edge is on it, is_bound_answer() holds for all of them
+    checked = checked_by_search(q, (anchor,))
+    count = 0
     fn = [None] * n
 
     def leaf():
+        nonlocal count
         key = tuple(fn)
         if ((parallel or len(set(key)) < n)
                 and not _shared_pairs_feasible(q, key, frag)):
@@ -545,14 +547,16 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
             if inner is not None:
                 inner.add(key)
             return
-        lpms.add(key)
-        if all(key[a] in internal or key[b] in internal
-               for a, b in loose) or is_complete_match(
-                   q, key, g.labels_between):
+        count += 1
+        if lpms is not None:
+            lpms.add(key)
+        if checked or is_bound_answer(
+                q, key, [v for v in range(n) if key[v] in internal],
+                g.labels_between):
             answers.add(key)
 
     _placer(q, frag, order, cand, fn, leaf, deadline)(0)
-    return lpms, answers
+    return count, answers
 
 
 def _seeds(q, frag, cand, s):
@@ -604,15 +608,25 @@ def match_order(q, cand, start=None):
     return order
 
 
-def checked_by_search(q, pm):
-    """True when every query edge has an internally matched endpoint in
-    pm.  For a local partial match that the search found, the search has
-    then checked every query edge, and every data pair several of them
-    share, against the fragment's stored labels, which are the graph's
-    own label set per pair; so a complete pm is a match and needs no
+def checked_by_search(q, internal):
+    """True when every query edge has an end in internal, the query
+    vertices a local partial match binds internally.  For a local
+    partial match that the search found, the search has then checked
+    every query edge, and every data pair several of them share, against
+    the fragment's stored labels, which are the graph's own label set
+    per pair; so a complete one is a match and needs no
     is_complete_match."""
-    return all(e.src in pm.internal or e.dst in pm.internal
-               for e in q.edges)
+    return all(e.src in internal or e.dst in internal for e in q.edges)
+
+
+def is_bound_answer(q, fn, internal, labels_of):
+    """True when fn, the vector of a fully bound local partial match that
+    the search found and whose internally matched query vertices are
+    internal, is a match of the graph that labels_of views: when
+    checked_by_search() holds, or else is_complete_match().  Such a match
+    is an answer without any join."""
+    return (checked_by_search(q, internal)
+            or is_complete_match(q, fn, labels_of))
 
 
 def is_complete_match(q, fn, labels_of):

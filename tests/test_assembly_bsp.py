@@ -645,7 +645,7 @@ def test_start_up_skips_the_check_only_where_the_search_made_it():
             for pm in pms:
                 if None in pm.fn:
                     continue
-                if checked_by_search(q, pm):
+                if checked_by_search(q, pm.internal):
                     covered += 1
                     assert is_complete_locally(q, dg, pm.fn), pm
                 elif not is_complete_locally(q, dg, pm.fn):

@@ -479,7 +479,7 @@ def test_assemble_drops_a_bound_match_missing_an_extended_edge():
                                 for frag in dg.fragments))
     want = lpm((g.term_id(a), g.term_id(b), g.term_id(c)), {0})
     assert want in omega
-    assert not matcher.checked_by_search(q, want)
+    assert not matcher.checked_by_search(q, want.internal)
     assert not enumerate_matches(g, q_graph)
     assert assemble(omega, q, g) == frozenset()
 

@@ -744,9 +744,8 @@ def test_cli_large_star_partitioned(tmp_path, capsys):
 
 
 def test_an_expired_deadline_stops_the_split(monkeypatch):
-    """bound_answers checks the deadline every DEADLINE_EVERY partial
-    matches, both where the engine answers a universal-vertex query and
-    inside assemble, before the DP sees any."""
+    """assemble checks the deadline every DEADLINE_EVERY partial matches
+    as it splits off the fully bound ones, before the DP sees any."""
     hub = iri("h")
     g = RdfGraph.from_triples([Triple(hub, "p", iri("l%d" % i))
                                for i in range(DEADLINE_EVERY)])
@@ -765,8 +764,6 @@ def test_an_expired_deadline_stops_the_split(monkeypatch):
     monkeypatch.setattr(assembly_central, "optimal_partitioning", no_dp)
     expired = engine._Deadline(1.0)
     expired.start -= 2.0
-    with pytest.raises(TimeoutExceeded, match="assembly"):
-        assembly_central.bound_answers(omega, q, g, expired)
     with pytest.raises(TimeoutExceeded, match="assembly"):
         assembly_central.assemble(omega, q, g, deadline=expired)
 
@@ -1021,19 +1018,22 @@ def test_admission_keeps_every_slice_of_every_match(tmp_path, monkeypatch):
         return got
 
     def recording_anchored(q, frag, anchor, g, admit=None, deadline=None,
-                           inner=None):
+                           inner=None, lpms=None):
         found = set()
-        lpms, answers = bound(q, frag, anchor, g, admit, deadline, found)
+        vectors = set()
+        count, answers = bound(q, frag, anchor, g, admit, deadline, found,
+                               vectors)
         # the anchored search is the full search's slice holding the
         # anchor, and finds the inner matches as the inner search does
-        assert lpms == {pm.fn for pm in paper(q, frag, admit)
-                        if anchor in pm.internal}
+        assert vectors == {pm.fn for pm in paper(q, frag, admit)
+                           if anchor in pm.internal}
+        assert count == len(vectors)
         assert found == (matcher.compute_inner_matches(
             q, frag, matcher.admitted(q, frag)) if frag.extended else set())
         inner |= found
-        searched[frag.id] = lpms
+        searched[frag.id] = vectors
         anchors[frag.id] = anchor
-        return lpms, answers
+        return count, answers
 
     monkeypatch.setattr(matcher, "compute_local_partial_matches", recording)
     monkeypatch.setattr(matcher, "compute_anchored_matches",

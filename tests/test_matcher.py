@@ -657,29 +657,44 @@ def test_admitted_is_the_brute_force_filter():
     assert min(seen.values()) > 100, seen
 
 
-def test_anchored_search_is_the_full_set_holding_the_anchor():
-    """With and without admission, the anchored search from a universal
-    vertex u finds exactly the local partial matches whose internal set
-    holds u, adds exactly compute_inner_matches' result to inner, and
+def test_anchored_search_is_the_full_set_holding_the_anchor(monkeypatch):
+    """With and without admission, the full search reaches each local
+    partial match exactly once.  The anchored search from a universal
+    vertex u finds exactly those whose internal set holds u, counts each
+    once, adds exactly compute_inner_matches' result to inner, and
     answers exactly those of its matches that are complete matches."""
+    full_predicate = matcher.is_local_partial_match
+    emitted = []
+
+    def counted(q, frag, fn, *, grown=False):
+        verdict = full_predicate(q, frag, fn, grown=grown)
+        emitted.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(matcher, "is_local_partial_match", counted)
     rng = random.Random(19)
-    anchored = answered = inner_found = 0
+    searched = anchored = answered = inner_found = 0
     for _ in range(1200):
         g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
         q = ground(q_graph, g)
         u = matcher.universal_vertex(q)
-        if u is None:
-            continue
         own = [matcher.admitted(q, frag) for frag in dg.fragments]
         union = {v: frozenset().union(*(sets[v] for sets in own))
                  for v in own[0]}
         for admit in (None, union):
             for frag in dg.fragments:
+                emitted.clear()
+                full = compute_local_partial_matches(q, frag, admit)
+                assert emitted.count(True) == len(full)
+                searched += len(full)
+                if u is None:
+                    continue
                 inner = set()
-                lpms, answers = matcher.compute_anchored_matches(
-                    q, frag, u, g, admit, inner=inner)
-                assert lpms == {pm.fn for pm in compute_local_partial_matches(
-                    q, frag, admit) if u in pm.internal}
+                lpms = set()
+                count, answers = matcher.compute_anchored_matches(
+                    q, frag, u, g, admit, inner=inner, lpms=lpms)
+                assert lpms == {pm.fn for pm in full if u in pm.internal}
+                assert count == len(lpms)
                 assert inner == (compute_inner_matches(q, frag, own[frag.id])
                                  if frag.extended else set())
                 assert answers == {fn for fn in lpms if is_complete_match(
@@ -689,6 +704,7 @@ def test_anchored_search_is_the_full_set_holding_the_anchor():
                 inner_found += len(inner)
     # a partial match is no answer when the graph lacks an edge between
     # two of its extended images, which the fragment cannot check
+    assert searched > 2 * anchored
     assert anchored > 500 and 300 < answered < anchored - 50
     assert inner_found > 200
 
