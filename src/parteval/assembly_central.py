@@ -6,7 +6,10 @@ sides.  Two strategies produce the complete crossing matches: a naive
 fixpoint that adds the partial matches one at a time, and a
 partitioning-based pass that groups them by an anchor query vertex so
 that members of one group never join each other.  A dynamic program
-picks the anchor order minimizing the modeled cost.
+picks the anchor order minimizing the modeled cost, the product of the
+part sizes.  It runs once per component of the matches' internal sets
+(sets linked when they share a query vertex), since the cost is the
+product of the components' costs.
 
 assemble, the default, first answers the fully bound partial matches
 directly (matcher.is_bound_answer), since a join would only find each
@@ -20,7 +23,8 @@ PartialMatchIndex.close is the one join loop: both strategies feed it
 batches (one match, or one part), and BSP assembly keeps one index per
 site and closes each superstep's arrivals into it.  The
 ``pairs_examined`` stat counts the probed pairs, each then checked by
-joinable() once.
+joinable() once.  A fully bound merge is checked against the graph once
+per distinct vector in a join call.
 """
 
 from __future__ import annotations
@@ -186,9 +190,12 @@ def naive_iterative_join(omega, q, g, stats=None, deadline=None):
 def _join_batches(batches, q, g, stats, deadline):
     """Close each batch into one index in turn.  A new partial result is
     kept for further joins; a fully bound one either validates into a
-    complete match or dies."""
+    complete match or dies.  The validation depends on the vector alone,
+    so each distinct vector is checked once, however many merges reach
+    it."""
     index = PartialMatchIndex(q)
     seen = set()
+    checked = set()
     rs = set()
 
     def keep(merged):
@@ -197,8 +204,10 @@ def _join_batches(batches, q, g, stats, deadline):
         if None in merged.fn:
             seen.add(merged)
             return True
-        if is_complete_match(q, merged.fn, g.labels_between):
-            rs.add(merged.fn)
+        if merged.fn not in checked:
+            checked.add(merged.fn)
+            if is_complete_match(q, merged.fn, g.labels_between):
+                rs.add(merged.fn)
         return False
 
     for batch in batches:
@@ -232,15 +241,25 @@ class LpmPartitioning:
 
 
 def build_partitioning(omega, vertex_order):
-    remaining = set(omega)
-    parts = []
-    for v in vertex_order:
-        members = frozenset(pm for pm in remaining if v in pm.internal)
-        parts.append((v, members))
-        remaining -= members
-    if remaining:
-        raise UnassignedLpm("%d matches claim no anchor" % len(remaining))
-    return LpmPartitioning(tuple(parts))
+    """Parts in vertex_order, built in one pass: each match goes to the
+    part of its internal vertex that comes first in the order."""
+    order = list(vertex_order)
+    rank = {}
+    for i, v in enumerate(order):
+        rank.setdefault(v, i)
+    members = [[] for _ in order]
+    unassigned = 0
+    for pm in omega:
+        first = min((rank[v] for v in pm.internal if v in rank),
+                    default=None)
+        if first is None:
+            unassigned += 1
+        else:
+            members[first].append(pm)
+    if unassigned:
+        raise UnassignedLpm("%d matches claim no anchor" % unassigned)
+    return LpmPartitioning(tuple((v, frozenset(part))
+                                 for v, part in zip(order, members)))
 
 
 def join_cost(p):
@@ -252,17 +271,38 @@ def join_cost(p):
     return cost
 
 
+def _components(counts):
+    """The internal-set masks of counts, split into connected components
+    (two masks linked when they share a query vertex), as a list of
+    (span mask, [(mask, count)])."""
+    comps = []
+    for mask, count in counts.items():
+        span, groups = mask, [(mask, count)]
+        for c in [c for c in comps if c[0] & mask]:
+            comps.remove(c)
+            span |= c[0]
+            groups += c[1]
+        comps.append((span, groups))
+    return comps
+
+
 def optimal_partitioning(omega, q, stats=None, deadline=None):
     """Anchor order minimizing the modeled join cost.
 
-    Top-down search over which vertex anchors next, memoized on the set
-    of vertices already used: the matches still unassigned are exactly
-    those avoiding every used vertex internally, so the used set
-    determines the whole subproblem.  Ties fall to the lowest vertex id.
-    Above MAX_ORDERED_VERTICES query vertices the search is skipped and
-    the vertices anchor in id order, which is as valid a partitioning,
-    only not a cheapest one.  deadline, if given, is checked every
-    DEADLINE_EVERY memo misses.
+    The matches are counted per internal set, and the sets split into
+    components that share no query vertex.  A vertex's part only takes
+    matches of its own component, so the cost is the product of the
+    components' costs, each minimized on its own: a top-down search over
+    which vertex of the component anchors next, memoized on the set of
+    its vertices already used (the matches still unassigned are exactly
+    those avoiding every used vertex internally).  The order is then
+    built a vertex at a time: the lowest unused vertex whose step keeps
+    its component at its optimum, which a vertex claiming nothing
+    always does.  That is the order of one search over all vertices
+    with ties to the lowest id.  Above MAX_ORDERED_VERTICES query
+    vertices the search is skipped and the vertices anchor in id order,
+    which is as valid a partitioning, only not a cheapest one.
+    deadline, if given, is checked every DEADLINE_EVERY memo misses.
     """
     n = q.n
     if n > MAX_ORDERED_VERTICES:
@@ -277,37 +317,58 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
         for v in pm.internal:
             mask |= 1 << v
         counts[mask] = counts.get(mask, 0) + 1
-    groups = list(counts.items())
-    memo = {}
+    comps = _components(counts)
+    memos = [{} for _ in comps]
     misses = 0
 
-    def solve(used):
+    def solve(c, used):
+        """Cheapest cost of component c with its vertices in used spent."""
         nonlocal misses
+        memo = memos[c]
         if used in memo:
             return memo[used]
         misses += 1
         if deadline is not None and misses % DEADLINE_EVERY == 0:
             deadline.check("assembly")
-        left = [(mask, count) for mask, count in groups if not mask & used]
-        if not left:
-            tail = tuple(v for v in range(n) if not used & (1 << v))
-            return 1, tail
-        best = None
+        # unassigned matches per vertex that would claim them
+        sizes = {}
+        for mask, count in comps[c][1]:
+            if not mask & used:
+                while mask:
+                    bit = mask & -mask
+                    sizes[bit] = sizes.get(bit, 0) + count
+                    mask ^= bit
+        if not sizes:
+            return 1
+        best = min(size * solve(c, used | bit) for bit, size in sizes.items())
+        memo[used] = best
+        return best
+
+    cost = 1
+    for c in range(len(comps)):
+        cost *= solve(c, 0)
+    comp_of = {v: c for c, (span, _) in enumerate(comps)
+               for v in range(n) if span >> v & 1}
+    order = []
+    used = 0
+    while len(order) < n:
         for v in range(n):
             bit = 1 << v
             if used & bit:
                 continue
-            size = sum(count for mask, count in left if mask & bit)
-            sub_cost, sub_order = solve(used | bit)
-            cost = max(size, 1) * sub_cost
-            if best is None or cost < best[0]:
-                best = (cost, (v,) + sub_order)
-        memo[used] = best
-        return best
-
-    cost, order = solve(0)
+            c = comp_of.get(v)
+            if c is None:
+                break
+            span, groups = comps[c]
+            own = used & span
+            size = sum(count for mask, count in groups
+                       if mask & bit and not mask & own)
+            if not size or size * solve(c, own | bit) == solve(c, own):
+                break
+        order.append(v)
+        used |= bit
     if stats is not None:
-        stats["memo_keys"] = len(memo)
+        stats["memo_keys"] = sum(len(memo) for memo in memos)
     return build_partitioning(omega, order), cost
 
 

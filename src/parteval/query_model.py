@@ -719,15 +719,27 @@ def _expr_text(expr):
     if isinstance(expr, Comparison):
         return "(%s %s %s)" % (_expr_text(expr.lhs), expr.op,
                                _expr_text(expr.rhs))
-    if isinstance(expr, LogicalAnd):
-        return "(%s && %s)" % (_expr_text(expr.left), _expr_text(expr.right))
-    if isinstance(expr, LogicalOr):
-        return "(%s || %s)" % (_expr_text(expr.left), _expr_text(expr.right))
+    if isinstance(expr, (LogicalAnd, LogicalOr)):
+        return _chain_text(expr)
     if isinstance(expr, LogicalNot):
-        return "(! %s)" % _expr_text(expr.operand)
+        return "!" + _expr_text(expr.operand)
     if isinstance(expr, BoundTest):
         return "bound(?%s)" % expr.name
     raise TypeError("unknown filter node %r" % expr)
+
+
+def _chain_text(expr):
+    """A left-nested && or || chain in one pair of parentheses, which the
+    parser reads back as the same chain.  The spine is walked with a
+    loop, so a long chain neither recurses nor nests."""
+    kind = type(expr)
+    terms = []
+    while isinstance(expr, kind):
+        terms.append(expr.right)
+        expr = expr.left
+    terms.append(expr)
+    op = " && " if kind is LogicalAnd else " || "
+    return "(%s)" % op.join(_expr_text(term) for term in reversed(terms))
 
 
 def _joined_lines(node, indent):
@@ -794,7 +806,7 @@ def _optional_lines(step, indent):
 
 def _filter_line(expr, indent):
     text = _expr_text(expr)
-    # compound expressions come parenthesized, atoms do not
+    # comparisons and chains come parenthesized, atoms and negations not
     if not text.startswith("("):
         text = "(%s)" % text
     return "%sFILTER%s" % ("  " * indent, text)

@@ -378,8 +378,78 @@ def test_grouped_dp_matches_the_per_match_scan(seed):
     stats = {}
     p, cost = optimal_partitioning(omega, q, stats)
     order = tuple(anchor for anchor, _ in p.parts)
-    assert (cost, order, stats["memo_keys"]) == _reference_dp(omega, n)
+    ref_cost, ref_order, ref_keys = _reference_dp(omega, n)
+    assert (cost, order) == (ref_cost, ref_order)
+    assert stats["memo_keys"] <= ref_keys
     assert join_cost(p) == cost
+
+
+def _spans(masks):
+    """Vertex sets of the connected components of masks, two masks
+    linked when they share a vertex."""
+    spans = []
+    for mask in masks:
+        linked = [s for s in spans if s & mask]
+        spans = [s for s in spans if not s & mask]
+        spans.append(frozenset(mask).union(*linked))
+    return spans
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_dp_per_component_matches_the_whole_search(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    # disjoint blocks of internal sets, and vertices in no internal set
+    cuts = sorted(rng.sample(range(1, n + 1), min(n, rng.randint(1, 4))))
+    blocks = [vertices[a:b] for a, b in zip([0] + cuts, cuts) if a < b]
+    shapes = [frozenset(v for v in block if rng.random() < 0.5)
+              or frozenset({rng.choice(block)})
+              for block in blocks[:rng.randint(1, len(blocks))]
+              for _ in range(rng.randint(1, 3))]
+    omega = {lpm(tuple(i if v in internal else None for v in range(n)),
+                 internal)
+             for i, internal in enumerate(rng.choice(shapes)
+                                          for _ in range(rng.randint(0, 24)))}
+    stats = {}
+    p, cost = optimal_partitioning(omega, ground_chain(n), stats)
+    order = tuple(anchor for anchor, _ in p.parts)
+    ref_cost, ref_order, ref_keys = _reference_dp(omega, n)
+    assert (cost, order) == (ref_cost, ref_order)
+    assert stats["memo_keys"] <= ref_keys
+    spans = _spans({pm.internal for pm in omega})
+    assert stats["memo_keys"] <= sum(2 ** len(span) for span in spans)
+
+
+def test_disjoint_singleton_groups_cost_their_product():
+    # five anchors that share no match, as an F1 instance has
+    counts = (3, 1, 2, 2, 1)
+    omega = {lpm(tuple(i if v == anchor else None for v in range(5)),
+                 {anchor})
+             for anchor, count in enumerate(counts) for i in range(count)}
+    stats = {}
+    p, cost = optimal_partitioning(omega, ground_chain(5), stats)
+    assert tuple(anchor for anchor, _ in p.parts) == (0, 1, 2, 3, 4)
+    assert p.sizes() == counts
+    assert cost == 12
+    assert stats["memo_keys"] <= 5
+
+
+def test_an_expired_deadline_stops_the_dp():
+    # one component over a 12-vertex path, past DEADLINE_EVERY memo misses
+    n = 12
+    omega = [lpm(tuple(i if v in (i, i + 1) else None for v in range(n)),
+                 {i, i + 1})
+             for i in range(n - 1)]
+    stats = {}
+    optimal_partitioning(omega, ground_chain(n), stats)
+    assert stats["memo_keys"] > matcher.DEADLINE_EVERY
+    expired = engine._Deadline(1.0)
+    expired.start -= 2.0
+    with pytest.raises(engine.TimeoutExceeded, match="assembly"):
+        optimal_partitioning(omega, ground_chain(n), deadline=expired)
 
 
 # ---------------------------------------------------------------------------
@@ -602,3 +672,28 @@ def test_no_pair_is_probed_twice(monkeypatch):
                 assert len(pairs) == len(set(pairs))
                 probed[i] += len(pairs)
     assert min(probed) > 30
+
+
+def test_each_joined_vector_is_checked_once(monkeypatch):
+    checked = []
+    is_complete_match = assembly_central.is_complete_match
+
+    def counting(q, fn, labels_of):
+        checked.append(fn)
+        return is_complete_match(q, fn, labels_of)
+
+    monkeypatch.setattr(assembly_central, "is_complete_match", counting)
+    rng = random.Random(23)
+    total = 0
+    for _ in range(300):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        omega = frozenset().union(*(compute_local_partial_matches(q, frag)
+                                    for frag in dg.fragments))
+        _, crossing = classify(enumerate_matches(g, q_graph), dg)
+        for join_all in (assemble, naive_iterative_join):
+            checked.clear()
+            assert join_all(omega, q, g) == crossing
+            assert len(checked) == len(set(checked))
+            total += len(checked)
+    assert total > 30

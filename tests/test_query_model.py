@@ -616,6 +616,39 @@ def test_pretty_prints_a_bare_union_as_its_alternatives():
         ("Opt", ("And", [], ("Union", ["p"], ["q"])), ["p"])
 
 
+def _left_spine(expr):
+    """A filter expression as its innermost left operand and the
+    (node type, right operand) steps of its left-nested chain, read
+    without recursion."""
+    steps = []
+    while isinstance(expr, (LogicalAnd, LogicalOr)):
+        steps.append((type(expr), expr.right))
+        expr = expr.left
+    return expr, steps
+
+
+@pytest.mark.parametrize("op, terms", [("&&", 101), ("||", 101),
+                                       ("&&", 1000)])
+def test_pretty_round_trips_a_long_filter_chain(op, terms):
+    text = "SELECT * WHERE { ?a <p> ?b FILTER(%s) }" % (" %s " % op).join(
+        "?a != <c%d>" % i for i in range(terms))
+    gq = parse_sparql(text)
+    out = pretty(gq)
+    back = parse_sparql(out)
+    assert pretty(back) == out
+    assert _left_spine(back.node.expr) == _left_spine(gq.node.expr)
+
+
+def test_pretty_round_trips_nested_negations():
+    gq = parse_sparql("SELECT * WHERE { ?a <p> ?b FILTER(%s(?a = ?b)) }"
+                      % ("!" * 98))
+    out = pretty(gq)
+    assert "FILTER(%s(?a = ?b))" % ("!" * 98) in out
+    back = parse_sparql(out)
+    assert pretty(back) == out
+    assert back.node.expr == gq.node.expr
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_pretty_round_trips_random_trees(seed):
