@@ -260,31 +260,35 @@ def _compiled(expr, at, term, number):
             inner = operand(row)
             return None if inner is None else not inner
         return negation
-    if isinstance(expr, LogicalAnd):
-        left = _compiled(expr.left, at, term, number)
-        right = _compiled(expr.right, at, term, number)
-
-        def conjunction(row):
-            lv, rv = left(row), right(row)
-            if lv is False or rv is False:
-                return False
-            if lv is None or rv is None:
-                return None
-            return True
-        return conjunction
-    if isinstance(expr, LogicalOr):
-        left = _compiled(expr.left, at, term, number)
-        right = _compiled(expr.right, at, term, number)
-
-        def disjunction(row):
-            lv, rv = left(row), right(row)
-            if lv is True or rv is True:
-                return True
-            if lv is None or rv is None:
-                return None
-            return False
-        return disjunction
+    if isinstance(expr, (LogicalAnd, LogicalOr)):
+        return _compiled_chain(expr, at, term, number)
     raise TypeError("unknown filter node %r" % (expr,))
+
+
+def _compiled_chain(expr, at, term, number):
+    """A left-nested && (or ||) chain as one test over its terms, walked
+    with a loop as query_model._chain_text walks it.  Three-valued: for
+    &&, any False gives False, otherwise any error gives None; || is the
+    dual."""
+    kind = type(expr)
+    terms = []
+    while isinstance(expr, kind):
+        terms.append(expr.right)
+        expr = expr.left
+    terms.append(expr)
+    tests = [_compiled(t, at, term, number) for t in reversed(terms)]
+    decisive = kind is LogicalOr        # the value that settles the chain
+
+    def chain(row):
+        result = not decisive
+        for test in tests:
+            value = test(row)
+            if value is decisive:
+                return decisive
+            if value is None:
+                result = None
+        return result
+    return chain
 
 
 def _compiled_comparison(expr, at, term, number):
@@ -402,21 +406,34 @@ def evaluate_bgp(graph, match_fn, g):
 
 
 def evaluate_node(node, bgp_eval):
-    if isinstance(node, Bgp):
-        return bgp_eval(node.graph)
-    if isinstance(node, And):
-        return nat_join(evaluate_node(node.left, bgp_eval),
-                        evaluate_node(node.right, bgp_eval))
-    if isinstance(node, Union):
-        return union(evaluate_node(node.left, bgp_eval),
-                     evaluate_node(node.right, bgp_eval))
-    if isinstance(node, Opt):
-        return left_outer_join(evaluate_node(node.left, bgp_eval),
-                               evaluate_node(node.right, bgp_eval),
-                               node.cond)
-    if isinstance(node, Filter):
-        return filter_table(evaluate_node(node.child, bgp_eval), node.expr)
-    raise TypeError("unknown query node %r" % (node,))
+    """The table of node.  The left spine (the left side of And, Union
+    and Opt, the child of Filter) is walked with a loop and its steps
+    applied bottom-up, each evaluating its right side when it applies,
+    so a long flat chain does not recurse and the order of evaluation is
+    that of the tree's left-to-right recursion."""
+    spine = []
+    while not isinstance(node, Bgp):
+        if isinstance(node, Filter):
+            spine.append(node)
+            node = node.child
+        elif isinstance(node, (And, Union, Opt)):
+            spine.append(node)
+            node = node.left
+        else:
+            raise TypeError("unknown query node %r" % (node,))
+    table = bgp_eval(node.graph)
+    for step in reversed(spine):
+        if isinstance(step, Filter):
+            table = filter_table(table, step.expr)
+            continue
+        right = evaluate_node(step.right, bgp_eval)
+        if isinstance(step, And):
+            table = nat_join(table, right)
+        elif isinstance(step, Union):
+            table = union(table, right)
+        else:
+            table = left_outer_join(table, right, step.cond)
+    return table
 
 
 def project(table, names):

@@ -231,14 +231,18 @@ class GeneralQuery:
 
 
 def _tree_graphs(node):
-    """The pattern graphs of the tree's Bgp leaves, left to right."""
-    if isinstance(node, Bgp):
-        yield node.graph
-    elif isinstance(node, Filter):
-        yield from _tree_graphs(node.child)
-    else:
-        yield from _tree_graphs(node.left)
-        yield from _tree_graphs(node.right)
+    """The pattern graphs of the tree's Bgp leaves, left to right.  The
+    walk keeps its own stack, so a long flat chain does not recurse."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bgp):
+            yield node.graph
+        elif isinstance(node, Filter):
+            stack.append(node.child)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 def tree_vars(node):

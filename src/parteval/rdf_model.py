@@ -9,11 +9,19 @@ value-space canonicalization anywhere in the engine.
 Vertices are interned to dense integer ids at load time and all other
 modules work on ids.  A graph is immutable once built and safe to share
 across threads.
+
+parse_ntriples reads each line with one compiled pattern (_TRIPLE) that
+takes a whole triple at once; every line written by to_ntriples matches
+it.  A line it does not take (a comment, unusual whitespace, anything
+malformed) goes to the term-by-term parser, which reads it to the same
+terms and is the only source of error messages, so an error names the
+same text and line whichever path saw the line first.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 
 IRI = "iri"
@@ -187,7 +195,7 @@ class RdfGraph:
     def from_triples(cls, triples):
         g = cls()
         for t in triples:
-            g._add(t.s, t.p, t.o)
+            g._link(g._intern(t.s), t.p, g._intern(t.o))
         return g
 
     def _intern(self, term):
@@ -198,9 +206,7 @@ class RdfGraph:
             self._terms.append(term)
         return tid
 
-    def _add(self, s, p, o):
-        u = self._intern(s)
-        v = self._intern(o)
+    def _link(self, u, p, v):
         self.edges[(u, v)] = self.edges.get((u, v), frozenset()) | {p}
 
     @property
@@ -243,13 +249,16 @@ def _skip_ws(line, i):
     return i
 
 
+_BAD_IRI_CHAR = re.compile(r'[\x00-\x20"{}|^`]')
+
+
 def _parse_iri(line, i, line_no):
     # cursor sits on '<'
     j = line.find(">", i + 1)
     if j < 0:
         raise NTriplesSyntaxError("unterminated IRI", line_no)
     body = line[i + 1:j]
-    if any(c in body for c in ' "{}|^`') or any(ord(c) <= 0x20 for c in body):
+    if _BAD_IRI_CHAR.search(body):
         raise NTriplesSyntaxError("bad character in IRI", line_no)
     return body, j + 1
 
@@ -322,6 +331,68 @@ def term_from_text(text):
     return term
 
 
+# One whole triple line, read in one match.  Each piece is the rule of the
+# term-by-term parser below, so every line this matches parses there to
+# the same terms; any other line goes to that parser.  \w is a character
+# for which str.isalnum() holds, or "_".  A blank label ends on a word
+# character, since trailing dots belong to the terminator.  Groups:
+# subject IRI | blank label, predicate, object IRI | blank label |
+# literal (with the text between its quotes).
+_IRI = r'<([^\x00-\x20>"{}|^`]*)>'
+_BLANK = r'_:([\w.-]*[\w-])'
+_LITERAL = (r'("([^"\\]*(?:\\.[^"\\]*)*)"'
+            r'(?:\^\^<[^\x00-\x20>"{}|^`]*>|@(?:[^\W_]|-)+)?)')
+_TRIPLE = re.compile(
+    r'[ \t]*(?:%s|%s)[ \t]*%s[ \t]*(?:%s|%s|%s)[ \t]*\.[ \t]*(?:#.*)?'
+    % (_IRI, _BLANK, _IRI, _IRI, _BLANK, _LITERAL), re.DOTALL)
+
+
+def _parse_line(line, line_no):
+    """One line, term by term: its (subject, predicate, object), each
+    term as its (kind, lexical) pair, or None for a blank or comment
+    line.  The source of every error message."""
+    i = _skip_ws(line, 0)
+    if i >= len(line) or line[i] == "#":
+        return None
+    s, i = parse_term(line, i, line_no)
+    if s.kind == LITERAL:
+        raise NTriplesSyntaxError("literal subject", line_no)
+    i = _skip_ws(line, i)
+    if i >= len(line) or line[i] != "<":
+        raise NTriplesSyntaxError("predicate must be an IRI", line_no)
+    p, i = _parse_iri(line, i, line_no)
+    i = _skip_ws(line, i)
+    o, i = parse_term(line, i, line_no)
+    i = _skip_ws(line, i)
+    if i >= len(line) or line[i] != ".":
+        raise NTriplesSyntaxError("missing terminating '.'", line_no)
+    i = _skip_ws(line, i + 1)
+    if i < len(line) and line[i] != "#":
+        raise NTriplesSyntaxError("trailing characters", line_no)
+    return (s.kind, s.lexical), p, (o.kind, o.lexical)
+
+
+def _match_line(line):
+    """_parse_line's result through _TRIPLE, or None when the line needs
+    the term-by-term parser: it does not match, or its literal has a bad
+    escape."""
+    m = _TRIPLE.fullmatch(line)
+    if m is None:
+        return None
+    s_iri, s_label, p, o_iri, o_label, o_literal, o_raw = m.groups()
+    if o_raw and "\\" in o_raw:
+        try:
+            decode_escapes(o_raw)
+        except ValueError:
+            return None
+    s = (BLANK, s_label) if s_iri is None else (IRI, s_iri)
+    if o_iri is not None:
+        return s, p, (IRI, o_iri)
+    if o_label is not None:
+        return s, p, (BLANK, o_label)
+    return s, p, (LITERAL, o_literal)
+
+
 def parse_ntriples(source):
     """Parse line-oriented N-Triples into an RdfGraph.
 
@@ -338,6 +409,8 @@ def parse_ntriples(source):
         raw_lines = source.read().split(b"\n")
 
     g = RdfGraph()
+    ids = {}        # (kind, lexical) -> vertex id
+    labels = {}     # predicate -> the one string the edges hold for it
     for line_no, raw in enumerate(raw_lines, start=1):
         if isinstance(raw, bytes):
             try:
@@ -347,23 +420,17 @@ def parse_ntriples(source):
         else:
             line = raw
         line = line.rstrip("\r")
-        i = _skip_ws(line, 0)
-        if i >= len(line) or line[i] == "#":
+        if not line:
             continue
-        s, i = parse_term(line, i, line_no)
-        if s.kind == LITERAL:
-            raise NTriplesSyntaxError("literal subject", line_no)
-        i = _skip_ws(line, i)
-        if i >= len(line) or line[i] != "<":
-            raise NTriplesSyntaxError("predicate must be an IRI", line_no)
-        p, i = _parse_iri(line, i, line_no)
-        i = _skip_ws(line, i)
-        o, i = parse_term(line, i, line_no)
-        i = _skip_ws(line, i)
-        if i >= len(line) or line[i] != ".":
-            raise NTriplesSyntaxError("missing terminating '.'", line_no)
-        i = _skip_ws(line, i + 1)
-        if i < len(line) and line[i] != "#":
-            raise NTriplesSyntaxError("trailing characters", line_no)
-        g._add(s, p, o)
+        triple = _match_line(line) or _parse_line(line, line_no)
+        if triple is None:
+            continue
+        s, p, o = triple
+        u = ids.get(s)
+        if u is None:
+            u = ids[s] = g._intern(Term(*s))
+        v = ids.get(o)
+        if v is None:
+            v = ids[o] = g._intern(Term(*o))
+        g._link(u, labels.setdefault(p, p), v)
     return g

@@ -550,6 +550,46 @@ def test_cli_query_nested_too_deep_is_exit_1(movie_disk, tmp_path, capsys,
     assert out.startswith("?a\t?d\n")
 
 
+_FLAT = 1000
+_EXCLUDED = ["<a>"] + ["<n%d>" % i for i in range(_FLAT - 1)]
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("SELECT * WHERE { %s }" % " UNION ".join(["{ ?x <p> ?y }"] * _FLAT),
+     "?x\t?y\na\tb\nb\tc\nc\ta\n"),
+    ("SELECT * WHERE { %s }" % " ".join(["{ ?x <p> ?y }"] * _FLAT),
+     "?x\t?y\na\tb\nb\tc\nc\ta\n"),
+    ("SELECT * WHERE { ?x <p> ?y %s }"
+     % " ".join(["OPTIONAL { ?y <q> ?z }"] * _FLAT),
+     "?x\t?y\t?z\na\tb\td\nb\tc\t\nc\ta\t\n"),
+    ("SELECT * WHERE { ?x <p> ?y %s }"
+     % " ".join("FILTER(?x != %s)" % c for c in _EXCLUDED),
+     "?x\t?y\nb\tc\nc\ta\n"),
+    ("SELECT * WHERE { ?x <p> ?y FILTER(%s) }"
+     % " && ".join("?x != %s" % c for c in _EXCLUDED),
+     "?x\t?y\nb\tc\nc\ta\n"),
+], ids=["union", "join", "optional", "filter", "and"])
+def test_cli_flat_chains_answer(tmp_path, capsys, text, rows):
+    """A flat chain of 1000 UNION groups, joined groups, OPTIONALs or
+    FILTERs, or a 1000-term && filter, is not nesting: each is walked
+    without recursion and answers (the filters drop the row whose ?x is
+    an excluded constant)."""
+    src = tmp_path / "in.nt"
+    src.write_text("<a> <p> <b> .\n<b> <p> <c> .\n<c> <p> <a> .\n"
+                   "<b> <q> <d> .\n", encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2", "--seed", "0"]) == 0
+    capsys.readouterr()
+    query = tmp_path / "flat.rq"
+    query.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                      "--sparql", str(query)])
+    assert "Traceback" not in err
+    assert (code, err) == (0, "")
+    assert out == rows
+
+
 def test_cli_query_closed_levels_do_not_count(movie_disk, tmp_path, capsys):
     """Only levels open at once count towards MAX_NESTING: sibling
     groups, OPTIONALs and negated parentheses past it run."""

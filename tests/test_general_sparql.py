@@ -1,7 +1,10 @@
 """Binding tables, three-valued filters, and tree evaluation."""
 
+import functools
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
@@ -240,6 +243,23 @@ def test_filter_three_valued_connectives():
     assert not row_passes(LogicalAnd(err, f), bindings)
     assert row_passes(LogicalOr(err, t), bindings)
     assert not row_passes(LogicalOr(err, f), bindings)
+
+
+@pytest.mark.parametrize("kind", [LogicalAnd, LogicalOr])
+def test_filter_chains_are_three_valued(kind):
+    """A left-nested chain of up to four terms, each true, false or an
+    error, filters as the binary connectives nested pairwise do: the
+    chain keeps a row when it is true and its negation when it is
+    false, so an error keeps neither."""
+    err = Comparison("<", VarRef("missing"), TermConst(iri("a")))
+    bindings = {"x": iri("a")}
+    for n in range(1, 5):
+        for terms in itertools.product([BoolConst(True), BoolConst(False),
+                                        err], repeat=n):
+            chain = functools.reduce(kind, terms)
+            want = helpers.ref_truth(chain, bindings)
+            assert row_passes(chain, bindings) == (want is True)
+            assert row_passes(LogicalNot(chain), bindings) == (want is False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,27 @@
 """Terms, escaping, the multigraph, and the N-Triples reader/writer."""
 
 import io
+import re
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parteval import (
     NTriplesSyntaxError,
+    PartitionError,
     RdfGraph,
     Triple,
     blank,
     iri,
     literal,
     parse_ntriples,
+    partition_from_file,
 )
+from parteval import rdf_model
 from parteval.rdf_model import (
+    LITERAL,
+    Term,
     decode_escapes,
     literal_parts,
     numeric_value,
@@ -318,3 +325,159 @@ def test_graph_serialization_round_trip(edges):
     h = parse_ntriples(g.to_ntriples())
     assert h.to_ntriples() == g.to_ntriples()
     assert h.n_edges == g.n_edges
+
+
+# ---------------------------------------------------------------------------
+# The one-match fast path against the term-by-term parser.
+
+_BAD_IRI_CHARS = ' "{}|^`' + "".join(map(chr, range(0x21)))
+
+
+@pytest.mark.parametrize("c", sorted(set(_BAD_IRI_CHARS)), ids=ord)
+def test_bad_iri_character(c, tmp_path):
+    """Each character the IRI rule bans is an error in a data line and a
+    malformed record in a partition map.  A newline ends the line first,
+    so the IRI is unterminated there."""
+    msg = "unterminated IRI" if c == "\n" else "bad character in IRI"
+    for text in ("<a%sb> <p> <c> .\n" % c, "<a> <p%s> <c> .\n" % c,
+                 "<a> <p> <c%s> .\n" % c, '<a> <p> "v"^^<t%s> .\n' % c):
+        with pytest.raises(NTriplesSyntaxError) as exc:
+            parse_ntriples(text.encode("utf-8"))
+        assert msg in str(exc.value)
+        assert exc.value.line == 1
+    g = RdfGraph.from_triples([Triple(iri("a"), "p", iri("b"))])
+    path = tmp_path / "parts.tsv"
+    path.write_bytes(("<a>\t0\n<b%s>\t1\n" % c).encode("utf-8"))
+    with pytest.raises(PartitionError, match="line 2: malformed partition record"):
+        partition_from_file(g, path)
+
+
+def test_word_classes_are_isalnum():
+    """The fast path reads blank labels with \\w and language tags with
+    [^\\W_]; both must be the isalnum() rule of the term-by-term parser,
+    over every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    alnum = {c for c in every if c.isalnum()}
+    assert set(re.findall(r"\w", every)) == alnum | {"_"}
+    assert set(re.findall(r"[^\W_]", every)) == alnum
+
+
+# each alphabet leads with the characters nearest a rule's edge
+_char = st.characters(blacklist_categories=("Cs",))
+_NOT_IRI = set(_BAD_IRI_CHARS) | {">"}
+_iri_body = st.text(st.one_of(st.sampled_from("<\\#:/.@_'\x7f\x85é"),
+                              _char.filter(lambda c: c not in _NOT_IRI)),
+                    max_size=8)
+_alnum = st.one_of(st.sampled_from("aZ9é٣²½"), _char.filter(str.isalnum))
+_label = st.text(st.one_of(_alnum, st.sampled_from("_-.")), min_size=1,
+                 max_size=8).filter(lambda s: not s.endswith("."))
+_escape = st.one_of(
+    st.sampled_from(["\\t", "\\b", "\\n", "\\r", "\\f", '\\"', "\\'", "\\\\"]),
+    st.integers(0, 0xFFFF).map("\\u%04X".__mod__),
+    st.integers(0, 0x10FFFF).map("\\U%08x".__mod__))
+_plain = st.one_of(st.sampled_from("'<>#.@^ \t\r\x00\x0b\x85"),
+                   _char.filter(lambda c: c not in '"\\\n'))
+_quoted = st.lists(st.one_of(_plain, _escape), max_size=8).map(
+    lambda parts: '"%s"' % "".join(parts))
+_literal = st.one_of(
+    _quoted,
+    st.tuples(_quoted, _iri_body).map(lambda qt: "%s^^<%s>" % qt),
+    st.tuples(_quoted, st.text(st.one_of(_alnum, st.just("-")), min_size=1,
+                               max_size=6)).map(lambda ql: "%s@%s" % ql),
+).map(lambda lex: Term(LITERAL, lex))
+_node = st.one_of(_iri_body.map(iri), _label.map(blank))
+_triple = st.tuples(_node, _iri_body, st.one_of(_node, _literal)).map(
+    lambda spo: Triple(*spo))
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the terms in id order and the edge map,
+    or the error text and line."""
+    try:
+        g = parse(text)
+    except NTriplesSyntaxError as exc:
+        return str(exc), exc.line
+    return list(map(g.term, g.vertex_ids())), g.edges
+
+
+def _fallback_only(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdf_model, "_TRIPLE", re.compile(r"(?!)"))
+        return parse_ntriples(text)
+
+
+@given(st.lists(_triple, max_size=8))
+def test_canonical_lines_take_the_fast_path(triples):
+    """Every line to_ntriples writes is read in one match: with the
+    term-by-term parser made to fail, the file still parses back to the
+    same graph, as text and as bytes."""
+    g = RdfGraph.from_triples(triples)
+    text = g.to_ntriples()
+
+    def refuse(line, line_no):
+        raise AssertionError("line %d left the fast path: %r" % (line_no, line))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdf_model, "_parse_line", refuse)
+        for source in (text, text.encode("utf-8")):
+            h = parse_ntriples(source)
+            assert h.to_ntriples() == text
+            assert set(map(h.term, h.vertex_ids())) == set(
+                map(g.term, g.vertex_ids()))
+
+
+_MUTANT = '<>"\\ .#_:@^' + "\x00\t\n\r\x0b\x1f\x7f" + "a-é٣"
+
+
+def _mutants(line):
+    """Every line one character away from line: each _MUTANT character
+    inserted or replaced at each offset, and each character deleted."""
+    for at in range(len(line) + 1):
+        yield line[:at] + line[at + 1:]
+        for c in _MUTANT:
+            yield line[:at] + c + line[at:]
+            yield line[:at] + c + line[at + 1:]
+
+
+def _same_as_fallback(text):
+    for source in (text, text.encode("utf-8")):
+        assert _outcome(parse_ntriples, source) == _outcome(_fallback_only,
+                                                            source)
+
+
+@pytest.mark.parametrize("line", [
+    "<a> <p> <b> .",
+    "_:b.1 <p> _:x-y .",
+    '_:é٣ <p> "v\\u00e9\\n"@en-GB .',
+    '<s> <p> "5"^^<http://x/t> .',
+    '<s><p>"a\\"b\\\\".',
+    "<s>\t<p>\t<o>\t.\t# c",
+    "_:a <p> _:b.",
+    '<s> <p> "x"@en.',
+])
+def test_each_mutant_parses_as_the_fallback_does(line):
+    """Each line one character away from a valid one gives the graph, or
+    the error text and line, of the term-by-term parser alone."""
+    for mutant in set(_mutants(line)):
+        _same_as_fallback("<z> <p> <z> .\n%s\n" % mutant)
+
+
+@given(_triple, _triple, st.integers(0, 2 ** 16))
+@settings(max_examples=100)
+def test_mutated_lines_parse_as_the_fallback_does(before, line, pick):
+    """The same over drawn lines, one drawn mutant each, between two
+    valid lines."""
+    valid = RdfGraph.from_triples([line]).to_ntriples()[:-1]
+    mutants = sorted(set(_mutants(valid)))
+    _same_as_fallback("%s%s\n<z> <p> <z> .\n" % (
+        RdfGraph.from_triples([before]).to_ntriples(),
+        mutants[pick % len(mutants)]))
+
+
+def test_a_bad_escape_in_a_matched_line_falls_back():
+    """A line of the right shape whose literal has a bad escape is read
+    term by term, which reports the escape."""
+    text = '<a> <p> <b> .\n<a> <p> "x\\u12G4" .\n'
+    with pytest.raises(NTriplesSyntaxError) as exc:
+        parse_ntriples(text)
+    assert "bad \\u escape" in str(exc.value)
+    assert exc.value.line == 2
