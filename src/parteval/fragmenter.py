@@ -6,15 +6,20 @@ fragments is a crossing edge and is stored in both fragments it touches.
 The non-owned endpoints of a fragment's crossing edges form its extended
 vertex set.  The fragment topology graph connects two fragments when at
 least one crossing edge runs between them.
+
+Set-up makes no copy per edge: a fragment stores the graph's own label
+sets and builds its indexes in one pass over its stored pairs, and a
+partition map is read by looking each line's term text up among the
+graph's term texts.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .rdf_model import term_from_text
+from .rdf_model import NTriplesSyntaxError, term_from_text
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -81,24 +86,33 @@ def partition_exponential_hash(g, k, seed=0):
 
 
 def partition_from_file(g, path):
-    """Read `<term>\t<fragment id>` lines covering every vertex exactly once."""
+    """Read `<term>\t<fragment id>` lines covering every vertex exactly once.
+
+    A line's term text is looked up among the texts of the graph's terms;
+    only a text the graph does not hold is parsed, to tell a malformed
+    term from an unknown one.  That is exact for every graph whose terms
+    read back from their own text, as those of parse_ntriples do:
+    term_from_text keeps a term byte for byte and takes only a whole
+    text, so a text names the graph term it parses to or none."""
+    by_text = {g.term(v).ntriples(): v for v in g.vertex_ids()}
     assignment = {}
-    max_fid = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
+            term_text, _, fid_text = line.rpartition("\t")
+            vid = by_text.get(term_text)
             try:
-                term_text, _, fid_text = line.rpartition("\t")
-                term = term_from_text(term_text)
+                term = term_from_text(term_text) if vid is None else None
                 fid = int(fid_text)
-            except Exception:
+            except (NTriplesSyntaxError, ValueError):
                 raise PartitionError(
                     "line %d: malformed partition record" % line_no) from None
             if fid < 0:
                 raise PartitionError("line %d: negative fragment id" % line_no)
-            vid = g.term_id(term)
+            if vid is None:
+                vid = g.term_id(term)
             if vid is None:
                 raise UnknownVertex(
                     "line %d: %s is not a graph vertex" % (line_no, term_text))
@@ -106,12 +120,11 @@ def partition_from_file(g, path):
                 raise DuplicateAssignment(
                     "line %d: %s assigned twice" % (line_no, term_text))
             assignment[vid] = fid
-            max_fid = max(max_fid, fid)
-    missing = set(g.vertex_ids()) - set(assignment)
-    if missing:
-        term = g.term(min(missing))
-        raise MissingVertex("%s has no fragment assignment" % term.ntriples())
-    return PartitionMap(assignment, max_fid + 1)
+    if len(assignment) < g.n_vertices:
+        vid = next(v for v in g.vertex_ids() if v not in assignment)
+        raise MissingVertex(
+            "%s has no fragment assignment" % g.term(vid).ntriples())
+    return PartitionMap(assignment, max(assignment.values(), default=0) + 1)
 
 
 def write_partition_file(g, pm, path):
@@ -159,26 +172,31 @@ class Fragment:
 
 
 def _finish_fragment(fid, internal, edges):
+    """The Fragment of these owned vertices and stored pairs, indexed in
+    one pass over the pairs."""
     internal = frozenset(internal)
-    extended = set()
-    nbrs = {}
-    sources = {}
-    targets = {}
-    pairs = {}
+    nbrs = defaultdict(set)
+    out_any, in_any = set(), set()
+    sources = defaultdict(set)
+    targets = defaultdict(set)
+    pairs = defaultdict(list)
     for pair, labels in edges.items():
         u, v = pair
-        extended.update(w for w in pair if w not in internal)
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
-        for label in (None, *labels):
-            sources.setdefault(label, set()).add(u)
-            targets.setdefault(label, set()).add(v)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        out_any.add(u)
+        in_any.add(v)
         for label in labels:
-            pairs.setdefault(label, []).append(pair)
+            sources[label].add(u)
+            targets[label].add(v)
+            pairs[label].append(pair)
+    if edges:
+        sources[None] = out_any
+        targets[None] = in_any
     return Fragment(
         id=fid,
         internal=internal,
-        extended=frozenset(extended),
+        extended=frozenset((out_any | in_any) - internal),
         edges=edges,
         nbrs={v: frozenset(ns) for v, ns in nbrs.items()},
         sources={l: frozenset(vs) for l, vs in sources.items()},

@@ -7,8 +7,11 @@ Terms compare by kind plus byte-exact lexical form; there is no
 value-space canonicalization anywhere in the engine.
 
 Vertices are interned to dense integer ids at load time and all other
-modules work on ids.  A graph is immutable once built and safe to share
-across threads.
+modules work on ids.  Every edge is added by one rule (RdfGraph._link),
+whichever way the graph is built: a pair that carries one predicate
+holds that predicate's one shared label frozenset, and only a pair with
+two or more labels holds a set of its own.  A graph is immutable once
+built and safe to share across threads.
 
 parse_ntriples reads each line with one compiled pattern (_TRIPLE) that
 takes a whole triple at once; every line written by to_ntriples matches
@@ -132,7 +135,7 @@ def decode_escapes(raw):
                 raise ValueError("truncated \\%s escape" % e)
             try:
                 out.append(chr(int(hexpart, 16)))
-            except ValueError:
+            except (ValueError, OverflowError):   # past the C int range
                 raise ValueError("bad \\%s escape" % e) from None
             i += 2 + width
         else:
@@ -182,13 +185,15 @@ class RdfGraph:
     """Directed multigraph of interned terms.
 
     edges maps an ordered vertex-id pair to the frozenset of predicate
-    labels on it.  Fragments share these frozensets.  Do not mutate after
-    load.
+    labels on it.  A pair with one label holds its predicate's one shared
+    frozenset; only a pair with two or more labels holds a set of its own.
+    Fragments share these frozensets.  Do not mutate after load.
     """
 
     def __init__(self):
         self._terms = []
         self._index = {}
+        self._single = {}   # predicate -> the frozenset of it alone
         self.edges = {}
 
     @classmethod
@@ -207,7 +212,18 @@ class RdfGraph:
         return tid
 
     def _link(self, u, p, v):
-        self.edges[(u, v)] = self.edges.get((u, v), frozenset()) | {p}
+        """Add the edge u -p-> v; the one rule every graph is built by.
+        A duplicate changes nothing, and a new set is built only when a
+        pair gains a second label."""
+        one = self._single.get(p)
+        if one is None:
+            one = self._single[p] = frozenset((p,))
+        pair = (u, v)
+        labels = self.edges.get(pair)
+        if labels is None:
+            self.edges[pair] = one
+        elif p not in labels:
+            self.edges[pair] = labels | one
 
     @property
     def n_vertices(self):
@@ -410,7 +426,6 @@ def parse_ntriples(source):
 
     g = RdfGraph()
     ids = {}        # (kind, lexical) -> vertex id
-    labels = {}     # predicate -> the one string the edges hold for it
     for line_no, raw in enumerate(raw_lines, start=1):
         if isinstance(raw, bytes):
             try:
@@ -432,5 +447,5 @@ def parse_ntriples(source):
         v = ids.get(o)
         if v is None:
             v = ids[o] = g._intern(Term(*o))
-        g._link(u, labels.setdefault(p, p), v)
+        g._link(u, p, v)
     return g

@@ -590,6 +590,49 @@ def test_cli_flat_chains_answer(tmp_path, capsys, text, rows):
     assert out == rows
 
 
+_CHAINED = 30
+_MUTATED_QUERIES = {
+    "movie": helpers.MOVIE_QUERY,
+    "algebra": (
+        "SELECT ?a ?n WHERE { { ?a <actedIn> ?f } UNION { ?a <directed> ?f }"
+        " OPTIONAL { ?f <rdfs:label> ?n FILTER(?n != \"Film One\" && "
+        "!(?a = <s1:dir1>) || bound(?a)) } FILTER(?f != <s2:film1>) }"),
+    "union": "SELECT * WHERE { %s }" % " UNION ".join(
+        ["{ ?x <actedIn> ?y }"] * _CHAINED),
+    "optional": "SELECT * WHERE { ?x <actedIn> ?y %s }" % " ".join(
+        ["OPTIONAL { ?y <rdfs:label> ?z }"] * _CHAINED),
+    "and": "SELECT * WHERE { ?x <actedIn> ?y FILTER(%s) }" % " && ".join(
+        "?y != <f%d>" % i for i in range(_CHAINED)),
+}
+# the characters that open, close or separate SPARQL tokens, and some that
+# are merely unusual there
+_QUERY_CHARS = '{}()<>?$.,;:!&|=^@#"\'\\_ \t\n0aé*+-/'
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATED_QUERIES))
+def test_cli_query_mutants_end_in_an_exit_code(movie_disk, tmp_path, capsys,
+                                               name):
+    """A single-character mutant of a query text (a character deleted,
+    replaced or inserted) ends in exit 0, 1 or 2 with no traceback,
+    whatever it does to the query, under either assembly."""
+    db, _ = movie_disk
+    text = _MUTATED_QUERIES[name]
+    rng = random.Random(name)
+    query = tmp_path / "mutant.rq"
+    for i in range(60):
+        at = rng.randrange(len(text) + 1)
+        c = rng.choice(_QUERY_CHARS)
+        how = rng.randrange(3)
+        mutant = (text[:at] + c + text[at + how // 2:] if how else
+                  text[:at] + text[at + 1:])
+        query.write_text(mutant, encoding="utf-8")
+        code, _, err = run_cli(capsys, [
+            "query", "--db", str(db), "--sparql", str(query),
+            "--assembly", ("centralized", "distributed")[i % 2]])
+        assert code in (0, 1, 2), mutant
+        assert "Traceback" not in err, mutant
+
+
 def test_cli_query_closed_levels_do_not_count(movie_disk, tmp_path, capsys):
     """Only levels open at once count towards MAX_NESTING: sibling
     groups, OPTIONALs and negated parentheses past it run."""
@@ -658,6 +701,36 @@ def test_cli_query_that_is_not_utf8_is_exit_1(movie_disk, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("data error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_escape_past_the_int_range_is_no_traceback(tmp_path, capsys):
+    """A \\U escape above 0x7FFFFFFF, where chr() overflows rather than
+    rejecting the value, is a bad escape like any other out-of-range
+    one: in data, a map or a query."""
+    escape = '"\\Uffffffff"'
+    src = tmp_path / "in.nt"
+    db = tmp_path / "db"
+    for line in ("<a> <p> %s ." % escape,       # the one-pattern path
+                 "<a>  <p>\t%s ." % escape):    # the term-by-term path
+        src.write_text(line + "\n", encoding="utf-8")
+        assert run_cli(capsys, ["load", "--data", str(src),
+                                "--out", str(db)]) == (
+            2, "", "data error: line 1: bad \\U escape\n")
+    src.write_text('<a> <p> "x" .\n', encoding="utf-8")
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    capsys.readouterr()
+    parts = tmp_path / "parts.tsv"
+    parts.write_text("%s\t0\n" % escape, encoding="utf-8")
+    assert run_cli(capsys, ["partition", "--db", str(db), "-k", "2",
+                            "--strategy", "file", "--map", str(parts)]) == (
+        2, "", "partition error: line 1: malformed partition record\n")
+    text = "SELECT * WHERE { ?a <p> %s }" % escape
+    query = tmp_path / "q.rq"
+    query.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, ["query", "--db", str(db),
+                            "--sparql", str(query)]) == (
+        1, "", "query error: at offset %d: bad \\U escape\n"
+        % text.index(escape))
 
 
 def test_cli_bad_data_is_exit_2(tmp_path, capsys):

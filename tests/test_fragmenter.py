@@ -11,6 +11,7 @@ from parteval import (
     Triple,
     build_fragments,
     iri,
+    parse_ntriples,
     partition_exponential_hash,
     partition_from_file,
     partition_uniform_hash,
@@ -23,6 +24,7 @@ from parteval.fragmenter import (
     UnknownVertex,
     fnv1a64,
 )
+from parteval.rdf_model import term_from_text
 
 
 def check_fragmentation(g, dg):
@@ -47,22 +49,21 @@ def check_fragmentation(g, dg):
         for (u, v) in f.edges:
             expect_ext.update(w for w in (u, v) if pm.assignment[w] != f.id)
         assert f.extended == expect_ext
-        # neighbour views and the label index agree with the stored edges:
-        # each edge's endpoints are indexed under each label and None ...
-        out_of, in_of = {}, {}
+        # the neighbour views and the label index are exactly what the
+        # stored pairs give, keys included: None holds every vertex with
+        # a stored out-edge (in-edge), each label those of its edges
+        nbrs, sources, targets = {}, {}, {}
         for (u, v), labels in f.edges.items():
-            assert v in f.nbrs[u] and u in f.nbrs[v]
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
             for label in (None, *labels):
-                assert u in f.sources[label]
-                assert v in f.targets[label]
-            out_of.setdefault(u, set()).update(labels)
-            in_of.setdefault(v, set()).update(labels)
-        # ... and each index entry is backed by a stored edge
-        for index, stored in ((f.sources, out_of), (f.targets, in_of)):
-            for label, vs in index.items():
-                for w in vs:
-                    assert w in stored
-                    assert label is None or label in stored[w]
+                sources.setdefault(label, set()).add(u)
+                targets.setdefault(label, set()).add(v)
+        assert f.nbrs == nbrs
+        assert f.sources == sources
+        assert f.targets == targets
+        if not f.edges:
+            assert f.nbrs == f.sources == f.targets == f.pairs == {}
         # the pair lists hold each stored pair once under each of its
         # labels and under no other, as the edges map's own key object
         key_of = {pair: pair for pair in f.edges}
@@ -136,6 +137,7 @@ def test_empty_fragment_allowed():
     assert dg.fragments[1].internal == frozenset()
     assert dg.fragments[1].extended == frozenset()
     assert dg.fragments[1].edges == {}
+    check_fragmentation(g, dg)
 
 
 def test_build_rejects_out_of_range_fragment():
@@ -267,6 +269,112 @@ def test_partition_file_literal_terms_round_trip(tmp_path):
     assert partition_from_file(g, path).assignment == pm.assignment
 
 
+def _read_map_term_by_term(g, path):
+    """The reference reader: every line's term through term_from_text."""
+    assignment = {}
+    max_fid = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            try:
+                term_text, _, fid_text = line.rpartition("\t")
+                term = term_from_text(term_text)
+                fid = int(fid_text)
+            except Exception:
+                raise PartitionError(
+                    "line %d: malformed partition record" % line_no) from None
+            if fid < 0:
+                raise PartitionError("line %d: negative fragment id" % line_no)
+            vid = g.term_id(term)
+            if vid is None:
+                raise UnknownVertex(
+                    "line %d: %s is not a graph vertex" % (line_no, term_text))
+            if vid in assignment:
+                raise DuplicateAssignment(
+                    "line %d: %s assigned twice" % (line_no, term_text))
+            assignment[vid] = fid
+            max_fid = max(max_fid, fid)
+    missing = set(g.vertex_ids()) - set(assignment)
+    if missing:
+        term = g.term(min(missing))
+        raise MissingVertex("%s has no fragment assignment" % term.ntriples())
+    return PartitionMap(assignment, max_fid + 1)
+
+
+# characters that open, close or separate N-Triples terms, and some that
+# are merely unusual in them
+_MUTANT_CHARS = '<>"\\_:@^.#- \tav0é\r'
+_ABSENT_TERMS = ["<absent>", "<>", "<v1#>", "_:absent", "_:b3", '"absent"',
+                 '"v1"', '"3"', '"alpha"@en', '"alpha"@en-GB']
+_FIDS = ["-0", "x", "", "1.5", " 2", "+3", "0x1", "1_0", "٣"]
+
+
+def _mutant(text, at, char, how):
+    at %= len(text) + 1
+    if how == "delete":
+        return text[:at] + text[at + 1:]
+    if how == "replace":
+        return text[:at] + char + text[at + 1:]
+    return text[:at] + char + text[at:]
+
+
+@st.composite
+def _map_files(draw):
+    """A graph whose terms come from parse_ntriples, blank nodes included,
+    and a map file for it: every term's text with an id, in any order,
+    then a few lines dropped or added.  An added line holds a graph text,
+    a single-character mutant of one or a term the graph lacks, with a
+    fragment id, a negative one, one of the id faults in _FIDS or no tab
+    at all."""
+    import random
+    src = helpers.rand_graph(random.Random(draw(st.integers(0, 2 ** 30))),
+                             max_vertices=8)
+    g = parse_ntriples(src.to_ntriples()
+                       + "_:b1 <p0> _:b2 .\n_:b2 <p1> <v0> .\n")
+    texts = [g.term(v).ntriples() for v in g.vertex_ids()]
+    text = st.sampled_from(texts)
+    mutant = st.builds(_mutant, text, st.integers(0, 40),
+                       st.sampled_from(_MUTANT_CHARS),
+                       st.sampled_from(["delete", "replace", "insert"]))
+    term = st.one_of(text, mutant, st.sampled_from(_ABSENT_TERMS))
+    fid = st.integers(0, 7).map(str)
+    bad_fid = st.one_of(st.integers(-3, -1).map(str), st.sampled_from(_FIDS))
+    extra = st.one_of(
+        st.tuples(term, fid),
+        st.tuples(term, fid),
+        st.tuples(term, bad_fid),
+        st.tuples(term)).map("\t".join)
+    lines = ["%s\t%d" % (t, draw(st.integers(0, 7)))
+             for t in draw(st.permutations(texts))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.integers(0, 3)) == 0 and lines:
+            del lines[at % len(lines)]
+        else:
+            lines.insert(at, draw(extra))
+    return g, "".join(line + "\n" for line in lines)
+
+
+def _outcome(read, g, path):
+    try:
+        pm = read(g, path)
+    except PartitionError as exc:
+        return type(exc), str(exc)
+    return pm.assignment, pm.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_map_files())
+def test_partition_file_by_text_matches_term_by_term(tmp_path_factory, case):
+    g, content = case
+    path = tmp_path_factory.getbasetemp() / "parts.tsv"
+    path.write_text(content, encoding="utf-8")
+    assert (_outcome(partition_from_file, g, path)
+            == _outcome(_read_map_term_by_term, g, path))
+
+
 # ---------------------------------------------------------------------------
 # Topology.
 
@@ -332,7 +440,7 @@ def test_topology_disconnected_fragments():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 30), st.integers(1, 4))
+@given(st.integers(0, 2 ** 30), st.integers(1, 8))
 def test_random_fragmentation_invariants(seed, k):
     import random
     rng = random.Random(seed)

@@ -189,6 +189,56 @@ def test_iter_edges_covers_multigraph():
     ]
 
 
+def _holders(g):
+    """The pairs grouped by the label-set object they hold, each group a
+    frozenset of term pairs."""
+    groups = {}
+    for (u, v), labels in g.edges.items():
+        groups.setdefault(id(labels), set()).add((g.term(u), g.term(v)))
+    return {frozenset(group) for group in groups.values()}
+
+
+def _term_edges(g):
+    return {(g.term(u), g.term(v)): labels
+            for (u, v), labels in g.edges.items()}
+
+
+def check_label_sets(g):
+    """The pairs that carry one predicate alone all hold one frozenset,
+    and every pair with two or more labels holds a set of its own."""
+    want = {}
+    for pair, labels in _term_edges(g).items():
+        key = next(iter(labels)) if len(labels) == 1 else pair
+        want.setdefault(key, set()).add(pair)
+    assert _holders(g) == {frozenset(group) for group in want.values()}
+    assert all(type(labels) is frozenset for labels in g.edges.values())
+
+
+def test_single_label_pairs_share_one_set():
+    a, b, c = iri("a"), iri("b"), iri("c")
+    g = _g(Triple(a, "p", b), Triple(b, "p", c), Triple(c, "q", a),
+           Triple(a, "q", c), Triple(a, "p", c), Triple(b, "q", b))
+    ia, ib, ic = g.term_id(a), g.term_id(b), g.term_id(c)
+    assert g.edges[(ia, ib)] is g.edges[(ib, ic)]
+    assert g.edges[(ic, ia)] is g.edges[(ib, ib)]
+    assert g.edges[(ia, ib)] == {"p"} and g.edges[(ic, ia)] == {"q"}
+    # the second label builds the pair a set of its own, the union
+    assert g.edges[(ia, ic)] == {"p", "q"}
+    check_label_sets(g)
+
+
+def test_a_duplicate_triple_keeps_the_pair_set():
+    a, b = iri("a"), iri("b")
+    g = _g(Triple(a, "p", b), Triple(a, "q", b), Triple(b, "p", a))
+    ia, ib = g.term_id(a), g.term_id(b)
+    before = dict(g.edges)
+    g._link(ia, "p", ib)
+    g._link(ib, "p", ia)
+    assert g.edges == before
+    assert all(g.edges[pair] is before[pair] for pair in before)
+    check_label_sets(g)
+
+
 # ---------------------------------------------------------------------------
 # N-Triples parsing.
 
@@ -404,6 +454,26 @@ def _fallback_only(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rdf_model, "_TRIPLE", re.compile(r"(?!)"))
         return parse_ntriples(text)
+
+
+@given(st.lists(st.tuples(st.sampled_from([iri("a"), iri("b"), blank("n")]),
+                          st.sampled_from(["p", "q", "r"]),
+                          st.sampled_from([iri("a"), iri("b"),
+                                           literal("v")])),
+                max_size=16))
+def test_every_graph_shares_label_sets_alike(spo):
+    """from_triples and parse_ntriples build their edges by one rule:
+    duplicates collapse, and the graph read back from to_ntriples has the
+    same edge map with its label sets shared the same way."""
+    triples = [Triple(*t) for t in spo]
+    g = RdfGraph.from_triples(triples)
+    check_label_sets(g)
+    twice = RdfGraph.from_triples(triples + triples[::-1])
+    assert twice.edges == g.edges and _holders(twice) == _holders(g)
+    h = parse_ntriples(g.to_ntriples())
+    check_label_sets(h)
+    assert _term_edges(h) == _term_edges(g)
+    assert _holders(h) == _holders(g)
 
 
 @given(st.lists(_triple, max_size=8))
