@@ -32,15 +32,17 @@ closes the site's arrivals into its PartialMatchIndex, the join loop
 that centralized assembly runs too; what is particular to BSP (the
 provenance peak, the emission rule, the outbox) is the keep() it
 passes.  The exchange moves a run's records, all of one RecordLayout,
-through an in-process mailbox or over loopback TCP.  A record carries
-the vector and its internal flags only; every site derives provenance
-from vertex homes.  Before partial evaluation, the same exchange can
-carry one admission round, in which sites share which boundary vertices
-pass their checks.  The caller owns
-the exchange.  The engine keeps one loopback exchange per
-DistributedGraph (take_tcp_exchange / keep_tcp_exchange): a component
-takes it out of the graph, so concurrent queries never share one, and
-gives it back only after a clean finish.
+through an in-process mailbox or over loopback TCP, where the barrier
+writes each site's buffer once and reads each receiver once, and uses
+a selector only for a round that overflows the socket buffers.  A
+record carries the vector and its internal flags only; every site
+derives provenance from vertex homes.  Before partial evaluation, the
+same exchange can carry one admission round, in which sites share which
+boundary vertices pass their checks.  The caller owns the exchange.
+The engine keeps one loopback exchange per DistributedGraph
+(take_tcp_exchange / keep_tcp_exchange): a component takes it out of
+the graph, so concurrent queries never share one, and gives it back
+only after a clean finish.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .assembly_central import PartialMatchIndex, _lpm_key
 from .assembly_central import join, joinable  # noqa: F401  (re-exported)
 
 NULL_ID = 0xFFFFFFFF
+_LENGTH = struct.Struct(">I")   # the frame header of the TCP transport
 
 
 class NonTermination(Exception):
@@ -147,8 +150,9 @@ def exchange_admission(dg, own, exchange):
     vertices.  A site's extended vertices are all owned by neighbours, so
     what it holds afterwards is the global admitted set cut to its own
     vertices.  A record with no ids would add nothing and is not sent;
-    when no site sends anything, the barrier is skipped too.  Returns
-    (per-site admitted sets, messages, bytes).
+    when no site sends anything, the barrier is skipped too.  A site's
+    own frozensets are kept; only a query vertex that received ids gets
+    a new one.  Returns (per-site admitted sets, messages, bytes).
     """
     messages = 0
     byte_count = 0
@@ -167,11 +171,14 @@ def exchange_admission(dg, own, exchange):
     delivered = exchange.flush() if messages else {}
     admit = {}
     for fid in range(dg.k):
-        sets = {v: set(hosts) for v, hosts in own[fid].items()}
-        for payload in delivered.get(fid, []):
+        received = {}
+        for payload in delivered.get(fid, ()):
             v, ids = decode_admission(payload)
-            sets[v].update(ids)
-        admit[fid] = {v: frozenset(hosts) for v, hosts in sets.items()}
+            received.setdefault(v, []).append(ids)
+        # a site keeps its own sets where nothing arrived
+        admit[fid] = sets = dict(own[fid])
+        for v, parts in received.items():
+            sets[v] = sets[v].union(*parts)
     return admit, messages, byte_count
 
 
@@ -197,18 +204,22 @@ class InProcessExchange:
 
 class TcpLoopbackExchange:
     """The same barrier contract carried over real loopback sockets, one
-    connection per site.  An empty frame ends each round.
+    connection per site.  Each record travels as a 4-byte big-endian
+    length and its payload; an empty frame ends each site's round.
 
     Posted records wait in a per-site buffer until the barrier.  flush()
-    then writes every buffer through a non-blocking sender while reading
-    the receiving ends, so a round may carry more than the socket
-    buffers hold.  The connections and their selector last as long as
-    the exchange: receivers stay registered, senders only while they
-    have bytes left to write.  An exchange whose round failed midway may
-    hold part of that round and must be closed.
+    then writes each buffer, end frame included, with one send on its
+    non-blocking sender and reads each non-blocking receiver once, into
+    a buffer of the round's known length.  Only a round that overflows
+    the socket buffers goes on through the selector, writing what is
+    left while reading the receiving ends, so a round may carry more
+    than the socket buffers hold.  The connections and their selector
+    last as long as the exchange: receivers stay registered, senders
+    only while they have bytes left to write.  An exchange whose round
+    failed midway may hold part of that round and must be closed.
     """
 
-    _END = struct.pack(">I", 0)
+    _END = _LENGTH.pack(0)
 
     def __init__(self, k):
         self.k = k
@@ -233,6 +244,7 @@ class TcpLoopbackExchange:
             for dst, srv in enumerate(servers):
                 conn, _ = srv.accept()
                 self._receivers.append(conn)
+                conn.setblocking(False)
                 self._sel.register(conn, selectors.EVENT_READ, dst)
         except BaseException:
             self.close()
@@ -243,38 +255,76 @@ class TcpLoopbackExchange:
 
     def post(self, dst, payload):
         box = self._outboxes[dst]
-        box += struct.pack(">I", len(payload))
+        box += _LENGTH.pack(len(payload))
         box += payload
 
     def flush(self):
-        sel = self._sel
+        boxes = self._outboxes
+        self._outboxes = [bytearray() for _ in range(self.k)]
         unsent = {}
-        inbox = [bytearray() for _ in range(self.k)]
-        for dst, box in enumerate(self._outboxes):
+        for dst, box in enumerate(boxes):
             box += self._END
-            unsent[dst] = memoryview(box)
+            sent = _send(self._senders[dst], box)
+            if sent < len(box):
+                unsent[dst] = memoryview(box)[sent:]
+        # each receiver reads into a buffer of its round's length
+        inbox = [memoryview(bytearray(len(box))) for box in boxes]
+        got = [_recv(conn, inbox[dst], 0)
+               for dst, conn in enumerate(self._receivers)]
+        short = sum(n < len(buf) for n, buf in zip(got, inbox))
+        if unsent or short:
+            self._finish_round(unsent, inbox, got, short)
+        return {dst: _frames(buf) for dst, buf in enumerate(inbox)}
+
+    def _finish_round(self, unsent, inbox, got, short):
+        """The selector loop of a round that overflowed the socket
+        buffers: write what unsent holds while reading each receiver
+        until got reaches its buffer's length."""
+        sel = self._sel
+        for dst in unsent:
             sel.register(self._senders[dst], selectors.EVENT_WRITE, dst)
-        reading = self.k
-        while reading:
+        while short:
             for key, _ in sel.select():
                 dst = key.data
                 if key.events == selectors.EVENT_WRITE:
-                    sent = key.fileobj.send(unsent[dst])
-                    unsent[dst] = unsent[dst][sent:]
-                    if not unsent[dst]:
+                    view = unsent[dst]
+                    view = unsent[dst] = view[_send(key.fileobj, view):]
+                    if not view:
                         sel.unregister(key.fileobj)
                     continue
-                chunk = key.fileobj.recv(1 << 16)
-                if not chunk:
-                    raise ConnectionError("peer closed mid-round")
-                inbox[dst] += chunk
-                if len(inbox[dst]) == len(self._outboxes[dst]):
-                    reading -= 1
-        self._outboxes = [bytearray() for _ in range(self.k)]
-        return {dst: _frames(inbox[dst]) for dst in range(self.k)}
+                if got[dst] == len(inbox[dst]):
+                    # only a closed or out-of-step peer sends past a round
+                    raise ConnectionError("site %d read past its round"
+                                          % dst)
+                got[dst] = _recv(key.fileobj, inbox[dst], got[dst])
+                if got[dst] == len(inbox[dst]):
+                    short -= 1
 
     def close(self):
         self._finalizer()
+
+
+def _send(sock, data):
+    """Bytes of data that one send on the non-blocking sock takes."""
+    try:
+        return sock.send(data)
+    except BlockingIOError:
+        return 0
+
+
+def _recv(sock, buf, got):
+    """Read the non-blocking sock into buf from offset got until buf is
+    full or the read would block; the new offset.  The end of the stream
+    before buf is full is a ConnectionError."""
+    while got < len(buf):
+        try:
+            n = sock.recv_into(buf[got:])
+        except BlockingIOError:
+            break
+        if not n:
+            raise ConnectionError("peer closed mid-round")
+        got += n
+    return got
 
 
 def _close_all(sel, *socket_lists):
@@ -304,15 +354,16 @@ def keep_tcp_exchange(dg, exchange):
 
 
 def _frames(data):
-    """Split one round's stream into its records, up to the empty frame."""
+    """Split one round's stream, a memoryview, into its records, up to the
+    empty frame."""
     out = []
     pos = 0
     while True:
-        (size,) = struct.unpack_from(">I", data, pos)
+        (size,) = _LENGTH.unpack_from(data, pos)
         pos += 4
         if size == 0:
             break
-        out.append(bytes(data[pos:pos + size]))
+        out.append(data[pos:pos + size].tobytes())
         pos += size
     return out
 

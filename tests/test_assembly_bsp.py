@@ -8,6 +8,9 @@ pin the implementation against silent regressions.
 
 import gc
 import random
+import selectors
+import socket
+import struct
 import threading
 
 import pytest
@@ -34,7 +37,7 @@ from parteval import (
     naive_iterative_join,
     run_bsp,
 )
-from parteval import assembly_central, matcher
+from parteval import assembly_bsp, assembly_central, matcher
 from parteval.matcher import LocalPartialMatch, checked_by_search
 from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
                                    exchange_admission, held_at,
@@ -385,6 +388,38 @@ def test_held_at_is_membership_in_the_admitted_search():
     assert held > 1000
 
 
+@pytest.mark.parametrize("transport", [InProcessExchange,
+                                       TcpLoopbackExchange])
+def test_admission_gives_each_site_the_global_sets_it_stores(transport):
+    """exchange_admission leaves each site the union of every site's
+    admitted() sets, cut to the vertices the site stores, and leaves
+    every site's own sets as they were."""
+    arrived = 0
+    for seed in range(300):
+        g, dg, q_graph = helpers.rand_instance(random.Random(seed),
+                                               max_vertices=16)
+        q = ground(q_graph, g)
+        own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
+        if not own[0]:
+            continue
+        before = {fid: dict(sets) for fid, sets in own.items()}
+        exchange = transport(dg.k)
+        try:
+            admit, messages, _ = exchange_admission(dg, own, exchange)
+        finally:
+            exchange.close()
+        assert own == before
+        arrived += messages > 0
+        for frag in dg.fragments:
+            stored = frag.internal | frag.extended
+            assert admit[frag.id] == {
+                v: frozenset().union(*(own[fid][v] for fid in own)) & stored
+                for v in own[0]}
+            assert all(type(hosts) is frozenset
+                       for hosts in admit[frag.id].values())
+    assert arrived > 50
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_held_at_is_membership_in_the_search(seed):
@@ -554,6 +589,133 @@ def test_tcp_round_larger_than_socket_buffers():
     assert not worker.is_alive(), "flush did not finish"
     assert result["first"] == {0: [], 1: records, 2: [b"last"]}
     assert result["second"] == {0: [], 1: [], 2: []}
+
+
+class HookedTcpExchange(TcpLoopbackExchange):
+    """Counts the rounds that enter the selector loop, and calls gone, if
+    set, as each one does."""
+    fallbacks = 0
+    gone = None
+
+    def _finish_round(self, *args):
+        self.fallbacks += 1
+        if self.gone is not None:
+            self.gone()
+        return super()._finish_round(*args)
+
+
+def in_thread(fn):
+    """fn's result, or the exception it raised, from a helper thread that
+    keeps a hung exchange from hanging the test."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "flush did not finish"
+    return result
+
+
+def test_tcp_rounds_leave_only_the_receivers_registered():
+    """Rounds that fit the socket buffers, overflow them, carry nothing,
+    then fit again, through one exchange: each delivers what was posted,
+    in post order, and leaves the selector watching the k receivers for
+    reading and no sender, so no stale write registration reaches the
+    next round."""
+    big = [b"%040d" % i for i in range(100_000)]   # about 4.4 MB
+    rounds = [{0: [b"a", b"bc"], 2: [b"d"]},
+              {1: big, 2: [b"last"]},
+              {},
+              {1: [b"e"], 2: [b"f", b"g"]}]
+    exchange = HookedTcpExchange(3)
+    # a small send buffer makes the big round overflow on any host
+    exchange._senders[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                    1 << 16)
+
+    def run():
+        fallbacks = []
+        for posts in rounds:
+            for dst, payloads in posts.items():
+                for payload in payloads:
+                    exchange.post(dst, payload)
+            assert exchange.flush() == {dst: posts.get(dst, [])
+                                        for dst in range(3)}
+            keys = exchange._sel.get_map().values()
+            assert sorted((key.fileobj.fileno(), key.events)
+                          for key in keys) == sorted(
+                (conn.fileno(), selectors.EVENT_READ)
+                for conn in exchange._receivers)
+            fallbacks.append(exchange.fallbacks)
+        return fallbacks
+
+    try:
+        result = in_thread(run)
+    finally:
+        exchange.close()
+    assert "error" not in result, result.get("error")
+    # only the big round went through the selector
+    assert result["value"] == [0, 1, 1, 1]
+
+
+def _shut_sender(exchange):
+    exchange._senders[1].shutdown(socket.SHUT_WR)
+
+
+def _close_sender(exchange):
+    exchange._senders[1].close()
+
+
+def _reset_receiver(exchange):
+    conn = exchange._receivers[1]
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    conn.close()
+
+
+@pytest.mark.parametrize("gone, when", [
+    (gone, when) for gone in (_shut_sender, _close_sender, _reset_receiver)
+    for when in ("before-small", "before-big", "mid-round")
+    # the exchange's own sockets stay open while it flushes
+    if (gone, when) != (_close_sender, "mid-round")])
+def test_a_round_whose_peer_went_away_raises(gone, when):
+    """A round whose connection to a site has gone away, before the
+    round or while it overflows the socket buffers, ends in an OSError:
+    it neither hangs nor returns part of the round."""
+    exchange = HookedTcpExchange(3)
+    # a small send buffer makes the big rounds overflow on any host
+    exchange._senders[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                    1 << 16)
+    payloads = ([b"small"] if when == "before-small"
+                else [b"%040d" % i for i in range(100_000)])
+    try:
+        for payload in payloads:
+            exchange.post(1, payload)
+        exchange.post(2, b"other")
+        if when == "mid-round":
+            exchange.gone = lambda: gone(exchange)
+        else:
+            gone(exchange)
+        result = in_thread(exchange.flush)
+    finally:
+        exchange.close()
+    assert "value" not in result
+    assert isinstance(result["error"], OSError), result["error"]
+
+
+def test_a_stream_that_ends_short_of_its_round_raises():
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        receiver.setblocking(False)
+        sender.sendall(b"abc")
+        sender.shutdown(socket.SHUT_WR)
+        with pytest.raises(ConnectionError, match="peer closed mid-round"):
+            assembly_bsp._recv(receiver, memoryview(bytearray(10)), 0)
 
 
 # ---------------------------------------------------------------------------

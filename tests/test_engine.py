@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -454,6 +455,28 @@ def test_cli_stats_file_lists_fragments_in_numeric_order(tmp_path, capsys):
     got = json.loads(stats_path.read_text(encoding="utf-8"))
     assert list(got["lpm_counts"]) == [str(fid) for fid in range(12)]
     assert list(got) == sorted(got)
+
+
+def test_cli_broken_tcp_round_is_exit_2(movie_disk, capsys, monkeypatch):
+    """A loopback connection that has gone away fails the admission
+    round with an OSError, which the command line reports as an io
+    error with exit code 2, not a traceback."""
+    db, query = movie_disk
+    take = assembly_bsp.take_tcp_exchange
+
+    def take_broken(dg):
+        exchange = take(dg)
+        for sock in exchange._senders:
+            sock.shutdown(socket.SHUT_WR)
+        return exchange
+
+    monkeypatch.setattr(assembly_bsp, "take_tcp_exchange", take_broken)
+    code, out, err = run_cli(capsys, ["query", "--db", str(db), "--sparql",
+                                      str(query), "--assembly", "d",
+                                      "--transport", "tcp"])
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_stats_describes_db(movie_disk, capsys):
