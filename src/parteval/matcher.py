@@ -19,6 +19,7 @@ assembly, where the tag is the union of both sides' tags.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 DEADLINE_EVERY = 256   # work items between deadline checks
@@ -433,14 +434,16 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
 def _placer(q, frag, order, cand, fn, leaf, deadline):
     """A function place(t) that binds order[t:] one vertex at a time,
     given that fn binds order[:t], and calls leaf() at each total
-    assignment.
+    assignment; compute_inner_matches() binds with it.
 
     Each vertex takes a candidate (cand[v]) that is a stored neighbour of
     every internal image among its bound query neighbours.  Each query
     edge is checked against the stored labels as its second end is
     bound, unless both images are extended: the fragment stores no edge
-    between those.  deadline, if given, is checked every DEADLINE_EVERY
-    states."""
+    between those.  The depth-first walk keeps one iterator per bound
+    vertex on an explicit stack, so a query of any size binds without
+    recursion.  deadline, if given, is checked every DEADLINE_EVERY
+    states (each partial assignment entered, leaves included)."""
     n = q.n
     internal = frag.internal
     nbrs = frag.nbrs
@@ -456,34 +459,72 @@ def _placer(q, frag, order, cand, fn, leaf, deadline):
                       [(e.src, e.dst, e.label) for e in edges
                        if v in (e.src, e.dst)
                        and e.src in bound and e.dst in bound]))
-    states = 0
 
-    def place(t):
-        nonlocal states
-        if deadline is not None:
-            states += 1
-            if states % DEADLINE_EVERY == 0:
-                deadline.check("partial evaluation")
-        if t == n:
-            leaf()
-            return
-        v, pool, before, checks = steps[t]
-        for w in before:
-            if fn[w] in internal:
-                pool = pool & nbrs.get(fn[w], frozenset())
-        for u in pool:
-            fn[v] = u
-            for a, b, label in checks:
-                a = fn[a]
-                b = fn[b]
-                if (a in internal or b in internal) and not _label_compatible(
-                        label, stored.get((a, b), frozenset())):
-                    break
+    def place(start):
+        states = 0
+        pools = []          # the untried candidates of steps start..t-1
+        t = start
+        while True:
+            if deadline is not None:
+                states += 1
+                if states % DEADLINE_EVERY == 0:
+                    deadline.check("partial evaluation")
+            if t == n:
+                leaf()
             else:
-                place(t + 1)
-        fn[v] = None
+                _, pool, before, _ = steps[t]
+                for w in before:
+                    if fn[w] in internal:
+                        pool = pool & nbrs.get(fn[w], frozenset())
+                pools.append(iter(pool))
+            # bind the deepest vertex to its next candidate that fits,
+            # backing up a step where none is left
+            while pools:
+                v, _, _, checks = steps[start + len(pools) - 1]
+                for u in pools[-1]:
+                    fn[v] = u
+                    for a, b, label in checks:
+                        a = fn[a]
+                        b = fn[b]
+                        if (a in internal or b in internal) and not (
+                                _label_compatible(label, stored.get(
+                                    (a, b), frozenset()))):
+                            break
+                    else:
+                        break
+                else:
+                    fn[v] = None
+                    pools.pop()
+                    continue
+                break
+            else:
+                return
+            t = start + len(pools)
 
     return place
+
+
+def _edge_matches(q, frag, cs, cd, deadline):
+    """A list of the vectors of the matches in frag of q, one edge with a
+    constant label between query vertices 0 and 1, whose source image is
+    in cs and target image in cd: the stored pairs of the label, scanned
+    in _chunks."""
+    e = q.edges[0]
+    found = []
+    for chunk in _chunks(frag.pairs.get(e.label, ()), deadline):
+        if e.src == 0:
+            found += [p for p in chunk if p[0] in cs and p[1] in cd]
+        else:
+            found += [(b, a) for a, b in chunk if a in cs and b in cd]
+    return found
+
+
+def _every(keys, deadline):
+    """keys, checking deadline every DEADLINE_EVERY of them."""
+    for i, key in enumerate(keys, 1):
+        if i % DEADLINE_EVERY == 0:
+            deadline.check("partial evaluation")
+        yield key
 
 
 def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
@@ -498,17 +539,29 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     Every query vertex neighbours the anchor, so a local partial match
     that binds the anchor internally binds the whole query; in a crossing
     match, the fragment that owns the anchor's image finds it so, and no
-    other fragment does.  So the search binds the anchor to each internal
-    candidate and then the other vertices in id order (see _placer).
-    A total assignment whose shared data pairs pass
-    (_shared_pairs_feasible, needed only where two query vertices share
-    an image or two query edges join the same vertices the same way) is
-    an inner match when no image is extended.  Otherwise it is the local
-    partial match that compute_local_partial_matches() reaches from the
-    same bindings, and an answer when is_bound_answer() holds for it.
-    Each total assignment is reached once, so the count is of distinct
-    matches.  admit is as for compute_local_partial_matches(); deadline,
-    if given, is checked every DEADLINE_EVERY search states.
+    other fragment does.  So the search needs no binding order: for each
+    internal candidate a of the anchor that passes the anchor's
+    self-loops, every other vertex v takes the options of cand[v] that
+    are stored neighbours of a and carry the labels of v's edges to the
+    anchor (all checked, as a is internal) and, where the option is
+    internal, of v's self-loops.  Each vector of the product of the
+    options, in vertex order, is then checked on the query edges between
+    two other vertices that have an internal image.  A vector whose
+    shared data pairs pass (_shared_pairs_feasible, needed only where two
+    query vertices share an image or two query edges join the same
+    vertices the same way) is an inner match when no image is extended.
+    Otherwise it is the local partial match that
+    compute_local_partial_matches() reaches from the same bindings, and
+    an answer when is_bound_answer() holds for it.  Each vector is
+    reached once, so the count is of distinct matches.
+
+    A one-edge query with a constant label reads its matches off the
+    label's stored pairs instead (_edge_matches), when they are no more
+    than the stored neighbours of the anchor's candidates (_seed_edge's
+    rule): each is an answer, since its one edge is on the anchor.
+    admit is as for compute_local_partial_matches(); deadline, if given,
+    is checked once per anchor image and every DEADLINE_EVERY vectors, or
+    every DEADLINE_EVERY scanned pairs.
     """
     answers = set()
     if not frag.extended:
@@ -516,46 +569,109 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     n = q.n
     internal = frag.internal
     extended = frag.extended
+    stored = frag.edges
     admit = admit or {}
-    order = [anchor] + [v for v in range(n) if v != anchor]
-    cand = [None] * n
-    for v in order:
-        cand[v] = candidates(q, frag, v)
+    cand = []
+    for v in range(n):
+        cs = candidates(q, frag, v)
         if v in admit:
-            cand[v] = cand[v] & admit[v]
+            cs = cs & admit[v]
         if v == anchor:
-            cand[v] = cand[v] & internal
-        if not cand[v]:
+            cs = cs & internal
+        if not cs:
             return 0, answers
-    ends = [(e.src, e.dst) for e in q.edges]
+        cand.append(cs)
+    edges = q.edges
+    if (n == 2 and len(edges) == 1
+            and _seed_edge(q, frag, {anchor: cand[anchor]}) is not None):
+        matches = _edge_matches(q, frag, cand[edges[0].src],
+                                cand[edges[0].dst], deadline)
+        answers = {key for key in matches if not extended.isdisjoint(key)}
+        if inner is not None:
+            inner.update(set(matches) - answers)
+        if lpms is not None:
+            lpms.update(answers)
+        return len(answers), answers
+
+    ends = [(e.src, e.dst) for e in edges]
     # two query edges share a data pair only if they join the same two
     # query vertices the same way, or if two vertices share an image
     parallel = len(set(ends)) < len(ends)
     # the anchor is internal in every match found here, so when each
     # query edge is on it, is_bound_answer() holds for all of them
     checked = checked_by_search(q, (anchor,))
+    # the labels of the anchor's self-loops; per other vertex, its edges
+    # to the anchor as (leaves the anchor, label) and its self-loops'
+    # labels; and the edges between two other vertices
+    anchor_loops = []
+    arms = [[] for _ in range(n)]
+    loops = [[] for _ in range(n)]
+    between = []
+    for e in edges:
+        if e.src == e.dst:
+            (anchor_loops if e.src == anchor else loops[e.src]).append(
+                e.label)
+        elif e.src == anchor:
+            arms[e.dst].append((True, e.label))
+        elif e.dst == anchor:
+            arms[e.src].append((False, e.label))
+        else:
+            between.append((e.src, e.dst, e.label))
+    others = [v for v in range(n) if v != anchor]
+    empty = frozenset()
+    options = [None] * n
     count = 0
-    fn = [None] * n
 
-    def leaf():
-        nonlocal count
-        key = tuple(fn)
-        if ((parallel or len(set(key)) < n)
-                and not _shared_pairs_feasible(q, key, frag)):
-            return
-        if extended.isdisjoint(key):
-            if inner is not None:
-                inner.add(key)
-            return
-        count += 1
-        if lpms is not None:
-            lpms.add(key)
-        if checked or is_bound_answer(
-                q, key, [v for v in range(n) if key[v] in internal],
-                g.labels_between):
-            answers.add(key)
-
-    _placer(q, frag, order, cand, fn, leaf, deadline)(0)
+    for a in cand[anchor]:
+        if deadline is not None:
+            deadline.check("partial evaluation")
+        here = stored.get((a, a), empty)
+        if not all(_label_compatible(label, here) for label in anchor_loops):
+            continue
+        around = frag.nbrs.get(a, empty)
+        options[anchor] = (a,)
+        for v in others:
+            opts = cand[v] & around
+            for leaves, label in arms[v]:
+                opts = [u for u in opts if _label_compatible(label, stored.get(
+                    (a, u) if leaves else (u, a), empty))]
+            for label in loops[v]:
+                opts = [u for u in opts if u not in internal
+                        or _label_compatible(label, stored.get((u, u), empty))]
+            if not opts:
+                break
+            options[v] = opts
+        else:
+            # a vector repeats an image only where the options overlap
+            shared = parallel or len(set().union(*options)) < sum(
+                map(len, options))
+            keys = itertools.product(*options)
+            if deadline is not None:
+                keys = _every(keys, deadline)
+            for key in keys:
+                for x, y, label in between:
+                    x = key[x]
+                    y = key[y]
+                    if (x in internal or y in internal) and not (
+                            _label_compatible(label, stored.get((x, y),
+                                                                empty))):
+                        break
+                else:
+                    if (shared and (parallel or len(set(key)) < n)
+                            and not _shared_pairs_feasible(q, key, frag)):
+                        continue
+                    if extended.isdisjoint(key):
+                        if inner is not None:
+                            inner.add(key)
+                        continue
+                    count += 1
+                    if lpms is not None:
+                        lpms.add(key)
+                    if checked or is_bound_answer(
+                            q, key,
+                            [v for v in range(n) if key[v] in internal],
+                            g.labels_between):
+                        answers.add(key)
     return count, answers
 
 
@@ -722,9 +838,10 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     bound, and a constant's only candidate is its own vertex.  So a full
     assignment is a match unless two query edges land on one data pair
     whose labels cannot serve them injectively; only such pairs are
-    checked at the leaves.  The binding loop is _placer, shared with
-    compute_anchored_matches(); with every candidate internal, it checks
-    every query edge."""
+    checked at the leaves.  The binding loop is _placer; with every
+    candidate internal, it checks every query edge.  A query that is
+    just the seed edge takes _edge_matches(), the scan that
+    compute_anchored_matches() reads a one-edge query with."""
     n = q.n
     admit = admit or {}
     cand = {}
@@ -752,10 +869,9 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
 
     s, d = q.edges[seed].src, q.edges[seed].dst
     cs, cd = cand[s], cand[d]
-    chunks = _chunks(frag.pairs.get(q.edges[seed].label, ()), deadline)
     if n == 2 and not shared:           # the query is the seed edge
-        return frozenset(p if s == 0 else (p[1], p[0]) for chunk in chunks
-                         for p in chunk if p[0] in cs and p[1] in cd)
+        return frozenset(_edge_matches(q, frag, cs, cd, deadline))
+    chunks = _chunks(frag.pairs.get(q.edges[seed].label, ()), deadline)
     place = _placer(q, frag, match_order(q, cand, (s, d)), cand, fn, leaf,
                     deadline)
     # the other query edges between the seeded vertices, self-loops too

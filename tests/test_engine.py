@@ -613,6 +613,36 @@ def test_cli_flat_chains_answer(tmp_path, capsys, text, rows):
     assert out == rows
 
 
+@pytest.mark.parametrize("shape, k", [("star", 1), ("star", 4),
+                                      ("path", 1)])
+def test_cli_1200_pattern_query_answers(tmp_path, capsys, shape, k):
+    """A star of 1200 arms or a path of 1200 edges binds one query
+    vertex after another without recursion.  The graph stores one p
+    label on each of its two p pairs, which cannot serve the 600 or more
+    query edges that land on one pair, so only the header prints."""
+    src = tmp_path / "in.nt"
+    src.write_text("<a> <p> <b> .\n<b> <p> <a> .\n<b> <q> <c> .\n",
+                   encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    if k > 1:
+        assert main(["partition", "--db", str(db), "-k", str(k),
+                     "--seed", "0"]) == 0
+    capsys.readouterr()
+    if shape == "star":
+        patterns = ["?c <p> ?v%d ." % i for i in range(1200)]
+    else:
+        patterns = ["?v%d <p> ?v%d ." % (i, i + 1) for i in range(1200)]
+    query = tmp_path / "big.rq"
+    query.write_text("SELECT * WHERE { %s }" % " ".join(patterns),
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                      "--sparql", str(query)])
+    assert "Traceback" not in err
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and out.startswith("?")
+
+
 _CHAINED = 30
 _MUTATED_QUERIES = {
     "movie": helpers.MOVIE_QUERY,
@@ -1078,6 +1108,58 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
             got = [term_rows(execute(gq, dg, EngineConfig(assembly=mode))[0])
                    for gq in queries]
             assert got == want, "file partition, k=%d, %s" % (k, mode)
+
+
+def test_radius_one_answers_do_not_depend_on_fragments_or_join():
+    """Patterns with a universal vertex (stars of two to five arms, a
+    triangle through the centre, constants, self-loops, parallel edges,
+    label variables, one edge) over a graph beyond the oracle's reach
+    print the same rows at k=1 as at k=2..8: under the partitioned join,
+    which answers them with the anchored search; under the naive join,
+    which searches every partial match and joins them; and under
+    distributed assembly over both transports."""
+    rng = random.Random(28)
+    g = helpers.rand_graph(rng, max_vertices=300, max_edges=1500)
+    while g.n_vertices < 250 or len(helpers.graph_labels(g)) < 4:
+        g = helpers.rand_graph(rng, max_vertices=300, max_edges=1500)
+    assert g.n_vertices > MAX_DATA_VERTICES
+    p0, p1, p2, p3 = (("label", label) for label in helpers.graph_labels(g))
+    c, x, y, z, w, v = (("var", name) for name in "cxyzwv")
+    # the commonest p0 target and source, as constants
+    targets = [b for _, b, label in g.iter_edges() if label == p0[1]]
+    sources = [a for a, _, label in g.iter_edges() if label == p0[1]]
+    hub = ("term", g.term(max(targets, key=targets.count)))
+    root = ("term", g.term(max(sources, key=sources.count)))
+    shapes = [
+        [(c, p0, x), (c, p1, y)],
+        [(c, p0, x), (y, p1, c), (c, p2, z)],
+        [(c, p0, x), (c, p1, y), (z, p2, c), (c, p3, w), (v, p0, c)],
+        [(c, p0, x), (c, p1, y), (x, p2, y)],
+        [(c, p0, hub), (c, p1, y)],
+        [(root, p0, x), (root, p0, y)],
+        [(c, p0, x), (x, p1, x)],
+        [(c, p0, c), (c, p1, y)],
+        [(c, p0, x), (c, p1, x)],
+        [(c, ("var", "l"), x), (c, p1, y)],
+        [(c, ("var", "l"), x), (c, p0, x)],
+        [(c, p0, x)],
+    ]
+    queries = [GeneralQuery(Bgp(build_query_graph(shape)), None)
+               for shape in shapes]
+    for gq in queries:
+        q = matcher.ground(gq.node.graph, g)
+        assert matcher.universal_vertex(q) is not None
+    single = build_fragments(g, partition_uniform_hash(g, 1))
+    want = [term_rows(execute(gq, single)[0]) for gq in queries]
+    assert all(want) and sum(map(len, want)) > 2500
+    configs = [EngineConfig(), EngineConfig(join="naive"),
+               EngineConfig(assembly="distributed"),
+               EngineConfig(assembly="distributed", transport="tcp")]
+    for k in range(2, 9):
+        dg = build_fragments(g, partition_uniform_hash(g, k))
+        for cfg in configs:
+            got = [term_rows(execute(gq, dg, cfg)[0]) for gq in queries]
+            assert got == want, "k=%d, %s" % (k, cfg)
 
 
 def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):

@@ -798,3 +798,223 @@ def test_every_grown_leaf_gets_the_full_predicate_verdict(monkeypatch):
                 compute_local_partial_matches(q, frag, admit)
     assert admitted_runs > 200
     assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+# ---------------------------------------------------------------------------
+# The anchored search on hand-built cases, against the full partial-match
+# search and the oracle.
+
+
+def check_anchored(monkeypatch, g, dg, q_graph):
+    """compute_anchored_matches from the query's universal vertex on every
+    fragment, with and without the union of the admitted sets: the local
+    partial matches of the full search whose internal set holds the
+    anchor, each counted once; compute_inner_matches' inner matches; and
+    as answers exactly those of its matches that are complete matches,
+    which over all fragments are the oracle's crossing matches, each
+    found once.  Returns, per fragment id, the local partial matches,
+    the answers and whether the search read its label's pair list, all
+    without admission."""
+    scans = []
+    scan = matcher._edge_matches
+
+    def spied(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(matcher, "_edge_matches", spied)
+    q = ground(q_graph, g)
+    u = matcher.universal_vertex(q)
+    assert u is not None
+    own = [matcher.admitted(q, frag) for frag in dg.fragments]
+    union = {v: frozenset().union(*(sets[v] for sets in own))
+             for v in own[0]}
+    _, crossing = classify(enumerate_matches(g, q_graph), dg)
+    out = {}
+    for admit in (None, union):
+        found = []
+        for frag in dg.fragments:
+            full = compute_local_partial_matches(q, frag, admit)
+            want_inner = (compute_inner_matches(q, frag, own[frag.id])
+                          if frag.extended else set())
+            inner = set()
+            lpms = set()
+            before = len(scans)
+            count, answers = matcher.compute_anchored_matches(
+                q, frag, u, g, admit, inner=inner, lpms=lpms)
+            read = len(scans) > before
+            assert lpms == {pm.fn for pm in full if u in pm.internal}
+            assert count == len(lpms)
+            assert inner == want_inner
+            assert answers == {fn for fn in lpms if is_complete_match(
+                q, fn, g.labels_between)}
+            found.extend(answers)
+            if admit is None:
+                out[frag.id] = (lpms, answers, read)
+        assert sorted(found) == sorted(crossing)
+    return out
+
+
+def ids_of(g, names):
+    return [g.term_id(iri(name)) for name in names.split()]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["0->1", "1->0"])
+@pytest.mark.parametrize("extra", [0, 6], ids=["vertex", "pairs"])
+def test_anchored_one_edge_query_from_either_start(monkeypatch, reverse,
+                                                   extra):
+    """Fragment 0 owns a, b0..b3 and e1..; it stores five p pairs: a-d and
+    c_i-b_i cross, a-b0 is inner.  Its one internal anchor candidate, a,
+    has two stored neighbours besides its extra q neighbours e_j, so the
+    search reads the pair list only when the extras make a's neighbours
+    at least as many as the pairs."""
+    names = "a b0 b1 b2 b3 c1 c2 c3 d"
+    homes = {name: int(name[0] in "cd") for name in names.split()}
+    ends = [("a", "d"), ("a", "b0")] + [("c%d" % i, "b%d" % i)
+                                        for i in range(1, 4)]
+    triples = [Triple(iri(t), "p", iri(s)) if reverse
+               else Triple(iri(s), "p", iri(t)) for s, t in ends]
+    for j in range(extra):
+        triples.append(Triple(iri("a"), "q", iri("e%d" % j)))
+        homes["e%d" % j] = 0
+    g, dg = tiny_db(triples, homes, 2)
+    x, y = QueryVertex(0, var="x"), QueryVertex(1, var="y")
+    edge = QueryEdge(1, 0, "p") if reverse else QueryEdge(0, 1, "p")
+    found = check_anchored(monkeypatch, g, dg, QueryGraph([x, y], [edge]))
+    a, b0, b1, b2, b3, c1, c2, c3, d = ids_of(g, names)
+    assert found[0] == ({(a, d)}, {(a, d)}, extra > 0)
+    assert found[1][0] == {(c1, b1), (c2, b2), (c3, b3)} == found[1][1]
+    assert len(dg.fragments[0].pairs["p"]) == 5
+
+
+def test_anchored_self_loop_on_the_anchor(monkeypatch):
+    g, dg = tiny_db([Triple(iri("a"), "p", iri("d")),
+                     Triple(iri("a"), "p", iri("b")),
+                     Triple(iri("a"), "r", iri("a")),
+                     Triple(iri("a2"), "p", iri("d2"))],
+                    {"a": 0, "b": 0, "a2": 0, "d": 1, "d2": 1}, 2)
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), L("p"), V("x")), (V("c"), L("r"), V("c"))]))
+    a, d = ids_of(g, "a d")
+    # a2 carries no r loop; (a, b) is inner
+    assert found[0][:2] == ({(a, d)}, {(a, d)})
+
+
+def test_anchored_self_loop_on_an_arm(monkeypatch):
+    """An arm's loop is checked where its image is internal (b has one, h
+    none).  The fragment stores no loop of an extended image, so (a, e)
+    and (a, f) are both local partial matches, but only e carries the
+    loop in the graph: (a, f) is no answer."""
+    g, dg = tiny_db([Triple(iri("a"), "p", iri(x)) for x in "bhef"]
+                    + [Triple(iri("b"), "r", iri("b")),
+                       Triple(iri("e"), "r", iri("e"))],
+                    {"a": 0, "b": 0, "h": 0, "e": 1, "f": 1}, 2)
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), L("p"), V("x")), (V("x"), L("r"), V("x"))]))
+    a, e, f = ids_of(g, "a e f")
+    assert found[0][:2] == ({(a, e), (a, f)}, {(a, e)})
+
+
+def test_anchored_arms_sharing_an_image(monkeypatch):
+    g, dg = tiny_db([Triple(iri("a"), "p", iri("e")),
+                     Triple(iri("a"), "q", iri("e")),
+                     Triple(iri("a"), "p", iri("f")),
+                     Triple(iri("a"), "p", iri("b")),
+                     Triple(iri("a"), "q", iri("b"))],
+                    {"a": 0, "b": 0, "e": 1, "f": 1}, 2)
+    a, b, e, f = ids_of(g, "a b e f")
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), L("p"), V("x")), (V("c"), L("q"), V("y"))]))
+    assert found[0][0] == {(a, e, e), (a, e, b), (a, b, e), (a, f, e),
+                           (a, f, b)}
+    # two p arms cannot share the one p pair (a, e)
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), L("p"), V("x")), (V("c"), L("p"), V("y"))]))
+    assert found[0][0] == {(a, x, y) for x in (b, e, f) for y in (b, e, f)
+                           if x != y}
+
+
+def test_anchored_parallel_query_edges(monkeypatch):
+    g, dg = tiny_db([Triple(iri("a"), "p", iri("e")),
+                     Triple(iri("a"), "q", iri("e")),
+                     Triple(iri("a"), "p", iri("f")),
+                     Triple(iri("a"), "p", iri("b")),
+                     Triple(iri("a"), "q", iri("b"))],
+                    {"a": 0, "b": 0, "e": 1, "f": 1}, 2)
+    a, e = ids_of(g, "a e")
+    x, y = QueryVertex(0, var="x"), QueryVertex(1, var="y")
+    for edges, want in [
+            ([QueryEdge(0, 1, "p"), QueryEdge(0, 1, "q")], {(a, e)}),
+            # a label variable takes a label the constant leaves over
+            ([QueryEdge(0, 1, "p"), QueryEdge(0, 1, None)], {(a, e)}),
+            # one stored p cannot serve two p edges
+            ([QueryEdge(0, 1, "p"), QueryEdge(0, 1, "p")], set())]:
+        found = check_anchored(monkeypatch, g, dg, QueryGraph([x, y], edges))
+        assert found[0][:2] == (want, want)
+
+
+def test_anchored_edge_between_two_arms(monkeypatch):
+    """The triangle c-x-y: an x-y edge is checked where an image is
+    internal (b1-b2 inner, b1-e3 crossing; b1-e2 is not stored, so
+    (a, b1, e2) fails), and left to the answer check where both are
+    extended: the graph has e1-e2 but not e1-e3."""
+    g, dg = tiny_db([Triple(iri("a"), "p", iri("e1")),
+                     Triple(iri("a"), "q", iri("e2")),
+                     Triple(iri("a"), "q", iri("e3")),
+                     Triple(iri("e1"), "r", iri("e2")),
+                     Triple(iri("a"), "p", iri("b1")),
+                     Triple(iri("a"), "q", iri("b2")),
+                     Triple(iri("b1"), "r", iri("b2")),
+                     Triple(iri("b1"), "r", iri("e3"))],
+                    {"a": 0, "b1": 0, "b2": 0, "e1": 1, "e2": 1, "e3": 1}, 2)
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), L("p"), V("x")), (V("c"), L("q"), V("y")),
+        (V("x"), L("r"), V("y"))]))
+    a, b1, e1, e2, e3 = ids_of(g, "a b1 e1 e2 e3")
+    assert found[0][:2] == ({(a, e1, e2), (a, e1, e3), (a, b1, e3)},
+                            {(a, e1, e2), (a, b1, e3)})
+
+
+def test_anchored_label_variable_on_an_arm(monkeypatch):
+    g, dg = tiny_db([Triple(iri("a"), "p", iri("e")),
+                     Triple(iri("a"), "q", iri("f")),
+                     Triple(iri("a"), "q", iri("b")),
+                     Triple(iri("a"), "p", iri("b2"))],
+                    {"a": 0, "b": 0, "b2": 0, "e": 1, "f": 1}, 2)
+    found = check_anchored(monkeypatch, g, dg, build_query_graph([
+        (V("c"), ("var", "l"), V("x")), (V("c"), L("p"), V("y"))]))
+    a, b, b2, e, f = ids_of(g, "a b b2 e f")
+    # x takes any stored neighbour, but (a, e) and (a, b2) hold one
+    # label, which cannot serve both edges where x and y share it
+    assert found[0][0] == {(a, f, e), (a, b, e), (a, b2, e), (a, e, b2),
+                           (a, f, b2)}
+
+
+def test_anchored_pair_scan_answers_to_the_deadline():
+    """The one-edge query reads its matches off the pair list, checking
+    the deadline before each further slice of DEADLINE_EVERY pairs; a
+    search that started from the anchor's candidates would check it at
+    the first of them."""
+    for n, ends_in_time in ((DEADLINE_EVERY, True),
+                            (DEADLINE_EVERY + 1, False)):
+        triples = [Triple(iri("s%d" % i), "p", iri("o%d" % i))
+                   for i in range(n)]
+        homes = {}
+        for i in range(n):
+            homes["s%d" % i] = 0
+            homes["o%d" % i] = 1
+        g, dg = tiny_db(triples, homes, 2)
+        q = ground(build_query_graph([(V("x"), L("p"), V("y"))]), g)
+        frag = dg.fragments[0]
+        assert len(frag.pairs["p"]) == n
+        count, answers = matcher.compute_anchored_matches(q, frag, 0, g)
+        assert count == len(answers) == n
+        expired = engine._Deadline(1.0)
+        expired.start -= 2.0
+        if ends_in_time:
+            assert matcher.compute_anchored_matches(
+                q, frag, 0, g, deadline=expired) == (count, answers)
+        else:
+            with pytest.raises(TimeoutExceeded, match="partial evaluation"):
+                matcher.compute_anchored_matches(q, frag, 0, g,
+                                                 deadline=expired)
