@@ -16,11 +16,10 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
-from .general_sparql import align, evaluate_bgp, evaluate_general
+from .general_sparql import align, decoded, evaluate_bgp, evaluate_general
 from .query_model import (QuerySyntaxError, UnsupportedFeatureError,
                           parse_sparql, projected_names)
 from .rdf_model import IRI, NTriplesSyntaxError, parse_ntriples
@@ -205,7 +204,14 @@ def load_db(path):
 
 # --- output ---
 
-def _cell(term):
+def _cell_text(graph, value):
+    """A row value's TSV cell: an IRI as its bare text, any other term
+    in N-Triples form, an unbound value as the empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, str):      # a label: an IRI
+        return value
+    term = graph.term(value)
     if term.kind == IRI:
         return term.lexical
     return term.ntriples()
@@ -213,17 +219,14 @@ def _cell(term):
 
 def format_tsv(table, names):
     """A header of names, then one line per row, sorted by cell text; an
-    unbound or absent name prints as an empty cell.  Each value's cell
-    text is built once per call."""
-    texts = {value: _cell(table.term(value))
-             for value in set(chain.from_iterable(table.rows))
-             if value is not None}
-    texts[None] = ""
-    cells = texts.__getitem__
-    rendered = sorted(tuple(map(cells, row))
-                      for row in align(table.rows, table.names, names))
+    unbound or absent name prints as an empty cell.  Cell texts come
+    from the table's graph's memo (general_sparql.decoded), so each
+    value is rendered once per graph, not once per call."""
+    cells = decoded(table.graph, _cell_text).__getitem__
+    rendered = sorted([tuple(map(cells, row))
+                       for row in align(table.rows, table.names, names)])
     lines = ["\t".join("?" + n for n in names)]
-    lines.extend("\t".join(row) for row in rendered)
+    lines.extend(map("\t".join, rendered))
     return "\n".join(lines) + "\n"
 
 

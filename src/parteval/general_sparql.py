@@ -7,20 +7,24 @@ vertex id and a label variable its label string; query_model forbids a
 variable that is both, so a column never mixes kinds and two values of
 one column are equal exactly when their terms are.  Terms are built
 late: a FILTER decodes the values it compares and engine.format_tsv the
-values it prints, each through a memo that lasts one call.  This is
-dictionary encoding with late materialization, as in RDF-3X (Neumann,
-Weikum, PVLDB 2008).
+values it prints.  What a value decodes to is kept in memos of its graph
+(decoded), filled on first use and read by every later query; an id and
+a label string never collide as keys.  This is dictionary encoding with
+late materialization, as in RDF-3X (Neumann, Weikum, PVLDB 2008).
 
 Every table also carries the names all of its rows bind, set by the
 operator that builds it; the joins hash on the names both sides always
 bind.  Pattern groups evaluate bottom-up: the group's triple patterns
 first, then each OPTIONAL via left outer join (its group's filters as
 the join's condition), nested groups and UNION chains joined in, filters
-last.
+last.  A filter runs as early as the always-bound names allow (Schmidt,
+Meier, Lausen, ICDT 2010): a group FILTER on one operand of the join or
+left join it wraps, an OPTIONAL condition on the OPTIONAL's own group.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -39,6 +43,40 @@ def _term_of(graph, value):
     if isinstance(value, str):
         return iri(value)
     return graph.term(value)
+
+
+class _Decoded(dict):
+    """Row value -> decode(graph, value), each computed on its first
+    lookup.  Two threads that miss one value write the same result."""
+    __slots__ = ("graph", "decode")
+
+    def __init__(self, graph, decode):
+        super().__init__()
+        self.graph = graph
+        self.decode = decode
+
+    def __missing__(self, value):
+        out = self[value] = self.decode(self.graph, value)
+        return out
+
+
+def decoded(graph, decode):
+    """graph's memo of decode(graph, value) by row value, made on first
+    use and kept in graph.memos.  A table without a graph holds no
+    vertex ids, so it gets a memo of its own."""
+    if graph is None:
+        return _Decoded(None, decode)
+    memo = graph.memos.get(decode)
+    if memo is None:
+        memo = graph.memos.setdefault(decode, _Decoded(graph, decode))
+    return memo
+
+
+def _number_of(graph, value):
+    """The numeric value of a row value's term, or None."""
+    if isinstance(value, str):
+        return None
+    return numeric_value(graph.term(value))
 
 
 @dataclass(frozen=True)
@@ -80,7 +118,6 @@ def empty_table(schema=()):
 
 
 _UNBOUND = (None,)
-_UNSEEN = object()
 
 
 def _picker(positions):
@@ -91,6 +128,14 @@ def _picker(positions):
         return lambda row: (row[i],)
     if not positions:
         return lambda row: ()
+    return itemgetter(*positions)
+
+
+def _key(positions):
+    """row -> its join key at positions: a bare value for one position,
+    as itemgetter gives it; both sides of a join key alike."""
+    if not positions:
+        return lambda row: None
     return itemgetter(*positions)
 
 
@@ -130,16 +175,23 @@ def _join(t1, t2, outer, cond=None):
     merge meets cond; when outer, a row of t1 with no such partner is
     kept alone.  A merged row is read off r1 + r2 at positions computed
     once per join.  A shared variable outside the key may be unbound on
-    either side, so it alone is checked and merged value by value.
+    either side, so it alone is checked and merged value by value; with
+    none and no cond, every pair of a bucket merges.
     """
+    graph = t1.graph if t1.graph is not None else t2.graph
+    if not outer:       # a table of one empty row is nat_join's identity
+        if not t1.names and t1.rows and t2.graph is graph:
+            return t2
+        if not t2.names and t2.rows and t1.graph is graph:
+            return t1
     n1, n2 = t1.names, t2.names
     at1 = {name: i for i, name in enumerate(n1)}
     at2 = {name: i for i, name in enumerate(n2)}
     names = tuple(sorted(at1.keys() | at2.keys()))
     keyed = t1.always & t2.always
     keys = sorted(keyed)
-    key1 = _picker([at1[name] for name in keys])
-    key2 = _picker([at2[name] for name in keys])
+    key1 = _key([at1[name] for name in keys])
+    key2 = _key([at2[name] for name in keys])
     width = len(n1)
     # t1's value wins in the merge; _reconcile fixes the loose ones
     merge = _picker([at1[name] if name in at1 else width + at2[name]
@@ -147,12 +199,19 @@ def _join(t1, t2, outer, cond=None):
     loose = [(at1[name], at2[name], k) for k, name in enumerate(names)
              if name in at1 and name in at2 and name not in keyed]
     pad = _picker([at1.get(name, width) for name in names])
-    graph = t1.graph if t1.graph is not None else t2.graph
     test = None if cond is None else _compile(cond, names, graph)
 
     buckets = {}
     for r2 in t2.rows:
         buckets.setdefault(key2(r2), []).append(r2)
+    always = t1.always if outer else t1.always | t2.always
+    if not loose and test is None:
+        rows = {merge(r1 + r2) for r1 in t1.rows
+                for r2 in buckets.get(key1(r1), ())}
+        if outer:       # a row of t1 has partners when its key has a bucket
+            rows.update([pad(r1 + _UNBOUND) for r1 in t1.rows
+                         if key1(r1) not in buckets])
+        return BindingTable(names, frozenset(rows), always, graph)
     rows = set()
     for r1 in t1.rows:
         partnered = False
@@ -168,7 +227,6 @@ def _join(t1, t2, outer, cond=None):
             partnered = True
         if outer and not partnered:
             rows.add(pad(r1 + _UNBOUND))
-    always = t1.always if outer else t1.always | t2.always
     return BindingTable(names, frozenset(rows), always, graph)
 
 
@@ -191,9 +249,14 @@ def left_outer_join(t1, t2, cond=None):
     return _join(t1, t2, outer=True, cond=cond)
 
 
-def _compare(op, lt, rt, number):
+_ORDER = {"<": operator.lt, "<=": operator.le,
+          ">": operator.gt, ">=": operator.ge}
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compare(op, lt, rt, ln, rn):
     """Term comparison; returns bool, or None for an evaluation error.
-    number(term) is the term's numeric value, or None."""
+    ln and rn are the terms' numeric values, or None."""
     if op == "=":
         return lt == rt
     if op == "!=":
@@ -201,48 +264,24 @@ def _compare(op, lt, rt, number):
     if lt.kind != rt.kind:
         return None
     if lt.kind == LITERAL:
-        lv = number(lt)
-        rv = number(rt)
-        if lv is None or rv is None:
-            lv = literal_parts(lt)[0]
-            rv = literal_parts(rt)[0]
+        if ln is None or rn is None:
+            ln = literal_parts(lt)[0]
+            rn = literal_parts(rt)[0]
     else:
-        lv = lt.lexical
-        rv = rt.lexical
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    return lv >= rv
+        ln = lt.lexical
+        rn = rt.lexical
+    return _ORDER[op](ln, rn)
 
 
 def _compile(expr, names, graph):
     """expr as a function of a row aligned to names, giving the
     three-valued filter result: True, False, or None on error (unbound
-    variable, kind mismatch).  The function keeps two memos for its
-    lifetime: row value -> Term and Term -> numeric value."""
-    terms = {}
-    numbers = {}
-
-    def term(value):
-        t = terms.get(value)
-        if t is None:
-            t = terms[value] = _term_of(graph, value)
-        return t
-
-    def number(t):
-        value = numbers.get(t, _UNSEEN)
-        if value is _UNSEEN:
-            value = numbers[t] = numeric_value(t)
-        return value
-
+    variable, kind mismatch).  Numbers are read from graph's memo."""
     at = {name: i for i, name in enumerate(names)}
-    return _compiled(expr, at, term, number)
+    return _compiled(expr, at, graph, decoded(graph, _number_of))
 
 
-def _compiled(expr, at, term, number):
+def _compiled(expr, at, graph, numbers):
     if isinstance(expr, BoolConst):
         value = expr.value
         return lambda row: value
@@ -252,20 +291,20 @@ def _compiled(expr, at, term, number):
         i = at[expr.name]
         return lambda row: row[i] is not None
     if isinstance(expr, Comparison):
-        return _compiled_comparison(expr, at, term, number)
+        return _compiled_comparison(expr, at, graph, numbers)
     if isinstance(expr, LogicalNot):
-        operand = _compiled(expr.operand, at, term, number)
+        operand = _compiled(expr.operand, at, graph, numbers)
 
         def negation(row):
             inner = operand(row)
             return None if inner is None else not inner
         return negation
     if isinstance(expr, (LogicalAnd, LogicalOr)):
-        return _compiled_chain(expr, at, term, number)
+        return _compiled_chain(expr, at, graph, numbers)
     raise TypeError("unknown filter node %r" % (expr,))
 
 
-def _compiled_chain(expr, at, term, number):
+def _compiled_chain(expr, at, graph, numbers):
     """A left-nested && (or ||) chain as one test over its terms, walked
     with a loop as query_model._chain_text walks it.  Three-valued: for
     &&, any False gives False, otherwise any error gives None; || is the
@@ -276,7 +315,7 @@ def _compiled_chain(expr, at, term, number):
         terms.append(expr.right)
         expr = expr.left
     terms.append(expr)
-    tests = [_compiled(t, at, term, number) for t in reversed(terms)]
+    tests = [_compiled(t, at, graph, numbers) for t in reversed(terms)]
     decisive = kind is LogicalOr        # the value that settles the chain
 
     def chain(row):
@@ -291,43 +330,88 @@ def _compiled_chain(expr, at, term, number):
     return chain
 
 
-def _compiled_comparison(expr, at, term, number):
-    # each side: (row position, None) for a variable, (None, term) for a
-    # constant
+def _compiled_comparison(expr, at, graph, numbers):
+    # each side: (row position, None, None) for a variable, (None, term,
+    # its number) for a constant
     sides = []
     for node in (expr.lhs, expr.rhs):
         if isinstance(node, TermConst):
-            sides.append((None, node.term))
+            sides.append((None, node.term, numeric_value(node.term)))
         elif isinstance(node, VarRef) and node.name in at:
-            sides.append((at[node.name], None))
+            sides.append((at[node.name], None, None))
         else:       # an unbound variable: always an error
             return lambda row: None
-    (i, lconst), (j, rconst) = sides
+    (i, lconst, lnum), (j, rconst, rnum) = sides
     op = expr.op
+    if op in _ORDER:
+        if j is None and i is not None and rnum is not None:
+            return _compiled_numeric(op, i, rconst, rnum, graph, numbers)
+        if i is None and j is not None and lnum is not None:
+            return _compiled_numeric(_MIRROR[op], j, lconst, lnum, graph,
+                                     numbers)
 
     def comparison(row):
         if i is None:
-            lt = lconst
+            lt, ln = lconst, lnum
         else:
             value = row[i]
             if value is None:
                 return None
-            lt = term(value)
+            lt, ln = _term_of(graph, value), numbers[value]
         if j is None:
-            rt = rconst
+            rt, rn = rconst, rnum
         else:
             value = row[j]
             if value is None:
                 return None
-            rt = term(value)
-        return _compare(op, lt, rt, number)
+            rt, rn = _term_of(graph, value), numbers[value]
+        return _compare(op, lt, rt, ln, rn)
     return comparison
+
+
+def _compiled_numeric(op, i, const, number, graph, numbers):
+    """row[i] op const, for a constant with a numeric value: the order of
+    the two numbers when row[i] is a number too, else _compare's answer,
+    the error or the lexical order.  The order of two numbers, or of two
+    strings, is the mirror of the swapped order, so a constant on the
+    left is compiled as the mirrored test."""
+    order = _ORDER[op]
+
+    def numeric(row):
+        value = row[i]
+        if value is None:
+            return None
+        own = numbers[value]
+        if own is None:
+            return _compare(op, _term_of(graph, value), const, None, number)
+        return order(own, number)
+    return numeric
 
 
 def filter_table(t, expr):
     test = _compile(expr, t.names, t.graph)
-    rows = frozenset(r for r in t.rows if test(r) is True)
+    rows = frozenset(filter(test, t.rows))  # True is the one true result
     return BindingTable(t.names, rows, t.always, t.graph)
+
+
+def _expr_names(expr):
+    """The variable names expr reads, BOUND's included.  The walk keeps
+    its own stack, so a long flat chain does not recurse."""
+    names = set()
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, BoundTest):
+            names.add(expr.name)
+        elif isinstance(expr, Comparison):
+            stack.extend((expr.lhs, expr.rhs))
+        elif isinstance(expr, VarRef):
+            names.add(expr.name)
+        elif isinstance(expr, LogicalNot):
+            stack.append(expr.operand)
+        elif isinstance(expr, (LogicalAnd, LogicalOr)):
+            stack.extend((expr.left, expr.right))
+    return names
 
 
 def _label_assignments(q, g, fn):
@@ -410,7 +494,18 @@ def evaluate_node(node, bgp_eval):
     and Opt, the child of Filter) is walked with a loop and its steps
     applied bottom-up, each evaluating its right side when it applies,
     so a long flat chain does not recurse and the order of evaluation is
-    that of the tree's left-to-right recursion."""
+    that of the tree's left-to-right recursion.
+
+    The Filters that directly wrap an And or an Opt are applied with
+    it: one whose names the left operand always binds filters that
+    operand first, and under an And one that the right operand always
+    binds filters the right one; the rest filter the joined table.  An
+    Opt's condition whose names its right side always binds filters that
+    side, and the left join then has no condition.  Each rewrite keeps
+    the table (Schmidt, Meier, Lausen, ICDT 2010): every row the join
+    makes from an operand's row agrees with it on the names it always
+    binds.
+    """
     spine = []
     while not isinstance(node, Bgp):
         if isinstance(node, Filter):
@@ -422,17 +517,39 @@ def evaluate_node(node, bgp_eval):
         else:
             raise TypeError("unknown query node %r" % (node,))
     table = bgp_eval(node.graph)
-    for step in reversed(spine):
+    spine.reverse()
+    at = 0
+    while at < len(spine):
+        step = spine[at]
+        at += 1
         if isinstance(step, Filter):
             table = filter_table(table, step.expr)
             continue
         right = evaluate_node(step.right, bgp_eval)
+        if isinstance(step, Union):
+            table = union(table, right)
+            continue
+        joined = []     # the wrapping filters that wait for the join
+        while at < len(spine) and isinstance(spine[at], Filter):
+            expr = spine[at].expr
+            at += 1
+            names = _expr_names(expr)
+            if names <= table.always:
+                table = filter_table(table, expr)
+            elif isinstance(step, And) and names <= right.always:
+                right = filter_table(right, expr)
+            else:
+                joined.append(expr)
         if isinstance(step, And):
             table = nat_join(table, right)
-        elif isinstance(step, Union):
-            table = union(table, right)
         else:
-            table = left_outer_join(table, right, step.cond)
+            cond = step.cond
+            if cond is not None and _expr_names(cond) <= right.always:
+                right = filter_table(right, cond)
+                cond = None
+            table = left_outer_join(table, right, cond)
+        for expr in joined:
+            table = filter_table(table, expr)
     return table
 
 

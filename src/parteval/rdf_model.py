@@ -11,7 +11,8 @@ modules work on ids.  Every edge is added by one rule (RdfGraph._link),
 whichever way the graph is built: a pair that carries one predicate
 holds that predicate's one shared label frozenset, and only a pair with
 two or more labels holds a set of its own.  A graph is immutable once
-built and safe to share across threads.
+built, apart from its lazily filled decoding memos, and safe to share
+across threads.
 
 parse_ntriples reads each line with one compiled pattern (_TRIPLE) that
 takes a whole triple at once; every line written by to_ntriples matches
@@ -31,15 +32,26 @@ IRI = "iri"
 LITERAL = "literal"
 BLANK = "blank"
 
-NUMERIC_DATATYPES = frozenset(
-    "http://www.w3.org/2001/XMLSchema#" + local
-    for local in (
-        "integer", "decimal", "double", "float", "long", "int", "short",
-        "byte", "nonNegativeInteger", "nonPositiveInteger", "negativeInteger",
-        "positiveInteger", "unsignedLong", "unsignedInt", "unsignedShort",
-        "unsignedByte",
-    )
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_INTEGER_TYPES = (
+    "integer", "long", "int", "short", "byte", "nonNegativeInteger",
+    "nonPositiveInteger", "negativeInteger", "positiveInteger",
+    "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte",
 )
+
+# Each numeric datatype's XSD lexical form, ASCII digits only: no
+# surrounding blanks, no '_' separators, no other script's digits.
+_INTEGER_FORM = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_LEXICAL_FORMS = {
+    **{_XSD + local: _INTEGER_FORM for local in _INTEGER_TYPES},
+    _XSD + "decimal": re.compile(_DECIMAL),
+    **{_XSD + local: re.compile(_DECIMAL + r"(?:[eE][+-]?[0-9]+)?"
+                                r"|[+-]?INF|NaN")
+       for local in ("double", "float")},
+}
+
+NUMERIC_DATATYPES = frozenset(_LEXICAL_FORMS)
 
 
 class NTriplesSyntaxError(Exception):
@@ -167,18 +179,18 @@ def literal_parts(term):
 
 
 def numeric_value(term):
-    """Numeric value of a literal with a numeric datatype, else None."""
+    """Numeric value of a literal with a numeric datatype whose text is
+    in that datatype's XSD lexical form, else None.  An integer form
+    reads as an int, any other as a float (INF and NaN included)."""
     if term.kind != LITERAL:
         return None
     value, datatype, _ = literal_parts(term)
-    if datatype not in NUMERIC_DATATYPES:
+    form = _LEXICAL_FORMS.get(datatype)
+    if form is None or not form.fullmatch(value):
         return None
-    try:
-        if "." in value or "e" in value or "E" in value:
-            return float(value)
+    if _INTEGER_FORM.fullmatch(value):
         return int(value)
-    except ValueError:
-        return None
+    return float(value)
 
 
 class RdfGraph:
@@ -188,6 +200,10 @@ class RdfGraph:
     labels on it.  A pair with one label holds its predicate's one shared
     frozenset; only a pair with two or more labels holds a set of its own.
     Fragments share these frozensets.  Do not mutate after load.
+
+    memos holds the table algebra's decoding memos of this graph's
+    values (general_sparql.decoded); it starts empty and fills as
+    queries read values.
     """
 
     def __init__(self):
@@ -195,6 +211,7 @@ class RdfGraph:
         self._index = {}
         self._single = {}   # predicate -> the frozenset of it alone
         self.edges = {}
+        self.memos = {}
 
     @classmethod
     def from_triples(cls, triples):

@@ -7,6 +7,7 @@ disagreement between the two is how the randomized suites catch bugs.
 """
 
 import itertools
+import re
 
 from parteval import (
     And,
@@ -429,17 +430,30 @@ def ref_bgp(q, g):
     return schema, frozenset(rows)
 
 
+_REF_DECIMAL = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"
+
+
 def _ref_number(term):
+    """The number a literal's text stands for in its datatype's XSD
+    lexical form: [+-]?[0-9]+ for the integer types, _REF_DECIMAL for
+    xsd:decimal, and for xsd:float and xsd:double that with an optional
+    exponent, or INF, +INF, -INF, NaN.  Anything else is no number."""
     value, datatype, lang = literal_parts(term)
     if lang is not None or datatype not in NUMERIC_DATATYPES:
+        return None
+    local = datatype.rsplit("#", 1)[1]
+    if local == "decimal":
+        form = _REF_DECIMAL
+    elif local in ("float", "double"):
+        form = _REF_DECIMAL + r"([eE][+-]?[0-9]+)?|[+-]?INF|NaN"
+    else:
+        form = r"[+-]?[0-9]+"
+    if re.fullmatch(form, value) is None:
         return None
     try:
         return int(value)
     except ValueError:
-        try:
-            return float(value)
-        except ValueError:
-            return None
+        return float(value)
 
 
 def _ref_compare(op, lt, rt):

@@ -382,6 +382,41 @@ def test_cli_filter_in_optional_sees_the_outer_group(tmp_path, capsys, op,
         assert out == want
 
 
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+
+
+@pytest.mark.parametrize("condition, want", [
+    # "1_0" is no xsd:integer, so every value compares by its text
+    ('?y < "1_0"^^<%sinteger>' % _XSD, "?s\nminus-inf\n"),
+    # NaN is a number and is not greater than 1.0; -INF is less than -5
+    ("?y > 1.0", "?s\nthree\ntwenty\n"),
+    ("?y < -5", "?s\nminus-inf\n"),
+], ids=["not-an-integer", "nan", "minus-inf"])
+def test_cli_filter_reads_numbers_in_their_xsd_lexical_form(
+        tmp_path, capsys, condition, want):
+    src = tmp_path / "in.nt"
+    src.write_text("".join(
+        '<%s> <v> "%s"^^<%s%s> .\n' % (s, text, _XSD, datatype)
+        for s, text, datatype in [("three", "3", "integer"),
+                                  ("twenty", "20", "integer"),
+                                  ("not-a-number", "NaN", "double"),
+                                  ("minus-inf", "-INF", "double")]),
+        encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s <v> ?y FILTER(%s) }" % condition,
+                     encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2"]) == 0
+    capsys.readouterr()
+    for assembly in ("centralized", "distributed"):
+        code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                          "--sparql", str(query),
+                                          "--assembly", assembly])
+        assert (code, err) == (0, "")
+        assert out == want
+
+
 def test_format_tsv_prints_a_label_variable_as_its_iri(movie_dg):
     gq = parse_sparql(
         "SELECT ?l ?f WHERE { <s1:dir1> ?l ?f . ?f <rdfs:label> ?n . }")

@@ -9,31 +9,47 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from parteval import (
+    IRI,
+    LITERAL,
+    And,
+    Bgp,
+    BindingTable,
     BoolConst,
     BoundTest,
     Comparison,
+    Filter,
+    GeneralQuery,
+    Opt,
     RdfGraph,
     Triple,
     VarRef,
+    blank,
+    build_query_graph,
     empty_table,
     enumerate_matches,
     evaluate_bgp,
     evaluate_general,
     filter_table,
+    format_tsv,
+    general_sparql,
     iri,
     left_outer_join,
     literal,
     nat_join,
+    parse_ntriples,
     parse_sparql,
     project,
+    tree_vars,
     union,
     unit_table,
 )
 from parteval.query_model import LogicalAnd, LogicalNot, LogicalOr, TermConst
+from parteval.rdf_model import literal_parts, numeric_value
 from helpers import make_row, term_rows
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DEC = "http://www.w3.org/2001/XMLSchema#decimal"
+XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
 
 # every term the tables below hold, so that tables built apart can join
 TERMS = helpers.terms_graph(
@@ -195,6 +211,40 @@ def test_filter_numeric_comparison():
     assert not row_passes(
         Comparison(">", VarRef("x"), TermConst(literal("10", datatype=XSD_INT))),
         {"x": three})
+
+
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+@pytest.mark.parametrize("value, op, const, kept", [
+    # not xsd:integer text, so compared as text: "3" sorts after "1_0"
+    # and " 10", "20" before the Arabic-Indic digits
+    (literal("3", datatype=XSD_INT), "<",
+     literal("1_0", datatype=XSD_INT), False),
+    (literal("3", datatype=XSD_INT), "<",
+     literal(" 10", datatype=XSD_INT), False),
+    (literal("20", datatype=XSD_INT), "<",
+     literal("\u0661\u0660", datatype=XSD_INT), True),
+    # NaN is a number that orders with nothing; -INF and INF are numbers
+    (literal("NaN", datatype=XSD_DOUBLE), ">",
+     literal("1.0", datatype=XSD_DEC), False),
+    (literal("NaN", datatype=XSD_DOUBLE), "<=",
+     literal("1.0", datatype=XSD_DEC), False),
+    (literal("-INF", datatype=XSD_DOUBLE), "<",
+     literal("-5", datatype=XSD_INT), True),
+    (literal("INF", datatype=XSD_DOUBLE), ">",
+     literal("1e9", datatype=XSD_DOUBLE), True),
+], ids=["underscore", "blank", "arabic-indic", "nan-gt", "nan-le",
+        "minus-inf", "inf"])
+def test_filter_reads_numbers_in_their_xsd_lexical_form(value, op, const,
+                                                        kept):
+    """Numbers are read in their datatype's XSD lexical form, whichever
+    side the constant stands on, as the reference reads them."""
+    bindings = {"x": value}
+    for expr in (Comparison(op, VarRef("x"), TermConst(const)),
+                 Comparison(_MIRROR[op], TermConst(const), VarRef("x"))):
+        assert row_passes(expr, bindings) == kept
+        assert (helpers.ref_truth(expr, bindings) is True) == kept
 
 
 def test_filter_plain_literals_compare_by_codepoint():
@@ -495,3 +545,194 @@ def test_tree_evaluation_matches_reference(seed):
     gq = helpers.rand_ast(rng, g)
     got = evaluate_general(gq, bgp_eval_for(g))
     assert helpers.table_key(got) == helpers.table_key(helpers.ref_general(gq, g))
+
+
+# ---------------------------------------------------------------------------
+# FILTER push-down.
+
+_PUSH_CONSTANTS = [
+    literal("3", datatype=XSD_INT), literal("10", datatype=XSD_INT),
+    literal("4.5", datatype=XSD_DEC), literal("NaN", datatype=XSD_DOUBLE),
+    literal("alpha"), literal("beta", lang="en"), iri("v1"),
+]
+
+
+def _filter_over(rng, names, g, depth=1):
+    """A filter that reads only names: comparisons of a name with a
+    numeric or non-numeric constant (on either side) or with another
+    name, BOUND tests, and their connectives."""
+    if not names:
+        return BoolConst(rng.random() < 0.5)
+    if depth and rng.random() < 0.3:
+        kind = rng.choice([LogicalAnd, LogicalOr, LogicalNot])
+        if kind is LogicalNot:
+            return LogicalNot(_filter_over(rng, names, g, depth - 1))
+        return kind(_filter_over(rng, names, g, depth - 1),
+                    _filter_over(rng, names, g, depth - 1))
+    pick = rng.random()
+    if pick < 0.15:
+        return BoundTest(rng.choice(names))
+    var = VarRef(rng.choice(names))
+    if pick < 0.35:
+        other = VarRef(rng.choice(names))
+    else:
+        other = TermConst(rng.choice(
+            _PUSH_CONSTANTS + [g.term(v) for v in g.vertex_ids()]))
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    if rng.random() < 0.25:
+        return Comparison(op, other, var)
+    return Comparison(op, var, other)
+
+
+def _renamed(q, rename):
+    """q with each vertex variable that rename maps renamed."""
+    def spec(v):
+        if v.is_var:
+            return ("var", rename.get(v.var, v.var))
+        return ("term", v.constant)
+    return build_query_graph([
+        (spec(q.vertices[e.src]),
+         ("var", e.label_var) if e.is_var else ("label", e.label),
+         spec(q.vertices[e.dst])) for e in q.edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_pushed_down_filters_match_the_reference(seed):
+    """Filter(And), Filter(Opt) and Opt(l, r, cond), with conditions over
+    the names of one side, of the other, or of both; a side is a BGP or
+    an OPTIONAL, which leaves names unbound."""
+    rng = random.Random(seed)
+    g, _, _ = helpers.rand_instance(rng, max_vertices=14)
+
+    def side():
+        def leaf():
+            # a pattern with matches, where one of a few draws has any;
+            # each leaf renames some of x0-x2, so that sides share some
+            # names and not others
+            for _ in range(4):
+                q = helpers.rand_bgp(rng, g, n_max=3, constant_rate=0.15)
+                if enumerate_matches(g, q):
+                    break
+            return Bgp(_renamed(q, {"x%d" % i: "y%d" % i for i in range(3)
+                                    if rng.random() < 0.4}))
+        return Opt(leaf(), leaf()) if rng.random() < 0.3 else leaf()
+
+    left, right = side(), side()
+
+    def cond():
+        # the names of one side only (where it has any), or of both
+        lv, rv = tree_vars(left), tree_vars(right)
+        names = rng.choice([lv - rv or lv, rv - lv or rv, lv | rv])
+        return _filter_over(rng, sorted(names), g)
+
+    shape = rng.randrange(4)
+    if shape == 0:
+        node = Filter(And(left, right), cond())
+    elif shape == 1:
+        node = Filter(Filter(And(left, right), cond()), cond())
+    elif shape == 2:
+        node = Filter(Opt(left, right, cond() if rng.random() < 0.5
+                          else None), cond())
+    else:
+        node = Opt(left, right, cond())
+    gq = GeneralQuery(node, None)
+    got = evaluate_general(gq, bgp_eval_for(g))
+    assert helpers.table_key(got) == \
+        helpers.table_key(helpers.ref_general(gq, g))
+
+
+_UB = "http://lubm.example/ub#"
+_LUBM_NT = "".join(
+    "<%s> <%s%s> %s .\n" % (s, _UB, p, o) for s, p, o in [
+        ("s1", "takesCourse", "<c1>"), ("s1", "takesCourse", "<c2>"),
+        ("s2", "takesCourse", "<c1>"), ("s3", "takesCourse", "<c2>"),
+        ("s1", "memberOf", "<d1>"), ("s2", "memberOf", "<d1>"),
+        ("s3", "memberOf", "<d2>"), ("s4", "memberOf", "<d2>"),
+        ("s1", "age", '"18"^^<%s>' % XSD_INT),
+        ("s2", "age", '"22"^^<%s>' % XSD_INT),
+        ("s3", "age", '"25"^^<%s>' % XSD_INT),
+    ])
+
+
+@pytest.mark.parametrize("query", [
+    # the bench's A3: a group FILTER over two joined groups
+    "SELECT ?s ?c ?a WHERE { { ?s ub:takesCourse ?c . } "
+    "{ ?s ub:age ?a . } FILTER(?a < 22) }",
+    # A4: an OPTIONAL group's FILTER, the left join's condition
+    "SELECT ?s ?d ?a WHERE { ?s ub:memberOf ?d . "
+    "OPTIONAL { ?s ub:age ?a . FILTER(?a >= 22) } }",
+    # a group FILTER over the left side of an OPTIONAL
+    "SELECT ?s ?c ?a WHERE { ?s ub:age ?a . "
+    "OPTIONAL { ?s ub:takesCourse ?c . } FILTER(?a < 22) }",
+], ids=["A3", "A4", "left-of-optional"])
+def test_filters_run_on_the_operand_that_binds_their_names(monkeypatch,
+                                                           query):
+    """The filter runs once, on the `?s ub:age ?a` table, not on the
+    joined one."""
+    g = parse_ntriples(_LUBM_NT)
+    seen = []
+    original = general_sparql.filter_table
+
+    def recording(t, expr):
+        seen.append((t.names, len(t)))
+        return original(t, expr)
+
+    monkeypatch.setattr(general_sparql, "filter_table", recording)
+    gq = parse_sparql("PREFIX ub: <%s>\n%s" % (_UB, query))
+    got = evaluate_general(gq, bgp_eval_for(g))
+    assert seen == [(("a", "s"), 3)]
+    assert helpers.table_key(got) == \
+        helpers.table_key(helpers.ref_general(gq, g))
+
+
+# ---------------------------------------------------------------------------
+# Decoding memos.
+
+
+def _cell_by_hand(graph, value):
+    if value is None:
+        return ""
+    term = iri(value) if isinstance(value, str) else graph.term(value)
+    return term.lexical if term.kind == IRI else term.ntriples()
+
+
+def _below_six_by_hand(term):
+    """?x < 6 as a fresh decoding reads it."""
+    if term.kind != LITERAL:
+        return False
+    number = numeric_value(term)
+    if number is None:
+        return literal_parts(term)[0] < "6"
+    return number < 6
+
+
+def test_memos_are_kept_per_graph():
+    """Two graphs whose ids 0-3 name different terms (a blank node and
+    literals among them) are rendered and filtered in turn; each answer
+    is the one a fresh decoding of that graph's terms gives."""
+    b, five, x = blank("b"), literal("5", datatype=XSD_INT), literal("x")
+    g1 = RdfGraph.from_triples([Triple(iri("a"), "p", b),
+                                Triple(iri("a"), "q", five),
+                                Triple(b, "p", x)])
+    seven, one = literal("7", datatype=XSD_INT), literal("1", lang="en")
+    g2 = RdfGraph.from_triples([Triple(blank("z"), "p", seven),
+                                Triple(blank("z"), "q", iri("a")),
+                                Triple(iri("a"), "p", one)])
+    assert [g1.term(v) for v in range(4)] != [g2.term(v) for v in range(4)]
+    rows = frozenset([("p", 0), ("q", 1), ("p", 2), ("q", 3), (None, 2)])
+    names = ["x", "l"]
+    below_six = Comparison("<", VarRef("x"),
+                           TermConst(literal("6", datatype=XSD_INT)))
+    label_p = Comparison("=", VarRef("l"), TermConst(iri("p")))
+    for _ in range(3):
+        for g in (g1, g2):
+            t = BindingTable(("l", "x"), rows, frozenset({"x"}), g)
+            want = sorted(tuple(_cell_by_hand(g, r[("l", "x").index(n)])
+                                for n in names) for r in rows)
+            assert format_tsv(t, names) == "?x\t?l\n" + "".join(
+                "\t".join(cells) + "\n" for cells in want)
+            assert filter_table(t, below_six).rows == {
+                r for r in rows if _below_six_by_hand(g.term(r[1]))}
+            assert filter_table(t, label_p).rows == {
+                r for r in rows if r[0] == "p"}

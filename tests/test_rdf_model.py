@@ -1,6 +1,7 @@
 """Terms, escaping, the multigraph, and the N-Triples reader/writer."""
 
 import io
+import math
 import re
 import sys
 
@@ -144,6 +145,43 @@ def test_numeric_value():
     assert numeric_value(literal("7")) is None
     assert numeric_value(literal("x", datatype=xsd + "integer")) is None
     assert numeric_value(iri("7")) is None
+
+
+@pytest.mark.parametrize("datatype, text", [
+    ("integer", "1_0"), ("integer", " 10"), ("integer", "10 "),
+    ("integer", "\u0661\u0660"), ("integer", "1.5"), ("integer", "1e3"),
+    ("integer", "+"), ("integer", ""), ("unsignedByte", "INF"),
+    ("decimal", "1e3"), ("decimal", "."), ("decimal", "NaN"),
+    ("decimal", "1_0.5"), ("double", "inf"), ("double", "nan"),
+    ("double", "Infinity"), ("double", "+NaN"), ("double", "1e"),
+    ("float", "1.5E+"), ("float", "\uff11"),
+])
+def test_numeric_value_rejects_text_outside_the_xsd_lexical_form(
+        datatype, text):
+    """Only ASCII digits in each datatype's own XSD form read as numbers,
+    not whatever Python's int() or float() would accept."""
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    assert numeric_value(literal(text, datatype=xsd + datatype)) is None
+
+
+@pytest.mark.parametrize("datatype, text, want", [
+    ("integer", "+10", 10), ("long", "-007", -7), ("decimal", "5.", 5.0),
+    ("decimal", ".5", 0.5), ("decimal", "-12", -12),
+    ("double", "1.5E-2", 0.015),
+    ("double", "INF", math.inf), ("double", "+INF", math.inf),
+    ("float", "-INF", -math.inf), ("float", "2e3", 2000.0),
+])
+def test_numeric_value_reads_each_xsd_lexical_form(datatype, text, want):
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    got = numeric_value(literal(text, datatype=xsd + datatype))
+    assert got == want and type(got) is type(want)
+
+
+def test_numeric_value_reads_nan_as_a_float():
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    for datatype in ("double", "float"):
+        assert math.isnan(numeric_value(literal("NaN",
+                                                datatype=xsd + datatype)))
 
 
 # ---------------------------------------------------------------------------
