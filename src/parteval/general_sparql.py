@@ -251,12 +251,11 @@ def left_outer_join(t1, t2, cond=None):
 
 _ORDER = {"<": operator.lt, "<=": operator.le,
           ">": operator.gt, ">=": operator.ge}
-_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _compare(op, lt, rt, ln, rn):
-    """Term comparison; returns bool, or None for an evaluation error.
-    ln and rn are the terms' numeric values, or None."""
+def _compare(op, lt, rt):
+    """Comparison of two terms that are not both numbers; returns bool,
+    or None for an evaluation error.  Literals order by their text."""
     if op == "=":
         return lt == rt
     if op == "!=":
@@ -264,13 +263,8 @@ def _compare(op, lt, rt, ln, rn):
     if lt.kind != rt.kind:
         return None
     if lt.kind == LITERAL:
-        if ln is None or rn is None:
-            ln = literal_parts(lt)[0]
-            rn = literal_parts(rt)[0]
-    else:
-        ln = lt.lexical
-        rn = rt.lexical
-    return _ORDER[op](ln, rn)
+        return _ORDER[op](literal_parts(lt)[0], literal_parts(rt)[0])
+    return _ORDER[op](lt.lexical, rt.lexical)
 
 
 def _compile(expr, names, graph):
@@ -343,49 +337,30 @@ def _compiled_comparison(expr, at, graph, numbers):
             return lambda row: None
     (i, lconst, lnum), (j, rconst, rnum) = sides
     op = expr.op
-    if op in _ORDER:
-        if j is None and i is not None and rnum is not None:
-            return _compiled_numeric(op, i, rconst, rnum, graph, numbers)
-        if i is None and j is not None and lnum is not None:
-            return _compiled_numeric(_MIRROR[op], j, lconst, lnum, graph,
-                                     numbers)
+    order = _ORDER.get(op)
 
     def comparison(row):
+        # two numbers order as numbers; terms are built only otherwise
         if i is None:
-            lt, ln = lconst, lnum
+            ln = lnum
         else:
-            value = row[i]
-            if value is None:
+            left = row[i]
+            if left is None:
                 return None
-            lt, ln = _term_of(graph, value), numbers[value]
+            ln = numbers[left]
         if j is None:
-            rt, rn = rconst, rnum
+            rn = rnum
         else:
-            value = row[j]
-            if value is None:
+            right = row[j]
+            if right is None:
                 return None
-            rt, rn = _term_of(graph, value), numbers[value]
-        return _compare(op, lt, rt, ln, rn)
+            rn = numbers[right]
+        if order is not None and ln is not None and rn is not None:
+            return order(ln, rn)
+        lt = lconst if i is None else _term_of(graph, left)
+        rt = rconst if j is None else _term_of(graph, right)
+        return _compare(op, lt, rt)
     return comparison
-
-
-def _compiled_numeric(op, i, const, number, graph, numbers):
-    """row[i] op const, for a constant with a numeric value: the order of
-    the two numbers when row[i] is a number too, else _compare's answer,
-    the error or the lexical order.  The order of two numbers, or of two
-    strings, is the mirror of the swapped order, so a constant on the
-    left is compiled as the mirrored test."""
-    order = _ORDER[op]
-
-    def numeric(row):
-        value = row[i]
-        if value is None:
-            return None
-        own = numbers[value]
-        if own is None:
-            return _compare(op, _term_of(graph, value), const, None, number)
-        return order(own, number)
-    return numeric
 
 
 def filter_table(t, expr):

@@ -181,7 +181,9 @@ def literal_parts(term):
 def numeric_value(term):
     """Numeric value of a literal with a numeric datatype whose text is
     in that datatype's XSD lexical form, else None.  An integer form
-    reads as an int, any other as a float (INF and NaN included)."""
+    reads as an int, any other as a float (INF and NaN included).  An
+    integer form with more digits than int() reads (Python's
+    sys.get_int_max_str_digits(), 4300 by default) is no number either."""
     if term.kind != LITERAL:
         return None
     value, datatype, _ = literal_parts(term)
@@ -189,7 +191,10 @@ def numeric_value(term):
     if form is None or not form.fullmatch(value):
         return None
     if _INTEGER_FORM.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:      # past the digit limit of int()
+            return None
     return float(value)
 
 

@@ -437,7 +437,8 @@ def _ref_number(term):
     """The number a literal's text stands for in its datatype's XSD
     lexical form: [+-]?[0-9]+ for the integer types, _REF_DECIMAL for
     xsd:decimal, and for xsd:float and xsd:double that with an optional
-    exponent, or INF, +INF, -INF, NaN.  Anything else is no number."""
+    exponent, or INF, +INF, -INF, NaN.  Anything else is no number, and
+    so is an integer form with more digits than int() reads."""
     value, datatype, lang = literal_parts(term)
     if lang is not None or datatype not in NUMERIC_DATATYPES:
         return None
@@ -450,10 +451,12 @@ def _ref_number(term):
         form = r"[+-]?[0-9]+"
     if re.fullmatch(form, value) is None:
         return None
+    if re.fullmatch(r"[+-]?[0-9]+", value) is None:
+        return float(value)
     try:
         return int(value)
-    except ValueError:
-        return float(value)
+    except ValueError:      # more digits than int() reads
+        return None
 
 
 def _ref_compare(op, lt, rt):

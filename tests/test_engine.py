@@ -417,6 +417,35 @@ def test_cli_filter_reads_numbers_in_their_xsd_lexical_form(
         assert out == want
 
 
+@pytest.mark.parametrize("condition, want", [
+    # "100…" < "9" by text: the long integer is no number
+    ("?y < 9", "?s\nhuge\nthree\n"),
+    # the same integer as a bare query constant: "3" > "100…" by text
+    ("?y > 1" + "0" * 5000, "?s\nthree\n"),
+], ids=["in-the-data", "in-the-query"])
+def test_cli_filter_compares_an_integer_past_the_int_digit_limit_as_text(
+        tmp_path, capsys, condition, want):
+    """int() reads at most sys.get_int_max_str_digits() digits (4300 by
+    default); a longer xsd:integer compares by its text, with no error."""
+    src = tmp_path / "in.nt"
+    src.write_text('<huge> <v> "1%s"^^<%sinteger> .\n'
+                   '<three> <v> "3"^^<%sinteger> .\n'
+                   % ("0" * 5000, _XSD, _XSD), encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s <v> ?y FILTER(%s) }" % condition,
+                     encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "2"]) == 0
+    capsys.readouterr()
+    for assembly in ("centralized", "distributed"):
+        code, out, err = run_cli(capsys, ["query", "--db", str(db),
+                                          "--sparql", str(query),
+                                          "--assembly", assembly])
+        assert (code, err) == (0, "")
+        assert out == want
+
+
 def test_format_tsv_prints_a_label_variable_as_its_iri(movie_dg):
     gq = parse_sparql(
         "SELECT ?l ?f WHERE { <s1:dir1> ?l ?f . ?f <rdfs:label> ?n . }")

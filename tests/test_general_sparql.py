@@ -247,6 +247,31 @@ def test_filter_reads_numbers_in_their_xsd_lexical_form(value, op, const,
         assert (helpers.ref_truth(expr, bindings) is True) == kept
 
 
+# more digits than int() reads (sys.get_int_max_str_digits(), 4300 by
+# default): an xsd:integer of this text is no number and compares as text
+_HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("value, op, const, kept", [
+    # by text "100…" < "9", though not as numbers
+    (literal(_HUGE, datatype=XSD_INT), "<", literal("9", datatype=XSD_INT),
+     True),
+    # by text "3" > "100…"
+    (literal("3", datatype=XSD_INT), "<", literal(_HUGE, datatype=XSD_INT),
+     False),
+    (literal(_HUGE, datatype=XSD_INT), "<=",
+     literal(_HUGE, datatype=XSD_INT), True),
+], ids=["huge-value", "huge-constant", "both-huge"])
+def test_filter_reads_an_integer_past_the_int_digit_limit_as_text(
+        value, op, const, kept):
+    assert numeric_value(value) is None or numeric_value(const) is None
+    bindings = {"x": value}
+    for expr in (Comparison(op, VarRef("x"), TermConst(const)),
+                 Comparison(_MIRROR[op], TermConst(const), VarRef("x"))):
+        assert row_passes(expr, bindings) == kept
+        assert (helpers.ref_truth(expr, bindings) is True) == kept
+
+
 def test_filter_plain_literals_compare_by_codepoint():
     # "10" < "9" as strings even though not as numbers
     assert row_passes(
