@@ -394,43 +394,54 @@ def _label_assignments(q, g, fn):
 
     Per vertex pair, every query edge takes a distinct stored label and
     constants take themselves; the same label variable must take the
-    same label everywhere it appears.  Yields one dict per assignment.
+    same label everywhere it appears.  Yields one dict per assignment,
+    depth first over the label-variable edges in query order, each
+    trying its pair's free labels in sorted order.  The walk keeps one
+    iterator per placed edge on an explicit stack, so any number of
+    label-variable edges binds without recursion.
     """
-    var_edges = [(ei, e) for ei, e in enumerate(q.edges)
-                 if e.label_var is not None]
-    if not var_edges:
-        yield {}
-        return
+    var_edges = [e for e in q.edges if e.label_var is not None]
     used = {}
     for e in q.edges:
         if e.label_var is None and e.label is not None:
             used.setdefault((fn[e.src], fn[e.dst]), set()).add(e.label)
 
     assignment = {}
-
-    def place(i):
-        if i == len(var_edges):
+    # per edge placed so far: its pair, its label variable if this edge
+    # bound it (else None), its untried labels and the label it holds
+    stack = []
+    while True:
+        if len(stack) == len(var_edges):
             yield dict(assignment)
-            return
-        _, e = var_edges[i]
-        pair = (fn[e.src], fn[e.dst])
-        pool = g.labels_between(*pair) - used.get(pair, set())
-        name = e.label_var
-        if name in assignment:
-            choices = [assignment[name]] if assignment[name] in pool else []
         else:
-            choices = sorted(pool)
-        for label in choices:
-            fresh = name not in assignment
-            if fresh:
-                assignment[name] = label
-            used.setdefault(pair, set()).add(label)
-            yield from place(i + 1)
-            used[pair].discard(label)
-            if fresh:
-                del assignment[name]
-
-    yield from place(0)
+            e = var_edges[len(stack)]
+            pair = (fn[e.src], fn[e.dst])
+            pool = g.labels_between(*pair) - used.get(pair, set())
+            name = e.label_var
+            if name in assignment:
+                choices = [assignment[name]] if assignment[name] in pool else []
+                name = None
+            else:
+                choices = sorted(pool)
+            stack.append([pair, name, iter(choices), None])
+        # move the deepest edge to its next label, backing up an edge
+        # where none is left
+        while stack:
+            top = stack[-1]
+            pair, name, choices, label = top
+            if label is not None:
+                used[pair].discard(label)
+                if name is not None:
+                    del assignment[name]
+            top[3] = label = next(choices, None)
+            if label is not None:
+                used.setdefault(pair, set()).add(label)
+                if name is not None:
+                    assignment[name] = label
+                break
+            stack.pop()
+        else:
+            return
 
 
 def bgp_results_to_table(matches, q, g):

@@ -217,17 +217,17 @@ def is_local_partial_match(q, frag, fn, *, grown=False):
     checks only 4 and 5, because the way the search grows fn makes the
     other six hold.  1: every image comes from candidates(), which hold
     only stored vertices and a constant's own vertex.  2: the seed has
-    an internal image.  3 and 6: fits() checks each edge with an
-    internal endpoint as its second end is bound, and a leaf is a state
-    with no unbound neighbour of I.  7: each vertex bound to an internal
-    image after the seed neighbours an earlier one.  8: each binding
-    after the seed is made over an edge to an internal image, which
-    fits() checked, so they all connect to the seed; if the seed is
-    bound alone, 5 fails anyway.  Of 5, a leaf checks that some
+    an internal image.  3 and 6: the binder (_bind) checks each edge
+    with an internal endpoint as its second end is bound, and a leaf is
+    a state with no unbound neighbour of I.  7: each vertex bound to an
+    internal image after the seed neighbours an earlier one.  8: each
+    binding after the seed is made over an edge to an internal image,
+    which the binder checked, so they all connect to the seed; if the
+    seed is bound alone, 5 fails anyway.  Of 5, a leaf checks that some
     binding is extended: the edge that witnessed it is a realized
     crossing edge, and no crossing edge is realized without one.  Of 4,
-    only pairs that two or more query edges land on remain, as fits()
-    checked each lone edge.
+    only pairs that two or more query edges land on remain, as the
+    binder checked each lone edge.
     """
     if grown:
         # every image is internal or extended, and the two are disjoint
@@ -346,7 +346,9 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
     fragment neighbours of those vertices' images.  A vertex below s may
     not take an internal image, so s = min(I) and the next vertex depends
     only on the bindings made so far: each local partial match is reached
-    exactly once.  Edges with an internal endpoint are checked as they
+    exactly once.  Each seed s is one walk of _bind, the binder that
+    compute_inner_matches() also uses, with s first and this next-vertex
+    rule.  Edges with an internal endpoint are checked as they
     are bound, so a state with nothing left to bind already meets six of
     the eight conditions of is_local_partial_match; it is emitted when
     the other two hold (grown=True): some binding is extended, and the
@@ -371,137 +373,105 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
         return frozenset()
     n = q.n
     internal = frag.internal
+    adj = q.adj
     cand = [candidates(q, frag, v) for v in range(n)]
     for v, hosts in (admit or {}).items():
         cand[v] = cand[v] & hosts
     results = set()
     fn = [None] * n
+
+    def pick(depth):
+        # the seed s, then the lowest unbound neighbour of an internal image
+        if not depth:
+            return s
+        for v in range(n):
+            if fn[v] is None:
+                for w in adj[v]:
+                    if fn[w] in internal:
+                        return v
+        return None
+
+    def leaf():
+        key = tuple(fn)
+        if is_local_partial_match(q, frag, key, grown=True):
+            results.add(LocalPartialMatch(
+                key, frozenset(v for v in range(n) if key[v] in internal)))
+        elif (inner is not None and frag.extended.isdisjoint(key)
+              and _shared_pairs_feasible(q, key, frag)):
+            inner.add(key)
+
+    for s in range(n):
+        seeded = cand[:]
+        seeded[s] = _seeds(q, frag, cand, s)
+        _bind(q, frag, seeded, fn, pick, leaf, deadline, s)
+    return frozenset(results)
+
+
+def _bind(q, frag, cand, fn, pick, leaf, deadline, floor=0):
+    """Bind query vertices one at a time over fn, depth first, and call
+    leaf() at each state where pick() names no vertex to bind; both
+    searches of partial evaluation bind with it.
+
+    pick(depth), given the number of vertices this call has bound, names
+    the next unbound vertex, or None at a leaf; it may read fn.  Each
+    vertex v takes a candidate from cand[v] that is a stored neighbour
+    of every internal image among its bound query neighbours, and no
+    internal one if v < floor.  Each query edge is checked against the
+    stored labels as its second end is bound, unless both images are
+    extended: the fragment stores no edge between those.  The walk keeps
+    one iterator per bound vertex on an explicit stack, so a query of any
+    size binds without recursion, and leaves fn as it found it.
+    deadline, if given, is checked every DEADLINE_EVERY states (each
+    partial assignment entered, leaves included)."""
+    internal = frag.internal
+    nbrs = frag.nbrs
+    stored = frag.edges
+    edges = q.edges
+    adj = q.adj
+    incident = q.incident
+    empty = frozenset()
     states = 0
-
-    def fits(v, u, floor):
-        if u in internal and v < floor:
-            return False
-        for ei in q.incident[v]:
-            e = q.edges[ei]
-            a = u if e.src == v else fn[e.src]
-            b = u if e.dst == v else fn[e.dst]
-            if a is None or b is None or (a not in internal
-                                          and b not in internal):
-                continue
-            if not _label_compatible(e.label,
-                                     frag.edges.get((a, b), frozenset())):
-                return False
-        return True
-
-    def grow(floor):
-        nonlocal states
+    stack = []          # (vertex, its untried candidates) per bound vertex
+    while True:
         if deadline is not None:
             states += 1
             if states % DEADLINE_EVERY == 0:
                 deadline.check("partial evaluation")
-        for v in range(n):
-            if fn[v] is None:
-                hosts = [fn[w] for w in q.adj[v] if fn[w] in internal]
-                if hosts:
-                    break
+        v = pick(len(stack))
+        if v is None:
+            leaf()
         else:
-            key = tuple(fn)
-            if is_local_partial_match(q, frag, key, grown=True):
-                results.add(LocalPartialMatch(
-                    key, frozenset(v for v in range(n) if key[v] in internal)))
-            elif (inner is not None and frag.extended.isdisjoint(key)
-                  and _shared_pairs_feasible(q, key, frag)):
-                inner.add(key)
-            return
-        pool = cand[v]
-        for h in hosts:
-            pool = pool & frag.nbrs.get(h, frozenset())
-        for u in pool:
-            if fits(v, u, floor):
+            pool = cand[v]
+            for w in adj[v]:
+                if fn[w] in internal:
+                    pool = pool & nbrs.get(fn[w], empty)
+            stack.append((v, iter(pool)))
+        # bind the deepest vertex to its next candidate that fits,
+        # backing up a vertex where none is left
+        while stack:
+            v, pool = stack[-1]
+            for u in pool:
+                if v < floor and u in internal:
+                    continue
                 fn[v] = u
-                grow(floor)
-        fn[v] = None
-
-    for s in range(n):
-        for u in _seeds(q, frag, cand, s):
-            if fits(s, u, s):
-                fn[s] = u
-                grow(s)
-        fn[s] = None
-    return frozenset(results)
-
-
-def _placer(q, frag, order, cand, fn, leaf, deadline):
-    """A function place(t) that binds order[t:] one vertex at a time,
-    given that fn binds order[:t], and calls leaf() at each total
-    assignment; compute_inner_matches() binds with it.
-
-    Each vertex takes a candidate (cand[v]) that is a stored neighbour of
-    every internal image among its bound query neighbours.  Each query
-    edge is checked against the stored labels as its second end is
-    bound, unless both images are extended: the fragment stores no edge
-    between those.  The depth-first walk keeps one iterator per bound
-    vertex on an explicit stack, so a query of any size binds without
-    recursion.  deadline, if given, is checked every DEADLINE_EVERY
-    states (each partial assignment entered, leaves included)."""
-    n = q.n
-    internal = frag.internal
-    nbrs = frag.nbrs
-    stored = frag.edges
-    # per step: the vertex, its candidates, its query neighbours bound
-    # before it, and its edges to itself or to those, as (src, dst, label)
-    edges = q.edges
-    adj = q.adj
-    steps = []
-    for t, v in enumerate(order):
-        bound = order[:t + 1]
-        steps.append((v, cand[v], [w for w in order[:t] if w in adj[v]],
-                      [(e.src, e.dst, e.label) for e in edges
-                       if v in (e.src, e.dst)
-                       and e.src in bound and e.dst in bound]))
-
-    def place(start):
-        states = 0
-        pools = []          # the untried candidates of steps start..t-1
-        t = start
-        while True:
-            if deadline is not None:
-                states += 1
-                if states % DEADLINE_EVERY == 0:
-                    deadline.check("partial evaluation")
-            if t == n:
-                leaf()
-            else:
-                _, pool, before, _ = steps[t]
-                for w in before:
-                    if fn[w] in internal:
-                        pool = pool & nbrs.get(fn[w], frozenset())
-                pools.append(iter(pool))
-            # bind the deepest vertex to its next candidate that fits,
-            # backing up a step where none is left
-            while pools:
-                v, _, _, checks = steps[start + len(pools) - 1]
-                for u in pools[-1]:
-                    fn[v] = u
-                    for a, b, label in checks:
-                        a = fn[a]
-                        b = fn[b]
-                        if (a in internal or b in internal) and not (
-                                _label_compatible(label, stored.get(
-                                    (a, b), frozenset()))):
-                            break
-                    else:
+                for ei in incident[v]:
+                    e = edges[ei]
+                    a = fn[e.src]
+                    b = fn[e.dst]
+                    if (a is not None and b is not None
+                            and (a in internal or b in internal)
+                            and not _label_compatible(
+                                e.label, stored.get((a, b), empty))):
                         break
                 else:
-                    fn[v] = None
-                    pools.pop()
-                    continue
-                break
+                    break
             else:
-                return
-            t = start + len(pools)
-
-    return place
+                fn[v] = None
+                stack.pop()
+                continue
+            break
+        else:
+            return
 
 
 def _edge_matches(q, frag, cs, cd, deadline):
@@ -838,8 +808,10 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     bound, and a constant's only candidate is its own vertex.  So a full
     assignment is a match unless two query edges land on one data pair
     whose labels cannot serve them injectively; only such pairs are
-    checked at the leaves.  The binding loop is _placer; with every
-    candidate internal, it checks every query edge.  A query that is
+    checked at the leaves.  The binding loop is _bind, the binder that
+    compute_local_partial_matches() also uses, walking the connected
+    order (below the seeded pair, once per pair); with every candidate
+    internal, it checks every query edge.  A query that is
     just the seed edge takes _edge_matches(), the scan that
     compute_anchored_matches() reads a one-edge query with."""
     n = q.n
@@ -864,7 +836,8 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
 
     seed = _seed_edge(q, frag, cand)
     if seed is None:
-        _placer(q, frag, match_order(q, cand), cand, fn, leaf, deadline)(0)
+        pick = (match_order(q, cand) + [None]).__getitem__
+        _bind(q, frag, cand, fn, pick, leaf, deadline)
         return frozenset(results)
 
     s, d = q.edges[seed].src, q.edges[seed].dst
@@ -872,8 +845,8 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     if n == 2 and not shared:           # the query is the seed edge
         return frozenset(_edge_matches(q, frag, cs, cd, deadline))
     chunks = _chunks(frag.pairs.get(q.edges[seed].label, ()), deadline)
-    place = _placer(q, frag, match_order(q, cand, (s, d)), cand, fn, leaf,
-                    deadline)
+    # the binder starts below the seeded pair, at depth 2 of the order
+    pick = (match_order(q, cand, (s, d))[2:] + [None]).__getitem__
     # the other query edges between the seeded vertices, self-loops too
     others = [e for ei, e in enumerate(q.edges)
               if ei != seed and e.src in (s, d) and e.dst in (s, d)]
@@ -885,5 +858,5 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
                 if all(_label_compatible(e.label, frag.edges.get(
                         (fn[e.src], fn[e.dst]), frozenset()))
                        for e in others):
-                    place(2)
+                    _bind(q, frag, cand, fn, pick, leaf, deadline)
     return frozenset(results)

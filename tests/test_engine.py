@@ -677,34 +677,48 @@ def test_cli_flat_chains_answer(tmp_path, capsys, text, rows):
     assert out == rows
 
 
+_P_PAIRS = "<a> <p> <b> .\n<b> <p> <a> .\n<b> <q> <c> .\n"
+_LARGE_QUERIES = {
+    "star": (_P_PAIRS, "*", ["?c <p> ?v%d ." % i for i in range(1200)], ""),
+    "path": (_P_PAIRS, "*",
+             ["?v%d <p> ?v%d ." % (i, i + 1) for i in range(1200)], ""),
+    "tail": (_P_PAIRS, "*",
+             ["?c <p> ?v%d ." % i for i in range(1200)] + ["?v0 <q> ?z ."],
+             ""),
+    "labels": ("".join("<h> <p> <n%d> .\n" % i for i in range(1200)), "?l0",
+               ["<h> ?l%d <n%d> ." % (i, i) for i in range(1200)], "p\n"),
+}
+
+
 @pytest.mark.parametrize("shape, k", [("star", 1), ("star", 4),
-                                      ("path", 1)])
+                                      ("path", 1), ("tail", 4),
+                                      ("labels", 1), ("labels", 4)])
 def test_cli_1200_pattern_query_answers(tmp_path, capsys, shape, k):
-    """A star of 1200 arms or a path of 1200 edges binds one query
-    vertex after another without recursion.  The graph stores one p
-    label on each of its two p pairs, which cannot serve the 600 or more
-    query edges that land on one pair, so only the header prints."""
+    """A query of 1200 triple patterns binds one query vertex, or one
+    label variable, after another without recursion.  In the star, the
+    path and the star with a tail (which has no universal vertex), 600
+    or more query edges land on one of the graph's two p pairs, which
+    stores one label, so only the header prints.  In the star of 1200
+    label variables, each variable takes the one p on its own pair."""
+    data, projection, patterns, rows = _LARGE_QUERIES[shape]
     src = tmp_path / "in.nt"
-    src.write_text("<a> <p> <b> .\n<b> <p> <a> .\n<b> <q> <c> .\n",
-                   encoding="utf-8")
+    src.write_text(data, encoding="utf-8")
     db = tmp_path / "db"
     assert main(["load", "--data", str(src), "--out", str(db)]) == 0
     if k > 1:
         assert main(["partition", "--db", str(db), "-k", str(k),
                      "--seed", "0"]) == 0
     capsys.readouterr()
-    if shape == "star":
-        patterns = ["?c <p> ?v%d ." % i for i in range(1200)]
-    else:
-        patterns = ["?v%d <p> ?v%d ." % (i, i + 1) for i in range(1200)]
     query = tmp_path / "big.rq"
-    query.write_text("SELECT * WHERE { %s }" % " ".join(patterns),
+    query.write_text("SELECT %s WHERE { %s }" % (projection,
+                                                  " ".join(patterns)),
                      encoding="utf-8")
     code, out, err = run_cli(capsys, ["query", "--db", str(db),
                                       "--sparql", str(query)])
     assert "Traceback" not in err
     assert (code, err) == (0, "")
-    assert out.count("\n") == 1 and out.startswith("?")
+    header, body = out.split("\n", 1)
+    assert header.startswith("?") and body == rows
 
 
 _CHAINED = 30
