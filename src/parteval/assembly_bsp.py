@@ -38,7 +38,10 @@ a selector only for a round that overflows the socket buffers.  A
 record carries the vector and its internal flags only; every site
 derives provenance from vertex homes.  Before partial evaluation, the
 same exchange can carry one admission round, in which sites share which
-boundary vertices pass their checks.  The caller owns the exchange.
+boundary vertices pass their checks.  It carries no verdicts on a
+query's anchor, which each site binds only to its own vertices, so a
+radius-1 query whose anchor is its one filterable vertex makes no
+round.  The caller owns the exchange.
 The engine keeps one loopback exchange per DistributedGraph
 (take_tcp_exchange / keep_tcp_exchange): a component takes it out of
 the graph, so concurrent queries never share one, and gives it back
@@ -141,7 +144,7 @@ def decode_admission(data):
     return v, struct.unpack_from(">%dI" % ((len(data) - 2) // 4), data, 2)
 
 
-def exchange_admission(dg, own, exchange):
+def exchange_admission(dg, own, exchange, home_only=None):
     """The admission round, one barrier before superstep 0.
 
     own[fid] is matcher.admitted() at site fid.  Each site tells each
@@ -149,7 +152,10 @@ def exchange_admission(dg, own, exchange):
     of the vertices it admitted the neighbour stores as extended
     vertices.  A site's extended vertices are all owned by neighbours, so
     what it holds afterwards is the global admitted set cut to its own
-    vertices.  A record with no ids would add nothing and is not sent;
+    vertices.  The verdicts on home_only, a query vertex that the search
+    binds only to internal vertices (the engine's anchor), are not sent:
+    every id a site receives is extended there, so they would change no
+    search.  A record with no ids would add nothing and is not sent;
     when no site sends anything, the barrier is skipped too.  A site's
     own frozensets are kept; only a query vertex that received ids gets
     a new one.  Returns (per-site admitted sets, messages, bytes).
@@ -157,7 +163,8 @@ def exchange_admission(dg, own, exchange):
     messages = 0
     byte_count = 0
     for fid in range(dg.k):
-        verdicts = sorted(own[fid].items())
+        verdicts = sorted((v, hosts) for v, hosts in own[fid].items()
+                          if v != home_only)
         for dst in sorted(dg.topo.adjacency[fid]):
             boundary = dg.fragments[dst].extended
             for v, hosts in verdicts:

@@ -93,30 +93,19 @@ def _match_component(comp, dg, cfg, stats, deadline):
 def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     """_match_component's work; exchange is None under centralized
     assembly.  A query with a universal vertex, except under the naive
-    join, is answered by compute_anchored_matches() from that vertex on
-    each fragment, with no assembler; any other query has its local
-    partial matches joined by the configured assembly."""
+    join, is answered by compute_anchored_matches() from that vertex
+    (the anchor) on each fragment, with no assembler; any other query
+    has its local partial matches joined by the configured assembly.
+    Before either, the admission round (_admit) sets what each search
+    may bind."""
     t0 = time.monotonic()
-    # each home admits its own vertices; the search binds a filterable
-    # query vertex only within what some home admitted
-    own = {frag.id: matcher.admitted(gq, frag) for frag in dg.fragments}
-    if not own[0]:          # no filterable query vertex: no admission
-        admit = dict.fromkeys(own)
-    elif exchange is not None:
-        admit, messages, byte_count = assembly_bsp.exchange_admission(
-            dg, own, exchange)
-        stats.messages_sent += messages
-        stats.bytes_sent += byte_count
-    else:
-        union = {v: frozenset().union(*(own[fid][v] for fid in own))
-                 for v in own[0]}
-        admit = dict.fromkeys(own, union)
-    # the searches count steps only under a time limit
-    timed = deadline if deadline.limit else None
     # the naive join merges partial matches, so it takes all of them
     # even when a universal vertex would answer the query directly
     anchor = (matcher.universal_vertex(gq)
               if exchange is not None or cfg.join != "naive" else None)
+    own, admit = _admit(gq, dg, anchor, stats, exchange)
+    # the searches count steps only under a time limit
+    timed = deadline if deadline.limit else None
     # the searches collect inner matches where they run; a fragment
     # without crossing edges (each one at k=1) has the pair-list search
     inner = set().union(*(matcher.compute_inner_matches(
@@ -148,6 +137,38 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     stats.inner_matches += len(inner)
     stats.crossing_matches += len(crossing)
     return crossing | inner
+
+
+def _admit(gq, dg, anchor, stats, exchange):
+    """Each home's admitted sets and the sets each fragment's search
+    binds within, as (own, admit), both by fragment id; a fragment's
+    entry is None when no query vertex is filterable, and then no
+    fragment runs matcher.admitted().
+
+    A search binds a filterable query vertex only within what some home
+    admitted, so the other homes' verdicts are sent to each site under
+    distributed assembly (exchange_admission) and united in process
+    under centralized assembly.  The anchor is bound only to internal
+    vertices, which no other home admits, so its verdicts stay at their
+    home; when it is the one filterable vertex, nothing is shared."""
+    vertices = matcher.filterable(gq)
+    if not vertices:
+        own = dict.fromkeys(range(dg.k))
+        return own, own
+    own = {frag.id: matcher.admitted(gq, frag, vertices)
+           for frag in dg.fragments}
+    if vertices == [anchor]:
+        return own, own
+    if exchange is not None:
+        admit, messages, byte_count = assembly_bsp.exchange_admission(
+            dg, own, exchange, home_only=anchor)
+        stats.messages_sent += messages
+        stats.bytes_sent += byte_count
+        return own, admit
+    union = {v: frozenset().union(*(own[fid][v] for fid in own))
+             for v in vertices if v != anchor}
+    # each site keeps its own verdicts on the anchor
+    return own, {fid: {**sets, **union} for fid, sets in own.items()}
 
 
 def _assemble(omega, gq, dg, cfg, stats, deadline, exchange):

@@ -79,6 +79,20 @@ def _number_of(graph, value):
     return numeric_value(graph.term(value))
 
 
+def _order_text(term):
+    """What an order comparison reads off a term that is not compared as
+    a number: its kind, then a literal's unescaped value or any other
+    term's lexical form.  Terms of two kinds do not order."""
+    if term.kind == LITERAL:
+        return term.kind, literal_parts(term)[0]
+    return term.kind, term.lexical
+
+
+def _text_of(graph, value):
+    """_order_text of a row value's term."""
+    return _order_text(_term_of(graph, value))
+
+
 @dataclass(frozen=True)
 class BindingTable:
     """A set of rows over the sorted variable names `names`.
@@ -253,29 +267,16 @@ _ORDER = {"<": operator.lt, "<=": operator.le,
           ">": operator.gt, ">=": operator.ge}
 
 
-def _compare(op, lt, rt):
-    """Comparison of two terms that are not both numbers; returns bool,
-    or None for an evaluation error.  Literals order by their text."""
-    if op == "=":
-        return lt == rt
-    if op == "!=":
-        return lt != rt
-    if lt.kind != rt.kind:
-        return None
-    if lt.kind == LITERAL:
-        return _ORDER[op](literal_parts(lt)[0], literal_parts(rt)[0])
-    return _ORDER[op](lt.lexical, rt.lexical)
-
-
 def _compile(expr, names, graph):
     """expr as a function of a row aligned to names, giving the
     three-valued filter result: True, False, or None on error (unbound
-    variable, kind mismatch).  Numbers are read from graph's memo."""
+    variable, kind mismatch).  A row value's number and order text are
+    read from graph's memos, each decoded once per graph."""
     at = {name: i for i, name in enumerate(names)}
-    return _compiled(expr, at, graph, decoded(graph, _number_of))
+    return _compiled(expr, at, graph)
 
 
-def _compiled(expr, at, graph, numbers):
+def _compiled(expr, at, graph):
     if isinstance(expr, BoolConst):
         value = expr.value
         return lambda row: value
@@ -285,20 +286,20 @@ def _compiled(expr, at, graph, numbers):
         i = at[expr.name]
         return lambda row: row[i] is not None
     if isinstance(expr, Comparison):
-        return _compiled_comparison(expr, at, graph, numbers)
+        return _compiled_comparison(expr, at, graph)
     if isinstance(expr, LogicalNot):
-        operand = _compiled(expr.operand, at, graph, numbers)
+        operand = _compiled(expr.operand, at, graph)
 
         def negation(row):
             inner = operand(row)
             return None if inner is None else not inner
         return negation
     if isinstance(expr, (LogicalAnd, LogicalOr)):
-        return _compiled_chain(expr, at, graph, numbers)
+        return _compiled_chain(expr, at, graph)
     raise TypeError("unknown filter node %r" % (expr,))
 
 
-def _compiled_chain(expr, at, graph, numbers):
+def _compiled_chain(expr, at, graph):
     """A left-nested && (or ||) chain as one test over its terms, walked
     with a loop as query_model._chain_text walks it.  Three-valued: for
     &&, any False gives False, otherwise any error gives None; || is the
@@ -309,7 +310,7 @@ def _compiled_chain(expr, at, graph, numbers):
         terms.append(expr.right)
         expr = expr.left
     terms.append(expr)
-    tests = [_compiled(t, at, graph, numbers) for t in reversed(terms)]
+    tests = [_compiled(t, at, graph) for t in reversed(terms)]
     decisive = kind is LogicalOr        # the value that settles the chain
 
     def chain(row):
@@ -324,23 +325,30 @@ def _compiled_chain(expr, at, graph, numbers):
     return chain
 
 
-def _compiled_comparison(expr, at, graph, numbers):
-    # each side: (row position, None, None) for a variable, (None, term,
-    # its number) for a constant
+def _compiled_comparison(expr, at, graph):
+    """= and != compare terms; an order comparison compares two numbers
+    as numbers, and otherwise order texts (_order_text) in code-point
+    order, or errs on terms of two kinds."""
+    # each side: (row position, None, None, None) for a variable, (None,
+    # term, its number, its order text) for a constant
     sides = []
     for node in (expr.lhs, expr.rhs):
         if isinstance(node, TermConst):
-            sides.append((None, node.term, numeric_value(node.term)))
+            sides.append((None, node.term, numeric_value(node.term),
+                          _order_text(node.term)))
         elif isinstance(node, VarRef) and node.name in at:
-            sides.append((at[node.name], None, None))
+            sides.append((at[node.name], None, None, None))
         else:       # an unbound variable: always an error
             return lambda row: None
-    (i, lconst, lnum), (j, rconst, rnum) = sides
+    (i, lconst, lnum, ltext), (j, rconst, rnum, rtext) = sides
     op = expr.op
     order = _ORDER.get(op)
+    numbers = decoded(graph, _number_of)
+    texts = decoded(graph, _text_of)
 
     def comparison(row):
-        # two numbers order as numbers; terms are built only otherwise
+        # two numbers order as numbers; texts and terms are read only
+        # otherwise
         if i is None:
             ln = lnum
         else:
@@ -355,11 +363,15 @@ def _compiled_comparison(expr, at, graph, numbers):
             if right is None:
                 return None
             rn = numbers[right]
-        if order is not None and ln is not None and rn is not None:
-            return order(ln, rn)
+        if order is not None:
+            if ln is not None and rn is not None:
+                return order(ln, rn)
+            lkind, lt = ltext if i is None else texts[left]
+            rkind, rt = rtext if j is None else texts[right]
+            return order(lt, rt) if lkind == rkind else None
         lt = lconst if i is None else _term_of(graph, left)
         rt = rconst if j is None else _term_of(graph, right)
-        return _compare(op, lt, rt)
+        return lt == rt if op == "=" else lt != rt
     return comparison
 
 

@@ -133,9 +133,20 @@ def _pinned(q, v, e):
     return w == v or q.graph.vertices[w].constant is not None
 
 
-def admitted(q, frag):
+def filterable(q):
+    """The query vertices admitted() checks, in id order: the variables
+    for which the check can say more than candidates(), those with two
+    or more incident edges, a self-loop, or an edge to a constant."""
+    return [v for v in range(q.n)
+            if q.graph.vertices[v].constant is None
+            and (len(q.incident[v]) >= 2
+                 or any(_pinned(q, v, q.edges[ei]) for ei in q.incident[v]))]
+
+
+def admitted(q, frag, vertices=None):
     """Internal vertices of frag that pass every incident query edge of
-    each filterable query vertex, keyed by that vertex.
+    each filterable query vertex, keyed by that vertex.  vertices, if
+    given, is filterable(q), worked out once for all fragments.
 
     A fragment stores every edge of the vertices it owns, so it can test
     its internal vertices against all of a query vertex's edges at once:
@@ -149,18 +160,12 @@ def admitted(q, frag):
     that a selective constant, not the size of a label index, sets what
     the check costs.
 
-    A variable is filterable when the check can say more than
-    candidates(): it has two or more incident edges, a self-loop, or an
-    edge to a constant.  A query without one gives an empty dict.
+    A query without a filterable vertex gives an empty dict.
     """
     out = {}
-    for v in range(q.n):
-        if q.graph.vertices[v].constant is not None:
-            continue
+    for v in filterable(q) if vertices is None else vertices:
         edges = [q.edges[ei] for ei in q.incident[v]]
         pinned = [e for e in edges if _pinned(q, v, e)]
-        if len(edges) < 2 and not pinned:
-            continue
         hosts = frag.internal
         for e in pinned:
             # an edge to a constant keeps only the constant's neighbours

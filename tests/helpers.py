@@ -197,6 +197,41 @@ def rand_bgp(rng, g, n_max=5, label_var_rate=0.15, constant_rate=0.2):
     return build_query_graph(patterns)
 
 
+def walk_bgp(rng, g, n_max=4, label_var_rate=0.1, constant_rate=0.15):
+    """A connected pattern read off a random walk of up to n_max stored
+    edges, so it always has a match: the walked vertices themselves.
+    Each step leaves the last vertex reached, or now and then an earlier
+    one, along a stored edge in either direction; each walked vertex is
+    one query vertex, a variable or (at constant_rate) its own term, and
+    each edge keeps its label or (at label_var_rate) takes a variable."""
+    edges = sorted(g.iter_edges())
+    touching = {}
+    for u, v, p in edges:
+        touching.setdefault(u, []).append((u, v, p))
+        if v != u:
+            touching.setdefault(v, []).append((u, v, p))
+    start = rng.choice(edges)
+    walked = [start]
+    seen = list(dict.fromkeys(start[:2]))
+    at = start[1]
+    for _ in range(rng.randint(0, n_max - 1)):
+        if rng.random() < 0.3:
+            at = rng.choice(seen)
+        u, v, p = rng.choice(touching[at])
+        walked.append((u, v, p))
+        at = v if at == u else u
+        if at not in seen:
+            seen.append(at)
+    spec = {u: ("term", g.term(u)) if rng.random() < constant_rate
+            else ("var", "x%d" % i) for i, u in enumerate(seen)}
+    patterns = []
+    for i, (u, v, p) in enumerate(dict.fromkeys(walked)):
+        label = (("var", "l%d" % i) if rng.random() < label_var_rate
+                 else ("label", p))
+        patterns.append((spec[u], label, spec[v]))
+    return build_query_graph(patterns)
+
+
 def rand_instance(rng, max_vertices=40):
     g = rand_graph(rng, max_vertices=max_vertices)
     dg = build_fragments(g, rand_partition(rng, g))

@@ -119,7 +119,9 @@ def test_a_radius_one_query_reaches_no_assembler(k, monkeypatch):
     """Where some query vertex u neighbours every other one, the fully
     bound partial matches holding u internally are every crossing match,
     so distributed assembly answers, over either transport, with neither
-    assembler, no superstep, and only the admission round's records."""
+    assembler, no superstep, and only the admission round's records.
+    That round leaves out the anchor's verdicts, which its search binds
+    only at their home."""
     def no_assembly(*args, **kwargs):
         raise AssertionError("an assembler ran")
 
@@ -137,7 +139,11 @@ def test_a_radius_one_query_reaches_no_assembler(k, monkeypatch):
         runs += 1
         inner, crossing = classify(enumerate_matches(g, q), dg)
         inner = set().union(*inner.values())
-        own = {f.id: matcher.admitted(gq, f) for f in dg.fragments}
+        anchor = matcher.universal_vertex(gq)
+        own = {f.id: {v: hosts
+                      for v, hosts in matcher.admitted(gq, f).items()
+                      if v != anchor}
+               for f in dg.fragments}
         admission = (0, 0)
         if own[0]:
             admission = assembly_bsp.exchange_admission(
@@ -153,6 +159,106 @@ def test_a_radius_one_query_reaches_no_assembler(k, monkeypatch):
             assert (stats.messages_sent, stats.bytes_sent) == admission
         answers += len(crossing)
     assert answers > 50
+
+
+def test_an_anchor_alone_to_filter_makes_no_admission_round(monkeypatch):
+    """In ?s <t> ?c . ?f <u> ?c only ?c, the anchor, has two edges, and
+    its verdicts stay at its home: distributed assembly over TCP answers
+    without a barrier and sends nothing."""
+    def no_barrier(self):
+        raise AssertionError("the exchange was flushed")
+
+    monkeypatch.setattr(assembly_bsp.TcpLoopbackExchange, "flush",
+                        no_barrier)
+    triples = [Triple(iri("%s%d" % (role, i)), label, iri("c%d" % (i % 3)))
+               for role, label in (("s", "t"), ("f", "u")) for i in range(6)]
+    g = RdfGraph.from_triples(triples)
+    # courses, s vertices and f vertices each on a site of their own
+    dg = build_fragments(g, PartitionMap(
+        {v: "csf".index(g.term(v).lexical[0]) for v in g.vertex_ids()}, 3))
+    s, c, f = (("var", name) for name in "scf")
+    q = build_query_graph([(s, ("label", "t"), c), (f, ("label", "u"), c)])
+    gq = matcher.ground(q, g)
+    assert matcher.filterable(gq) == [matcher.universal_vertex(gq)]
+    query = GeneralQuery(Bgp(q), None)
+    names = sorted(tree_vars(query.node))
+    single = build_fragments(g, partition_uniform_hash(g, 1))
+    want = format_tsv(execute(query, single)[0], names)
+    table, stats = execute(query, dg, EngineConfig(assembly="distributed",
+                                                   transport="tcp"))
+    assert format_tsv(table, names) == want
+    assert stats.crossing_matches == 12
+    assert (stats.messages_sent, stats.bytes_sent) == (0, 0)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.assembly[:1] + c.join[:1] + c.transport[:1])
+def test_a_query_with_nothing_to_filter_admits_nothing(cfg, monkeypatch):
+    """A one-edge query between two variables has no filterable vertex,
+    so no fragment computes admitted sets, and the answers are the
+    oracle's."""
+    def no_admission(*args, **kwargs):
+        raise AssertionError("admitted() ran")
+
+    monkeypatch.setattr(matcher, "admitted", no_admission)
+    rng = random.Random(30)
+    answers = 0
+    for trial in range(40):
+        g = helpers.rand_graph(rng, max_vertices=20)
+        dg = build_fragments(g, helpers.rand_partition(rng, g, trial % 4 + 1))
+        label = rng.choice(helpers.graph_labels(g))
+        q = build_query_graph([(("var", "x"), ("label", label),
+                                ("var", "y"))])
+        assert matcher.filterable(matcher.ground(q, g)) == []
+        want = set(enumerate_matches(g, q))
+        stats = engine.QueryStats()
+        got = engine._match_component(q, dg, cfg, stats, engine._Deadline(0))
+        assert got == want
+        answers += len(want)
+    assert answers > 100
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_home_verdicts_on_the_anchor_change_no_search(k):
+    """On random radius-1 queries read off walks of the graph, every
+    assembly and transport gives the answers and LPM counts that
+    compute_anchored_matches() gives from the admitted sets of the full
+    admission round, the anchor's verdicts sent too."""
+    rng = random.Random(3000 + k)
+    runs = crossings = 0
+    configs = [EngineConfig(assembly=assembly, transport=transport)
+               for assembly in ("centralized", "distributed")
+               for transport in ("inproc", "tcp")]
+    while runs < 60:
+        g = helpers.rand_graph(rng, max_vertices=24)
+        dg = build_fragments(g, helpers.rand_partition(rng, g, k))
+        q = helpers.walk_bgp(rng, g)
+        gq = matcher.ground(q, g)
+        anchor = matcher.universal_vertex(gq)
+        if anchor is None:
+            continue
+        runs += 1
+        own = {f.id: matcher.admitted(gq, f) for f in dg.fragments}
+        full = (assembly_bsp.exchange_admission(
+                    dg, own, assembly_bsp.InProcessExchange(k))[0]
+                if own[0] else own)
+        inner = set().union(*(matcher.compute_inner_matches(gq, f, own[f.id])
+                              for f in dg.fragments if not f.extended))
+        counts = {}
+        crossing = set()
+        for f in dg.fragments:
+            counts[f.id], answers = matcher.compute_anchored_matches(
+                gq, f, anchor, g, full[f.id], None, inner)
+            crossing |= answers
+        want = inner | crossing
+        assert want == set(enumerate_matches(g, q))
+        crossings += len(crossing)
+        for cfg in configs:
+            stats = engine.QueryStats()
+            got = engine._match_component(q, dg, cfg, stats,
+                                          engine._Deadline(0))
+            assert got == want, cfg
+            assert stats.lpm_counts == counts, cfg
+    assert crossings > 20
 
 
 def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
@@ -1014,14 +1120,16 @@ def test_an_expired_deadline_stops_the_split(monkeypatch):
 
 @pytest.mark.parametrize("vertices, options", [
     (PATH_VERTICES, ["--assembly", "d"]),
-    (16, []),
+    (20, []),
     (PATH_VERTICES, ["--join", "naive"]),
-], ids=["distributed-33", "partitioned-16", "naive-33"])
+], ids=["distributed-33", "partitioned-20", "naive-33"])
 def test_deadline_reaches_assembly(tmp_path, capsys, vertices, options):
     """A one-label path query over a 35-edge chain keeps distributed
-    assembly (33 vertices), the partitioning DP (16 vertices) and the
+    assembly (33 vertices), the partitioning DP (20 vertices) and the
     naive join (33 vertices) busy for seconds; --timeout stops each from
-    inside its loops, not after them."""
+    inside its loops, not after them.  The partitioned join's time
+    doubles with each vertex of the path, and 20 vertices keep it busy
+    for about 9 s on a 2-vCPU host, far past the 0.5 s limit."""
     src = tmp_path / "chain.nt"
     src.write_text("".join(
         "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)

@@ -292,6 +292,49 @@ def test_filter_language_tag_ignored_by_order_not_equality():
                       {"x": tagged})
 
 
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+# literals that order by their text, and an IRI and a number that order
+# with none of them
+_TEXTS = [
+    literal("b"), literal("ab"), literal("a\tb"), literal("été"),
+    literal("b", lang="en"), literal("ab", lang="fr"),
+    literal("b", datatype=_XSD + "string"),
+    literal("12", datatype=_XSD + "string"),
+    literal("2024-01-01", datatype=_XSD + "date"),
+    literal("x", datatype=XSD_INT),
+    iri("b"), literal("3", datatype=XSD_INT),
+]
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_filter_orders_literals_by_text_decoded_once(op, monkeypatch):
+    """Plain, language-tagged and non-numeric typed literals order by
+    their unescaped text, against a constant on either side or another
+    variable, as the reference orders them.  Each row value's text is
+    decoded once per graph, so a second pass decodes only the constants,
+    each once when its filter is compiled."""
+    calls = []
+    parts = general_sparql.literal_parts
+    monkeypatch.setattr(general_sparql, "literal_parts",
+                        lambda term: calls.append(term) or parts(term))
+    t = helpers.term_table(["x"], [{"x": v} for v in _TEXTS])
+    pairs = helpers.term_table(["x", "y"], [{"x": a, "y": b}
+                                            for a in _TEXTS for b in _TEXTS],
+                               graph=t.graph)
+    exprs = [Comparison(op, VarRef("x"), VarRef("y"))]
+    for const in _TEXTS:
+        exprs.append(Comparison(op, VarRef("x"), TermConst(const)))
+        exprs.append(Comparison(_MIRROR[op], TermConst(const), VarRef("x")))
+    for _ in range(2):
+        calls.clear()
+        for expr in exprs:
+            table = pairs if isinstance(expr.rhs, VarRef) else t
+            want = {row for row in term_rows(table)
+                    if helpers.ref_truth(expr, dict(row)) is True}
+            assert term_rows(filter_table(table, expr)) == want, expr
+    assert len(calls) == 2 * sum(c.kind == "literal" for c in _TEXTS)
+
+
 def test_filter_iris_compare_lexically():
     assert row_passes(Comparison("<", VarRef("x"), TermConst(iri("b"))),
                       {"x": iri("a")})
