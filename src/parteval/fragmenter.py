@@ -128,9 +128,11 @@ def partition_from_file(g, path):
 
 
 def write_partition_file(g, pm, path):
+    # a term's text is unique, so sorting (text, vertex) pairs orders by text
+    rows = sorted((g.term(v).ntriples(), v) for v in pm.assignment)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in sorted(pm.assignment, key=lambda v: g.term(v).sort_key()):
-            fh.write("%s\t%d\n" % (g.term(v).ntriples(), pm.assignment[v]))
+        for text, v in rows:
+            fh.write("%s\t%d\n" % (text, pm.assignment[v]))
 
 
 @dataclass

@@ -19,7 +19,9 @@ takes a whole triple at once; every line written by to_ntriples matches
 it.  A line it does not take (a comment, unusual whitespace, anything
 malformed) goes to the term-by-term parser, which reads it to the same
 terms and is the only source of error messages, so an error names the
-same text and line whichever path saw the line first.
+same text and line whichever path saw the line first.  Either way a
+term is interned by the text it was read as, in one dict per term kind,
+so each Term is built once; the term index is built after the last line.
 """
 
 from __future__ import annotations
@@ -273,9 +275,9 @@ class RdfGraph:
         return self.edges.get((u, v), frozenset())
 
     def to_ntriples(self):
+        text = [t.ntriples() for t in self._terms]
         lines = sorted(
-            "%s <%s> %s ." % (self._terms[u].ntriples(), p,
-                              self._terms[v].ntriples())
+            "%s <%s> %s ." % (text[u], p, text[v])
             for u, v, p in self.iter_edges()
         )
         return "\n".join(lines) + ("\n" if lines else "")
@@ -373,22 +375,25 @@ def term_from_text(text):
 # term-by-term parser below, so every line this matches parses there to
 # the same terms; any other line goes to that parser.  \w is a character
 # for which str.isalnum() holds, or "_".  A blank label ends on a word
-# character, since trailing dots belong to the terminator.  Groups:
+# character, since trailing dots belong to the terminator.  An IRI
+# character is any but \x00-\x20 and >"{}|^`, the _BAD_IRI_CHAR rule,
+# spelt as positive ranges because sre matches those faster.  Groups:
 # subject IRI | blank label, predicate, object IRI | blank label |
 # literal (with the text between its quotes).
-_IRI = r'<([^\x00-\x20>"{}|^`]*)>'
+_IRI_CHAR = r'[\x21\x23-\x3d\x3f-\x5d\x5f\x61-\x7a\x7e-\U0010ffff]'
+_IRI = r'<(%s*)>' % _IRI_CHAR
 _BLANK = r'_:([\w.-]*[\w-])'
 _LITERAL = (r'("([^"\\]*(?:\\.[^"\\]*)*)"'
-            r'(?:\^\^<[^\x00-\x20>"{}|^`]*>|@(?:[^\W_]|-)+)?)')
+            r'(?:\^\^<%s*>|@(?:[^\W_]|-)+)?)' % _IRI_CHAR)
 _TRIPLE = re.compile(
     r'[ \t]*(?:%s|%s)[ \t]*%s[ \t]*(?:%s|%s|%s)[ \t]*\.[ \t]*(?:#.*)?'
     % (_IRI, _BLANK, _IRI, _IRI, _BLANK, _LITERAL), re.DOTALL)
 
 
 def _parse_line(line, line_no):
-    """One line, term by term: its (subject, predicate, object), each
-    term as its (kind, lexical) pair, or None for a blank or comment
-    line.  The source of every error message."""
+    """One line, term by term: its (subject kind, subject lexical,
+    predicate, object kind, object lexical), or None for a blank or
+    comment line.  The source of every error message."""
     i = _skip_ws(line, 0)
     if i >= len(line) or line[i] == "#":
         return None
@@ -407,7 +412,7 @@ def _parse_line(line, line_no):
     i = _skip_ws(line, i + 1)
     if i < len(line) and line[i] != "#":
         raise NTriplesSyntaxError("trailing characters", line_no)
-    return (s.kind, s.lexical), p, (o.kind, o.lexical)
+    return s.kind, s.lexical, p, o.kind, o.lexical
 
 
 def _match_line(line):
@@ -423,12 +428,14 @@ def _match_line(line):
             decode_escapes(o_raw)
         except ValueError:
             return None
-    s = (BLANK, s_label) if s_iri is None else (IRI, s_iri)
+    s_kind = IRI
+    if s_iri is None:
+        s_kind, s_iri = BLANK, s_label
     if o_iri is not None:
-        return s, p, (IRI, o_iri)
+        return s_kind, s_iri, p, IRI, o_iri
     if o_label is not None:
-        return s, p, (BLANK, o_label)
-    return s, p, (LITERAL, o_literal)
+        return s_kind, s_iri, p, BLANK, o_label
+    return s_kind, s_iri, p, LITERAL, o_literal
 
 
 def parse_ntriples(source):
@@ -447,7 +454,9 @@ def parse_ntriples(source):
         raw_lines = source.read().split(b"\n")
 
     g = RdfGraph()
-    ids = {}        # (kind, lexical) -> vertex id
+    terms = g._terms
+    link = g._link
+    ids_of = {IRI: {}, BLANK: {}, LITERAL: {}}  # kind -> lexical -> id
     for line_no, raw in enumerate(raw_lines, start=1):
         if isinstance(raw, bytes):
             try:
@@ -462,12 +471,17 @@ def parse_ntriples(source):
         triple = _match_line(line) or _parse_line(line, line_no)
         if triple is None:
             continue
-        s, p, o = triple
-        u = ids.get(s)
+        s_kind, s_lex, p, o_kind, o_lex = triple
+        ids = ids_of[s_kind]
+        u = ids.get(s_lex)
         if u is None:
-            u = ids[s] = g._intern(Term(*s))
-        v = ids.get(o)
+            u = ids[s_lex] = len(terms)
+            terms.append(Term(s_kind, s_lex))
+        ids = ids_of[o_kind]
+        v = ids.get(o_lex)
         if v is None:
-            v = ids[o] = g._intern(Term(*o))
-        g._link(u, p, v)
+            v = ids[o_lex] = len(terms)
+            terms.append(Term(o_kind, o_lex))
+        link(u, p, v)
+    g._index = dict(zip(terms, range(len(terms))))
     return g

@@ -450,6 +450,17 @@ def test_word_classes_are_isalnum():
     assert set(re.findall(r"[^\W_]", every)) == alnum
 
 
+def test_iri_class_is_the_complement_of_the_bad_characters():
+    """The fast path spells the IRI character rule as positive ranges;
+    over every code point they take exactly what the term-by-term
+    parser's rule (and the closing '>') leaves."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    bad = set(rdf_model._BAD_IRI_CHAR.findall(every))
+    assert bad == set(_BAD_IRI_CHARS)
+    assert set(re.findall(rdf_model._IRI_CHAR, every)) == (
+        set(every) - bad - {">"})
+
+
 # each alphabet leads with the characters nearest a rule's edge
 _char = st.characters(blacklist_categories=("Cs",))
 _NOT_IRI = set(_BAD_IRI_CHARS) | {">"}
@@ -531,6 +542,28 @@ def test_canonical_lines_take_the_fast_path(triples):
             assert h.to_ntriples() == text
             assert set(map(h.term, h.vertex_ids())) == set(
                 map(g.term, g.vertex_ids()))
+
+
+def test_a_run_of_carriage_returns_takes_the_fast_path():
+    """A line may end in any number of carriage returns before its
+    newline; all of them are dropped before the one-pattern match."""
+    def refuse(line, line_no):
+        raise AssertionError("line %d left the fast path: %r" % (line_no, line))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdf_model, "_parse_line", refuse)
+        for text in ("<a> <p> <b> .\r\r\n", "<a> <p> <b> .\r\r\r"):
+            for source in (text, text.encode("utf-8")):
+                g = parse_ntriples(source)
+                assert g.to_ntriples() == "<a> <p> <b> .\n"
+
+
+@given(st.lists(_triple, max_size=8))
+def test_each_parsed_term_is_found_by_its_id(triples):
+    """The term index, built after the last line, gives each term of a
+    parsed graph back its own id."""
+    g = parse_ntriples(RdfGraph.from_triples(triples).to_ntriples())
+    assert [g.term_id(g.term(i)) for i in g.vertex_ids()] == list(
+        g.vertex_ids())
 
 
 _MUTANT = '<>"\\ .#_:@^' + "\x00\t\n\r\x0b\x1f\x7f" + "a-é٣"
