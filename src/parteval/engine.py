@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
-from .general_sparql import align, decoded, evaluate_bgp, evaluate_general
+from .general_sparql import decoded, evaluate_bgp, evaluate_general
 from .query_model import (QuerySyntaxError, UnsupportedFeatureError,
                           parse_sparql, projected_names)
 from .rdf_model import IRI, NTriplesSyntaxError, parse_ntriples
@@ -136,7 +136,9 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
 
     stats.inner_matches += len(inner)
     stats.crossing_matches += len(crossing)
-    return crossing | inner
+    # inner is this call's own set, so the crossing matches join it there
+    inner |= crossing
+    return inner
 
 
 def _admit(gq, dg, anchor, stats, exchange):
@@ -240,12 +242,21 @@ def _cell_text(graph, value):
 
 def format_tsv(table, names):
     """A header of names, then one line per row, sorted by cell text; an
-    unbound or absent name prints as an empty cell.  Cell texts come
-    from the table's graph's memo (general_sparql.decoded), so each
-    value is rendered once per graph, not once per call."""
+    unbound or absent name prints as an empty cell.  The rows are
+    rendered a column at a time: each projected column is one map over
+    the table's graph's memo of cell texts (general_sparql.decoded), so
+    each value is rendered once per graph, not once per call; a name the
+    table lacks is a column of empty cells, and a repeated name repeats
+    its column.  The rendered columns are zipped back into rows."""
     cells = decoded(table.graph, _cell_text).__getitem__
-    rendered = sorted([tuple(map(cells, row))
-                       for row in align(table.rows, table.names, names)])
+    rows = table.rows
+    wanted = set(names)
+    columns = {name: tuple(map(cells, column))
+               for name, column in zip(table.names, zip(*rows))
+               if name in wanted}
+    blank = ("",) * len(rows)
+    rendered = (sorted(zip(*[columns.get(name, blank) for name in names]))
+                if names else [()] * len(rows))
     lines = ["\t".join("?" + n for n in names)]
     lines.extend(map("\t".join, rendered))
     return "\n".join(lines) + "\n"

@@ -263,8 +263,9 @@ def left_outer_join(t1, t2, cond=None):
     return _join(t1, t2, outer=True, cond=cond)
 
 
-_ORDER = {"<": operator.lt, "<=": operator.le,
-          ">": operator.gt, ">=": operator.ge}
+_COMPARE = {"=": operator.eq, "!=": operator.ne,
+            "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
 
 
 def _compile(expr, names, graph):
@@ -326,9 +327,11 @@ def _compiled_chain(expr, at, graph):
 
 
 def _compiled_comparison(expr, at, graph):
-    """= and != compare terms; an order comparison compares two numbers
-    as numbers, and otherwise order texts (_order_text) in code-point
-    order, or errs on terms of two kinds."""
+    """Two numbers compare as numbers, = and != too (op:numeric-equal:
+    "030"^^xsd:integer = "30.0"^^xsd:decimal, and NaN equals nothing).
+    Otherwise = and != compare terms, and an order comparison compares
+    order texts (_order_text) in code-point order, or errs on terms of
+    two kinds."""
     # each side: (row position, None, None, None) for a variable, (None,
     # term, its number, its order text) for a constant
     sides = []
@@ -342,12 +345,13 @@ def _compiled_comparison(expr, at, graph):
             return lambda row: None
     (i, lconst, lnum, ltext), (j, rconst, rnum, rtext) = sides
     op = expr.op
-    order = _ORDER.get(op)
+    compare = _COMPARE[op]
+    ordered = op not in ("=", "!=")
     numbers = decoded(graph, _number_of)
     texts = decoded(graph, _text_of)
 
     def comparison(row):
-        # two numbers order as numbers; texts and terms are read only
+        # two numbers compare as numbers; texts and terms are read only
         # otherwise
         if i is None:
             ln = lnum
@@ -363,15 +367,15 @@ def _compiled_comparison(expr, at, graph):
             if right is None:
                 return None
             rn = numbers[right]
-        if order is not None:
-            if ln is not None and rn is not None:
-                return order(ln, rn)
+        if ln is not None and rn is not None:
+            return compare(ln, rn)
+        if ordered:
             lkind, lt = ltext if i is None else texts[left]
             rkind, rt = rtext if j is None else texts[right]
-            return order(lt, rt) if lkind == rkind else None
+            return compare(lt, rt) if lkind == rkind else None
         lt = lconst if i is None else _term_of(graph, left)
         rt = rconst if j is None else _term_of(graph, right)
-        return lt == rt if op == "=" else lt != rt
+        return compare(lt, rt)
     return comparison
 
 

@@ -480,17 +480,31 @@ def _bind(q, frag, cand, fn, pick, leaf, deadline, floor=0):
 
 
 def _edge_matches(q, frag, cs, cd, deadline):
-    """A list of the vectors of the matches in frag of q, one edge with a
-    constant label between query vertices 0 and 1, whose source image is
-    in cs and target image in cd: the stored pairs of the label, scanned
-    in _chunks."""
+    """The vectors of the matches in frag of q, one edge with a constant
+    label between query vertices 0 and 1, whose source image is in cs
+    and target image in cd: the stored pairs of the label, scanned in
+    _chunks.  A side whose set is the label's own index set
+    (frag.sources or frag.targets) holds every end of those pairs, so
+    it is not tested; with neither side tested, the pair list itself is
+    returned (reversed when the edge runs from 1 to 0), and deadline is
+    checked once, where a scan would first check it."""
     e = q.edges[0]
+    pairs = frag.pairs.get(e.label, ())
+    test_src = cs is not frag.sources.get(e.label)
+    test_dst = cd is not frag.targets.get(e.label)
+    if not (test_src or test_dst):
+        if deadline is not None and len(pairs) > DEADLINE_EVERY:
+            deadline.check("partial evaluation")
+        return pairs if e.src == 0 else [(b, a) for a, b in pairs]
     found = []
-    for chunk in _chunks(frag.pairs.get(e.label, ()), deadline):
-        if e.src == 0:
-            found += [p for p in chunk if p[0] in cs and p[1] in cd]
+    for chunk in _chunks(pairs, deadline):
+        if not test_src:
+            chunk = [p for p in chunk if p[1] in cd]
+        elif not test_dst:
+            chunk = [p for p in chunk if p[0] in cs]
         else:
-            found += [(b, a) for a, b in chunk if a in cs and b in cd]
+            chunk = [p for p in chunk if p[0] in cs and p[1] in cd]
+        found += chunk if e.src == 0 else [(b, a) for a, b in chunk]
     return found
 
 
@@ -533,7 +547,9 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     A one-edge query with a constant label reads its matches off the
     label's stored pairs instead (_edge_matches), when they are no more
     than the stored neighbours of the anchor's candidates (_seed_edge's
-    rule): each is an answer, since its one edge is on the anchor.
+    rule).  One pass splits them on the other end's image: extended
+    makes an answer, since the one edge is on the anchor, and internal
+    an inner match.
     admit is as for compute_local_partial_matches(); deadline, if given,
     is checked once per anchor image and every DEADLINE_EVERY vectors, or
     every DEADLINE_EVERY scanned pairs.
@@ -561,9 +577,15 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
             and _seed_edge(q, frag, {anchor: cand[anchor]}) is not None):
         matches = _edge_matches(q, frag, cand[edges[0].src],
                                 cand[edges[0].dst], deadline)
-        answers = {key for key in matches if not extended.isdisjoint(key)}
-        if inner is not None:
-            inner.update(set(matches) - answers)
+        # the anchor's image is internal, so the other end decides
+        other = 1 - anchor
+        if inner is None:
+            inner = set()
+        for key in matches:
+            if key[other] in extended:
+                answers.add(key)
+            else:
+                inner.add(key)
         if lpms is not None:
             lpms.update(answers)
         return len(answers), answers
@@ -801,13 +823,19 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     stored pairs (see _seed_edge): it scans that label's list in
     frag.pairs and binds both ends from each pair whose ends are
     candidates, and a query that is just that edge takes the filtered
-    pairs as its matches.  When no edge has a constant label between two
+    pairs as its matches.  When neither end of that one edge is
+    constrained (each end's candidates are the label's own index set,
+    as at k=1 without admitted sets), every pair is a match and the list
+    wins the seed choice, so the list is taken as stored and _seed_edge
+    is not asked.  When no edge has a constant label between two
     distinct vertices, or the smallest candidate set has fewer stored
     neighbours than that list has pairs, it starts from that set
     instead.  Either way the remaining vertices are bound one at a time
     in a connected order, each over the stored neighbours of its bound
     query neighbours' images.  deadline, if given, is checked every
-    DEADLINE_EVERY scanned pairs and every DEADLINE_EVERY search states.
+    DEADLINE_EVERY scanned pairs and every DEADLINE_EVERY search states;
+    a list taken as stored is not scanned, and the deadline is checked
+    once when it is longer than DEADLINE_EVERY pairs.
 
     Each query edge's label is checked as soon as both its ends are
     bound, and a constant's only candidate is its own vertex.  So a full
@@ -839,7 +867,13 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
         if not shared or _shared_pairs_feasible(q, fn, frag):
             results.add(tuple(fn))
 
-    seed = _seed_edge(q, frag, cand)
+    e = q.edges[0] if n == 2 and not shared else None
+    if (e is not None and e.label is not None
+            and cand[e.src] is frag.sources.get(e.label)
+            and cand[e.dst] is frag.targets.get(e.label)):
+        seed = 0        # unconstrained ends: the pair list always wins
+    else:
+        seed = _seed_edge(q, frag, cand)
     if seed is None:
         pick = (match_order(q, cand) + [None]).__getitem__
         _bind(q, frag, cand, fn, pick, leaf, deadline)

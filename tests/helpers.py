@@ -36,6 +36,7 @@ from parteval import (
     parse_ntriples,
     tree_vars,
 )
+from parteval import engine
 from parteval.rdf_model import NUMERIC_DATATYPES, literal_parts
 
 
@@ -268,11 +269,15 @@ def rand_expr(rng, names, g, depth=2):
     return Comparison(rng.choice(_COMPARE_OPS), lhs, rhs)
 
 
-def rand_ast(rng, g, depth=3):
+def rand_ast(rng, g, depth=3, walked=False):
     """An operator tree over small pattern leaves; variable names are
-    shared across leaves so joins actually join."""
+    shared across leaves so joins actually join.  The leaves are
+    rand_bgp patterns, most of which match nothing, or when walked,
+    walk_bgp patterns, each of which has a match."""
 
     def leaf():
+        if walked:
+            return Bgp(walk_bgp(rng, g, n_max=3, constant_rate=0.15))
         return Bgp(rand_bgp(rng, g, n_max=3, constant_rate=0.15))
 
     def node(d):
@@ -433,6 +438,22 @@ def ref_join_rows(ra, rb):
     return out
 
 
+def ref_format_tsv(table, names):
+    """The text engine.format_tsv prints, computed a row at a time: each
+    row re-aligned to names (None where the table lacks a name), each
+    cell rendered by engine._cell_text with no memo, then the cell
+    tuples sorted and joined."""
+    at = {name: i for i, name in enumerate(table.names)}
+    rendered = sorted(
+        tuple(engine._cell_text(table.graph,
+                                row[at[n]] if n in at else None)
+              for n in names)
+        for row in table.rows)
+    lines = ["\t".join("?" + n for n in names)]
+    lines.extend(map("\t".join, rendered))
+    return "\n".join(lines) + "\n"
+
+
 def _compatible(d1, d2):
     return all(d1[k] == d2[k] for k in d1.keys() & d2.keys())
 
@@ -495,21 +516,25 @@ def _ref_number(term):
 
 
 def _ref_compare(op, lt, rt):
-    if op == "=":
+    """Two numbers compare by value, = and != too (SPARQL 1.1's
+    op:numeric-equal, under which NaN equals nothing); otherwise = and
+    != compare terms, and an order comparison compares literal values
+    or lexical forms of terms of one kind."""
+    ln = _ref_number(lt) if lt.kind == "literal" else None
+    rn = _ref_number(rt) if rt.kind == "literal" else None
+    if ln is not None and rn is not None:
+        lv, rv = ln, rn
+    elif op == "=":
         return lt == rt
-    if op == "!=":
+    elif op == "!=":
         return lt != rt
-    if lt.kind != rt.kind:
+    elif lt.kind != rt.kind:
         return None
-    if lt.kind == "literal":
-        ln, rn = _ref_number(lt), _ref_number(rt)
-        if ln is not None and rn is not None:
-            lv, rv = ln, rn
-        else:
-            lv, rv = literal_parts(lt)[0], literal_parts(rt)[0]
+    elif lt.kind == "literal":
+        lv, rv = literal_parts(lt)[0], literal_parts(rt)[0]
     else:
         lv, rv = lt.lexical, rt.lexical
-    return {"<": lv < rv, "<=": lv <= rv,
+    return {"=": lv == rv, "!=": lv != rv, "<": lv < rv, "<=": lv <= rv,
             ">": lv > rv, ">=": lv >= rv}[op]
 
 

@@ -10,12 +10,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import parteval
 from parteval import assembly_bsp, assembly_central, engine, matcher
 from parteval import (
     Bgp,
+    BindingTable,
     EngineConfig,
     GeneralQuery,
     PartitionMap,
@@ -403,6 +405,51 @@ def test_format_tsv_cells_and_sorting():
 def test_format_tsv_column_order_follows_names():
     t = helpers.term_table({"x", "y"}, [{"x": iri("a"), "y": iri("b")}])
     assert format_tsv(t, ["y", "x"]) == "?y\t?x\nb\ta\n"
+
+
+# terms whose TSV cells need escapes or are not bare text
+_TSV_TERMS = [iri("a"), iri("b/c#d"), blank("n0"), blank("n1"),
+              literal("tab\there"), literal('say "hi"\n'),
+              literal("back\\slash"), literal("\u00e9t\u00e9", lang="fr"),
+              literal("7", datatype="http://www.w3.org/2001/XMLSchema#integer"),
+              literal("")]
+_TSV_GRAPH = helpers.terms_graph(_TSV_TERMS)
+_TSV_VALUES = ([None, "http://ex/label", "p"]
+               + [_TSV_GRAPH.term_id(t) for t in _TSV_TERMS])
+
+
+@st.composite
+def tsv_tables(draw):
+    """A table over some of the names w..z (none at all for the unit
+    table) whose cells are unbound, label strings or vertex ids of
+    _TSV_GRAPH, and projected names drawn from w..z and v, which no
+    table holds, repeats allowed."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from("wxyz")))))
+    cell = st.sampled_from(_TSV_VALUES)
+    rows = draw(st.frozensets(st.tuples(*[cell] * len(names)), max_size=12))
+    projected = draw(st.lists(st.sampled_from("vwxyz"), max_size=5))
+    table = BindingTable(names, rows, frozenset(), _TSV_GRAPH)
+    return table, projected
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_tables())
+def test_format_tsv_matches_the_row_wise_reference(drawn):
+    table, names = drawn
+    assert format_tsv(table, names) == helpers.ref_format_tsv(table, names)
+
+
+@pytest.mark.parametrize("table, names, want", [
+    (empty_table({"x"}), ["x", "x"], "?x\t?x\n"),
+    (BindingTable((), frozenset([()])), [], "\n\n"),
+    (BindingTable((), frozenset([()])), ["x", "y"], "?x\t?y\n\t\n"),
+    (BindingTable(("y",), frozenset([(None,), (_TSV_GRAPH.term_id(
+        blank("n0")),)]), frozenset(), _TSV_GRAPH), ["y", "x", "y"],
+     "?y\t?x\t?y\n\t\t\n_:n0\t\t_:n0\n"),
+], ids=["no-rows", "unit-no-names", "unit-absent-names", "repeated-name"])
+def test_format_tsv_edge_tables(table, names, want):
+    assert format_tsv(table, names) == want
+    assert helpers.ref_format_tsv(table, names) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1294,6 +1341,27 @@ def test_fragment_count_and_assembly_do_not_change_answers(tmp_path):
             got = [term_rows(execute(gq, dg, EngineConfig(assembly=mode))[0])
                    for gq in queries]
             assert got == want, "file partition, k=%d, %s" % (k, mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_walked_trees_print_the_reference_rows(seed):
+    """Operator trees over walk_bgp leaves, each of which has a match, so
+    that the joins and the TSV have rows: the engine at k=1 answers the
+    reference's rows and prints the row-wise reference's TSV, and at
+    k=2..8 under either assembly it prints the same TSV."""
+    rng = random.Random(seed)
+    g = helpers.rand_graph(rng, max_vertices=30)
+    gq = helpers.rand_ast(rng, g, walked=True)
+    names = projected_names(gq)
+    table, _ = execute(gq, build_fragments(g, partition_uniform_hash(g, 1)))
+    assert helpers.table_key(table) == helpers.table_key(
+        helpers.ref_general(gq, g))
+    want = format_tsv(table, names)
+    assert want == helpers.ref_format_tsv(table, names)
+    dg = build_fragments(g, helpers.rand_partition(rng, g, rng.randint(2, 8)))
+    for cfg in (EngineConfig(), EngineConfig(assembly="distributed")):
+        assert format_tsv(execute(gq, dg, cfg)[0], names) == want, cfg
 
 
 def test_radius_one_answers_do_not_depend_on_fragments_or_join():

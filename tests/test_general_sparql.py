@@ -196,6 +196,39 @@ def test_filter_equality_is_syntactic():
         {"x": literal("3", datatype=XSD_INT)})
 
 
+_AGES = """\
+<http://ex/a> <http://ex/age> "30"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://ex/b> <http://ex/age> "030"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://ex/c> <http://ex/age> "30.0"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+<http://ex/d> <http://ex/age> "NaN"^^<http://www.w3.org/2001/XMLSchema#double> .
+<http://ex/e> <http://ex/age> "30" .
+"""
+
+
+@pytest.mark.parametrize("condition, kept", [
+    # the plain "30" orders by its text, and is no number to equal
+    ("?a >= 30 && ?a <= 30", "abce"),
+    ("?a = 30", "abc"),
+    ("?a != 30", "de"),
+    ("?a = 30.0", "abc"),
+    # NaN equals nothing, itself included
+    ("?a = ?a", "abce"),
+    ("?a != ?a", "d"),
+    # a plain literal is no number: compared as a term, and unordered
+    ("?a = \"30\"", "e"),
+    ("?a != \"30\"", "abcd"),
+])
+def test_filter_equality_of_numbers_compares_values(condition, kept):
+    """= and != between two numbers compare their values, as SPARQL 1.1's
+    op:numeric-equal does; any other operands compare as terms."""
+    g = parse_ntriples(_AGES.encode())
+    gq = parse_sparql("SELECT ?s WHERE { ?s <http://ex/age> ?a . "
+                      "FILTER(%s) }" % condition)
+    want = {make_row({"s": iri("http://ex/" + c)}) for c in kept}
+    assert term_rows(evaluate_general(gq, bgp_eval_for(g))) == want
+    assert helpers.ref_general(gq, g)[1] == want
+
+
 def test_filter_order_kind_mismatch_is_error():
     expr = Comparison("<", VarRef("x"), TermConst(literal("3")))
     assert not row_passes(expr, {"x": iri("3")})
@@ -608,11 +641,15 @@ def test_filter_distributes_over_union(t1, t2):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_tree_evaluation_matches_reference(seed):
+    """A tree over rand_bgp leaves, most of which match nothing, then one
+    over walk_bgp leaves, each of which has a match."""
     rng = random.Random(seed)
     g, _, _ = helpers.rand_instance(rng, max_vertices=14)
-    gq = helpers.rand_ast(rng, g)
-    got = evaluate_general(gq, bgp_eval_for(g))
-    assert helpers.table_key(got) == helpers.table_key(helpers.ref_general(gq, g))
+    for walked in (False, True):
+        gq = helpers.rand_ast(rng, g, walked=walked)
+        got = evaluate_general(gq, bgp_eval_for(g))
+        assert helpers.table_key(got) == helpers.table_key(
+            helpers.ref_general(gq, g))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from parteval import assembly_bsp, engine, matcher
+from parteval import assembly_bsp, engine, general_sparql, matcher
 from parteval import (
+    Bgp,
+    EngineConfig,
+    GeneralQuery,
     PartitionMap,
     QueryGraph,
     RdfGraph,
@@ -28,6 +31,7 @@ from parteval import (
     compute_inner_matches,
     compute_local_partial_matches,
     enumerate_matches,
+    execute,
     ground,
     iri,
     is_complete_match,
@@ -1018,3 +1022,101 @@ def test_anchored_pair_scan_answers_to_the_deadline():
             with pytest.raises(TimeoutExceeded, match="partial evaluation"):
                 matcher.compute_anchored_matches(q, frag, 0, g,
                                                  deadline=expired)
+
+
+# ---------------------------------------------------------------------------
+# One-edge patterns read off the label's pair list.
+
+_ONE_EDGE_SHAPES = ["0->1", "1->0", "constant-source", "constant-target",
+                    "self-loop", "variable-label"]
+
+
+def one_edge_pattern(rng, g, shape):
+    """A one-edge pattern of the given shape over a stored label, with
+    its constant end, if any, taken from the data."""
+    label = L(rng.choice(helpers.graph_labels(g)))
+    term = T(g.term(rng.choice(list(g.vertex_ids()))))
+    x, y = V("x"), V("y")
+    return build_query_graph([{
+        "0->1": (x, label, y), "1->0": (y, label, x),
+        "constant-source": (term, label, y),
+        "constant-target": (x, label, term),
+        "self-loop": (x, label, x), "variable-label": (x, V("l"), y),
+    }[shape]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 30), st.integers(1, 8),
+       st.sampled_from(_ONE_EDGE_SHAPES))
+def test_one_edge_patterns_match_the_reference(seed, k, shape):
+    """Each fragment's inner search (where it has no extended vertex) and
+    anchored search, with and without the admitted sets, together find
+    the reference's rows; so does the engine under either assembly."""
+    rng = random.Random(seed)
+    g = helpers.rand_graph(rng, max_vertices=24)
+    dg = build_fragments(g, helpers.rand_partition(rng, g, k))
+    q_graph = one_edge_pattern(rng, g, shape)
+    q = ground(q_graph, g)
+    want = helpers.ref_bgp(q_graph, g)[1]
+    own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
+    union = {v: frozenset().union(*(sets[v] for sets in own.values()))
+             for v in own[0]}
+    anchor = matcher.universal_vertex(q)
+    for admitted in (False, True):
+        found = set()
+        for frag in dg.fragments:
+            if not frag.extended:
+                found |= compute_inner_matches(
+                    q, frag, own[frag.id] if admitted else None)
+            _, answers = matcher.compute_anchored_matches(
+                q, frag, anchor, g, union if admitted else None, inner=found)
+            found |= answers
+        table = general_sparql.bgp_results_to_table(found, q_graph, g)
+        assert helpers.term_rows(table) == want, admitted
+    for assembly in ("centralized", "distributed"):
+        table, _ = execute(GeneralQuery(Bgp(q_graph), None), dg,
+                           EngineConfig(assembly=assembly))
+        assert helpers.term_rows(table) == want, assembly
+
+
+def spy_edge_reads(monkeypatch):
+    """Spy on _edge_matches: appends, per call, whether it returned the
+    label's stored pair list itself."""
+    reads = []
+    scan = matcher._edge_matches
+
+    def spied(q, frag, cs, cd, deadline):
+        found = scan(q, frag, cs, cd, deadline)
+        reads.append(found is frag.pairs.get(q.edges[0].label))
+        return found
+    monkeypatch.setattr(matcher, "_edge_matches", spied)
+    return reads
+
+
+def test_free_one_edge_pattern_takes_the_stored_pairs(monkeypatch):
+    """At k=1, a one-edge pattern with two free ends is the label's pair
+    list as stored, with no seed choice; a constant end is not free, so
+    the list is filtered (or the search starts from the constant)."""
+    triples = [Triple(iri("s%d" % i), "p", iri("o%d" % (i % 3)))
+               for i in range(12)] + [Triple(iri("o0"), "q", iri("s1"))]
+    g = RdfGraph.from_triples(triples)
+    dg = build_fragments(g, PartitionMap(dict.fromkeys(g.vertex_ids(), 0), 1))
+    frag = dg.fragments[0]
+    reads = spy_edge_reads(monkeypatch)
+    starts = record_starts(monkeypatch)
+    free = ground(build_query_graph([(V("x"), L("p"), V("y"))]), g)
+    assert compute_inner_matches(free, frag) == set(frag.pairs["p"])
+    assert (reads, starts) == ([True], [])
+    for constant in ([(T(iri("s4")), L("p"), V("y"))],
+                     [(V("x"), L("p"), T(iri("o1")))]):
+        del reads[:]
+        q_graph = build_query_graph(constant)
+        q = ground(q_graph, g)
+        got = compute_inner_matches(q, frag, matcher.admitted(q, frag))
+        assert got == classify(enumerate_matches(g, q_graph), dg)[0][0]
+        assert len(got) in (1, 4) and True not in reads
+    # through the engine, which also runs the anchored search
+    del reads[:]
+    table, _ = execute(GeneralQuery(Bgp(build_query_graph(
+        [(V("x"), L("p"), V("y"))])), None), dg)
+    assert len(table.rows) == 12 and reads == [True]

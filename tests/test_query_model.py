@@ -654,11 +654,13 @@ def test_pretty_round_trips_nested_negations():
 def test_pretty_round_trips_random_trees(seed):
     rng = random.Random(seed)
     g, _, _ = helpers.rand_instance(rng, max_vertices=14)
-    gq = helpers.rand_ast(rng, g)
-    text = pretty(gq)
-    back = parse_sparql(text)
-    assert helpers.ref_general(back, g) == helpers.ref_general(gq, g), text
-    assert pretty(back) == text
+    for walked in (False, True):
+        gq = helpers.rand_ast(rng, g, walked=walked)
+        text = pretty(gq)
+        back = parse_sparql(text)
+        assert helpers.ref_general(back, g) == helpers.ref_general(gq, g), \
+            text
+        assert pretty(back) == text
 
 
 def test_pretty_constants():
