@@ -19,11 +19,12 @@ one of the sites the partial-item rule would pick.  No complete item
 enters a pool: the top home emits an arriving one at once.  No site
 sends one that the top home's own search must already have found
 (held_at, decided from vertex homes alone): the top home emitted it at
-start-up.  At start-up a site settles each complete match from its top
-home first: it drops one the top home holds, then one that fails its
-local check, and emits, without sending, one whose top home it is; the
-check runs only where some query edge lies between two extended images,
-since the search already checked every edge with an internal endpoint.
+start-up.  One rule (_settle) settles a complete item, whether a site's
+search found it or a join made it: drop it when its top home holds it,
+then when it fails the site's local check, else emit it at its top home
+or send it there.  At start-up the check runs only where some query
+edge lies between two extended images, since the search already checked
+every edge with an internal endpoint.
 
 Supersteps alternate computation and a barriered exchange; the run ends
 when a superstep posts nothing, without a barrier, so a run whose
@@ -411,6 +412,28 @@ def held_at(q, dg, site, fn):
             and _connected_through(q, inside, inside))
 
 
+def _settle(q, dg, rank, site, pm, emitted, send, found=False):
+    """Settle the complete item pm at site: drop it when its top home
+    holds it (held_at) or when it fails the local check, else emit it
+    into emitted when site is its top home, or send(pm).  found says
+    that pm is as site's own search found it, whose checked edges the
+    check then trusts (checked_by_search).  True when pm was newly
+    emitted."""
+    top = top_home(dg, rank, pm.fn)
+    if top != site and held_at(q, dg, top, pm.fn):
+        return False
+    if not ((found and checked_by_search(q, pm.internal))
+            or is_complete_locally(q, dg, pm.fn)):
+        return False
+    if top != site:
+        send(pm)
+        return False
+    if pm.fn in emitted:
+        return False
+    emitted.add(pm.fn)
+    return True
+
+
 def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
                       deadline=None):
     """One site's compute superstep.
@@ -420,14 +443,11 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
     them are tried against each other: all lie below the site, so their
     merge could not peak at it.  A merge is admitted when its provenance
     peaks at the site and it is new to seen.  A complete admitted
-    result is dropped when its top home holds it (held_at), and
-    otherwise either emitted (valid, and this site is the top home) or
-    readied for sending to its top home (valid); a partial one is
-    readied for routing and joins the pool in turn.  seen holds every
-    item the site has pooled or produced, emitted every vector it has
-    emitted; both are updated in place.  deadline, if given, is checked
-    every DEADLINE_EVERY probed pairs.  Returns (newly emitted vectors,
-    items for the outbox).
+    result is settled (_settle), its sending readied for the outbox; a
+    partial one is readied for routing and joins the pool in turn.
+    seen holds every item the site has pooled or produced, emitted every
+    vector it has emitted; both are updated in place.  Returns (newly
+    emitted vectors, items for the outbox).
     """
     site_rank = rank[site]
     out = []
@@ -443,15 +463,7 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
         if None in merged.fn:
             out.append(merged)
             return True
-        top = top_home(dg, rank, merged.fn)
-        if top != site and held_at(q, dg, top, merged.fn):
-            return False
-        if not is_complete_locally(q, dg, merged.fn):
-            return False
-        if top != site:
-            out.append(merged)
-        elif merged.fn not in emitted:
-            emitted.add(merged.fn)
+        if _settle(q, dg, rank, site, merged, emitted, out.append):
             new_emits.add(merged.fn)
         return False
 
@@ -463,17 +475,15 @@ def local_computation(site, delta_in, pool, q, dg, rank, seen, emitted,
 def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
     """Drive the sites to quiescence and collect every emission.
 
-    Superstep 0 only sends the initial partial matches along the routing
-    rule, after each site has emitted its own complete ones; compute and
-    exchange then alternate until a superstep posts nothing, at most k-1
+    Superstep 0 settles each site's complete matches (_settle) and sends
+    its partial ones along the routing rule; compute and exchange then
+    alternate until a superstep posts nothing, at most k-1
     times.  Every record of the run has one RecordLayout.  The returned
     set is the union of all sites' emissions, pairwise disjoint by the
     emission rule.  omega holds each fragment's local partial matches as
     compute_local_partial_matches found them, which lets start-up trust
     the edges the search checked (checked_by_search) and a site trust
     that a top home holds what its search must find (held_at).
-    deadline, if given, has check(phase) called once per superstep and
-    inside long compute steps.
     """
     topo = dg.topo
     rank = fragment_order({fid: omega.get(fid, frozenset())
@@ -512,26 +522,12 @@ def run_bsp(dg, q, omega, stats=None, exchange=None, deadline=None):
 
     for fid in range(dg.k):
         base = []
-        up = []
-        for pm in omega.get(fid, frozenset()):
+        for pm in sorted(omega.get(fid, ()), key=_lpm_key):
             if None in pm.fn:
                 base.append(pm)
-                continue
-            dst = top_home(dg, rank, pm.fn)
-            if dst != fid and held_at(q, dg, dst, pm.fn):
-                continue    # dst's own search found it and emits it
-            if not (checked_by_search(q, pm.internal)
-                    or is_complete_locally(q, dg, pm.fn)):
-                continue
-            if dst == fid:
-                emitted[fid].add(pm.fn)
+                send(pm)
             else:
-                up.append((_lpm_key(pm), pm, dst))
-        base.sort(key=_lpm_key)
-        for pm in base:
-            send(pm)
-        for _, pm, dst in sorted(up):
-            post(pm, (dst,))
+                _settle(q, dg, rank, fid, pm, emitted[fid], send, found=True)
         pools[fid] = PartialMatchIndex(q, base)
         seen[fid] = set(base)
 

@@ -32,8 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .matcher import (DEADLINE_EVERY, LocalPartialMatch, is_bound_answer,
-                      is_complete_match)
+from .matcher import LocalPartialMatch, is_bound_answer, is_complete_match
 
 
 class NotJoinable(Exception):
@@ -147,8 +146,7 @@ class PartialMatchIndex:
         does the whole batch join, so no two items of one batch are
         tried against each other.  Accepted merges are queued and join
         the same way, one at a time.  So every pair is probed once, and
-        keep decides what is new.  deadline, if given, is checked every
-        DEADLINE_EVERY probed pairs.
+        keep decides what is new.
         """
         queue = deque()
         for w in batch:
@@ -164,9 +162,8 @@ class PartialMatchIndex:
         out = []
         for m in self.probe(w):
             self.pairs_examined += 1
-            if (deadline is not None
-                    and self.pairs_examined % DEADLINE_EVERY == 0):
-                deadline.check("assembly")
+            if deadline is not None:
+                deadline.spend("assembly")
             if joinable(w, m, q):
                 merged = merge(w, m)
                 if keep(merged):
@@ -180,8 +177,7 @@ def naive_iterative_join(omega, q, g, stats=None, deadline=None):
     Each match joins the index alone, in _lpm_key order, and every
     intermediate it yields joins in turn, so every pair of the working
     set is probed once.  A join strictly grows the internal set, which
-    the query size bounds, so the closure ends.  deadline, if given, is
-    checked every DEADLINE_EVERY probed pairs.
+    the query size bounds, so the closure ends.
     """
     return _join_batches(([pm] for pm in sorted(omega, key=_lpm_key)),
                          q, g, stats, deadline)
@@ -302,7 +298,6 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
     with ties to the lowest id.  Above MAX_ORDERED_VERTICES query
     vertices the search is skipped and the vertices anchor in id order,
     which is as valid a partitioning, only not a cheapest one.
-    deadline, if given, is checked every DEADLINE_EVERY memo misses.
     """
     n = q.n
     if n > MAX_ORDERED_VERTICES:
@@ -319,17 +314,14 @@ def optimal_partitioning(omega, q, stats=None, deadline=None):
         counts[mask] = counts.get(mask, 0) + 1
     comps = _components(counts)
     memos = [{} for _ in comps]
-    misses = 0
 
     def solve(c, used):
         """Cheapest cost of component c with its vertices in used spent."""
-        nonlocal misses
         memo = memos[c]
         if used in memo:
             return memo[used]
-        misses += 1
-        if deadline is not None and misses % DEADLINE_EVERY == 0:
-            deadline.check("assembly")
+        if deadline is not None:
+            deadline.spend("assembly")
         # unassigned matches per vertex that would claim them
         sizes = {}
         for mask, count in comps[c][1]:
@@ -378,8 +370,7 @@ def partitioning_based_join(p, q, g, stats=None, deadline=None):
     Each part joins the index as one batch: its members probe the
     accumulated working set, never each other.  Intermediates produced
     inside a part also join before the part closes, so chains whose
-    pieces straddle one part still complete.  deadline, if given, is
-    checked every DEADLINE_EVERY probed pairs.
+    pieces straddle one part still complete.
     """
     return _join_batches((sorted(members, key=_lpm_key)
                           for _, members in p.parts), q, g, stats, deadline)
@@ -392,15 +383,13 @@ def assemble(omega, q, g, stats=None, deadline=None):
 
     A fully bound match merges into nothing but its own vector, so the
     join would only find it again, once per joinable partner.  join_cost
-    in stats is the modeled cost over what the join receives.  deadline,
-    if given, is checked every DEADLINE_EVERY matches of omega as they
-    are split, then by the DP and the join as they describe.
+    in stats is the modeled cost over what the join receives.
     """
     direct = set()
     rest = []
-    for i, pm in enumerate(omega, 1):
-        if deadline is not None and i % DEADLINE_EVERY == 0:
-            deadline.check("assembly")
+    for pm in omega:
+        if deadline is not None:
+            deadline.spend("assembly")
         if None in pm.fn:
             rest.append(pm)
         elif is_bound_answer(q, pm.fn, pm.internal, g.labels_between):

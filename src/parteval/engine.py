@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from . import assembly_bsp, assembly_central, fragmenter, matcher
 from .fragmenter import PartitionError, PartitionMap
 from .general_sparql import decoded, evaluate_bgp, evaluate_general
+from .matcher import DEADLINE_EVERY
 from .query_model import (QuerySyntaxError, UnsupportedFeatureError,
                           parse_sparql, projected_names)
 from .rdf_model import IRI, NTriplesSyntaxError, parse_ntriples
@@ -58,23 +59,46 @@ class QueryStats:
 
 
 class _Deadline:
+    """A query's time limit and its one work counter.
+
+    Each layer reports its work as it does it, with spend(phase, units):
+    a search state, a vector of the universal-vertex search, an image of
+    the universal vertex and each of its stored neighbours, a stored
+    pair scanned or taken whole (spent before the pass over the list),
+    a probed pair of a join, a memo miss of the partitioning DP, a
+    partial match split off before the DP.  The clock is read as soon
+    as more than DEADLINE_EVERY units have been spent since it was last
+    read, however many calls the work is spread over, and once after
+    each phase and each superstep (check).  A query without a limit has
+    no deadline: _match_component passes None to every layer."""
+
     def __init__(self, seconds):
         self.limit = seconds
         self.start = time.monotonic()
+        self.spent = 0
+
+    def spend(self, phase, units=1):
+        self.spent += units
+        if self.spent > DEADLINE_EVERY:
+            self.check(phase)
 
     def check(self, phase):
-        if self.limit and time.monotonic() - self.start > self.limit:
+        self.spent = 0
+        if time.monotonic() - self.start > self.limit:
             raise TimeoutExceeded("timed out during %s" % phase)
 
 
 def _match_component(comp, dg, cfg, stats, deadline):
     """Full pipeline for one connected pattern graph: admission,
     per-fragment matching, then the configured assembly; returns match
-    vectors.  Distributed assembly takes its exchange here, because the
-    admission round already uses it.  Over TCP that is the graph's own
-    exchange, given back after a clean finish and closed on any error,
-    since its buffers may then hold part of a round."""
+    vectors.  deadline is the query's _Deadline, passed on as None when
+    it sets no limit.  Distributed assembly takes its exchange here,
+    because the admission round already uses it.  Over TCP that is the
+    graph's own exchange, given back after a clean finish and closed on
+    any error, since its buffers may then hold part of a round."""
     gq = matcher.ground(comp, dg.source)
+    if not deadline.limit:
+        deadline = None
     if cfg.assembly != "distributed":
         return _evaluate(gq, dg, cfg, stats, deadline, None)
     if cfg.transport != "tcp":
@@ -104,16 +128,14 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     anchor = (matcher.universal_vertex(gq)
               if exchange is not None or cfg.join != "naive" else None)
     own, admit = _admit(gq, dg, anchor, stats, exchange)
-    # the searches count steps only under a time limit
-    timed = deadline if deadline.limit else None
     # the searches collect inner matches where they run; a fragment
     # without crossing edges (each one at k=1) has the pair-list search
     inner = set().union(*(matcher.compute_inner_matches(
-                              gq, frag, own[frag.id], timed)
+                              gq, frag, own[frag.id], deadline)
                           for frag in dg.fragments if not frag.extended))
     if anchor is None:
         omega = {frag.id: matcher.compute_local_partial_matches(
-                     gq, frag, admit[frag.id], timed, inner=inner)
+                     gq, frag, admit[frag.id], deadline, inner=inner)
                  for frag in dg.fragments}
         counts = {fid: len(lpms) for fid, lpms in omega.items()}
     else:
@@ -121,18 +143,20 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
         crossing = set()
         for frag in dg.fragments:
             counts[frag.id], answers = matcher.compute_anchored_matches(
-                gq, frag, anchor, dg.source, admit[frag.id], timed, inner)
+                gq, frag, anchor, dg.source, admit[frag.id], deadline, inner)
             crossing |= answers
     stats.partial_eval_seconds += time.monotonic() - t0
     for fid, count in counts.items():
         stats.lpm_counts[fid] = stats.lpm_counts.get(fid, 0) + count
-    deadline.check("partial evaluation")
+    if deadline is not None:
+        deadline.check("partial evaluation")
 
     if anchor is None:
         t1 = time.monotonic()
         crossing = _assemble(omega, gq, dg, cfg, stats, deadline, exchange)
         stats.assembly_seconds += time.monotonic() - t1
-        deadline.check("assembly")
+        if deadline is not None:
+            deadline.check("assembly")
 
     stats.inner_matches += len(inner)
     stats.crossing_matches += len(crossing)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-DEADLINE_EVERY = 256   # work items between deadline checks
+DEADLINE_EVERY = 256   # units of work between clock reads (engine._Deadline)
 
 
 @dataclass(frozen=True)
@@ -371,8 +371,7 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
     the paper's definition.  admit maps some query vertices to the only
     data vertices they may bind (the union of every fragment's admitted()
     sets, or this fragment's share of it), which drops local partial
-    matches that no complete match extends.  deadline, if given, is
-    checked every DEADLINE_EVERY search states.
+    matches that no complete match extends.
     """
     if not frag.extended:
         return frozenset()
@@ -425,9 +424,7 @@ def _bind(q, frag, cand, fn, pick, leaf, deadline, floor=0):
     stored labels as its second end is bound, unless both images are
     extended: the fragment stores no edge between those.  The walk keeps
     one iterator per bound vertex on an explicit stack, so a query of any
-    size binds without recursion, and leaves fn as it found it.
-    deadline, if given, is checked every DEADLINE_EVERY states (each
-    partial assignment entered, leaves included)."""
+    size binds without recursion, and leaves fn as it found it."""
     internal = frag.internal
     nbrs = frag.nbrs
     stored = frag.edges
@@ -435,13 +432,10 @@ def _bind(q, frag, cand, fn, pick, leaf, deadline, floor=0):
     adj = q.adj
     incident = q.incident
     empty = frozenset()
-    states = 0
     stack = []          # (vertex, its untried candidates) per bound vertex
     while True:
         if deadline is not None:
-            states += 1
-            if states % DEADLINE_EVERY == 0:
-                deadline.check("partial evaluation")
+            deadline.spend("partial evaluation")
         v = pick(len(stack))
         if v is None:
             leaf()
@@ -482,37 +476,31 @@ def _bind(q, frag, cand, fn, pick, leaf, deadline, floor=0):
 def _edge_matches(q, frag, cs, cd, deadline):
     """The vectors of the matches in frag of q, one edge with a constant
     label between query vertices 0 and 1, whose source image is in cs
-    and target image in cd: the stored pairs of the label, scanned in
-    _chunks.  A side whose set is the label's own index set
-    (frag.sources or frag.targets) holds every end of those pairs, so
-    it is not tested; with neither side tested, the pair list itself is
-    returned (reversed when the edge runs from 1 to 0), and deadline is
-    checked once, where a scan would first check it."""
+    and target image in cd: the stored pairs of the label, filtered.  A
+    side whose set is the label's own index set (frag.sources or
+    frag.targets) holds every end of those pairs, so it is not tested;
+    with neither side tested, the pair list itself is returned (reversed
+    when the edge runs from 1 to 0)."""
     e = q.edges[0]
     pairs = frag.pairs.get(e.label, ())
+    if deadline is not None:
+        deadline.spend("partial evaluation", len(pairs))
     test_src = cs is not frag.sources.get(e.label)
     test_dst = cd is not frag.targets.get(e.label)
-    if not (test_src or test_dst):
-        if deadline is not None and len(pairs) > DEADLINE_EVERY:
-            deadline.check("partial evaluation")
-        return pairs if e.src == 0 else [(b, a) for a, b in pairs]
-    found = []
-    for chunk in _chunks(pairs, deadline):
-        if not test_src:
-            chunk = [p for p in chunk if p[1] in cd]
-        elif not test_dst:
-            chunk = [p for p in chunk if p[0] in cs]
-        else:
-            chunk = [p for p in chunk if p[0] in cs and p[1] in cd]
-        found += chunk if e.src == 0 else [(b, a) for a, b in chunk]
-    return found
+    if not test_src:
+        if test_dst:
+            pairs = [p for p in pairs if p[1] in cd]
+    elif not test_dst:
+        pairs = [p for p in pairs if p[0] in cs]
+    else:
+        pairs = [p for p in pairs if p[0] in cs and p[1] in cd]
+    return pairs if e.src == 0 else [(b, a) for a, b in pairs]
 
 
 def _every(keys, deadline):
-    """keys, checking deadline every DEADLINE_EVERY of them."""
-    for i, key in enumerate(keys, 1):
-        if i % DEADLINE_EVERY == 0:
-            deadline.check("partial evaluation")
+    """keys, each spent on deadline as it is taken."""
+    for key in keys:
+        deadline.spend("partial evaluation")
         yield key
 
 
@@ -550,9 +538,7 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     rule).  One pass splits them on the other end's image: extended
     makes an answer, since the one edge is on the anchor, and internal
     an inner match.
-    admit is as for compute_local_partial_matches(); deadline, if given,
-    is checked once per anchor image and every DEADLINE_EVERY vectors, or
-    every DEADLINE_EVERY scanned pairs.
+    admit is as for compute_local_partial_matches().
     """
     answers = set()
     if not frag.extended:
@@ -620,12 +606,12 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     count = 0
 
     for a in cand[anchor]:
+        around = frag.nbrs.get(a, empty)
         if deadline is not None:
-            deadline.check("partial evaluation")
+            deadline.spend("partial evaluation", 1 + len(around))
         here = stored.get((a, a), empty)
         if not all(_label_compatible(label, here) for label in anchor_loops):
             continue
-        around = frag.nbrs.get(a, empty)
         options[anchor] = (a,)
         for v in others:
             opts = cand[v] & around
@@ -802,15 +788,6 @@ def _seed_edge(q, frag, cand):
     return None
 
 
-def _chunks(pairs, deadline):
-    """pairs in slices of DEADLINE_EVERY, checking deadline, if given,
-    before each slice after the first."""
-    for start in range(0, len(pairs), DEADLINE_EVERY):
-        if start and deadline is not None:
-            deadline.check("partial evaluation")
-        yield pairs[start:start + DEADLINE_EVERY]
-
-
 def compute_inner_matches(q, frag, admit=None, deadline=None):
     """Complete matches whose image uses only internal vertices and inner
     edges of the fragment.  admit, if given, is admitted(q, frag): those
@@ -832,10 +809,7 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     neighbours than that list has pairs, it starts from that set
     instead.  Either way the remaining vertices are bound one at a time
     in a connected order, each over the stored neighbours of its bound
-    query neighbours' images.  deadline, if given, is checked every
-    DEADLINE_EVERY scanned pairs and every DEADLINE_EVERY search states;
-    a list taken as stored is not scanned, and the deadline is checked
-    once when it is longer than DEADLINE_EVERY pairs.
+    query neighbours' images.
 
     Each query edge's label is checked as soon as both its ends are
     bound, and a constant's only candidate is its own vertex.  So a full
@@ -883,19 +857,20 @@ def compute_inner_matches(q, frag, admit=None, deadline=None):
     cs, cd = cand[s], cand[d]
     if n == 2 and not shared:           # the query is the seed edge
         return frozenset(_edge_matches(q, frag, cs, cd, deadline))
-    chunks = _chunks(frag.pairs.get(q.edges[seed].label, ()), deadline)
+    pairs = frag.pairs.get(q.edges[seed].label, ())
+    if deadline is not None:
+        deadline.spend("partial evaluation", len(pairs))
     # the binder starts below the seeded pair, at depth 2 of the order
     pick = (match_order(q, cand, (s, d))[2:] + [None]).__getitem__
     # the other query edges between the seeded vertices, self-loops too
     others = [e for ei, e in enumerate(q.edges)
               if ei != seed and e.src in (s, d) and e.dst in (s, d)]
-    for chunk in chunks:
-        for a, b in chunk:
-            if a in cs and b in cd:
-                fn[s] = a
-                fn[d] = b
-                if all(_label_compatible(e.label, frag.edges.get(
-                        (fn[e.src], fn[e.dst]), frozenset()))
-                       for e in others):
-                    _bind(q, frag, cand, fn, pick, leaf, deadline)
+    for a, b in pairs:
+        if a in cs and b in cd:
+            fn[s] = a
+            fn[d] = b
+            if all(_label_compatible(e.label, frag.edges.get(
+                    (fn[e.src], fn[e.dst]), frozenset()))
+                   for e in others):
+                _bind(q, frag, cand, fn, pick, leaf, deadline)
     return frozenset(results)

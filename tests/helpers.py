@@ -83,6 +83,21 @@ SELECT ?a ?d WHERE {
 }
 """
 
+STAR_WITH_TAIL_NT = """\
+<http://ex/a> <http://ex/p> <http://ex/b> .
+<http://ex/b> <http://ex/q> <http://ex/c> .
+<http://ex/b> <http://ex/p> <http://ex/a> .
+"""
+
+
+def star_with_tail(arms):
+    """The text of a query with a star of p arms from ?c and a q tail on
+    the first arm.  ?c neighbours every vertex but the tail's end, so
+    over STAR_WITH_TAIL_NT at k > 1 the local-partial-match search runs,
+    one short walk per seed vertex and fragment."""
+    return "SELECT * WHERE { %s ?v0 <http://ex/q> ?z }" % " ".join(
+        "?c <http://ex/p> ?v%d ." % i for i in range(arms))
+
 
 def term_key(t):
     return t.lexical if t.kind == "iri" else t.ntriples()

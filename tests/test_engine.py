@@ -1253,14 +1253,31 @@ def _star_runaway(tmp_path):
     return db, query
 
 
+def _many_walks_runaway(tmp_path):
+    """The 4000-arm star with a tail at k=4: each search walk stays under
+    DEADLINE_EVERY states, and all of them take about 6 s on a 2-vCPU
+    host."""
+    src = tmp_path / "three.nt"
+    src.write_text(helpers.STAR_WITH_TAIL_NT, encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "4", "--seed", "0"]) == 0
+    query = tmp_path / "star.rq"
+    query.write_text(helpers.star_with_tail(4000), encoding="utf-8")
+    return db, query
+
+
 @pytest.mark.parametrize("shape", ["lpm-search", "inner-search",
-                                   "anchored-search"])
+                                   "anchored-search", "many-walks"])
 def test_deadline_reaches_the_searches(tmp_path, capsys, shape):
-    """--timeout stops each matcher search from inside; it runs in a
-    child so that a search that ignores the limit fails the test instead
-    of hanging it."""
+    """--timeout stops each matcher search from inside, and a query made
+    of many short walks as well as one long one; it runs in a child so
+    that a search that ignores the limit fails the test instead of
+    hanging it."""
     if shape == "anchored-search":
         db, query = _star_runaway(tmp_path)
+    elif shape == "many-walks":
+        db, query = _many_walks_runaway(tmp_path)
     else:
         db, query = _bipartite_runaway(tmp_path,
                                        2 if shape == "lpm-search" else 1)

@@ -37,6 +37,9 @@ from parteval import (
     is_complete_match,
     is_local_partial_match,
     match_order,
+    parse_ntriples,
+    parse_sparql,
+    partition_uniform_hash,
 )
 from parteval.matcher import DEADLINE_EVERY
 from parteval.query_model import QueryEdge, QueryVertex
@@ -525,6 +528,38 @@ def test_pair_scan_answers_to_the_deadline():
     expired.start -= 2.0
     with pytest.raises(TimeoutExceeded, match="partial evaluation"):
         compute_inner_matches(q, frag, deadline=expired)
+
+
+def test_short_walks_spend_one_deadline(monkeypatch):
+    """A 200-arm star with a tail over three triples at k=4: the search
+    makes one short walk per seed vertex and fragment, each under
+    DEADLINE_EVERY states, and the walks of the fragments together pass
+    it.  They spend from the deadline's one counter, so an expired
+    deadline stops the searches of the fragments in turn."""
+    g = parse_ntriples(helpers.STAR_WITH_TAIL_NT)
+    dg = build_fragments(g, partition_uniform_hash(g, 4, seed=0))
+    q = ground(parse_sparql(helpers.star_with_tail(200)).node.graph, g)
+    walks = []
+    bind = matcher._bind
+
+    def counted(q, frag, cand, fn, pick, *rest, **kwargs):
+        walks.append(0)
+
+        def counting(depth):        # called once per state
+            walks[-1] += 1
+            return pick(depth)
+        return bind(q, frag, cand, fn, counting, *rest, **kwargs)
+
+    monkeypatch.setattr(matcher, "_bind", counted)
+    for frag in dg.fragments:
+        compute_local_partial_matches(q, frag)
+    assert max(walks) < DEADLINE_EVERY < sum(walks)
+    monkeypatch.undo()
+    expired = engine._Deadline(1.0)
+    expired.start -= 2.0
+    with pytest.raises(TimeoutExceeded, match="partial evaluation"):
+        for frag in dg.fragments:
+            compute_local_partial_matches(q, frag, deadline=expired)
 
 
 # ---------------------------------------------------------------------------
