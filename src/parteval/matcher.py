@@ -20,7 +20,7 @@ assembly, where the tag is the union of both sides' tags.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEADLINE_EVERY = 256   # units of work between clock reads (engine._Deadline)
 
@@ -47,11 +47,15 @@ class GroundedQuery:
     """A query graph with constant vertices resolved to data vertex ids.
 
     A constant term absent from the data resolves to -1, which matches
-    nothing anywhere.
+    nothing anywhere.  shapes keeps, per anchor, the query's shape as
+    compute_anchored_matches() reads it (_anchored_shape), worked out
+    when first read: the engine grounds a query once and searches every
+    fragment with it.
     """
 
     graph: object
     const_id: tuple
+    shapes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self):
@@ -504,6 +508,49 @@ def _every(keys, deadline):
         yield key
 
 
+def _anchored_shape(q, anchor):
+    """The query's shape as compute_anchored_matches() reads it from
+    anchor, kept in q.shapes: (anchor_loops, others, between, parallel,
+    checked).  anchor_loops holds the labels of the anchor's self-loops.
+    others holds, per other vertex v in id order, (v, const, cut, arms,
+    loops): const is v's constant's id, None for a variable; arms are
+    v's edges to the anchor as (leaves the anchor, label), and cut the
+    arm whose label index a variable's options are cut from, one with a
+    constant label where v has one; loops are the labels of v's
+    self-loops.  between holds the edges between two other vertices as
+    (src, dst, label).  parallel is whether two query edges join the
+    same two vertices the same way, and checked whether every query edge
+    is on the anchor."""
+    shape = q.shapes.get(anchor)
+    if shape is not None:
+        return shape
+    n = q.n
+    anchor_loops = []
+    arms = [[] for _ in range(n)]
+    loops = [[] for _ in range(n)]
+    between = []
+    for e in q.edges:
+        if e.src == e.dst:
+            (anchor_loops if e.src == anchor else loops[e.src]).append(
+                e.label)
+        elif e.src == anchor:
+            arms[e.dst].append((True, e.label))
+        elif e.dst == anchor:
+            arms[e.src].append((False, e.label))
+        else:
+            between.append((e.src, e.dst, e.label))
+    const_id = q.const_id
+    others = [(v, const_id[v],
+               next((arm for arm in arms[v] if arm[1] is not None),
+                    arms[v][0]), arms[v], loops[v])
+              for v in range(n) if v != anchor]
+    ends = {(e.src, e.dst) for e in q.edges}
+    shape = (anchor_loops, others, between, len(ends) < len(q.edges),
+             checked_by_search(q, (anchor,)))
+    q.shapes[anchor] = shape
+    return shape
+
+
 def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
                              inner=None, lpms=None):
     """The number of local partial matches of the fragment whose internal
@@ -516,25 +563,35 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     Every query vertex neighbours the anchor, so a local partial match
     that binds the anchor internally binds the whole query; in a crossing
     match, the fragment that owns the anchor's image finds it so, and no
-    other fragment does.  So the search needs no binding order: for each
-    internal candidate a of the anchor that passes the anchor's
-    self-loops, every other vertex v takes the options of cand[v] that
-    are stored neighbours of a and carry the labels of v's edges to the
-    anchor (all checked, as a is internal) and, where the option is
-    internal, of v's self-loops.  Each vector of the product of the
-    options, in vertex order, is then checked on the query edges between
-    two other vertices that have an internal image.  A vector whose
-    shared data pairs pass (_shared_pairs_feasible, needed only where two
-    query vertices share an image or two query edges join the same
-    vertices the same way) is an inner match when no image is extended.
-    Otherwise it is the local partial match that
-    compute_local_partial_matches() reaches from the same bindings, and
-    an answer when is_bound_answer() holds for it.  Each vector is
-    reached once, so the count is of distinct matches.
+    other fragment does.  So the search needs no binding order, and what
+    it costs follows the anchor's hosts and their stored neighbours, not
+    the size of the label indexes.  The anchor's hosts are its admitted
+    set where admit has one (the engine passes each home its own, which
+    holds only internal vertices that pass all the anchor's edges), and
+    else its internal candidates.  For each host a that passes the
+    anchor's self-loops, every other vertex v takes as options the
+    stored neighbours of a that are v's constant, or that carry the
+    label of one of v's edges to the anchor (its label index), cut to
+    admit[v]; of those, the ones that carry the labels of all v's edges
+    to the anchor (all checked, as a is internal) and, where the option
+    is internal, of v's self-loops.  That is v's candidates() among a's
+    neighbours, with the same checks, so no label-index union is taken.
+    What the search reads of the query itself, it works out once per
+    query (_anchored_shape).
+
+    Each vector of the product of the options, in vertex order, is then
+    checked on the query edges between two other vertices that have an
+    internal image.  A vector whose shared data pairs pass
+    (_shared_pairs_feasible, needed only where two query vertices share
+    an image or two query edges join the same vertices the same way) is
+    an inner match when no image is extended.  Otherwise it is the local
+    partial match that compute_local_partial_matches() reaches from the
+    same bindings, and an answer when is_bound_answer() holds for it.
+    Each vector is reached once, so the count is of distinct matches.
 
     A one-edge query with a constant label reads its matches off the
     label's stored pairs instead (_edge_matches), when they are no more
-    than the stored neighbours of the anchor's candidates (_seed_edge's
+    than the stored neighbours of the anchor's hosts (_seed_edge's
     rule).  One pass splits them on the other end's image: extended
     makes an answer, since the one edge is on the anchor, and internal
     an inner match.
@@ -543,28 +600,27 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     answers = set()
     if not frag.extended:
         return 0, answers
-    n = q.n
     internal = frag.internal
+    admit = admit or {}
+    hosts = (admit[anchor] if anchor in admit
+             else candidates(q, frag, anchor)) & internal
+    if not hosts:
+        return 0, answers
+    n = q.n
     extended = frag.extended
     stored = frag.edges
-    admit = admit or {}
-    cand = []
-    for v in range(n):
-        cs = candidates(q, frag, v)
-        if v in admit:
-            cs = cs & admit[v]
-        if v == anchor:
-            cs = cs & internal
-        if not cs:
-            return 0, answers
-        cand.append(cs)
     edges = q.edges
     if (n == 2 and len(edges) == 1
-            and _seed_edge(q, frag, {anchor: cand[anchor]}) is not None):
-        matches = _edge_matches(q, frag, cand[edges[0].src],
-                                cand[edges[0].dst], deadline)
-        # the anchor's image is internal, so the other end decides
+            and _seed_edge(q, frag, {anchor: hosts}) is not None):
         other = 1 - anchor
+        cs = candidates(q, frag, other)
+        if other in admit:
+            cs = cs & admit[other]
+        if not cs:
+            return 0, answers
+        ends = (hosts, cs) if edges[0].src == anchor else (cs, hosts)
+        matches = _edge_matches(q, frag, *ends, deadline)
+        # the anchor's image is internal, so the other end decides
         if inner is None:
             inner = set()
         for key in matches:
@@ -576,49 +632,48 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
             lpms.update(answers)
         return len(answers), answers
 
-    ends = [(e.src, e.dst) for e in edges]
-    # two query edges share a data pair only if they join the same two
-    # query vertices the same way, or if two vertices share an image
-    parallel = len(set(ends)) < len(ends)
-    # the anchor is internal in every match found here, so when each
-    # query edge is on it, is_bound_answer() holds for all of them
-    checked = checked_by_search(q, (anchor,))
-    # the labels of the anchor's self-loops; per other vertex, its edges
-    # to the anchor as (leaves the anchor, label) and its self-loops'
-    # labels; and the edges between two other vertices
-    anchor_loops = []
-    arms = [[] for _ in range(n)]
-    loops = [[] for _ in range(n)]
-    between = []
-    for e in edges:
-        if e.src == e.dst:
-            (anchor_loops if e.src == anchor else loops[e.src]).append(
-                e.label)
-        elif e.src == anchor:
-            arms[e.dst].append((True, e.label))
-        elif e.dst == anchor:
-            arms[e.src].append((False, e.label))
-        else:
-            between.append((e.src, e.dst, e.label))
-    others = [v for v in range(n) if v != anchor]
+    anchor_loops, others, between, parallel, checked = _anchored_shape(
+        q, anchor)
     empty = frozenset()
+    # per other vertex, the set its options are cut from, and admit's;
+    # an option that passes the arm checks is in the cut, so a smaller
+    # admitted set takes the cut's place
+    cuts = []
+    for v, const, (leaves, label), arms, loops in others:
+        if const is None:
+            cut = (frag.targets if leaves else frag.sources).get(label, empty)
+        elif const in internal or const in extended:
+            cut = frozenset((const,))
+        else:
+            return 0, answers
+        allowed = admit.get(v)
+        if not cut or allowed is not None and not allowed:
+            return 0, answers
+        if allowed is not None and len(allowed) < len(cut):
+            cut, allowed = allowed, None
+        cuts.append((v, cut, allowed, arms, loops))
+    nbrs = frag.nbrs
     options = [None] * n
     count = 0
 
-    for a in cand[anchor]:
-        around = frag.nbrs.get(a, empty)
+    for a in hosts:
+        around = nbrs.get(a, empty)
         if deadline is not None:
             deadline.spend("partial evaluation", 1 + len(around))
-        here = stored.get((a, a), empty)
-        if not all(_label_compatible(label, here) for label in anchor_loops):
-            continue
+        if anchor_loops:
+            here = stored.get((a, a), empty)
+            if not all(_label_compatible(label, here)
+                       for label in anchor_loops):
+                continue
         options[anchor] = (a,)
-        for v in others:
-            opts = cand[v] & around
-            for leaves, label in arms[v]:
+        for v, cut, allowed, arms, loops in cuts:
+            opts = around & cut
+            if allowed is not None:
+                opts = opts & allowed
+            for leaves, label in arms:
                 opts = [u for u in opts if _label_compatible(label, stored.get(
                     (a, u) if leaves else (u, a), empty))]
-            for label in loops[v]:
+            for label in loops:
                 opts = [u for u in opts if u not in internal
                         or _label_compatible(label, stored.get((u, u), empty))]
             if not opts:

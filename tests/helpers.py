@@ -36,7 +36,7 @@ from parteval import (
     parse_ntriples,
     tree_vars,
 )
-from parteval import engine
+from parteval import engine, matcher
 from parteval.rdf_model import NUMERIC_DATATYPES, literal_parts
 
 
@@ -655,6 +655,130 @@ def ref_candidates(q, frag, v):
                 out.append(u)
                 break
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# The radius-1 search as it was before it bound from the anchor's admitted
+# set: every vertex starts from matcher.candidates(), the union of its
+# label-index sets.  Kept as the reference compute_anchored_matches must
+# agree with on (count, answers), inner and lpms.
+
+
+def ref_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
+                         inner=None, lpms=None):
+    """matcher.compute_anchored_matches over full candidate sets: each
+    vertex's candidates, cut to admit, and the anchor's to internal
+    vertices; for each anchor candidate a, every other vertex's options
+    are its candidates that neighbour a and pass the edges to a and its
+    own self-loops, and each vector of their product is checked on the
+    edges between two other vertices and on shared data pairs."""
+    answers = set()
+    if not frag.extended:
+        return 0, answers
+    n = q.n
+    internal = frag.internal
+    extended = frag.extended
+    stored = frag.edges
+    compatible = matcher._label_compatible
+    admit = admit or {}
+    cand = []
+    for v in range(n):
+        cs = matcher.candidates(q, frag, v)
+        if v in admit:
+            cs = cs & admit[v]
+        if v == anchor:
+            cs = cs & internal
+        if not cs:
+            return 0, answers
+        cand.append(cs)
+    edges = q.edges
+    if (n == 2 and len(edges) == 1 and matcher._seed_edge(
+            q, frag, {anchor: cand[anchor]}) is not None):
+        matches = matcher._edge_matches(q, frag, cand[edges[0].src],
+                                        cand[edges[0].dst], deadline)
+        other = 1 - anchor
+        if inner is None:
+            inner = set()
+        for key in matches:
+            if key[other] in extended:
+                answers.add(key)
+            else:
+                inner.add(key)
+        if lpms is not None:
+            lpms.update(answers)
+        return len(answers), answers
+
+    ends = [(e.src, e.dst) for e in edges]
+    parallel = len(set(ends)) < len(ends)
+    checked = matcher.checked_by_search(q, (anchor,))
+    anchor_loops = []
+    arms = [[] for _ in range(n)]
+    loops = [[] for _ in range(n)]
+    between = []
+    for e in edges:
+        if e.src == e.dst:
+            (anchor_loops if e.src == anchor else loops[e.src]).append(
+                e.label)
+        elif e.src == anchor:
+            arms[e.dst].append((True, e.label))
+        elif e.dst == anchor:
+            arms[e.src].append((False, e.label))
+        else:
+            between.append((e.src, e.dst, e.label))
+    others = [v for v in range(n) if v != anchor]
+    empty = frozenset()
+    options = [None] * n
+    count = 0
+    for a in cand[anchor]:
+        around = frag.nbrs.get(a, empty)
+        if deadline is not None:
+            deadline.spend("partial evaluation", 1 + len(around))
+        here = stored.get((a, a), empty)
+        if not all(compatible(label, here) for label in anchor_loops):
+            continue
+        options[anchor] = (a,)
+        for v in others:
+            opts = cand[v] & around
+            for leaves, label in arms[v]:
+                opts = [u for u in opts if compatible(label, stored.get(
+                    (a, u) if leaves else (u, a), empty))]
+            for label in loops[v]:
+                opts = [u for u in opts if u not in internal
+                        or compatible(label, stored.get((u, u), empty))]
+            if not opts:
+                break
+            options[v] = opts
+        else:
+            shared = parallel or len(set().union(*options)) < sum(
+                map(len, options))
+            keys = itertools.product(*options)
+            if deadline is not None:
+                keys = matcher._every(keys, deadline)
+            for key in keys:
+                for x, y, label in between:
+                    x = key[x]
+                    y = key[y]
+                    if (x in internal or y in internal) and not compatible(
+                            label, stored.get((x, y), empty)):
+                        break
+                else:
+                    if (shared and (parallel or len(set(key)) < n)
+                            and not matcher._shared_pairs_feasible(
+                                q, key, frag)):
+                        continue
+                    if extended.isdisjoint(key):
+                        if inner is not None:
+                            inner.add(key)
+                        continue
+                    count += 1
+                    if lpms is not None:
+                        lpms.add(key)
+                    if checked or matcher.is_bound_answer(
+                            q, key,
+                            [v for v in range(n) if key[v] in internal],
+                            g.labels_between):
+                        answers.add(key)
+    return count, answers
 
 
 # ---------------------------------------------------------------------------

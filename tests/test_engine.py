@@ -263,6 +263,51 @@ def test_home_verdicts_on_the_anchor_change_no_search(k):
     assert crossings > 20
 
 
+def test_radius1_tsv_is_the_same_under_every_partition_map(tmp_path):
+    """Walked radius-1 queries over random graphs past the oracle's
+    vertex limit print the TSV of k=1 under uniform, exponential and
+    random file maps at k = 2, 5, 8 and 33, under centralized and
+    in-process distributed assembly, and over TCP at k=5."""
+    rng = random.Random(7034)
+    path = str(tmp_path / "partition.tsv")
+    inproc = [EngineConfig(assembly="centralized"),
+              EngineConfig(assembly="distributed")]
+    tcp = EngineConfig(assembly="distributed", transport="tcp")
+    graphs = compared = rows = 0
+    while graphs < 3:
+        g = helpers.rand_graph(rng, max_vertices=240, max_labels=3)
+        if g.n_vertices < 150:
+            continue
+        assert g.n_vertices > MAX_DATA_VERTICES
+        graphs += 1
+        single = build_fragments(g, partition_uniform_hash(g, 1))
+        queries = []
+        while len(queries) < 10:
+            q = helpers.walk_bgp(rng, g)
+            if matcher.universal_vertex(matcher.ground(q, g)) is None:
+                continue
+            query = GeneralQuery(Bgp(q), None)
+            names = sorted(tree_vars(query.node))
+            want = format_tsv(execute(query, single)[0], names)
+            rows += want.count("\n") - 1
+            queries.append((query, names, want))
+        for k in (2, 5, 8, 33):
+            write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+            for pm in (partition_uniform_hash(g, k, seed=k),
+                       partition_exponential_hash(g, k, seed=k),
+                       partition_from_file(g, path)):
+                dg = build_fragments(g, pm)
+                configs = inproc + [tcp] if k == 5 else inproc
+                for query, names, want in queries:
+                    for cfg in configs:
+                        table, _ = execute(query, dg, cfg)
+                        assert format_tsv(table, names) == want, (k, cfg)
+                        compared += 1
+                if k == 5:
+                    assembly_bsp.take_tcp_exchange(dg).close()
+    assert compared == 3 * 10 * (3 * 2 * 4 + 3) and rows > 300
+
+
 def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
     table, _ = execute(movie_query, movie_dg, EngineConfig(threads=3))
     assert term_rows(table) == {MOVIE_ROW}

@@ -39,7 +39,10 @@ from parteval import (
     match_order,
     parse_ntriples,
     parse_sparql,
+    partition_exponential_hash,
+    partition_from_file,
     partition_uniform_hash,
+    write_partition_file,
 )
 from parteval.matcher import DEADLINE_EVERY
 from parteval.query_model import QueryEdge, QueryVertex
@@ -1155,3 +1158,110 @@ def test_free_one_edge_pattern_takes_the_stored_pairs(monkeypatch):
     table, _ = execute(GeneralQuery(Bgp(build_query_graph(
         [(V("x"), L("p"), V("y"))])), None), dg)
     assert len(table.rows) == 12 and reads == [True]
+
+
+# ---------------------------------------------------------------------------
+# The anchored search against the search it replaced, which bound every
+# vertex from the union of its label-index sets (helpers.ref_anchored_matches).
+
+
+def anchored_draws(rng, tmp_path, count, min_edges=1):
+    """count random radius-1 instances (g, dg, q, anchor): a grounded
+    query read off a walk of a random graph, with a universal vertex as
+    its anchor, over k = 2..8 fragments of a uniform, an exponential or
+    a random file map in turn."""
+    path = str(tmp_path / "partition.tsv")
+    drawn = 0
+    while drawn < count:
+        g = helpers.rand_graph(rng, max_vertices=24)
+        q = ground(helpers.walk_bgp(rng, g), g)
+        anchor = matcher.universal_vertex(q)
+        if anchor is None or len(q.edges) < min_edges:
+            continue
+        k = rng.randint(2, 8)
+        if drawn % 3 == 0:
+            pm = partition_uniform_hash(g, k, seed=drawn)
+        elif drawn % 3 == 1:
+            pm = partition_exponential_hash(g, k, seed=drawn)
+        else:
+            write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+            pm = partition_from_file(g, path)
+        drawn += 1
+        yield g, build_fragments(g, pm), q, anchor
+
+
+def admit_ways(q, dg, anchor):
+    """Per fragment id, the admitted sets an anchored search is given:
+    none; what engine._admit passes (each home's own verdicts on the
+    anchor, every home's united on the other vertices); and every home's
+    verdicts united on every vertex."""
+    own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
+    union = {v: frozenset().union(*(sets[v] for sets in own.values()))
+             for v in own[0]}
+    passed = engine._admit(q, dg, anchor, engine.QueryStats(), None)[1]
+    return [dict.fromkeys(own), passed, dict.fromkeys(own, union)]
+
+
+def test_anchored_search_agrees_with_the_union_reference(tmp_path):
+    """On 300 random radius-1 instances, with each of the three ways of
+    admitting and a live deadline on every other draw, the anchored
+    search returns the reference's count and answers and adds the same
+    inner matches and local partial matches, both where every query edge
+    is on the anchor (the product splits whole) and where some edge is
+    not."""
+    rng = random.Random(34)
+    live = engine._Deadline(3600.0)
+    answered = {True: 0, False: 0}
+    inner_found = 0
+    for i, (g, dg, q, anchor) in enumerate(
+            anchored_draws(rng, tmp_path, 300)):
+        deadline = live if i % 2 else None
+        on_anchor = matcher.checked_by_search(q, (anchor,))
+        for admit in admit_ways(q, dg, anchor):
+            for frag in dg.fragments:
+                want_inner, want_lpms, inner, lpms = set(), set(), set(), set()
+                want = helpers.ref_anchored_matches(
+                    q, frag, anchor, g, admit[frag.id], deadline,
+                    want_inner, want_lpms)
+                got = matcher.compute_anchored_matches(
+                    q, frag, anchor, g, admit[frag.id], deadline, inner,
+                    lpms)
+                assert (got, inner, lpms) == (want, want_inner, want_lpms), (
+                    i, frag.id)
+                answered[on_anchor] += len(got[1])
+                inner_found += len(inner)
+    assert answered[True] > 1000 and answered[False] > 40
+    assert inner_found > 500
+
+
+def test_anchored_search_takes_no_candidate_union(monkeypatch, tmp_path):
+    """Given the sets engine._admit passes, a radius-1 query of two or
+    more edges whose anchor is filterable is searched without
+    candidates(): the anchor binds from its home's admitted set, and
+    every other vertex from the stored neighbours of the anchor's image.
+    The results are still the reference's."""
+    rng = random.Random(3434)
+    cases = []
+    for g, dg, q, anchor in anchored_draws(rng, tmp_path, 120, min_edges=2):
+        if anchor not in matcher.filterable(q):
+            continue
+        passed = engine._admit(q, dg, anchor, engine.QueryStats(), None)[1]
+        for frag in dg.fragments:
+            inner, lpms = set(), set()
+            want = helpers.ref_anchored_matches(
+                q, frag, anchor, g, passed[frag.id], None, inner, lpms)
+            cases.append((q, frag, anchor, g, passed[frag.id],
+                          (want, inner, lpms)))
+
+    def refused(q, frag, v):
+        raise AssertionError("candidates() of query vertex %d" % v)
+
+    monkeypatch.setattr(matcher, "candidates", refused)
+    answered = 0
+    for q, frag, anchor, g, admit, want in cases:
+        inner, lpms = set(), set()
+        got = matcher.compute_anchored_matches(q, frag, anchor, g, admit,
+                                               None, inner, lpms)
+        assert (got, inner, lpms) == want
+        answered += len(got[1])
+    assert len(cases) > 300 and answered > 200
