@@ -34,15 +34,16 @@ that centralized assembly runs too; what is particular to BSP (the
 provenance peak, the emission rule, the outbox) is the keep() it
 passes.  The exchange moves a run's records, all of one RecordLayout,
 through an in-process mailbox or over loopback TCP, where the barrier
-writes each site's buffer once and reads each receiver once, and uses
-a selector only for a round that overflows the socket buffers.  A
-record carries the vector and its internal flags only; every site
-derives provenance from vertex homes.  Before partial evaluation, the
-same exchange can carry one admission round, in which sites share which
-boundary vertices pass their checks.  It carries no verdicts on a
-query's anchor, which each site binds only to its own vertices, so a
-radius-1 query whose anchor is its one filterable vertex makes no
-round.  The caller owns the exchange.
+carries each site's buffer in one send-then-read loop over its own
+connection, with no selector and no end frame: both ends are in this
+process, so the receiver reads exactly its site's buffer, and a site
+with nothing posted is skipped.  A record carries the vector and its
+internal flags only; every site derives provenance from vertex homes.
+Before partial evaluation, the same exchange can carry one admission
+round, in which sites share which boundary vertices pass their checks.
+It carries no verdicts on a query's anchor, which each site binds only
+to its own vertices, so a radius-1 query whose anchor is its one
+filterable vertex makes no round.  The caller owns the exchange.
 The engine keeps one loopback exchange per DistributedGraph
 (take_tcp_exchange / keep_tcp_exchange): a component takes it out of
 the graph, so concurrent queries never share one, and gives it back
@@ -51,7 +52,7 @@ only after a clean finish.
 
 from __future__ import annotations
 
-import selectors
+import select
 import socket
 import struct
 import weakref
@@ -213,31 +214,25 @@ class InProcessExchange:
 class TcpLoopbackExchange:
     """The same barrier contract carried over real loopback sockets, one
     connection per site.  Each record travels as a 4-byte big-endian
-    length and its payload; an empty frame ends each site's round.
+    length and its payload; a round has no end frame.
 
-    Posted records wait in a per-site buffer until the barrier.  flush()
-    then writes each buffer, end frame included, with one send on its
-    non-blocking sender and reads each non-blocking receiver once, into
-    a buffer of the round's known length.  Only a round that overflows
-    the socket buffers goes on through the selector, writing what is
-    left while reading the receiving ends, so a round may carry more
-    than the socket buffers hold.  The connections and their selector
-    last as long as the exchange: receivers stay registered, senders
-    only while they have bytes left to write.  An exchange whose round
-    failed midway may hold part of that round and must be closed.
+    Posted records wait in a per-site buffer until the barrier, where
+    flush() carries each site's round over its own connection (_carry).
+    Both ends are in this process, so the receiver knows its round's
+    length and reads exactly its site's buffer; a site with nothing
+    posted is skipped.  The connections last as long as the exchange.
+    An exchange whose round failed midway may hold part of that round
+    and must be closed.
     """
-
-    _END = _LENGTH.pack(0)
 
     def __init__(self, k):
         self.k = k
         self._senders = []
         self._receivers = []
         self._outboxes = [bytearray() for _ in range(k)]
-        self._sel = selectors.DefaultSelector()
         # closes the sockets once the exchange is collected, if not before
-        self._finalizer = weakref.finalize(self, _close_all, self._sel,
-                                           self._senders, self._receivers)
+        self._finalizer = weakref.finalize(self, _close_all, self._senders,
+                                           self._receivers)
         servers = []
         try:
             for _ in range(k):
@@ -249,11 +244,8 @@ class TcpLoopbackExchange:
                 snd = socket.create_connection(srv.getsockname())
                 self._senders.append(snd)
                 snd.setblocking(False)
-            for dst, srv in enumerate(servers):
-                conn, _ = srv.accept()
-                self._receivers.append(conn)
-                conn.setblocking(False)
-                self._sel.register(conn, selectors.EVENT_READ, dst)
+            for srv in servers:
+                self._receivers.append(srv.accept()[0])
         except BaseException:
             self.close()
             raise
@@ -269,47 +261,34 @@ class TcpLoopbackExchange:
     def flush(self):
         boxes = self._outboxes
         self._outboxes = [bytearray() for _ in range(self.k)]
-        unsent = {}
-        for dst, box in enumerate(boxes):
-            box += self._END
-            sent = _send(self._senders[dst], box)
-            if sent < len(box):
-                unsent[dst] = memoryview(box)[sent:]
-        # each receiver reads into a buffer of its round's length
-        inbox = [memoryview(bytearray(len(box))) for box in boxes]
-        got = [_recv(conn, inbox[dst], 0)
-               for dst, conn in enumerate(self._receivers)]
-        short = sum(n < len(buf) for n, buf in zip(got, inbox))
-        if unsent or short:
-            self._finish_round(unsent, inbox, got, short)
-        return {dst: _frames(buf) for dst, buf in enumerate(inbox)}
-
-    def _finish_round(self, unsent, inbox, got, short):
-        """The selector loop of a round that overflowed the socket
-        buffers: write what unsent holds while reading each receiver
-        until got reaches its buffer's length."""
-        sel = self._sel
-        for dst in unsent:
-            sel.register(self._senders[dst], selectors.EVENT_WRITE, dst)
-        while short:
-            for key, _ in sel.select():
-                dst = key.data
-                if key.events == selectors.EVENT_WRITE:
-                    view = unsent[dst]
-                    view = unsent[dst] = view[_send(key.fileobj, view):]
-                    if not view:
-                        sel.unregister(key.fileobj)
-                    continue
-                if got[dst] == len(inbox[dst]):
-                    # only a closed or out-of-step peer sends past a round
-                    raise ConnectionError("site %d read past its round"
-                                          % dst)
-                got[dst] = _recv(key.fileobj, inbox[dst], got[dst])
-                if got[dst] == len(inbox[dst]):
-                    short -= 1
+        return {dst: _carry(snd, conn, box) for dst, (snd, conn, box)
+                in enumerate(zip(self._senders, self._receivers, boxes))}
 
     def close(self):
         self._finalizer()
+
+
+def _carry(sender, receiver, box):
+    """The records of one site's round, box, carried from the
+    non-blocking sender to the blocking receiver.  Each pass writes what
+    the sender takes, or waits until it is writable when it takes
+    nothing, then reads exactly the bytes sent, so a round may be larger
+    than the socket buffers and no read waits on a byte not yet sent.
+    An empty round makes no system call.  The end of the stream before
+    the round is complete is a ConnectionError."""
+    data = memoryview(box)
+    inbox = memoryview(bytearray(len(box)))
+    got = 0
+    while got < len(box):
+        sent = got + _send(sender, data[got:])
+        if sent == got:
+            select.select((), (sender,), ())
+        while got < sent:
+            n = receiver.recv_into(inbox[got:sent])
+            if not n:
+                raise ConnectionError("peer closed mid-round")
+            got += n
+    return _frames(inbox)
 
 
 def _send(sock, data):
@@ -320,23 +299,7 @@ def _send(sock, data):
         return 0
 
 
-def _recv(sock, buf, got):
-    """Read the non-blocking sock into buf from offset got until buf is
-    full or the read would block; the new offset.  The end of the stream
-    before buf is full is a ConnectionError."""
-    while got < len(buf):
-        try:
-            n = sock.recv_into(buf[got:])
-        except BlockingIOError:
-            break
-        if not n:
-            raise ConnectionError("peer closed mid-round")
-        got += n
-    return got
-
-
-def _close_all(sel, *socket_lists):
-    sel.close()
+def _close_all(*socket_lists):
     for socks in socket_lists:
         for sock in socks:
             sock.close()
@@ -362,15 +325,13 @@ def keep_tcp_exchange(dg, exchange):
 
 
 def _frames(data):
-    """Split one round's stream, a memoryview, into its records, up to the
-    empty frame."""
+    """Split one round's stream, a memoryview, into its records."""
     out = []
     pos = 0
-    while True:
+    end = len(data)
+    while pos < end:
         (size,) = _LENGTH.unpack_from(data, pos)
         pos += 4
-        if size == 0:
-            break
         out.append(data[pos:pos + size].tobytes())
         pos += size
     return out

@@ -313,8 +313,14 @@ def _cmd_partition(args):
     else:
         raise PartitionError("unknown strategy %r" % args.strategy)
     fragmenter.write_partition_file(g, pm, os.path.join(args.db, MAP_FILE))
-    print("partitioned into %d fragments, topology diameter %d"
-          % (pm.k, fragmenter.partition_topology(g, pm).diameter))
+    line = ("partitioned into %d fragments, topology diameter %d"
+            % (pm.k, fragmenter.partition_topology(g, pm).diameter))
+    k = fragmenter.stored_k(pm.assignment)
+    if k < pm.k:
+        empty = ("fragment %d is" % k if k == pm.k - 1
+                 else "fragments %d-%d are" % (k, pm.k - 1))
+        line += "; %s empty, so the database loads with k=%d" % (empty, k)
+    print(line)
     return 0
 
 

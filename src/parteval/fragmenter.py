@@ -124,7 +124,14 @@ def partition_from_file(g, path):
         vid = next(v for v in g.vertex_ids() if v not in assignment)
         raise MissingVertex(
             "%s has no fragment assignment" % g.term(vid).ntriples())
-    return PartitionMap(assignment, max(assignment.values(), default=0) + 1)
+    return PartitionMap(assignment, stored_k(assignment))
+
+
+def stored_k(assignment):
+    """The fragment count a map reads back with: its highest fragment id
+    plus one, since a map file has one line per vertex and none per
+    fragment."""
+    return max(assignment.values(), default=0) + 1
 
 
 def write_partition_file(g, pm, path):

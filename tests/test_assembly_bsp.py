@@ -8,7 +8,6 @@ pin the implementation against silent regressions.
 
 import gc
 import random
-import selectors
 import socket
 import struct
 import threading
@@ -591,19 +590,6 @@ def test_tcp_round_larger_than_socket_buffers():
     assert result["second"] == {0: [], 1: [], 2: []}
 
 
-class HookedTcpExchange(TcpLoopbackExchange):
-    """Counts the rounds that enter the selector loop, and calls gone, if
-    set, as each one does."""
-    fallbacks = 0
-    gone = None
-
-    def _finish_round(self, *args):
-        self.fallbacks += 1
-        if self.gone is not None:
-            self.gone()
-        return super()._finish_round(*args)
-
-
 def in_thread(fn):
     """fn's result, or the exception it raised, from a helper thread that
     keeps a hung exchange from hanging the test."""
@@ -622,45 +608,129 @@ def in_thread(fn):
     return result
 
 
-def test_tcp_rounds_leave_only_the_receivers_registered():
+def spy_sends(monkeypatch, exchange, after=None):
+    """Record the site of every send the exchange makes, in a list it
+    returns; after(dst, taken, data), if given, runs after each one."""
+    sites = {id(snd): dst for dst, snd in enumerate(exchange._senders)}
+    sends = []
+    real_send = assembly_bsp._send
+
+    def send(sock, data):
+        taken = real_send(sock, data)
+        sends.append(sites[id(sock)])
+        if after is not None:
+            after(sites[id(sock)], taken, data)
+        return taken
+
+    monkeypatch.setattr(assembly_bsp, "_send", send)
+    return sends
+
+
+class CountingReceiver:
+    """A receiving socket that counts its reads."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.reads = 0
+
+    def recv_into(self, *args):
+        self.reads += 1
+        return self.sock.recv_into(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_tcp_rounds_of_every_size_arrive_in_post_order(monkeypatch):
     """Rounds that fit the socket buffers, overflow them, carry nothing,
     then fit again, through one exchange: each delivers what was posted,
-    in post order, and leaves the selector watching the k receivers for
-    reading and no sender, so no stale write registration reaches the
-    next round."""
+    in post order.  Only the big round takes more than one send, and a
+    site with nothing posted takes none."""
     big = [b"%040d" % i for i in range(100_000)]   # about 4.4 MB
     rounds = [{0: [b"a", b"bc"], 2: [b"d"]},
               {1: big, 2: [b"last"]},
               {},
               {1: [b"e"], 2: [b"f", b"g"]}]
-    exchange = HookedTcpExchange(3)
+    exchange = TcpLoopbackExchange(3)
     # a small send buffer makes the big round overflow on any host
     exchange._senders[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                     1 << 16)
+    sends = spy_sends(monkeypatch, exchange)
 
     def run():
-        fallbacks = []
+        per_round = []
         for posts in rounds:
             for dst, payloads in posts.items():
                 for payload in payloads:
                     exchange.post(dst, payload)
             assert exchange.flush() == {dst: posts.get(dst, [])
                                         for dst in range(3)}
-            keys = exchange._sel.get_map().values()
-            assert sorted((key.fileobj.fileno(), key.events)
-                          for key in keys) == sorted(
-                (conn.fileno(), selectors.EVENT_READ)
-                for conn in exchange._receivers)
-            fallbacks.append(exchange.fallbacks)
-        return fallbacks
+            per_round.append([sends.count(dst) for dst in range(3)])
+            sends.clear()
+        return per_round
 
     try:
         result = in_thread(run)
     finally:
         exchange.close()
     assert "error" not in result, result.get("error")
-    # only the big round went through the selector
-    assert result["value"] == [0, 1, 1, 1]
+    fit, overflow, empty, fit_again = result["value"]
+    assert fit == [1, 0, 1] and fit_again == [0, 1, 1]
+    assert overflow[0] == 0 and overflow[1] > 1 and overflow[2] == 1
+    assert empty == [0, 0, 0]
+
+
+def test_a_fitting_round_makes_one_send_and_one_read_per_posted_site(
+        monkeypatch):
+    """A round that fits the socket buffers costs one send and one read
+    for each site posted to, and nothing for a site with nothing posted;
+    a round with nothing posted makes no system call at all."""
+    exchange = TcpLoopbackExchange(4)
+    try:
+        sends = spy_sends(monkeypatch, exchange)
+        receivers = exchange._receivers
+        receivers[:] = map(CountingReceiver, receivers)
+        for dst, payload in ((0, b"a"), (2, b"bc"), (0, b"d"), (2, b"e")):
+            exchange.post(dst, payload)
+        assert exchange.flush() == {0: [b"a", b"d"], 1: [],
+                                    2: [b"bc", b"e"], 3: []}
+        assert sorted(sends) == [0, 2]
+        assert [conn.reads for conn in receivers] == [1, 0, 1, 0]
+        assert exchange.flush() == {0: [], 1: [], 2: [], 3: []}
+        assert sorted(sends) == [0, 2]
+        assert [conn.reads for conn in receivers] == [1, 0, 1, 0]
+    finally:
+        exchange.close()
+
+
+def test_a_send_that_takes_nothing_waits_for_its_sender(monkeypatch):
+    """When the sender takes nothing while the receiver holds every byte
+    sent, the round waits on that one sender's select, then goes on."""
+    exchange = TcpLoopbackExchange(2)
+    real_send = assembly_bsp._send
+    real_select = assembly_bsp.select.select
+    refused = []
+    waits = []
+
+    def send(sock, data):
+        if not refused:
+            refused.append(sock)
+            return 0
+        return real_send(sock, data)
+
+    def select(rlist, wlist, xlist, *timeout):
+        waits.append(list(wlist))
+        return real_select(rlist, wlist, xlist, *timeout)
+
+    monkeypatch.setattr(assembly_bsp, "_send", send)
+    monkeypatch.setattr(assembly_bsp.select, "select", select)
+    try:
+        exchange.post(1, b"only")
+        result = in_thread(exchange.flush)
+    finally:
+        exchange.close()
+    assert result.get("value") == {0: [], 1: [b"only"]}, result
+    assert waits == [[exchange._senders[1]]] and refused == waits[0]
 
 
 def _shut_sender(exchange):
@@ -683,22 +753,30 @@ def _reset_receiver(exchange):
     for when in ("before-small", "before-big", "mid-round")
     # the exchange's own sockets stay open while it flushes
     if (gone, when) != (_close_sender, "mid-round")])
-def test_a_round_whose_peer_went_away_raises(gone, when):
+def test_a_round_whose_peer_went_away_raises(gone, when, monkeypatch):
     """A round whose connection to a site has gone away, before the
-    round or while it overflows the socket buffers, ends in an OSError:
-    it neither hangs nor returns part of the round."""
-    exchange = HookedTcpExchange(3)
+    round or after its first partial send of a round that overflows the
+    socket buffers, ends in an OSError: it neither hangs nor returns
+    part of the round."""
+    exchange = TcpLoopbackExchange(3)
     # a small send buffer makes the big rounds overflow on any host
     exchange._senders[1].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                     1 << 16)
     payloads = ([b"small"] if when == "before-small"
                 else [b"%040d" % i for i in range(100_000)])
+    partial = []
+
+    def after(dst, taken, data):
+        if dst == 1 and taken < len(data) and not partial:
+            partial.append(taken)
+            gone(exchange)
+
     try:
         for payload in payloads:
             exchange.post(1, payload)
         exchange.post(2, b"other")
         if when == "mid-round":
-            exchange.gone = lambda: gone(exchange)
+            spy_sends(monkeypatch, exchange, after)
         else:
             gone(exchange)
         result = in_thread(exchange.flush)
@@ -706,16 +784,26 @@ def test_a_round_whose_peer_went_away_raises(gone, when):
         exchange.close()
     assert "value" not in result
     assert isinstance(result["error"], OSError), result["error"]
+    assert bool(partial) == (when == "mid-round")
 
 
-def test_a_stream_that_ends_short_of_its_round_raises():
+def test_a_stream_that_ends_short_of_its_round_raises(monkeypatch):
+    """A stream that ends before the bytes the sender took have all
+    arrived is a ConnectionError, not a hang or a short round."""
     sender, receiver = socket.socketpair()
+
+    def short_send(sock, data):
+        sock.sendall(data[:3])
+        sock.shutdown(socket.SHUT_WR)
+        return len(data)
+
+    monkeypatch.setattr(assembly_bsp, "_send", short_send)
     with sender, receiver:
-        receiver.setblocking(False)
-        sender.sendall(b"abc")
-        sender.shutdown(socket.SHUT_WR)
-        with pytest.raises(ConnectionError, match="peer closed mid-round"):
-            assembly_bsp._recv(receiver, memoryview(bytearray(10)), 0)
+        result = in_thread(
+            lambda: assembly_bsp._carry(sender, receiver, bytearray(10)))
+    assert "value" not in result
+    assert isinstance(result["error"], ConnectionError), result["error"]
+    assert str(result["error"]) == "peer closed mid-round"
 
 
 # ---------------------------------------------------------------------------

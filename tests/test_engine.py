@@ -19,6 +19,7 @@ from parteval import (
     Bgp,
     BindingTable,
     EngineConfig,
+    Filter,
     GeneralQuery,
     PartitionMap,
     RdfGraph,
@@ -46,7 +47,7 @@ from parteval import (
     write_partition_file,
 )
 from parteval.matcher import DEADLINE_EVERY
-from parteval.query_model import MAX_NESTING
+from parteval.query_model import MAX_NESTING, LogicalNot, LogicalOr
 from parteval.oracle import MAX_DATA_VERTICES
 from helpers import make_row, term_rows
 
@@ -308,6 +309,92 @@ def test_radius1_tsv_is_the_same_under_every_partition_map(tmp_path):
     assert compared == 3 * 10 * (3 * 2 * 4 + 3) and rows > 300
 
 
+def test_wider_tsv_is_the_same_under_every_partition_map(tmp_path):
+    """Walked queries with no universal vertex, over random graphs past
+    the oracle's vertex limit, print the TSV of k=1 under uniform,
+    exponential and random file maps at k = 2, 5, 8 and 33, under
+    centralized assembly with either join and in-process distributed
+    assembly, and over TCP at k=5, whose runs make supersteps.  A query
+    of more than 200 rows is passed over, to bound the run time."""
+    rng = random.Random(3561)
+    path = str(tmp_path / "partition.tsv")
+    inproc = [EngineConfig(assembly="centralized"),
+              EngineConfig(assembly="centralized", join="naive"),
+              EngineConfig(assembly="distributed")]
+    tcp = EngineConfig(assembly="distributed", transport="tcp")
+    graphs = compared = rows = supersteps = 0
+    while graphs < 3:
+        g = helpers.rand_graph(rng, max_vertices=240, max_labels=3)
+        if g.n_vertices < 150:
+            continue
+        assert g.n_vertices > MAX_DATA_VERTICES
+        graphs += 1
+        single = build_fragments(g, partition_uniform_hash(g, 1))
+        queries = []
+        while len(queries) < 6:
+            q = helpers.walk_bgp(rng, g)
+            if matcher.universal_vertex(matcher.ground(q, g)) is not None:
+                continue
+            query = GeneralQuery(Bgp(q), None)
+            names = sorted(tree_vars(query.node))
+            want = format_tsv(execute(query, single)[0], names)
+            if want.count("\n") - 1 > 200:
+                continue
+            rows += want.count("\n") - 1
+            queries.append((query, names, want))
+        for k in (2, 5, 8, 33):
+            write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+            for pm in (partition_uniform_hash(g, k, seed=k),
+                       partition_exponential_hash(g, k, seed=k),
+                       partition_from_file(g, path)):
+                dg = build_fragments(g, pm)
+                configs = inproc + [tcp] if k == 5 else inproc
+                for query, names, want in queries:
+                    for cfg in configs:
+                        table, stats = execute(query, dg, cfg)
+                        assert format_tsv(table, names) == want, (k, cfg)
+                        compared += 1
+                        if cfg is tcp:
+                            supersteps += stats.supersteps
+                if k == 5:
+                    assembly_bsp.take_tcp_exchange(dg).close()
+    assert compared == 3 * 6 * (3 * 3 * 4 + 3) and rows > 300
+    assert supersteps > 0
+
+
+def test_filter_splits_rows_into_true_false_and_error():
+    """Ternary logic partitioning (Rigger and Su, OOPSLA 2020): for a
+    walked pattern P and a random expression e over its variables, at
+    k=1 and k=4, the rows of P FILTER(e) and of P FILTER(!e) are
+    disjoint, together they are the rows of P FILTER(e || !e), and the
+    rows of P left out are exactly those on which e is an error."""
+    rng = random.Random(2020)
+    truths = {True: 0, False: 0, None: 0}
+    draws = 0
+    while draws < 200:
+        g = helpers.rand_graph(rng, max_vertices=24)
+        dgs = [build_fragments(g, partition_uniform_hash(g, k, seed=draws))
+               for k in (1, 4)]
+        for _ in range(10):
+            bgp = Bgp(helpers.walk_bgp(rng, g))
+            e = helpers.rand_expr(rng, sorted(tree_vars(bgp)), g)
+            nodes = (bgp, Filter(bgp, e), Filter(bgp, LogicalNot(e)),
+                     Filter(bgp, LogicalOr(e, LogicalNot(e))))
+            for dg in dgs:
+                rows, yes, no, either = (
+                    term_rows(execute(GeneralQuery(node, None), dg)[0])
+                    for node in nodes)
+                assert not yes & no
+                assert yes | no == either
+                errors = {row for row in rows
+                          if helpers.ref_truth(e, dict(row)) is None}
+                assert rows - either == errors
+            for row in rows:
+                truths[helpers.ref_truth(e, dict(row))] += 1
+            draws += 1
+    assert min(truths.values()) > 0, truths
+
+
 def test_execute_thread_cap_is_transparent(movie_dg, movie_query, monkeypatch):
     table, _ = execute(movie_query, movie_dg, EngineConfig(threads=3))
     assert term_rows(table) == {MOVIE_ROW}
@@ -523,6 +610,31 @@ def test_cli_partition_reports_diameter(movie_disk, capsys):
                                     str(db / "partition.tsv")])
     assert code == 0
     assert out == "partitioned into 4 fragments, topology diameter 3\n"
+
+
+@pytest.mark.parametrize("k, strategy, tail, loaded", [
+    (4, "uniform", "", 4),
+    (6, "exponential", "; fragment 5 is empty", 5),
+    (8, "exponential", "; fragments 5-7 are empty", 5)])
+def test_cli_partition_and_stats_agree_on_k(tmp_path, capsys, k, strategy,
+                                            tail, loaded):
+    """A map that leaves the highest fragment ids empty reloads with
+    fewer fragments; partition says so, and stats reports that k."""
+    src = tmp_path / "in.nt"
+    src.write_text(helpers.MOVIE_NT, encoding="utf-8")
+    db = str(tmp_path / "db")
+    assert main(["load", "--data", str(src), "--out", db]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["partition", "--db", db, "-k", str(k),
+                                    "--strategy", strategy])
+    assert code == 0
+    if tail:
+        tail += ", so the database loads with k=%d" % loaded
+    assert out == "partitioned into %d fragments, topology diameter 2%s\n" % (
+        k, tail)
+    code, out, _ = run_cli(capsys, ["stats", "--db", db])
+    assert code == 0
+    assert json.loads(out)["k"] == loaded
 
 
 def test_cli_query_tsv(movie_disk, capsys):
