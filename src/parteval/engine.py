@@ -168,32 +168,31 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
 def _admit(gq, dg, anchor, stats, exchange):
     """Each home's admitted sets and the sets each fragment's search
     binds within, as (own, admit), both by fragment id; a fragment's
-    entry is None when no query vertex is filterable, and then no
-    fragment runs matcher.admitted().
+    entry is None when it is asked about no query vertex.
 
     A search binds a filterable query vertex only within what some home
     admitted, so the other homes' verdicts are sent to each site under
     distributed assembly (exchange_admission) and united in process
-    under centralized assembly.  The anchor is bound only to internal
-    vertices, which no other home admits, so its verdicts stay at their
-    home; when it is the one filterable vertex, nothing is shared."""
+    under centralized assembly.  Only the inner-match search, on a
+    fragment without extended vertices, reads the anchor's verdicts:
+    compute_anchored_matches() works out its hosts at their home.  So a
+    query whose anchor is its one filterable vertex shares nothing."""
     vertices = matcher.filterable(gq)
-    if not vertices:
-        own = dict.fromkeys(range(dg.k))
-        return own, own
-    own = {frag.id: matcher.admitted(gq, frag, vertices)
-           for frag in dg.fragments}
-    if vertices == [anchor]:
+    shared = [v for v in vertices if v != anchor]
+    own = {}
+    for frag in dg.fragments:
+        asked = shared if frag.extended else vertices
+        own[frag.id] = matcher.admitted(gq, frag, asked) if asked else None
+    if not shared:
         return own, own
     if exchange is not None:
         admit, messages, byte_count = assembly_bsp.exchange_admission(
-            dg, own, exchange, home_only=anchor)
+            dg, own, exchange)
         stats.messages_sent += messages
         stats.bytes_sent += byte_count
         return own, admit
     union = {v: frozenset().union(*(own[fid][v] for fid in own))
-             for v in vertices if v != anchor}
-    # each site keeps its own verdicts on the anchor
+             for v in shared}
     return own, {fid: {**sets, **union} for fid, sets in own.items()}
 
 

@@ -70,10 +70,11 @@ def partition_uniform_hash(g, k, seed=0):
 
 def partition_exponential_hash(g, k, seed=0):
     """Assign fragment j with probability 0.5^(j+1); the tail mass goes to
-    the last fragment."""
+    the last fragment, read off the hash's high bits."""
     if k < 1:
         raise PartitionError("fragment count must be at least 1")
     assignment = {}
+    seed *= 0x9E3779B97F4A7C15      # odd: spreads it to the high bits
     for v in g.vertex_ids():
         u = _vertex_hash(g, v, seed) / 2.0 ** 64
         frag = k - 1

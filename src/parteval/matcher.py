@@ -47,15 +47,16 @@ class GroundedQuery:
     """A query graph with constant vertices resolved to data vertex ids.
 
     A constant term absent from the data resolves to -1, which matches
-    nothing anywhere.  shapes keeps, per anchor, the query's shape as
-    compute_anchored_matches() reads it (_anchored_shape), worked out
-    when first read: the engine grounds a query once and searches every
-    fragment with it.
+    nothing anywhere.  shapes keeps, per anchor, its shape as read by
+    compute_anchored_matches() (_anchored_shape), and rules, per query
+    vertex, its hosts' test (_host_rule), each worked out when first
+    read: the engine grounds a query once and searches every fragment.
     """
 
     graph: object
     const_id: tuple
     shapes: dict = field(default_factory=dict, compare=False, repr=False)
+    rules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self):
@@ -149,45 +150,57 @@ def filterable(q):
 
 def admitted(q, frag, vertices=None):
     """Internal vertices of frag that pass every incident query edge of
-    each filterable query vertex, keyed by that vertex.  vertices, if
-    given, is filterable(q), worked out once for all fragments.
+    each filterable query vertex (_hosts), keyed by that vertex; vertices,
+    if given, is filterable(q) or the part of it the caller asks about.
 
     A fragment stores every edge of the vertices it owns, so it can test
-    its internal vertices against all of a query vertex's edges at once:
-    the label and direction of each edge, and the exact stored pair for
-    an edge to a constant or a self-loop.  candidates() must take a union
-    over the edges instead, because an extended vertex shows only the
+    its internal vertices against all of a vertex's edges at once, where
+    candidates() must take a union, as an extended vertex shows only the
     edges it shares with the fragment.  Any match maps v to a vertex that
     passes at its home, so binding v only within the union of these sets
-    over all fragments loses no match.  The hosts of a vertex with an
-    edge to a constant start from the constant's stored neighbours, so
-    that a selective constant, not the size of a label index, sets what
-    the check costs.
-
-    A query without a filterable vertex gives an empty dict.
+    over all fragments loses no match.
     """
-    out = {}
-    for v in filterable(q) if vertices is None else vertices:
-        edges = [q.edges[ei] for ei in q.incident[v]]
-        pinned = [e for e in edges if _pinned(q, v, e)]
-        hosts = frag.internal
-        for e in pinned:
-            # an edge to a constant keeps only the constant's neighbours
-            if e.src != e.dst:
-                c = q.const_id[e.dst if e.src == v else e.src]
-                hosts = hosts & frag.nbrs.get(c, frozenset())
-        for e in edges:
-            if e.src == v:
-                hosts = hosts & frag.sources.get(e.label, frozenset())
-            if e.dst == v:
-                hosts = hosts & frag.targets.get(e.label, frozenset())
-        for e in pinned:
-            hosts = frozenset(u for u in hosts if _label_compatible(
-                e.label, frag.edges.get(
-                    (u if e.src == v else q.const_id[e.src],
-                     u if e.dst == v else q.const_id[e.dst]), frozenset())))
-        out[v] = hosts
-    return out
+    return {v: _hosts(q, frag, v)
+            for v in (filterable(q) if vertices is None else vertices)}
+
+
+def _host_rule(q, v):
+    """v's edges as _hosts() tests them, kept in q.rules: (own, indexes,
+    pins).  own is v's constant's id, None for a variable; indexes has
+    (v is the source, label) per edge end at v; pins has, per edge to a
+    constant or self-loop, (its id or None, v is the source, label)."""
+    indexes, pins = [], []
+    for ei in q.incident[v]:
+        e = q.edges[ei]
+        if e.src == v:
+            indexes.append((True, e.label))
+        if e.dst == v:
+            indexes.append((False, e.label))
+        if _pinned(q, v, e):
+            pins.append((None if e.src == e.dst else q.const_id[
+                e.dst if e.src == v else e.src], e.src == v, e.label))
+    rule = q.rules[v] = (q.const_id[v], indexes, pins)
+    return rule
+
+
+def _hosts(q, frag, v):
+    """The internal vertices of frag that can host query vertex v (a
+    constant's own only): next to each constant, in the label index of
+    each edge end, with each pinned edge's label on its stored pair
+    (_host_rule).  Starting next to a selective constant keeps it cheap."""
+    own, indexes, pins = q.rules.get(v) or _host_rule(q, v)
+    empty = frozenset()
+    hosts = frag.internal if own is None else frag.internal & {own}
+    for c, _, _ in pins:
+        if c is not None:
+            hosts = hosts & frag.nbrs.get(c, empty)
+    for leaves, label in indexes:
+        hosts = hosts & (frag.sources if leaves else frag.targets).get(
+            label, empty)
+    for c, leaves, label in pins:
+        hosts = [u for u in hosts if _label_compatible(label, frag.edges.get(
+            (u, u if c is None else c) if leaves else (c, u), empty))]
+    return frozenset(hosts)
 
 
 def _realized_flags(q, frag, fn):
@@ -510,8 +523,7 @@ def _every(keys, deadline):
 
 def _anchored_shape(q, anchor):
     """The query's shape as compute_anchored_matches() reads it from
-    anchor, kept in q.shapes: (anchor_loops, others, between, parallel,
-    checked).  anchor_loops holds the labels of the anchor's self-loops.
+    anchor, kept in q.shapes: (others, between, parallel, checked).
     others holds, per other vertex v in id order, (v, const, cut, arms,
     loops): const is v's constant's id, None for a variable; arms are
     v's edges to the anchor as (leaves the anchor, label), and cut the
@@ -525,27 +537,24 @@ def _anchored_shape(q, anchor):
     if shape is not None:
         return shape
     n = q.n
-    anchor_loops = []
     arms = [[] for _ in range(n)]
     loops = [[] for _ in range(n)]
     between = []
     for e in q.edges:
         if e.src == e.dst:
-            (anchor_loops if e.src == anchor else loops[e.src]).append(
-                e.label)
+            loops[e.src].append(e.label)
         elif e.src == anchor:
             arms[e.dst].append((True, e.label))
         elif e.dst == anchor:
             arms[e.src].append((False, e.label))
         else:
             between.append((e.src, e.dst, e.label))
-    const_id = q.const_id
-    others = [(v, const_id[v],
+    others = [(v, q.const_id[v],
                next((arm for arm in arms[v] if arm[1] is not None),
                     arms[v][0]), arms[v], loops[v])
               for v in range(n) if v != anchor]
     ends = {(e.src, e.dst) for e in q.edges}
-    shape = (anchor_loops, others, between, len(ends) < len(q.edges),
+    shape = (others, between, len(ends) < len(q.edges),
              checked_by_search(q, (anchor,)))
     q.shapes[anchor] = shape
     return shape
@@ -565,19 +574,19 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     match, the fragment that owns the anchor's image finds it so, and no
     other fragment does.  So the search needs no binding order, and what
     it costs follows the anchor's hosts and their stored neighbours, not
-    the size of the label indexes.  The anchor's hosts are its admitted
-    set where admit has one (the engine passes each home its own, which
-    holds only internal vertices that pass all the anchor's edges), and
-    else its internal candidates.  For each host a that passes the
-    anchor's self-loops, every other vertex v takes as options the
-    stored neighbours of a that are v's constant, or that carry the
-    label of one of v's edges to the anchor (its label index), cut to
-    admit[v]; of those, the ones that carry the labels of all v's edges
-    to the anchor (all checked, as a is internal) and, where the option
-    is internal, of v's self-loops.  That is v's candidates() among a's
-    neighbours, with the same checks, so no label-index union is taken.
-    What the search reads of the query itself, it works out once per
-    query (_anchored_shape).
+    the size of the label indexes.  The hosts are the anchor's admitted
+    set at its home, worked out here (_hosts; admit, as for
+    compute_local_partial_matches(), is not read for the anchor), so each
+    is next to every constant over all its edges to the anchor.  So a
+    constant's one option is its own vertex, checked once for its
+    self-loops where internal.  For each host a, every variable v takes
+    as options the stored neighbours of a in the label index of one of
+    v's edges to the anchor, cut to admit[v]; of those, the ones that
+    carry the labels of all v's edges to the anchor (all checked, as a is
+    internal) and, where the option is internal, of v's self-loops.  That
+    is v's candidates() among a's neighbours, with the same checks, so no
+    label-index union is taken.  What the search reads of the query
+    itself, it works out once per query (_anchored_shape).
 
     Each vector of the product of the options, in vertex order, is then
     checked on the query edges between two other vertices that have an
@@ -595,17 +604,15 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
     rule).  One pass splits them on the other end's image: extended
     makes an answer, since the one edge is on the anchor, and internal
     an inner match.
-    admit is as for compute_local_partial_matches().
     """
     answers = set()
     if not frag.extended:
         return 0, answers
     internal = frag.internal
-    admit = admit or {}
-    hosts = (admit[anchor] if anchor in admit
-             else candidates(q, frag, anchor)) & internal
+    hosts = _hosts(q, frag, anchor)
     if not hosts:
         return 0, answers
+    admit = admit or {}
     n = q.n
     extended = frag.extended
     stored = frag.edges
@@ -632,20 +639,22 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
             lpms.update(answers)
         return len(answers), answers
 
-    anchor_loops, others, between, parallel, checked = _anchored_shape(
-        q, anchor)
+    others, between, parallel, checked = _anchored_shape(q, anchor)
     empty = frozenset()
-    # per other vertex, the set its options are cut from, and admit's;
+    options = [None] * n
+    # per other variable, the set its options are cut from, and admit's;
     # an option that passes the arm checks is in the cut, so a smaller
     # admitted set takes the cut's place
     cuts = []
     for v, const, (leaves, label), arms, loops in others:
-        if const is None:
-            cut = (frag.targets if leaves else frag.sources).get(label, empty)
-        elif const in internal or const in extended:
-            cut = frozenset((const,))
-        else:
-            return 0, answers
+        if const is not None:
+            if const in internal and not all(
+                    _label_compatible(label, stored.get((const, const), empty))
+                    for label in loops):
+                return 0, answers
+            options[v] = (const,)
+            continue
+        cut = (frag.targets if leaves else frag.sources).get(label, empty)
         allowed = admit.get(v)
         if not cut or allowed is not None and not allowed:
             return 0, answers
@@ -653,18 +662,12 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
             cut, allowed = allowed, None
         cuts.append((v, cut, allowed, arms, loops))
     nbrs = frag.nbrs
-    options = [None] * n
     count = 0
 
     for a in hosts:
         around = nbrs.get(a, empty)
         if deadline is not None:
             deadline.spend("partial evaluation", 1 + len(around))
-        if anchor_loops:
-            here = stored.get((a, a), empty)
-            if not all(_label_compatible(label, here)
-                       for label in anchor_loops):
-                continue
         options[anchor] = (a,)
         for v, cut, allowed, arms, loops in cuts:
             opts = around & cut

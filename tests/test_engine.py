@@ -194,6 +194,52 @@ def test_an_anchor_alone_to_filter_makes_no_admission_round(monkeypatch):
     assert (stats.messages_sent, stats.bytes_sent) == (0, 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 33])
+def test_the_anchor_is_asked_about_only_where_no_anchored_search_runs(
+        k, monkeypatch):
+    """matcher.admitted() is never asked about the anchor at a fragment
+    with extended vertices, whose anchored search works out the anchor's
+    hosts itself, under centralized and distributed assembly, in process
+    and over TCP.  It is still asked at every fragment without extended
+    vertices (each one at k=1), whose inner-match search reads the
+    verdicts.  The answers are the oracle's."""
+    asked = []
+    real = matcher.admitted
+
+    def spy(q, frag, vertices=None):
+        asked.append((frag.id, vertices))
+        return real(q, frag, vertices)
+
+    monkeypatch.setattr(matcher, "admitted", spy)
+    rng = random.Random(3600 + k)
+    configs = [EngineConfig(), EngineConfig(assembly="distributed"),
+               EngineConfig(assembly="distributed", transport="tcp")]
+    runs = 0
+    calls = {True: 0, False: 0}
+    while runs < 25:
+        g = helpers.rand_graph(rng, max_vertices=24)
+        q = helpers.walk_bgp(rng, g)
+        gq = matcher.ground(q, g)
+        anchor = matcher.universal_vertex(gq)
+        if anchor not in matcher.filterable(gq):
+            continue
+        runs += 1
+        dg = build_fragments(g, helpers.rand_partition(rng, g, k))
+        plain = {f.id for f in dg.fragments if not f.extended}
+        want = set(enumerate_matches(g, q))
+        for cfg in configs:
+            asked.clear()
+            got = engine._match_component(q, dg, cfg, engine.QueryStats(),
+                                          engine._Deadline(0))
+            assert got == want
+            assert {fid for fid, vertices in asked
+                    if anchor in vertices} == plain
+            for fid, _ in asked:
+                calls[fid in plain] += 1
+    assert calls[True] > 0
+    assert calls[False] > 0 or k == 1
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.assembly[:1] + c.join[:1] + c.transport[:1])
 def test_a_query_with_nothing_to_filter_admits_nothing(cfg, monkeypatch):
     """A one-edge query between two variables has no filterable vertex,
@@ -1328,16 +1374,18 @@ def test_an_expired_deadline_stops_the_split(monkeypatch):
     (PATH_VERTICES, ["--join", "naive"]),
 ], ids=["distributed-33", "partitioned-20", "naive-33"])
 def test_deadline_reaches_assembly(tmp_path, capsys, vertices, options):
-    """A one-label path query over a 35-edge chain keeps distributed
+    """A one-label path query over a 100-edge chain keeps distributed
     assembly (33 vertices), the partitioning DP (20 vertices) and the
     naive join (33 vertices) busy for seconds; --timeout stops each from
     inside its loops, not after them.  The partitioned join's time
     doubles with each vertex of the path, and 20 vertices keep it busy
-    for about 9 s on a 2-vCPU host, far past the 0.5 s limit."""
+    for about 9 s over 35 edges on a 2-vCPU host, far past the 0.5 s
+    limit.  Over 35 edges the other two took only 0.6-0.9 s there, too
+    close to the limit for every run to time out; over 100, about 4 s."""
     src = tmp_path / "chain.nt"
     src.write_text("".join(
         "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
-        for i in range(35)), encoding="utf-8")
+        for i in range(100)), encoding="utf-8")
     db = tmp_path / "db"
     assert main(["load", "--data", str(src), "--out", str(db)]) == 0
     assert main(["partition", "--db", str(db), "-k", "4"]) == 0
@@ -1626,6 +1674,86 @@ def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
     assert crossing > 1000
     # under lubm-bsp-skew's set-up, the last of the runs
     assert {name for name, used in supersteps.items() if used} == {"F1"}
+
+
+# Per bench BGP template: (lpm_counts in fragment order, inner_matches,
+# crossing_matches, supersteps, messages_sent, bytes_sent, join_cost).
+PINNED_K4_UNIFORM_CENTRALIZED = {
+    "C1": ((0, 0, 0, 0), 0, 0, 0, 0, 0, 0),
+    "C2": ((0, 0, 7, 6), 0, 6, 0, 0, 0, 0),
+    "F1": ((1, 2, 3, 3), 0, 1, 0, 0, 0, 6),
+    "L1": ((0, 1, 0, 0), 0, 1, 0, 0, 0, 0),
+    "L2": ((0, 1, 1, 1), 0, 3, 0, 0, 0, 0),
+    "L3": ((0, 0, 0, 2), 1, 2, 0, 0, 0, 0),
+    "L4": ((0, 0, 5, 5), 0, 10, 0, 0, 0, 0),
+    "L5": ((6, 6, 1, 2), 5, 15, 0, 0, 0, 0),
+    "L6": ((1, 2, 2, 1), 0, 6, 0, 0, 0, 0),
+    "L7": ((4, 3, 6, 5), 2, 18, 0, 0, 0, 0),
+    "S1": ((1, 1, 1, 0), 0, 3, 0, 0, 0, 0),
+    "S2": ((2, 2, 0, 0), 0, 4, 0, 0, 0, 0),
+}
+# the k=8 map's trailing two fragments are empty, so it loads with k=6
+PINNED_K8_EXPONENTIAL_DISTRIBUTED = {
+    "C1": ((0, 0, 0, 0, 0, 0), 0, 0, 0, 3, 18, 0),
+    "C2": ((3, 0, 9, 0, 0, 0), 0, 6, 0, 13, 158, 0),
+    "F1": ((2, 2, 1, 1, 0, 1), 0, 1, 0, 15, 266, 0),
+    "L1": ((0, 1, 0, 0, 0, 0), 0, 1, 0, 0, 0, 0),
+    "L2": ((0, 3, 0, 0, 0, 0), 0, 3, 0, 0, 0, 0),
+    "L3": ((0, 3, 0, 0, 0, 0), 0, 3, 0, 0, 0, 0),
+    "L4": ((5, 0, 5, 0, 0, 0), 0, 10, 0, 0, 0, 0),
+    "L5": ((6, 6, 4, 0, 0, 0), 4, 16, 0, 0, 0, 0),
+    "L6": ((0, 3, 0, 3, 0, 0), 0, 6, 0, 0, 0, 0),
+    "L7": ((10, 10, 0, 0, 0, 0), 0, 20, 0, 0, 0, 0),
+    "S1": ((0, 0, 0, 3, 0, 0), 0, 3, 0, 0, 0, 0),
+    "S2": ((2, 2, 0, 0, 0, 0), 0, 4, 0, 0, 0, 0),
+}
+
+
+def test_cli_stats_of_the_bench_templates_are_pinned(tmp_path, capsys,
+                                                     monkeypatch):
+    """The --stats JSON, with its two timing keys removed, of every bench
+    BGP template on the oracle-scale LUBM instance (data and constants
+    drawn with seed 61), for k=4 uniform under centralized assembly and
+    k=8 exponential under distributed assembly, in process and over TCP.
+    The expected values were recorded from the engine before the anchored
+    search took over the filtering of its anchor's hosts from admission,
+    which changed no count, message or byte."""
+    monkeypatch.syspath_prepend(BENCH)
+    import lubm
+
+    data = lubm.generate(61, lubm.ORACLE_SCALE)
+    dealer = lubm.Dealer(random.Random(61))
+    src = tmp_path / "data.nt"
+    src.write_bytes(data.ntriples)
+    sparql = tmp_path / "q.rq"
+    stats_path = tmp_path / "stats.json"
+    setups = [(["-k", "4"], [], PINNED_K4_UNIFORM_CENTRALIZED)] + [
+        (["-k", "8", "--strategy", "exponential"],
+         ["--assembly", "distributed", "--transport", transport],
+         PINNED_K8_EXPONENTIAL_DISTRIBUTED) for transport in ("inproc", "tcp")]
+    texts = {name: lubm.instantiate(name, data, dealer)
+             for name in lubm.BGP_TEMPLATES}
+    for i, (partition, options, pinned) in enumerate(setups):
+        db = str(tmp_path / ("db%d" % i))
+        for argv in (["load", "--data", str(src), "--out", db],
+                     ["partition", "--db", db] + partition):
+            assert run_cli(capsys, argv)[0] == 0
+        got = {}
+        for name, text in texts.items():
+            sparql.write_text(text, encoding="utf-8")
+            code, _, err = run_cli(capsys, [
+                "query", "--db", db, "--sparql", str(sparql),
+                "--stats", str(stats_path)] + options)
+            assert (code, err) == (0, "")
+            stats = json.loads(stats_path.read_text(encoding="utf-8"))
+            del stats["partial_eval_seconds"], stats["assembly_seconds"]
+            got[name] = (tuple(stats.pop("lpm_counts").values()),
+                         stats.pop("inner_matches"),
+                         stats.pop("crossing_matches"), stats.pop("supersteps"),
+                         stats.pop("messages_sent"), stats.pop("bytes_sent"),
+                         stats.pop("join_cost"))
+            assert stats == {}
+        assert got == pinned, options
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Fragment construction invariants, partitioners, and the topology graph."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,9 @@ from parteval.fragmenter import (
     fnv1a64,
 )
 from parteval.rdf_model import term_from_text
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
 
 
 def check_fragmentation(g, dg):
@@ -189,6 +194,33 @@ def test_exponential_hash_valid_and_deterministic():
     sizes = [sum(1 for f in pm.assignment.values() if f == fid)
              for fid in range(4)]
     assert sizes[0] == max(sizes)
+
+
+def test_exponential_hash_honours_the_seed(monkeypatch):
+    """On the lubm-bsp-skew data at k=8, seeds 0-3 give at least three
+    distinct exponential maps; XORed in unspread, a small seed changed
+    only the hash's low bits, which the strategy never reads, so all four
+    gave one map.  Seed 0's map is still that rule's, and the uniform
+    strategy still XORs the seed in unspread."""
+    monkeypatch.syspath_prepend(BENCH)
+    import lubm
+
+    data = lubm.generate(61, lubm.WORKLOADS["lubm-bsp-skew"]["scale"])
+    g = parse_ntriples(data.ntriples)
+    hashes = {v: fnv1a64(g.term(v).ntriples().encode("utf-8"))
+              for v in g.vertex_ids()}
+
+    def unspread(seed):
+        return {v: next((j for j in range(7)
+                         if (h ^ seed) / 2.0 ** 64 < 1.0 - 0.5 ** (j + 1)), 7)
+                for v, h in hashes.items()}
+
+    maps = [partition_exponential_hash(g, 8, seed=seed).assignment
+            for seed in range(4)]
+    assert len({tuple(sorted(m.items())) for m in maps}) >= 3
+    assert all(unspread(seed) == maps[0] for seed in range(4))
+    assert partition_uniform_hash(g, 8, seed=3).assignment == {
+        v: (h ^ 3) % 8 for v, h in hashes.items()}
 
 
 @pytest.mark.parametrize("partitioner",

@@ -1265,3 +1265,64 @@ def test_anchored_search_takes_no_candidate_union(monkeypatch, tmp_path):
         assert (got, inner, lpms) == want
         answered += len(got[1])
     assert len(cases) > 300 and answered > 200
+
+
+class ReadNeighbours(dict):
+    """A fragment's nbrs that logs each vertex whose neighbours are read."""
+
+    def __init__(self, nbrs, log):
+        super().__init__(nbrs)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+def test_a_constant_anchor_hosts_only_its_own_vertex():
+    """<a> <p> ?x . <a> <q> ?y has its constant as the anchor.  Every
+    internal vertex of fragment 0 carries both labels, but the anchored
+    search reads the neighbours of a alone."""
+    triples = [Triple(iri(s), label, iri(o)) for s, label, o in (
+        ("a", "p", "b1"), ("a", "q", "e"), ("c", "p", "b2"),
+        ("c", "q", "e"), ("d", "p", "b3"), ("d", "q", "b1"))]
+    g, dg = tiny_db(triples, {"a": 0, "c": 0, "d": 0, "e": 0, "b1": 1,
+                              "b2": 1, "b3": 1}, 2)
+    q = ground(build_query_graph([(T(iri("a")), L("p"), V("x")),
+                                  (T(iri("a")), L("q"), V("y"))]), g)
+    anchor = matcher.universal_vertex(q)
+    assert q.const_id[anchor] == g.term_id(iri("a"))
+    a, b1, e = ids_of(g, "a b1 e")
+    frag = dg.fragments[0]
+    log = []
+    frag.nbrs = ReadNeighbours(frag.nbrs, log)
+    assert matcher.compute_anchored_matches(q, frag, anchor, g) == (
+        1, {(a, b1, e)})
+    assert log == [a]
+
+
+def test_the_anchor_hosts_only_where_the_pair_to_its_constant_is():
+    """In ?a <s> <c> . ?a <p> ?v, 2000 stored neighbours of c carry both
+    index labels s and p, but only h0 has the pair (h0, c) labelled s.
+    Admission is not asked about the anchor, and only h0 reaches the
+    per-host loop: the search reads the neighbours of c, then of h0."""
+    triples = [Triple(iri("h0"), "s", iri("c"))]
+    homes = {"c": 0}
+    for i in range(2000):
+        h = "h%d" % i
+        triples += [Triple(iri(h), "r", iri("c")),
+                    Triple(iri(h), "s", iri("z%d" % i)),
+                    Triple(iri(h), "p", iri("v%d" % i))]
+        homes.update({h: 0, "z%d" % i: 0, "v%d" % i: 1})
+    g, dg = tiny_db(triples, homes, 2)
+    q = build_query_graph([(V("a"), L("s"), T(iri("c"))),
+                           (V("a"), L("p"), V("v"))])
+    h0, c, v0 = ids_of(g, "h0 c v0")
+    log = []
+    dg.fragments[0].nbrs = ReadNeighbours(dg.fragments[0].nbrs, log)
+    for cfg in (EngineConfig(), EngineConfig(assembly="distributed")):
+        log.clear()
+        got = engine._match_component(q, dg, cfg, engine.QueryStats(),
+                                      engine._Deadline(0))
+        assert got == {(h0, c, v0)}
+        assert log == [c, h0]
