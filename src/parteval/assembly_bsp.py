@@ -39,11 +39,12 @@ connection, with no selector and no end frame: both ends are in this
 process, so the receiver reads exactly its site's buffer, and a site
 with nothing posted is skipped.  A record carries the vector and its
 internal flags only; every site derives provenance from vertex homes.
-Before partial evaluation, the same exchange can carry one admission
-round, in which sites share which boundary vertices pass their checks.
-It carries no verdicts on a query's anchor, whose hosts each site
-works out in its own search, so a radius-1 query whose anchor is its
-one filterable vertex makes no round.  The caller owns the exchange.
+Before partial evaluation, the same exchange can carry admission
+rounds: in the first, sites share which boundary vertices pass their
+checks; in each refinement round, which of those they dropped.  They
+carry no verdicts on a query's anchor, whose hosts each site works out
+in its own search, so a radius-1 query whose anchor is its one
+filterable vertex makes no round.  The caller owns the exchange.
 The engine keeps one loopback exchange per DistributedGraph
 (take_tcp_exchange / keep_tcp_exchange): a component takes it out of
 the graph, so concurrent queries never share one, and gives it back
@@ -146,27 +147,38 @@ def decode_admission(data):
     return v, struct.unpack_from(">%dI" % ((len(data) - 2) // 4), data, 2)
 
 
-def exchange_admission(dg, own, exchange):
-    """The admission round, one barrier before superstep 0.
+def exchange_admission(dg, verdicts, exchange, admit=None):
+    """One admission round, one barrier before superstep 0.
 
-    own[fid] is matcher.admitted() at site fid.  Each site tells each
-    topology neighbour, in one record per query vertex it was asked
-    about (a site with a neighbour is never asked about the anchor),
-    which of the vertices it admitted the neighbour stores as extended
-    vertices.  A site's extended vertices are all owned by neighbours,
-    so what it holds afterwards is the global admitted set cut to its
-    own vertices.  A record with no ids would add nothing and is not sent;
-    when no site sends anything, the barrier is skipped too.  A site's
-    own frozensets are kept; only a query vertex that received ids gets
-    a new one.  Returns (per-site admitted sets, messages, bytes).
+    In the first round (admit None) verdicts[fid] is matcher.admitted()
+    at site fid.  Each site tells each topology neighbour, in one record
+    per query vertex it was asked about (a site with a neighbour is never
+    asked about the anchor), which of the vertices it admitted the
+    neighbour stores as extended vertices.  A site's extended vertices
+    are all owned by neighbours, so what it holds afterwards is the
+    global admitted set cut to its own vertices.  A site's own
+    frozensets are kept; only a query vertex that received ids gets a
+    new one.
+
+    In a later round, a refinement round of the engine, admit is what
+    each site held after the round before, and verdicts[fid] holds, per
+    query vertex, only the vertices site fid dropped this round (a site
+    that dropped none may have no entry).  The records carry those
+    removals, cut the same way, and each site takes its own and the
+    received ones out of its sets, so it again holds the global sets
+    cut to its own vertices.
+
+    Either way a record with no ids would change nothing and is not
+    sent; when no site sends anything, the barrier is skipped too.
+    Returns (per-site sets, messages, bytes).
     """
     messages = 0
     byte_count = 0
     for fid in range(dg.k):
-        verdicts = sorted(own[fid].items())
+        items = sorted(verdicts.get(fid, {}).items())
         for dst in sorted(dg.topo.adjacency[fid]):
             boundary = dg.fragments[dst].extended
-            for v, hosts in verdicts:
+            for v, hosts in items:
                 ids = sorted(hosts & boundary)
                 if not ids:
                     continue
@@ -175,17 +187,24 @@ def exchange_admission(dg, own, exchange):
                 messages += 1
                 byte_count += len(payload)
     delivered = exchange.flush() if messages else {}
-    admit = {}
+    out = {}
     for fid in range(dg.k):
         received = {}
         for payload in delivered.get(fid, ()):
             v, ids = decode_admission(payload)
             received.setdefault(v, []).append(ids)
-        # a site keeps its own sets where nothing arrived
-        admit[fid] = sets = dict(own[fid])
+        if admit is None:
+            # a site keeps its own sets where nothing arrived
+            out[fid] = sets = dict(verdicts[fid])
+            for v, parts in received.items():
+                sets[v] = sets[v].union(*parts)
+            continue
+        out[fid] = sets = dict(admit[fid])
+        for v, hosts in verdicts.get(fid, {}).items():
+            received.setdefault(v, []).append(hosts)
         for v, parts in received.items():
-            sets[v] = sets[v].union(*parts)
-    return admit, messages, byte_count
+            sets[v] = sets[v].difference(*parts)
+    return out, messages, byte_count
 
 
 class InProcessExchange:
@@ -358,10 +377,11 @@ def held_at(q, dg, site, fn):
     stored there.  The other two are that I is connected in the query
     and that every query vertex outside I neighbours it; with some
     vertex outside I, the edge to it is a crossing edge.  Admission
-    keeps fn too: every image of a match passes at its home, and site
-    learns its topology neighbours' verdicts.  For a vector that is not
-    a match this may say True while site lacks it, so a caller may only
-    drop a record on its word, never emit one.
+    keeps fn too: every image of a match passes at its home and keeps
+    its neighbours in the match through every refinement round, and
+    site learns its topology neighbours' verdicts.  For a vector that
+    is not a match this may say True while site lacks it, so a caller
+    may only drop a record on its word, never emit one.
     """
     inside = frozenset(v for v, u in enumerate(fn) if dg.home(u) == site)
     return (0 < len(inside) < q.n

@@ -63,14 +63,19 @@ class _Deadline:
 
     Each layer reports its work as it does it, with spend(phase, units):
     a search state, a vector of the universal-vertex search, an image of
-    the universal vertex and each of its stored neighbours, a stored
-    pair scanned or taken whole (spent before the pass over the list),
-    a probed pair of a join, a memo miss of the partitioning DP, a
-    partial match split off before the DP.  The clock is read as soon
-    as more than DEADLINE_EVERY units have been spent since it was last
-    read, however many calls the work is spread over, and once after
-    each phase and each superstep (check).  A query without a limit has
-    no deadline: _match_component passes None to every layer."""
+    the universal vertex and each of its stored neighbours, a host
+    checked in an admission refinement round and each of its stored
+    neighbours, a stored pair scanned or taken whole (spent before the
+    pass over the list), a probed pair of a join, a memo miss of the
+    partitioning DP, a partial match split off before the DP, and the
+    row pairs of a table join without a key (general_sparql._join,
+    spent a row of its left table at a time, before that row's merges
+    are built).  each() spends as a generator is read.  The clock is read as soon as more than DEADLINE_EVERY
+    units have been spent since it was last read, however many calls
+    the work is spread over, and once after each phase and each
+    superstep (check).  A query without a limit has no deadline:
+    _match_component passes None to every layer, and execute to the
+    table algebra."""
 
     def __init__(self, seconds):
         self.limit = seconds
@@ -86,6 +91,12 @@ class _Deadline:
         self.spent = 0
         if time.monotonic() - self.start > self.limit:
             raise TimeoutExceeded("timed out during %s" % phase)
+
+    def each(self, items, phase, units=1):
+        """items, with units spent before each is taken."""
+        for item in items:
+            self.spend(phase, units)
+            yield item
 
 
 def _match_component(comp, dg, cfg, stats, deadline):
@@ -120,14 +131,13 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     join, is answered by compute_anchored_matches() from that vertex
     (the anchor) on each fragment, with no assembler; any other query
     has its local partial matches joined by the configured assembly.
-    Before either, the admission round (_admit) sets what each search
-    may bind."""
+    Before either, admission (_admit) sets what each search may bind."""
     t0 = time.monotonic()
     # the naive join merges partial matches, so it takes all of them
     # even when a universal vertex would answer the query directly
     anchor = (matcher.universal_vertex(gq)
               if exchange is not None or cfg.join != "naive" else None)
-    own, admit = _admit(gq, dg, anchor, stats, exchange)
+    own, admit = _admit(gq, dg, anchor, stats, exchange, deadline)
     # the searches collect inner matches where they run; a fragment
     # without crossing edges (each one at k=1) has the pair-list search
     inner = set().union(*(matcher.compute_inner_matches(
@@ -165,7 +175,7 @@ def _evaluate(gq, dg, cfg, stats, deadline, exchange):
     return inner
 
 
-def _admit(gq, dg, anchor, stats, exchange):
+def _admit(gq, dg, anchor, stats, exchange, deadline=None):
     """Each home's admitted sets and the sets each fragment's search
     binds within, as (own, admit), both by fragment id; a fragment's
     entry is None when it is asked about no query vertex.
@@ -176,7 +186,22 @@ def _admit(gq, dg, anchor, stats, exchange):
     under centralized assembly.  Only the inner-match search, on a
     fragment without extended vertices, reads the anchor's verdicts:
     compute_anchored_matches() works out its hosts at their home.  So a
-    query whose anchor is its one filterable vertex shares nothing."""
+    query whose anchor is its one filterable vertex shares nothing.
+
+    A query without an anchor that has an edge between two filterable
+    vertices (a link), on a graph with crossing edges, then takes
+    refinement rounds (matcher.refined): a home keeps a host of a linked
+    vertex only where it has a stored neighbour over each link in the
+    last round's set of the other end.  Both assemblies refine against
+    the same sets, so they end with the same ones; a round shares only
+    what each home dropped.  The first round checks every linked
+    vertex, a later one those linked to a vertex that shrank and has a
+    second link: where w has a single link, to v, a host's neighbour x
+    in w's set has that host as its own neighbour in v's set, so x
+    stays.  The rounds stop at the fixpoint, or after as many rounds as
+    the query's diameter; each keeps every match's images.  With an
+    anchor the search binds every other vertex next to the anchor's
+    image anyway, so no round runs.  The rounds spend on deadline."""
     vertices = matcher.filterable(gq)
     shared = [v for v in vertices if v != anchor]
     own = {}
@@ -185,15 +210,65 @@ def _admit(gq, dg, anchor, stats, exchange):
         own[frag.id] = matcher.admitted(gq, frag, asked) if asked else None
     if not shared:
         return own, own
+    admit = _share(dg, shared, own, None, stats, exchange)
+    links = (matcher.links(gq, shared) if anchor is None
+             and any(frag.extended for frag in dg.fragments) else None)
+    if not links:
+        return own, admit
+    recheck = links
+    rounds = 0
+    while recheck:
+        dropped = {}
+        for frag in dg.fragments:
+            sets = own[frag.id]
+            gone = {}
+            for v in recheck:
+                hosts = sets[v]
+                if hosts:
+                    kept = matcher.refined(frag, hosts, links[v],
+                                           admit[frag.id], deadline)
+                    if kept is not hosts:
+                        sets[v] = kept
+                        gone[v] = hosts - kept
+            if gone:
+                dropped[frag.id] = gone
+        if not dropped:
+            break
+        admit = _share(dg, shared, dropped, admit, stats, exchange)
+        rounds += 1
+        # links run both ways: the vertices linked to one that shrank
+        # and has a second link
+        recheck = {w for gone in dropped.values() for v in gone
+                   if len(links[v]) > 1 for w, _, _ in links[v]}
+        # stop at the query's diameter, the largest eccentricity
+        if recheck and all(matcher.eccentricity(gq, v) <= rounds
+                           for v in range(gq.n)):
+            break
+    return own, admit
+
+
+def _share(dg, shared, verdicts, admit, stats, exchange):
+    """The sets each fragment's search binds within after one admission
+    round: the first (admit None) shares each home's admitted sets, a
+    refinement round the hosts each home dropped from admit, the last
+    round's sets.  Under distributed assembly the round goes through
+    the exchange (exchange_admission); under centralized assembly each
+    shared vertex has one set, every home's verdicts united."""
     if exchange is not None:
         admit, messages, byte_count = assembly_bsp.exchange_admission(
-            dg, own, exchange)
+            dg, verdicts, exchange, admit)
         stats.messages_sent += messages
         stats.bytes_sent += byte_count
-        return own, admit
-    union = {v: frozenset().union(*(own[fid][v] for fid in own))
-             for v in shared}
-    return own, {fid: {**sets, **union} for fid, sets in own.items()}
+        return admit
+    if admit is None:
+        union = {v: frozenset().union(*(sets[v] for sets in verdicts.values()))
+                 for v in shared}
+        return {fid: {**sets, **union} for fid, sets in verdicts.items()}
+    union = {}
+    for sets in verdicts.values():
+        for v, hosts in sets.items():
+            union[v] = union.get(v, admit[0][v]) - hosts
+    return {fid: {**sets, **union} for fid, sets in admit.items()}
 
 
 def _assemble(omega, gq, dg, cfg, stats, deadline, exchange):
@@ -224,9 +299,11 @@ def execute(gq, dg, cfg=None):
     cfg = cfg or EngineConfig()
     stats = QueryStats()
     deadline = _Deadline(cfg.timeout_seconds)
+    limited = deadline if deadline.limit else None
     match_fn = lambda comp: _match_component(comp, dg, cfg, stats, deadline)
-    bgp_eval = lambda graph: evaluate_bgp(graph, match_fn, dg.source)
-    table = evaluate_general(gq, bgp_eval)
+    bgp_eval = lambda graph: evaluate_bgp(graph, match_fn, dg.source,
+                                          limited)
+    table = evaluate_general(gq, bgp_eval, limited)
     return table, stats
 
 

@@ -181,7 +181,7 @@ def _reconcile(merged, r1, r2, loose):
     return merged if out is None else tuple(out)
 
 
-def _join(t1, t2, outer, cond=None):
+def _join(t1, t2, outer, cond=None, deadline=None):
     """The hashed join loop of nat_join and left_outer_join.
 
     t2's rows are bucketed on the variables both tables always bind, and
@@ -191,6 +191,11 @@ def _join(t1, t2, outer, cond=None):
     once per join.  A shared variable outside the key may be unbound on
     either side, so it alone is checked and merged value by value; with
     none and no cond, every pair of a bucket merges.
+
+    A join without a key variable tries every pair of rows, a cross
+    product, so it spends |t1|·|t2| on deadline, the query's
+    engine._Deadline if it has a limit: |t2| for each row of t1, before
+    that row's merges are built.  A keyed join spends nothing.
     """
     graph = t1.graph if t1.graph is not None else t2.graph
     if not outer:       # a table of one empty row is nat_join's identity
@@ -219,15 +224,18 @@ def _join(t1, t2, outer, cond=None):
     for r2 in t2.rows:
         buckets.setdefault(key2(r2), []).append(r2)
     always = t1.always if outer else t1.always | t2.always
+    rows1 = t1.rows
+    if deadline is not None and not keys:
+        rows1 = deadline.each(rows1, "join", len(t2.rows))
     if not loose and test is None:
-        rows = {merge(r1 + r2) for r1 in t1.rows
+        rows = {merge(r1 + r2) for r1 in rows1
                 for r2 in buckets.get(key1(r1), ())}
         if outer:       # a row of t1 has partners when its key has a bucket
             rows.update([pad(r1 + _UNBOUND) for r1 in t1.rows
                          if key1(r1) not in buckets])
         return BindingTable(names, frozenset(rows), always, graph)
     rows = set()
-    for r1 in t1.rows:
+    for r1 in rows1:
         partnered = False
         for r2 in buckets.get(key1(r1), ()):
             merged = merge(r1 + r2)
@@ -244,8 +252,8 @@ def _join(t1, t2, outer, cond=None):
     return BindingTable(names, frozenset(rows), always, graph)
 
 
-def nat_join(t1, t2):
-    return _join(t1, t2, outer=False)
+def nat_join(t1, t2, deadline=None):
+    return _join(t1, t2, outer=False, deadline=deadline)
 
 
 def union(t1, t2):
@@ -256,11 +264,11 @@ def union(t1, t2):
     return BindingTable(names, rows, t1.always & t2.always, graph)
 
 
-def left_outer_join(t1, t2, cond=None):
+def left_outer_join(t1, t2, cond=None, deadline=None):
     """SPARQL's LeftJoin(t1, t2, cond): a row of t1 is kept alone when
     no compatible row of t2 merges with it into a row that meets cond
     (None: no condition)."""
-    return _join(t1, t2, outer=True, cond=cond)
+    return _join(t1, t2, outer=True, cond=cond, deadline=deadline)
 
 
 _COMPARE = {"=": operator.eq, "!=": operator.ne,
@@ -478,20 +486,21 @@ def bgp_results_to_table(matches, q, g):
     return BindingTable(names, frozenset(rows), frozenset(names), g)
 
 
-def evaluate_bgp(graph, match_fn, g):
+def evaluate_bgp(graph, match_fn, g, deadline=None):
     """Evaluate one pattern graph: split into connected components, run
     the match pipeline on each, and join the per-component tables (label
-    variables shared across components reconcile in the join)."""
+    variables shared across components reconcile in the join), spending
+    on deadline as _join does."""
     if not graph.vertices:
         return unit_table()
     table = None
     for comp in qm.connected_components(graph):
         t = bgp_results_to_table(match_fn(comp), comp, g)
-        table = t if table is None else nat_join(table, t)
+        table = t if table is None else nat_join(table, t, deadline)
     return table
 
 
-def evaluate_node(node, bgp_eval):
+def evaluate_node(node, bgp_eval, deadline=None):
     """The table of node.  The left spine (the left side of And, Union
     and Opt, the child of Filter) is walked with a loop and its steps
     applied bottom-up, each evaluating its right side when it applies,
@@ -506,7 +515,7 @@ def evaluate_node(node, bgp_eval):
     side, and the left join then has no condition.  Each rewrite keeps
     the table (Schmidt, Meier, Lausen, ICDT 2010): every row the join
     makes from an operand's row agrees with it on the names it always
-    binds.
+    binds.  The joins spend on deadline as _join does.
     """
     spine = []
     while not isinstance(node, Bgp):
@@ -527,7 +536,7 @@ def evaluate_node(node, bgp_eval):
         if isinstance(step, Filter):
             table = filter_table(table, step.expr)
             continue
-        right = evaluate_node(step.right, bgp_eval)
+        right = evaluate_node(step.right, bgp_eval, deadline)
         if isinstance(step, Union):
             table = union(table, right)
             continue
@@ -543,13 +552,13 @@ def evaluate_node(node, bgp_eval):
             else:
                 joined.append(expr)
         if isinstance(step, And):
-            table = nat_join(table, right)
+            table = nat_join(table, right, deadline)
         else:
             cond = step.cond
             if cond is not None and _expr_names(cond) <= right.always:
                 right = filter_table(right, cond)
                 cond = None
-            table = left_outer_join(table, right, cond)
+            table = left_outer_join(table, right, cond, deadline)
         for expr in joined:
             table = filter_table(table, expr)
     return table
@@ -561,10 +570,12 @@ def project(table, names):
     return BindingTable(keep, rows, table.always & set(keep), table.graph)
 
 
-def evaluate_general(gq, bgp_eval):
+def evaluate_general(gq, bgp_eval, deadline=None):
     """Full evaluation: recurse over the operator tree, then project.
 
     bgp_eval takes a pattern graph and returns its BindingTable; the
-    caller decides how pattern matching actually runs.
+    caller decides how pattern matching actually runs.  deadline, if
+    given, is the query's engine._Deadline, which the joins spend on.
     """
-    return project(evaluate_node(gq.node, bgp_eval), qm.projected_names(gq))
+    return project(evaluate_node(gq.node, bgp_eval, deadline),
+                   qm.projected_names(gq))

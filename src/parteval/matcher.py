@@ -203,6 +203,66 @@ def _hosts(q, frag, v):
     return frozenset(hosts)
 
 
+def links(q, vertices):
+    """Per vertex v of vertices, its query edges to another vertex w of
+    vertices as refined() reads them: (w, v is the source, label).  A
+    vertex with no such edge has no entry."""
+    within = set(vertices)
+    out = {}
+    for e in q.edges:
+        if e.src != e.dst and e.src in within and e.dst in within:
+            out.setdefault(e.src, []).append((e.dst, True, e.label))
+            out.setdefault(e.dst, []).append((e.src, False, e.label))
+    return out
+
+
+def refined(frag, hosts, linked, admit, deadline=None):
+    """The vertices of hosts, internal vertices of frag admitted for a
+    query vertex v, that have a stored neighbour in admit[w] for each
+    link (w, v is the source, label) of linked, v's entry of links(), on
+    a stored pair with that label and direction.  This is one refinement
+    round of admission: the dual simulation of Ma, Cao, Fan, Huai, Wo
+    (PVLDB 2011), cut to the links.  A fragment stores every edge of its
+    internal vertices, so a host that a match maps v to keeps the match's
+    image of w as that neighbour: a round that starts from sets holding
+    every match's images keeps them.  hosts itself is returned when every
+    host is kept."""
+    stored = frag.edges
+    nbrs = frag.nbrs
+    empty = frozenset()
+    kept = []
+    for u in hosts:
+        around = nbrs.get(u, empty)
+        if deadline is not None:
+            deadline.spend("partial evaluation", 1 + len(around))
+        for w, leaves, label in linked:
+            for x in around & admit[w]:
+                if _label_compatible(label, stored.get(
+                        (u, x) if leaves else (x, u), empty)):
+                    break
+            else:
+                break
+        else:
+            kept.append(u)
+    return hosts if len(kept) == len(hosts) else frozenset(kept)
+
+
+def eccentricity(q, start):
+    """The most edges on a shortest path from query vertex start to
+    another vertex of the connected query, its edges read both ways; the
+    largest over all vertices is the query's diameter."""
+    adj = q.adj
+    depth = {start: 0}
+    queue = [start]
+    for v in queue:
+        below = depth[v] + 1
+        for w in adj[v]:
+            if w not in depth:
+                depth[w] = below
+                queue.append(w)
+    return depth[queue[-1]]
+
+
 def _realized_flags(q, frag, fn):
     """Per query edge: both endpoints bound and the edge present in the
     fragment with a compatible label."""
@@ -237,8 +297,9 @@ def is_local_partial_match(q, frag, fn, *, grown=False):
 
     grown=True is for a leaf of compute_local_partial_matches, and
     checks only 4 and 5, because the way the search grows fn makes the
-    other six hold.  1: every image comes from candidates(), which hold
-    only stored vertices and a constant's own vertex.  2: the seed has
+    other six hold.  1: the seed is internal, every later image is a
+    stored neighbour of an internal image, and a constant, never
+    admitted, takes its candidates(): its own vertex.  2: the seed has
     an internal image.  3 and 6: the binder (_bind) checks each edge
     with an internal endpoint as its second end is bound, and a leaf is
     a state with no unbound neighbour of I.  7: each vertex bound to an
@@ -386,18 +447,25 @@ def compute_local_partial_matches(q, frag, admit=None, deadline=None,
     A seed is tried only where its scarcest neighbour can bind (see
     _seeds), which drops no local partial match.  Without admit this is
     the paper's definition.  admit maps some query vertices to the only
-    data vertices they may bind (the union of every fragment's admitted()
-    sets, or this fragment's share of it), which drops local partial
-    matches that no complete match extends.
+    data vertices they may bind (every home's admitted sets after the
+    engine's admission rounds, united or cut to this fragment's stored
+    vertices), which drops local partial matches that no complete match
+    extends.  An admitted vertex takes its admitted set itself as its
+    candidates, with no candidates() union: a seed is cut to internal
+    vertices, and every later binding to the stored neighbours of an
+    internal image, over an edge the binder checks, which puts it in the
+    label index candidates() would have read.  So a set that holds
+    vertices this fragment does not store gives the same matches as the
+    set cut to its stored ones.
     """
     if not frag.extended:
         return frozenset()
     n = q.n
     internal = frag.internal
     adj = q.adj
-    cand = [candidates(q, frag, v) for v in range(n)]
-    for v, hosts in (admit or {}).items():
-        cand[v] = cand[v] & hosts
+    admit = admit or {}
+    cand = [admit[v] if v in admit else candidates(q, frag, v)
+            for v in range(n)]
     results = set()
     fn = [None] * n
 
@@ -512,13 +580,6 @@ def _edge_matches(q, frag, cs, cd, deadline):
     else:
         pairs = [p for p in pairs if p[0] in cs and p[1] in cd]
     return pairs if e.src == 0 else [(b, a) for a, b in pairs]
-
-
-def _every(keys, deadline):
-    """keys, each spent on deadline as it is taken."""
-    for key in keys:
-        deadline.spend("partial evaluation")
-        yield key
 
 
 def _anchored_shape(q, anchor):
@@ -688,7 +749,7 @@ def compute_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
                 map(len, options))
             keys = itertools.product(*options)
             if deadline is not None:
-                keys = _every(keys, deadline)
+                keys = deadline.each(keys, "partial evaluation")
             for key in keys:
                 for x, y, label in between:
                     x = key[x]

@@ -753,7 +753,7 @@ def ref_anchored_matches(q, frag, anchor, g, admit=None, deadline=None,
                 map(len, options))
             keys = itertools.product(*options)
             if deadline is not None:
-                keys = matcher._every(keys, deadline)
+                keys = deadline.each(keys, "partial evaluation")
             for key in keys:
                 for x, y, label in between:
                     x = key[x]

@@ -36,7 +36,7 @@ from parteval import (
     naive_iterative_join,
     run_bsp,
 )
-from parteval import assembly_bsp, assembly_central, matcher
+from parteval import assembly_bsp, assembly_central, engine, matcher
 from parteval.matcher import LocalPartialMatch, checked_by_search
 from parteval.assembly_bsp import (InProcessExchange, RecordLayout,
                                    exchange_admission, held_at,
@@ -368,18 +368,15 @@ def held_agrees_with_the_search(dg, q, omega):
 
 def test_held_at_is_membership_in_the_admitted_search():
     """held_at, read off vertex homes, says whether a site's own search
-    (after the engine's admission round) found a complete match."""
+    (after the engine's admission rounds, refinement rounds included)
+    found a complete match."""
     held = 0
     for seed in range(3000):
         g, dg, q_graph = helpers.rand_instance(random.Random(seed),
                                                max_vertices=16)
         q = ground(q_graph, g)
-        own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
-        if own[0]:
-            admit, _, _ = exchange_admission(dg, own,
-                                             InProcessExchange(dg.k))
-        else:
-            admit = dict.fromkeys(own)
+        _, admit = engine._admit(q, dg, None, engine.QueryStats(),
+                                 InProcessExchange(dg.k))
         omega = {frag.id: compute_local_partial_matches(q, frag,
                                                         admit[frag.id])
                  for frag in dg.fragments}

@@ -108,12 +108,14 @@ def test_execute_default_config(movie_dg, movie_query):
 def test_execute_distributed_stats(movie_dg, movie_query):
     _, stats = execute(movie_query, movie_dg, EngineConfig(assembly="distributed"))
     assert stats.supersteps == 1
-    # the admission round: of the 6 (home, neighbour) pairs x 4 filterable
-    # query vertices, only the 5 records that carry an admitted boundary
-    # id are sent, each a 2-byte header and one id; then one 28-byte
-    # partial match: 6 ids and one flag word
-    assert stats.messages_sent == 5 + 1
-    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 28
+    # the first admission round: of the 6 (home, neighbour) pairs x 4
+    # filterable query vertices, only the 5 records that carry an admitted
+    # boundary id are sent, each a 2-byte header and one id; one removal
+    # record of a refinement round: ?f1 drops s1:film1, in which no
+    # admitted ?a acted, and site 1 stores it; then one 28-byte partial
+    # match: 6 ids and one flag word
+    assert stats.messages_sent == 5 + 1 + 1
+    assert stats.bytes_sent == 5 * 2 + 5 * 4 + 2 + 4 + 28
     assert stats.join_cost == 0
 
 
@@ -408,6 +410,116 @@ def test_wider_tsv_is_the_same_under_every_partition_map(tmp_path):
     assert supersteps > 0
 
 
+@pytest.mark.parametrize("k", [2, 5, 8, 33])
+def test_refinement_rounds_keep_every_match(k, tmp_path, monkeypatch):
+    """Admission's refinement rounds lose no match and give both
+    assemblies the same sets.  On walked queries without a universal
+    vertex, under uniform, exponential and random file maps, every image
+    of every enumerate_matches match lies in the sets of each admission
+    round (every site's, for the vertices it stores); each round's sets,
+    cut to a site's stored vertices, are the same under the centralized
+    join, in-process BSP and BSP over TCP; and so are the answers and the
+    LPM counts.  Unless the rounds reached the query's diameter, the
+    last round's sets are a fixpoint: one more round would drop
+    nothing.  The four k take about 3 s together on a 2-vCPU host; keep
+    them under 5 s."""
+    rounds = []
+    share = engine._share
+
+    def spy(dg, shared, verdicts, admit, stats, exchange):
+        out = share(dg, shared, verdicts, admit, stats, exchange)
+        rounds.append((shared, out, admit is not None))
+        return out
+
+    monkeypatch.setattr(engine, "_share", spy)
+    rng = random.Random(3700 + k)
+    path = str(tmp_path / "partition.tsv")
+    configs = [EngineConfig(), EngineConfig(assembly="distributed"),
+               EngineConfig(assembly="distributed", transport="tcp")]
+    queries = refinements = 0
+    while queries < 12:
+        g = helpers.rand_graph(rng, max_vertices=60)
+        q = helpers.walk_bgp(rng, g, n_max=6)
+        gq = matcher.ground(q, g)
+        if matcher.universal_vertex(gq) is not None:
+            continue
+        queries += 1
+        diameter = max(matcher.eccentricity(gq, v) for v in range(gq.n))
+        matches = set(enumerate_matches(g, q))
+        write_partition_file(g, helpers.rand_partition(rng, g, k), path)
+        for pm in (partition_uniform_hash(g, k, seed=k),
+                   partition_exponential_hash(g, k, seed=k),
+                   partition_from_file(g, path)):
+            dg = build_fragments(g, pm)
+            seen = []
+            for cfg in configs:
+                rounds.clear()
+                stats = engine.QueryStats()
+                got = engine._match_component(q, dg, cfg, stats,
+                                              engine._Deadline(0))
+                assert got == matches, cfg
+                cut = []
+                for shared, admit, later in rounds:
+                    refinements += later
+                    sets = {}
+                    for frag in dg.fragments:
+                        stored = frag.internal | frag.extended
+                        sets[frag.id] = {v: admit[frag.id][v] & stored
+                                         for v in shared}
+                        for fn in matches:
+                            for v in shared:
+                                assert (fn[v] not in stored
+                                        or fn[v] in admit[frag.id][v]), cfg
+                    cut.append(sets)
+                if rounds and len(rounds) - 1 < diameter and any(
+                        frag.extended for frag in dg.fragments):
+                    shared, admit, _ = rounds[-1]
+                    links = matcher.links(gq, shared)
+                    for frag in dg.fragments:
+                        for v, linked in links.items():
+                            hosts = admit[frag.id][v] & frag.internal
+                            assert matcher.refined(frag, hosts, linked,
+                                                   admit[frag.id]) == hosts
+                seen.append((stats.lpm_counts, cut))
+            assert seen[0] == seen[1] == seen[2]
+            assembly_bsp.take_tcp_exchange(dg).close()
+    assert refinements > 10
+
+
+def test_refinement_cuts_f1_courses_to_the_teachers(monkeypatch):
+    """On the oracle-scale LUBM instance (seed 61) at k=4, F1's ?c admits
+    every course after the first round, and after the refinement rounds
+    exactly the teacherOf targets of the admitted ?f, under either
+    assembly."""
+    monkeypatch.syspath_prepend(BENCH)
+    import lubm
+
+    data = lubm.generate(61, lubm.ORACLE_SCALE)
+    g = parse_ntriples(data.ntriples)
+    dg = build_fragments(g, partition_uniform_hash(g, 4))
+    text = lubm.instantiate("F1", data, lubm.Dealer(random.Random(61)))
+    q = parse_sparql(text).node.graph
+    f, c = q.vertex_vars()["f"], q.vertex_vars()["c"]
+    teacher_of = lubm.UB + "teacherOf"
+    courses = {g.term_id(iri(course[1:-1])) for course in data.courses}
+    for exchange in (None, assembly_bsp.InProcessExchange(dg.k)):
+        gq = matcher.ground(q, g)
+        first = {frag.id: matcher.admitted(gq, frag) for frag in dg.fragments}
+        assert frozenset().union(*(sets[c] for sets in first.values())) \
+            == courses
+        own, admit = engine._admit(gq, dg, None, engine.QueryStats(),
+                                   exchange)
+        teachers = frozenset().union(*(sets[f] for sets in own.values()))
+        taught = {b for (a, b), labels in g.edges.items()
+                  if a in teachers and teacher_of in labels}
+        assert len(teachers) == 1 and 0 < len(taught) < len(courses)
+        assert frozenset().union(*(sets[c] for sets in own.values())) \
+            == taught
+        for frag in dg.fragments:
+            assert admit[frag.id][c] & (frag.internal | frag.extended) \
+                == taught & (frag.internal | frag.extended)
+
+
 def test_filter_splits_rows_into_true_false_and_error():
     """Ternary logic partitioning (Rigger and Su, OOPSLA 2020): for a
     walked pattern P and a random expression e over its variables, at
@@ -469,7 +581,7 @@ def test_tcp_exchange_opens_once_per_graph(movie_query, monkeypatch):
     for _ in range(2):
         table, stats = execute(movie_query, dg, cfg)
         assert term_rows(table) == {MOVIE_ROW}
-        assert stats.messages_sent == 5 + 1
+        assert stats.messages_sent == 5 + 1 + 1
     assert opened == [dg.k]
 
 
@@ -512,10 +624,13 @@ def _path_query(vertices):
 def test_tcp_timeout_inside_assembly_leaves_the_graph_usable():
     """A timeout can leave part of a round in the exchange's buffers, so
     the engine drops that exchange; the next query on the same graph
-    opens a fresh one and answers correctly."""
+    opens a fresh one and answers correctly.  The chain has 100 edges,
+    as in test_deadline_reaches_assembly: over 35, admission's
+    refinement rounds leave each path vertex about 4 hosts, and the run
+    ends in 0.2 s."""
     g = parse_ntriples("".join(
         "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
-        for i in range(35)))
+        for i in range(100)))
     dg = build_fragments(g, partition_uniform_hash(g, 4))
     with pytest.raises(TimeoutExceeded, match="during assembly"):
         execute(_path_query(PATH_VERTICES), dg, EngineConfig(
@@ -524,8 +639,32 @@ def test_tcp_timeout_inside_assembly_leaves_the_graph_usable():
     for vertices in (4, 6):
         query = _path_query(vertices)
         want = term_rows(execute(query, dg)[0])
-        assert len(want) == 36 - vertices + 1
+        assert len(want) == 101 - vertices + 1
         assert term_rows(execute(query, dg, tcp)[0]) == want
+
+
+def test_an_expired_deadline_stops_the_refinement_rounds():
+    """Admission's refinement rounds spend on the query's deadline: on a
+    300-edge chain at k=4, the first round checks the hosts of ?x1 and
+    ?x2 of a 4-vertex path, one unit and one per stored neighbour each,
+    so an expired deadline stops it, and nothing else in admission
+    spends."""
+    g = parse_ntriples("".join(
+        "<http://ex/v%d> <http://ex/p> <http://ex/v%d> .\n" % (i, i + 1)
+        for i in range(300)))
+    dg = build_fragments(g, partition_uniform_hash(g, 4))
+    q = matcher.ground(_path_query(4).node.graph, g)
+    expired = engine._Deadline(1.0)
+    expired.start -= 2.0
+    with pytest.raises(TimeoutExceeded, match="during partial evaluation"):
+        engine._admit(q, dg, None, engine.QueryStats(), None, expired)
+    own, _ = engine._admit(q, dg, None, engine.QueryStats(), None)
+    # ?x1 keeps v1-v298: v0 and v300 lack an edge, v299's successor
+    # hosts no ?x2
+    assert sum(len(sets[1]) for sets in own.values()) == 298
+    # ?x1 of a 3-vertex path has no link, so only the first round runs
+    q = matcher.ground(_path_query(3).node.graph, g)
+    engine._admit(q, dg, None, engine.QueryStats(), None, expired)
 
 
 def test_stats_to_dict_keys(movie_dg, movie_query):
@@ -1404,6 +1543,33 @@ def test_deadline_reaches_assembly(tmp_path, capsys, vertices, options):
     assert elapsed < 1.5
 
 
+def test_timeout_bounds_a_cross_product(tmp_path, capsys):
+    """Two components with no shared variable join as a cross product:
+    over 400 disjoint p edges, ?a p ?b . ?c p ?d has 160 000 rows, which
+    were built and printed in full under --timeout 0.05 (0.74 s, exit 0).
+    The join spends |t1|·|t2| on the query's deadline, one row of its
+    left table at a time before that row's merges, so the query exits 1
+    during the join, well within ten times the limit (load and parse
+    included)."""
+    src = tmp_path / "pairs.nt"
+    src.write_text("".join(
+        "<http://ex/a%d> <http://ex/p> <http://ex/b%d> .\n" % (i, i)
+        for i in range(400)), encoding="utf-8")
+    db = tmp_path / "db"
+    assert main(["load", "--data", str(src), "--out", str(db)]) == 0
+    assert main(["partition", "--db", str(db), "-k", "4"]) == 0
+    query = tmp_path / "cross.rq"
+    query.write_text("SELECT * WHERE { ?a <http://ex/p> ?b . "
+                     "?c <http://ex/p> ?d }", encoding="utf-8")
+    capsys.readouterr()
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, ["query", "--db", str(db), "--sparql",
+                                      str(query), "--timeout", "0.05"])
+    elapsed = time.monotonic() - t0
+    assert (code, out, err) == (1, "", "query error: timed out during join\n")
+    assert elapsed < 0.5
+
+
 def _bipartite_runaway(tmp_path, k):
     """Both directions of every edge between two 5-vertex sides under
     label p, plus one q edge to a vertex c.  An odd cycle of p edges has
@@ -1681,7 +1847,7 @@ def test_lubm_answers_do_not_depend_on_fragments_or_assembly(monkeypatch):
 PINNED_K4_UNIFORM_CENTRALIZED = {
     "C1": ((0, 0, 0, 0), 0, 0, 0, 0, 0, 0),
     "C2": ((0, 0, 7, 6), 0, 6, 0, 0, 0, 0),
-    "F1": ((1, 2, 3, 3), 0, 1, 0, 0, 0, 6),
+    "F1": ((0, 1, 1, 2), 0, 1, 0, 0, 0, 1),
     "L1": ((0, 1, 0, 0), 0, 1, 0, 0, 0, 0),
     "L2": ((0, 1, 1, 1), 0, 3, 0, 0, 0, 0),
     "L3": ((0, 0, 0, 2), 1, 2, 0, 0, 0, 0),
@@ -1696,7 +1862,7 @@ PINNED_K4_UNIFORM_CENTRALIZED = {
 PINNED_K8_EXPONENTIAL_DISTRIBUTED = {
     "C1": ((0, 0, 0, 0, 0, 0), 0, 0, 0, 3, 18, 0),
     "C2": ((3, 0, 9, 0, 0, 0), 0, 6, 0, 13, 158, 0),
-    "F1": ((2, 2, 1, 1, 0, 1), 0, 1, 0, 15, 266, 0),
+    "F1": ((2, 1, 0, 1, 0, 0), 0, 1, 1, 14, 176, 0),
     "L1": ((0, 1, 0, 0, 0, 0), 0, 1, 0, 0, 0, 0),
     "L2": ((0, 3, 0, 0, 0, 0), 0, 3, 0, 0, 0, 0),
     "L3": ((0, 3, 0, 0, 0, 0), 0, 3, 0, 0, 0, 0),
@@ -1717,7 +1883,11 @@ def test_cli_stats_of_the_bench_templates_are_pinned(tmp_path, capsys,
     k=8 exponential under distributed assembly, in process and over TCP.
     The expected values were recorded from the engine before the anchored
     search took over the filtering of its anchor's hosts from admission,
-    which changed no count, message or byte."""
+    which changed no count, message or byte.  F1, the one template
+    without a universal vertex, was recorded again when admission took
+    refinement rounds: they cut ?c to the fixed teacher's courses, so
+    fewer partial matches reach assembly, and its distributed rows count
+    one removal round (5 records, 54 bytes) as well."""
     monkeypatch.syspath_prepend(BENCH)
     import lubm
 

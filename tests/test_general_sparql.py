@@ -43,6 +43,7 @@ from parteval import (
     union,
     unit_table,
 )
+from parteval import engine
 from parteval.query_model import LogicalAnd, LogicalNot, LogicalOr, TermConst
 from parteval.rdf_model import literal_parts, numeric_value
 from helpers import make_row, term_rows
@@ -108,6 +109,36 @@ def test_nat_join_disjoint_is_cross_product():
     t1 = table({"x"}, {"x": iri("a")}, {"x": iri("b")})
     t2 = table({"y"}, {"y": iri("c")}, {"y": iri("d")})
     assert len(nat_join(t1, t2)) == 4
+
+
+class SpentUnits(engine._Deadline):
+    """A deadline without a limit that records what is spent on it."""
+
+    def __init__(self):
+        super().__init__(0.0)
+        self.log = []
+
+    def spend(self, phase, units=1):
+        self.log.append((phase, units))
+
+
+def test_only_a_join_without_a_key_spends_on_the_deadline():
+    """A join without a key variable spends |t1|·|t2| on the deadline,
+    |t2| for each row of t1; a join with a key spends nothing."""
+    t1 = table({"x"}, *({"x": iri(c)} for c in "abc"))
+    t2 = table({"y"}, {"y": iri("d")}, {"y": iri("e")},
+               *({"y": literal(text)} for text in ("one", "uno", "x")))
+    for join in (nat_join, lambda a, b, d: left_outer_join(a, b, None, d)):
+        deadline = SpentUnits()
+        assert len(join(t1, t2, deadline)) == 15
+        assert deadline.log == [("join", 5)] * 3
+    keyed = table({"x", "y"}, {"x": iri("a"), "y": iri("d")},
+                  {"x": iri("b"), "y": iri("e")})
+    for join, rows in ((nat_join, 2), (
+            lambda a, b, d: left_outer_join(a, b, None, d), 3)):
+        deadline = SpentUnits()
+        assert len(join(t1, keyed, deadline)) == rows
+        assert deadline.log == []
 
 
 def test_nat_join_unbound_is_compatible():

@@ -699,6 +699,89 @@ def test_admitted_is_the_brute_force_filter():
     assert min(seen.values()) > 100, seen
 
 
+def _witnessed(g, v, u, e, union):
+    """True when the graph has a pair for query edge e between u, as v's
+    image, and a vertex in union at e's other end, with e's label and
+    direction."""
+    w = e.dst if e.src == v else e.src
+    for x in union[w]:
+        labels = g.edges.get((u, x) if e.src == v else (x, u), ())
+        if labels if e.label is None else e.label in labels:
+            return True
+    return False
+
+
+def test_refined_is_the_brute_force_witness_filter():
+    """refined() keeps exactly the hosts that have, for each query edge
+    to another filterable variable, a neighbour in the graph among that
+    variable's admitted hosts (united over all fragments) on a pair with
+    the edge's label and direction, judged on the whole graph."""
+    rng = random.Random(3737)
+    checked = dropped = 0
+    for _ in range(600):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        vertices = matcher.filterable(q)
+        own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
+        union = {v: frozenset().union(*(sets[v] for sets in own.values()))
+                 for v in vertices}
+        links = matcher.links(q, vertices)
+        for frag in dg.fragments:
+            for v, linked in links.items():
+                edges = [e for e in q.edges if e.src != e.dst
+                         and v in (e.src, e.dst)
+                         and (e.dst if e.src == v else e.src) in union]
+                assert len(edges) == len(linked)
+                want = frozenset(u for u in own[frag.id][v]
+                                 if all(_witnessed(g, v, u, e, union)
+                                        for e in edges))
+                hosts = own[frag.id][v]
+                assert matcher.refined(frag, hosts, linked, union) == want
+                checked += len(hosts)
+                dropped += len(hosts) - len(want)
+    assert checked > 300 and dropped > 100, (checked, dropped)
+
+
+def test_search_binds_admitted_vertices_from_their_sets(monkeypatch):
+    """compute_local_partial_matches() takes an admitted vertex's set
+    itself as its candidates.  The admitted sets united over all
+    fragments, which hold vertices a fragment does not store, give the
+    same local partial matches as the same sets cut to the fragment's
+    stored vertices: those of the search without admitted sets whose
+    images of admitted vertices are admitted.  candidates() is not asked
+    about an admitted vertex."""
+    asked = []
+
+    def spy(q, frag, v):
+        asked.append(v)
+        return candidates(q, frag, v)
+
+    rng = random.Random(3838)
+    found = unstored = 0
+    for _ in range(400):
+        g, dg, q_graph = helpers.rand_instance(rng, max_vertices=16)
+        q = ground(q_graph, g)
+        own = {frag.id: matcher.admitted(q, frag) for frag in dg.fragments}
+        union = {v: frozenset().union(*(sets[v] for sets in own.values()))
+                 for v in own[0]}
+        for frag in dg.fragments:
+            stored = frag.internal | frag.extended
+            cut = {v: hosts & stored for v, hosts in union.items()}
+            want = {pm for pm in compute_local_partial_matches(q, frag)
+                    if all(pm.fn[v] is None or pm.fn[v] in hosts
+                           for v, hosts in union.items())}
+            monkeypatch.setattr(matcher, "candidates", spy)
+            asked.clear()
+            got = [compute_local_partial_matches(q, frag, admit)
+                   for admit in (union, cut)]
+            monkeypatch.undo()
+            assert got[0] == got[1] == want
+            assert not union.keys() & set(asked)
+            found += len(want)
+            unstored += bool(frag.extended) and union != cut
+    assert found > 300 and unstored > 100, (found, unstored)
+
+
 def test_anchored_search_is_the_full_set_holding_the_anchor(monkeypatch):
     """With and without admission, the full search reaches each local
     partial match exactly once.  The anchored search from a universal
